@@ -13,20 +13,20 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ..fileio import atomic_open
 from ..neuralnet import (
     AdamState,
+    Tape,
     adam_step,
     backward,
     checkpoint_payload,
     clone,
     create_mlp,
     forward,
-    get_params,
     make_dropout_masks,
     net_from_payload,
-    set_params,
 )
-from .replay import ReplayBuffer, Transition
+from .replay import ReplayBuffer, Transition, batch_arrays
 from .schedules import DecaySchedule, schedule_value
 
 
@@ -80,7 +80,11 @@ class DqnAgent:
         rng = np.random.default_rng([seed, 0xD99])
         self.net = create_mlp((window, *cfg.hidden, len(cfg.actions)), rng)
         self.target_net = clone(self.net)
-        self.opt = AdamState.create(get_params(self.net), lr=cfg.learning_rate)
+        self.opt = AdamState.create([self.net.theta], lr=cfg.learning_rate)
+        # action value -> its first index in cfg.actions
+        self._action_index = {}
+        for i, a in enumerate(cfg.actions):
+            self._action_index.setdefault(a, i)
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
         self.updates = 0
         self.episodes_trained = 0
@@ -111,12 +115,6 @@ class DqnAgent:
 
     # -- learning -------------------------------------------------------
 
-    def _action_index(self, action: float) -> int:
-        for i, a in enumerate(self.config.actions):
-            if a == action:
-                return i
-        raise ValueError(f"action {action} not in the discrete action set {self.config.actions}")
-
     def update(self, episode: int, rng: np.random.Generator) -> dict:
         """One MSE step on the taken-action Q-values; periodic hard target sync."""
         cfg = self.config
@@ -124,43 +122,43 @@ class DqnAgent:
             raise ValueError(f"buffer holds {len(self.buffer)} < batch size {cfg.batch_size}")
         batch = self.buffer.sample(cfg.batch_size, rng)
         n = len(batch)
-        s = np.stack([tr.state for tr in batch])
-        idx = np.array([self._action_index(tr.action) for tr in batch])
-        r = np.array([tr.reward for tr in batch])
-        s2 = np.stack([tr.next_state for tr in batch])
-        term = np.array([tr.terminal for tr in batch], dtype=np.float64)
+        s, actions, r, s2, term = batch_arrays(batch)
+        try:
+            idx = np.array([self._action_index[a] for a in actions.tolist()])
+        except KeyError as exc:
+            raise ValueError(
+                f"action {exc.args[0]} not in the discrete action set {cfg.actions}"
+            ) from None
 
         q_next = forward(self.target_net, s2)
         y = r + cfg.gamma * (1.0 - term) * q_next.max(axis=1)
 
         masks = make_dropout_masks(self.net, cfg.dropout, rng)
-        q = forward(self.net, s, dropout_masks=masks)
+        tape = Tape()
+        q = forward(self.net, s, dropout_masks=masks, tape=tape)
         taken = q[np.arange(n), idx]
         resid = taken - y
         loss = float(np.mean(resid**2))
 
         upstream = np.zeros_like(q)
         upstream[np.arange(n), idx] = 2.0 * resid / n
-        grads, _ = backward(self.net, s, upstream, dropout_masks=masks)
-        new_params, _ = adam_step(get_params(self.net), grads, self.opt)
-        set_params(self.net, new_params)
+        grad = np.empty_like(self.net.theta)
+        backward(self.net, s, upstream, dropout_masks=masks, tape=tape, out=grad)
+        self.net.theta[...] = adam_step([self.net.theta], [grad], self.opt)[0][0]
 
         self.updates += 1
         if self.updates % cfg.target_sync == 0:
-            self.target_net = clone(self.net)
+            self.target_net.theta[...] = self.net.theta
         return {"loss": loss, "epsilon": schedule_value(cfg.epsilon, episode)}
 
     # -- snapshots ------------------------------------------------------
 
     def snapshot(self) -> dict:
-        return {
-            "net": [p.copy() for p in get_params(self.net)],
-            "target": [p.copy() for p in get_params(self.target_net)],
-        }
+        return {"net": self.net.theta.copy(), "target": self.target_net.theta.copy()}
 
     def restore(self, snap: dict) -> None:
-        set_params(self.net, snap["net"])
-        set_params(self.target_net, snap["target"])
+        self.net.theta[...] = snap["net"]
+        self.target_net.theta[...] = snap["target"]
 
     def save(self, path) -> None:
         payload = {
@@ -170,7 +168,7 @@ class DqnAgent:
         }
         payload.update(checkpoint_payload(self.net, prefix="net."))
         payload.update(checkpoint_payload(self.target_net, prefix="target."))
-        with open(path, "wb") as fh:
+        with atomic_open(path, "wb") as fh:
             np.savez(fh, **payload)
 
     def load(self, path) -> None:

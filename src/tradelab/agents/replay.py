@@ -16,6 +16,16 @@ class Transition:
     terminal: bool
 
 
+def batch_arrays(batch: list[Transition]):
+    """(states, actions, rewards, next_states, terminals) of a sampled batch, one row each."""
+    s = np.array([tr.state for tr in batch], dtype=np.float64)
+    a = np.array([tr.action for tr in batch], dtype=np.float64)
+    r = np.array([tr.reward for tr in batch], dtype=np.float64)
+    s2 = np.array([tr.next_state for tr in batch], dtype=np.float64)
+    term = np.array([tr.terminal for tr in batch], dtype=np.float64)
+    return s, a, r, s2, term
+
+
 class ReplayBuffer:
     """Ring buffer; once full, the oldest transition is evicted first."""
 

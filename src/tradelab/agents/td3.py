@@ -14,23 +14,23 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ..fileio import atomic_open
 from ..neuralnet import (
     AdamState,
     Mlp,
+    Tape,
     adam_step,
     backward,
     checkpoint_payload,
     clip_gradients,
     clone,
-    copy_params,
     create_mlp,
+    flatten,
     forward,
-    get_params,
     net_from_payload,
-    set_params,
     soft_update,
 )
-from .replay import ReplayBuffer, Transition
+from .replay import ReplayBuffer, Transition, batch_arrays
 from .schedules import DecaySchedule, schedule_value
 
 
@@ -114,12 +114,13 @@ def actor_gradient(actor: Mlp, critic: Mlp, states: np.ndarray):
     chained through the actor. Returns (grads, J).
     """
     n = states.shape[0]
-    a_pi = forward(actor, states)
+    actor_tape, critic_tape = Tape(), Tape()
+    a_pi = forward(actor, states, tape=actor_tape)
     x = np.hstack([states, a_pi])
-    q = forward(critic, x)
-    _, dx = backward(critic, x, np.full((n, 1), 1.0 / n))
+    q = forward(critic, x, tape=critic_tape)
+    _, dx = backward(critic, x, np.full((n, 1), 1.0 / n), tape=critic_tape)
     da = dx[:, states.shape[1]:]
-    grads, _ = backward(actor, states, da)
+    grads, _ = backward(actor, states, da, tape=actor_tape)
     return grads, float(np.mean(q))
 
 
@@ -137,9 +138,9 @@ class Td3Agent:
         self.actor_target = clone(self.actor)
         self.critic1_target = clone(self.critic1)
         self.critic2_target = clone(self.critic2)
-        self.actor_opt = AdamState.create(get_params(self.actor), lr=cfg.actor_lr)
-        self.critic1_opt = AdamState.create(get_params(self.critic1), lr=cfg.critic_lr)
-        self.critic2_opt = AdamState.create(get_params(self.critic2), lr=cfg.critic_lr)
+        self.actor_opt = AdamState.create([self.actor.theta], lr=cfg.actor_lr)
+        self.critic1_opt = AdamState.create([self.critic1.theta], lr=cfg.critic_lr)
+        self.critic2_opt = AdamState.create([self.critic2.theta], lr=cfg.critic_lr)
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
         self.updates = 0
         self.episodes_trained = 0
@@ -162,21 +163,13 @@ class Td3Agent:
 
     # -- learning -------------------------------------------------------
 
-    def _batch_arrays(self, batch: list[Transition]):
-        s = np.stack([tr.state for tr in batch])
-        a = np.array([[tr.action] for tr in batch])
-        r = np.array([tr.reward for tr in batch])
-        s2 = np.stack([tr.next_state for tr in batch])
-        term = np.array([tr.terminal for tr in batch], dtype=np.float64)
-        return s, a, r, s2, term
-
     def update(self, episode: int, rng: np.random.Generator) -> dict:
         """One gradient step on both critics, delayed actor/target step."""
         cfg = self.config
         if len(self.buffer) < cfg.batch_size:
             raise ValueError(f"buffer holds {len(self.buffer)} < batch size {cfg.batch_size}")
         batch = self.buffer.sample(cfg.batch_size, rng)
-        s, a, r, s2, term = self._batch_arrays(batch)
+        s, a, r, s2, term = batch_arrays(batch)
         n = len(batch)
 
         sigma_t = schedule_value(cfg.policy_noise, episode)
@@ -191,15 +184,16 @@ class Td3Agent:
         q2_next = forward(self.critic2_target, x2)[:, 0]
         y = r + cfg.gamma * (1.0 - term) * np.minimum(q1_next, q2_next)
 
-        x = np.hstack([s, a])
+        x = np.hstack([s, a[:, None]])
         losses = []
         for critic, opt in ((self.critic1, self.critic1_opt), (self.critic2, self.critic2_opt)):
-            q = forward(critic, x)[:, 0]
+            tape = Tape()
+            q = forward(critic, x, tape=tape)[:, 0]
             resid = q - y
             losses.append(float(np.mean(resid**2)))
-            grads, _ = backward(critic, x, (2.0 * resid / n)[:, None])
-            new_params, _ = adam_step(get_params(critic), grads, opt)
-            set_params(critic, new_params)
+            grad = np.empty_like(critic.theta)
+            backward(critic, x, (2.0 * resid / n)[:, None], tape=tape, out=grad)
+            critic.theta[...] = adam_step([critic.theta], [grad], opt)[0][0]
 
         diag = {
             "loss": 0.5 * (losses[0] + losses[1]),
@@ -212,41 +206,30 @@ class Td3Agent:
             diag["actor_updated"] = True
             # Ascend J = mean(Q1(s, pi(s))): chain dQ/da through the actor.
             actor_grads, _ = actor_gradient(self.actor, self.critic1, s)
+            # the global norm sums layer by layer, so clip the per-layer views
             actor_grads = clip_gradients(actor_grads, cfg.grad_clip_norm)
-            descent = [-g for g in actor_grads]
-            new_params, _ = adam_step(get_params(self.actor), descent, self.actor_opt)
-            set_params(self.actor, new_params)
+            descent = -flatten(actor_grads)
+            self.actor.theta[...] = adam_step([self.actor.theta], [descent], self.actor_opt)[0][0]
 
             for target, source in (
                 (self.actor_target, self.actor),
                 (self.critic1_target, self.critic1),
                 (self.critic2_target, self.critic2),
             ):
-                set_params(target, soft_update(get_params(target), get_params(source), cfg.tau))
+                target.theta[...] = soft_update([target.theta], [source.theta], cfg.tau)[0]
         return diag
 
     # -- snapshots ------------------------------------------------------
 
+    _NET_NAMES = ("actor", "critic1", "critic2", "actor_target", "critic1_target", "critic2_target")
+
     def snapshot(self) -> dict:
         """Copies of all learned parameters, for checkpoint selection."""
-        return {
-            "actor": copy_params(get_params(self.actor)),
-            "critic1": copy_params(get_params(self.critic1)),
-            "critic2": copy_params(get_params(self.critic2)),
-            "actor_target": copy_params(get_params(self.actor_target)),
-            "critic1_target": copy_params(get_params(self.critic1_target)),
-            "critic2_target": copy_params(get_params(self.critic2_target)),
-        }
+        return {name: getattr(self, name).theta.copy() for name in self._NET_NAMES}
 
     def restore(self, snap: dict) -> None:
-        set_params(self.actor, snap["actor"])
-        set_params(self.critic1, snap["critic1"])
-        set_params(self.critic2, snap["critic2"])
-        set_params(self.actor_target, snap["actor_target"])
-        set_params(self.critic1_target, snap["critic1_target"])
-        set_params(self.critic2_target, snap["critic2_target"])
-
-    _NET_NAMES = ("actor", "critic1", "critic2", "actor_target", "critic1_target", "critic2_target")
+        for name in self._NET_NAMES:
+            getattr(self, name).theta[...] = snap[name]
 
     def save(self, path) -> None:
         payload = {
@@ -256,7 +239,7 @@ class Td3Agent:
         }
         for name in self._NET_NAMES:
             payload.update(checkpoint_payload(getattr(self, name), prefix=f"{name}."))
-        with open(path, "wb") as fh:
+        with atomic_open(path, "wb") as fh:
             np.savez(fh, **payload)
 
     def load(self, path) -> None:

@@ -64,12 +64,20 @@ class PriceSeries:
         for prev, cur in zip(self.bars, self.bars[1:]):
             if cur.date <= prev.date:
                 raise ValueError(f"dates not strictly increasing at {cur.date}")
+        closes = np.array([b.close for b in self.bars], dtype=np.float64)
+        closes.flags.writeable = False
+        object.__setattr__(self, "_closes", closes)
+
+    def __reduce__(self):
+        # rebuilt from the bars, so a copy sent to a worker keeps a read-only closes array
+        return (PriceSeries, (self.bars,))
 
     def __len__(self) -> int:
         return len(self.bars)
 
     def closes(self) -> np.ndarray:
-        return np.array([b.close for b in self.bars], dtype=np.float64)
+        """The close of every bar, built once per series; the array is read-only."""
+        return self._closes
 
     def dates(self) -> tuple[dt.date, ...]:
         return tuple(b.date for b in self.bars)

@@ -32,6 +32,7 @@ from .baselines import (
 )
 from .data import SplitSpec, chronological_split, load_csv
 from .env import EnvConfig, TradingEnv
+from .fileio import atomic_open
 from .stats import RunReport, TTestResult, paired_ttest_one_sided, return_pct, sharpe
 
 AGENT_STRATEGIES = ("td3", "td3_sign", "td3_d3", "tdqn")
@@ -383,10 +384,8 @@ def _fmt(x: float) -> str:
 
 
 def _write_atomic(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 def emit_outputs(table: ComparisonTable, reports: dict[str, list[RunReport]],

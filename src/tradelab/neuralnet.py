@@ -2,9 +2,24 @@
 
 Provides exactly what the agents need and nothing more: forward evaluation,
 exact reverse-mode gradients, bias-corrected Adam, global-norm gradient
-clipping, Polyak mixing, and a bit-exact checkpoint format. Parameters are
-handled as flat lists [W0, b0, W1, b1, ...] so the optimizer and the mixing
-helpers stay shape-agnostic.
+clipping, Polyak mixing, and a bit-exact checkpoint format.
+
+Each network keeps all of its parameters in one contiguous float64 vector,
+``theta``, laid out W0, b0, W1, b1, ... with every matrix row-major.
+``weights[i]`` and ``biases[i]`` are views into ``theta``, never separate
+arrays, so a whole-network Adam step, Polyak mix, snapshot or clone is one
+array operation on ``theta``. :func:`backward` writes the parameter
+gradients into one vector laid out like ``theta`` and returns per-layer
+views of it.
+
+:func:`forward` can record the values of each layer on a :class:`Tape`;
+:func:`backward` given that tape uses them instead of running the forward
+pass again. Without a tape it runs the same forward pass itself, so both
+give bit-identical gradients.
+
+The list helpers (:func:`get_params`, :func:`set_params`, :func:`adam_step`,
+:func:`clip_gradients`, :func:`soft_update`) take parameter lists: either
+per-layer arrays [W0, b0, W1, b1, ...] or the one-element list [theta].
 """
 
 from __future__ import annotations
@@ -12,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .fileio import atomic_open
 
 HIDDEN_ACTIVATIONS = ("relu", "tanh")
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
@@ -35,18 +52,44 @@ def _grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         return (z > 0.0).astype(np.float64)
     if name == "tanh":
         return 1.0 - a * a
-    if name == "identity":
-        return np.ones_like(z)
     raise ValueError(f"unknown activation {name!r}")
+
+
+def _param_views(dims, flat: np.ndarray) -> list[np.ndarray]:
+    """Views [W0, b0, W1, b1, ...] into a vector laid out like ``theta``."""
+    views = []
+    start = 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        stop = start + fan_in * fan_out
+        views.append(flat[start:stop].reshape(fan_in, fan_out))
+        views.append(flat[stop : stop + fan_out])
+        start = stop + fan_out
+    return views
+
+
+def _param_count(dims) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
 
 
 @dataclass
 class Mlp:
     layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    theta: np.ndarray
     hidden_activation: str = "relu"
     output_activation: str = "identity"
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        size = _param_count(self.layer_dims)
+        theta = self.theta
+        if theta.dtype != np.float64 or theta.shape != (size,) or not theta.flags.c_contiguous:
+            raise ValueError(
+                f"theta must be a contiguous float64 vector of {size} parameters for dims "
+                f"{self.layer_dims}, got {theta.dtype} {theta.shape}"
+            )
+        views = _param_views(self.layer_dims, theta)
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def in_dim(self) -> int:
@@ -74,15 +117,16 @@ def create_mlp(
         raise ValueError(f"hidden activation must be one of {HIDDEN_ACTIVATIONS}")
     if output_activation not in OUTPUT_ACTIVATIONS:
         raise ValueError(f"output activation must be one of {OUTPUT_ACTIVATIONS}")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return Mlp(dims, weights, biases, hidden_activation, output_activation)
+    net = Mlp(dims, np.empty(_param_count(dims)), hidden_activation, output_activation)
+    for w, b in zip(net.weights, net.biases):
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+        b[...] = rng.uniform(-bound, bound, size=b.shape)
+    return net
 
 
 def get_params(net: Mlp) -> list[np.ndarray]:
+    """Views [W0, b0, W1, b1, ...] into ``net.theta``."""
     out = []
     for w, b in zip(net.weights, net.biases):
         out.append(w)
@@ -91,6 +135,7 @@ def get_params(net: Mlp) -> list[np.ndarray]:
 
 
 def set_params(net: Mlp, params) -> None:
+    """Copy per-layer arrays into the network's views; ``params`` stays unaliased."""
     expected = 2 * len(net.weights)
     if len(params) != expected:
         raise ValueError(f"expected {expected} parameter arrays, got {len(params)}")
@@ -98,8 +143,9 @@ def set_params(net: Mlp, params) -> None:
         w, b = params[2 * i], params[2 * i + 1]
         if w.shape != net.weights[i].shape or b.shape != net.biases[i].shape:
             raise ValueError(f"parameter shape mismatch at layer {i}")
-        net.weights[i] = np.asarray(w, dtype=np.float64)
-        net.biases[i] = np.asarray(b, dtype=np.float64)
+    for i in range(len(net.weights)):
+        net.weights[i][...] = params[2 * i]
+        net.biases[i][...] = params[2 * i + 1]
 
 
 def copy_params(params) -> list[np.ndarray]:
@@ -107,13 +153,7 @@ def copy_params(params) -> list[np.ndarray]:
 
 
 def clone(net: Mlp) -> Mlp:
-    return Mlp(
-        net.layer_dims,
-        [w.copy() for w in net.weights],
-        [b.copy() for b in net.biases],
-        net.hidden_activation,
-        net.output_activation,
-    )
+    return Mlp(net.layer_dims, net.theta.copy(), net.hidden_activation, net.output_activation)
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -138,40 +178,64 @@ def make_dropout_masks(net: Mlp, rate: float, rng: np.random.Generator):
     return masks
 
 
-def _forward_pass(net: Mlp, x: np.ndarray, dropout_masks):
-    """Returns (activations per layer incl. input, pre-activations per layer)."""
-    acts = [x]
-    pres = []
+class Tape:
+    """What one forward pass computed, kept for the backward pass that follows.
+
+    Per layer: its input (after the previous layer's dropout), its
+    pre-activation and its activation (before dropout). A tape holds one
+    pass; recording another overwrites it.
+    """
+
+    def __init__(self):
+        self.net: Mlp | None = None
+        self.dropout_masks = None
+        self.inputs: list[np.ndarray] = []
+        self.pres: list[np.ndarray] = []
+        self.posts: list[np.ndarray] = []
+
+
+def _forward_pass(net: Mlp, x: np.ndarray, dropout_masks, tape: Tape | None) -> np.ndarray:
+    if tape is not None:
+        tape.net, tape.dropout_masks = net, dropout_masks
+        tape.inputs, tape.pres, tape.posts = [], [], []
     a = x
-    n_layers = len(net.weights)
+    last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ w + b
-        a = _apply(net.activation_for(i), z)
-        if dropout_masks is not None and i < n_layers - 1:
-            a = a * dropout_masks[i]
-        pres.append(z)
-        acts.append(a)
-    return acts, pres
+        h = _apply(net.activation_for(i), z)
+        if tape is not None:
+            tape.inputs.append(a)
+            tape.pres.append(z)
+            tape.posts.append(h)
+        a = h if dropout_masks is None or i == last else h * dropout_masks[i]
+    return a
 
 
-def forward(net: Mlp, x, dropout_masks=None) -> np.ndarray:
-    """Evaluate the network; accepts a single vector or a (batch, dim) array."""
+def forward(net: Mlp, x, dropout_masks=None, tape: Tape | None = None) -> np.ndarray:
+    """Evaluate the network; accepts a single vector or a (batch, dim) array.
+
+    With a ``tape``, the values of every layer are recorded on it for
+    :func:`backward`.
+    """
     batch, squeeze = _as_batch(x)
     if batch.shape[1] != net.in_dim:
         raise ValueError(f"input dim {batch.shape[1]} != network input {net.in_dim}")
-    if not np.all(np.isfinite(batch)):
+    if not np.isfinite(batch).all():
         raise ValueError("non-finite input")
-    acts, _ = _forward_pass(net, batch, dropout_masks)
-    out = acts[-1]
+    out = _forward_pass(net, batch, dropout_masks, tape)
     return out[0] if squeeze else out
 
 
-def backward(net: Mlp, x, upstream_grad, dropout_masks=None):
+def backward(net: Mlp, x, upstream_grad, dropout_masks=None, tape: Tape | None = None, out=None):
     """Exact gradients of sum(output * upstream_grad) w.r.t. params and input.
 
     Returns (param_grads, input_grad) with param_grads ordered like
-    :func:`get_params`. For a batch, parameter gradients accumulate over rows;
-    the caller folds any 1/N into ``upstream_grad``.
+    :func:`get_params`: views into one vector laid out like ``net.theta``,
+    which is ``out`` when given and a fresh vector otherwise. For a batch,
+    parameter gradients accumulate over rows; the caller folds any 1/N into
+    ``upstream_grad``. ``tape`` is the record of ``forward(net, x,
+    dropout_masks, tape=tape)`` with the current parameters; without one the
+    forward pass runs here.
     """
     batch, squeeze = _as_batch(x)
     up, _ = _as_batch(upstream_grad)
@@ -179,19 +243,30 @@ def backward(net: Mlp, x, upstream_grad, dropout_masks=None):
         raise ValueError(f"input dim {batch.shape[1]} != network input {net.in_dim}")
     if up.shape != (batch.shape[0], net.out_dim):
         raise ValueError(f"upstream grad shape {up.shape} != {(batch.shape[0], net.out_dim)}")
+    if tape is None:
+        tape = Tape()
+        _forward_pass(net, batch, dropout_masks, tape)
+    elif tape.net is not net or tape.dropout_masks is not dropout_masks or tape.inputs[0].shape != batch.shape:
+        raise ValueError("tape was recorded for another network, input shape or dropout masks")
+    if out is None:
+        out = np.empty_like(net.theta)
+    elif out.shape != net.theta.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"gradient buffer must be a contiguous float64 vector of shape {net.theta.shape}")
 
-    acts, pres = _forward_pass(net, batch, dropout_masks)
-    n_layers = len(net.weights)
-    grads: list[np.ndarray | None] = [None] * (2 * n_layers)
+    grads = _param_views(net.layer_dims, out)
+    last = len(net.weights) - 1
     g = up
-    for i in range(n_layers - 1, -1, -1):
+    for i in range(last, -1, -1):
         act_name = net.activation_for(i)
-        local = _grad(act_name, pres[i], _apply(act_name, pres[i]))
-        if dropout_masks is not None and i < n_layers - 1:
-            local = local * dropout_masks[i]
-        delta = g * local
-        grads[2 * i] = acts[i].T @ delta
-        grads[2 * i + 1] = delta.sum(axis=0)
+        if act_name == "identity":
+            delta = g  # g * 1.0, exactly
+        else:
+            local = _grad(act_name, tape.pres[i], tape.posts[i])
+            if dropout_masks is not None and i < last:
+                local = local * dropout_masks[i]
+            delta = g * local
+        np.matmul(tape.inputs[i].T, delta, out=grads[2 * i])
+        np.add.reduce(delta, axis=0, out=grads[2 * i + 1])
         g = delta @ net.weights[i].T
     input_grad = g[0] if squeeze else g
     return grads, input_grad
@@ -223,25 +298,32 @@ class AdamState:
 
 
 def adam_step(params, grads, opt: AdamState):
-    """One Adam update. Returns (new_params, opt) with opt mutated in place."""
+    """One Adam update. Returns (new_params, opt); ``opt``'s moments are updated in place."""
     if len(params) != len(grads) or len(params) != len(opt.m):
         raise ValueError("parameter/gradient/moment list lengths differ")
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError("non-finite gradient")
     opt.step += 1
     t = opt.step
     bc1 = 1.0 - opt.beta1**t
     bc2 = 1.0 - opt.beta2**t
     new_params = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        opt.m[i] = opt.beta1 * opt.m[i] + (1.0 - opt.beta1) * g
-        opt.v[i] = opt.beta2 * opt.v[i] + (1.0 - opt.beta2) * (g * g)
-        m_hat = opt.m[i] / bc1
-        v_hat = opt.v[i] / bc2
-        new_params.append(p - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps))
+    for p, g, m, v in zip(params, grads, opt.m, opt.v):
+        # m <- beta1 * m + (1 - beta1) * g and v <- beta2 * v + (1 - beta2) * g^2
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * (g * g)
+        # p - lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / bc1, v_hat = v / bc2
+        denom = np.sqrt(v / bc2)
+        denom += opt.eps
+        step = m / bc1
+        step *= opt.lr
+        step /= denom
+        new_params.append(p - step)
     return new_params, opt
 
 
@@ -274,6 +356,11 @@ def soft_update(target_params, source_params, tau: float):
     return out
 
 
+def flatten(params) -> np.ndarray:
+    """One float64 vector of per-layer arrays [W0, b0, ...], laid out like ``theta``."""
+    return np.concatenate([np.ravel(p) for p in params]).astype(np.float64, copy=False)
+
+
 def checkpoint_payload(net: Mlp, prefix: str = "") -> dict:
     """Flat array dict describing a network: dims, activations, parameters."""
     payload = {
@@ -289,10 +376,16 @@ def checkpoint_payload(net: Mlp, prefix: str = "") -> dict:
 
 def net_from_payload(data, prefix: str = "") -> Mlp:
     dims = tuple(int(d) for d in data[f"{prefix}layer_dims"])
+    params = []
+    for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+        for key, shape in ((f"{prefix}w{i}", (fan_in, fan_out)), (f"{prefix}b{i}", (fan_out,))):
+            arr = data[key]
+            if arr.shape != shape:
+                raise ValueError(f"checkpoint array {key} has shape {arr.shape}, expected {shape}")
+            params.append(arr)
     return Mlp(
         layer_dims=dims,
-        weights=[np.array(data[f"{prefix}w{i}"]) for i in range(len(dims) - 1)],
-        biases=[np.array(data[f"{prefix}b{i}"]) for i in range(len(dims) - 1)],
+        theta=flatten(params),
         hidden_activation=str(data[f"{prefix}hidden_activation"]),
         output_activation=str(data[f"{prefix}output_activation"]),
     )
@@ -308,7 +401,7 @@ def save_checkpoint(net: Mlp, path, extras: dict | None = None) -> None:
     payload.update(checkpoint_payload(net))
     for key, value in (extras or {}).items():
         payload[f"extra_{key}"] = np.asarray(value)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         np.savez(fh, **payload)
 
 

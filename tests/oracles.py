@@ -2,13 +2,31 @@
 
 Everything here is deliberately written as plain scalar loops with its own
 branch structure so it shares no code path with the implementations it
-verifies.
+verifies. The exceptions are the list-based agent updates at the end: they
+drive the package's public kernel functions the way the agents did before
+parameters became one flat vector, so the flat update can be checked against
+them bit for bit.
 """
 
 import decimal
 import math
 
 import numpy as np
+
+from tradelab.agents import schedule_value
+from tradelab.neuralnet import (
+    AdamState,
+    adam_step,
+    backward,
+    clip_gradients,
+    clone,
+    forward,
+    get_params,
+    global_norm,
+    make_dropout_masks,
+    set_params,
+    soft_update,
+)
 
 
 def resimulate(initial_cash, actions, prices, tcs):
@@ -114,3 +132,106 @@ def printed_unit(value):
     down, lies strictly less than this far from the exact value."""
     exponent = decimal.Decimal(repr(value)).as_tuple().exponent
     return float(decimal.Decimal(1).scaleb(exponent))
+
+
+# -- list-based agent updates ------------------------------------------------
+
+
+def _stack_batch(batch):
+    s = np.stack([tr.state for tr in batch])
+    a = np.array([[tr.action] for tr in batch])
+    r = np.array([tr.reward for tr in batch])
+    s2 = np.stack([tr.next_state for tr in batch])
+    term = np.array([tr.terminal for tr in batch], dtype=np.float64)
+    return s, a, r, s2, term
+
+
+class ListTd3Update:
+    """TD3's update with per-layer parameter lists.
+
+    Every backward runs its own forward pass, Adam and Polyak mixing go layer
+    by layer through get_params/set_params, and the actor gradient is
+    rebuilt here from forward and backward. It moves the networks of the
+    agent it is given and keeps its own per-layer Adam state.
+    """
+
+    def __init__(self, agent):
+        cfg = agent.config
+        self.agent = agent
+        self.opts = {
+            "actor": AdamState.create(get_params(agent.actor), lr=cfg.actor_lr),
+            "critic1": AdamState.create(get_params(agent.critic1), lr=cfg.critic_lr),
+            "critic2": AdamState.create(get_params(agent.critic2), lr=cfg.critic_lr),
+        }
+        self.updates = 0
+        self.actor_grad_norms = []  # before clipping, one per delayed step
+
+    def __call__(self, episode, rng):
+        ag, cfg = self.agent, self.agent.config
+        batch = ag.buffer.sample(cfg.batch_size, rng)
+        s, a, r, s2, term = _stack_batch(batch)
+        n = len(batch)
+
+        sigma_t = schedule_value(cfg.policy_noise, episode)
+        clip_k = schedule_value(cfg.noise_clip, episode)
+        a2 = forward(ag.actor_target, s2)
+        eps = np.clip(rng.normal(0.0, sigma_t, size=(n, 1)) if sigma_t > 0 else np.zeros((n, 1)),
+                      -clip_k, clip_k)
+        a2 = np.clip(a2 + eps, cfg.action_low, cfg.action_high)
+        x2 = np.hstack([s2, a2])
+        q1_next = forward(ag.critic1_target, x2)[:, 0]
+        q2_next = forward(ag.critic2_target, x2)[:, 0]
+        y = r + cfg.gamma * (1.0 - term) * np.minimum(q1_next, q2_next)
+
+        x = np.hstack([s, a])
+        for name in ("critic1", "critic2"):
+            critic = getattr(ag, name)
+            resid = forward(critic, x)[:, 0] - y
+            grads, _ = backward(critic, x, (2.0 * resid / n)[:, None])
+            new_params, _ = adam_step(get_params(critic), grads, self.opts[name])
+            set_params(critic, new_params)
+
+        self.updates += 1
+        if self.updates % cfg.policy_delay == 0:
+            a_pi = forward(ag.actor, s)
+            xa = np.hstack([s, a_pi])
+            _, dx = backward(ag.critic1, xa, np.full((n, 1), 1.0 / n))
+            grads, _ = backward(ag.actor, s, dx[:, s.shape[1]:])
+            self.actor_grad_norms.append(global_norm(grads))
+            grads = clip_gradients(grads, cfg.grad_clip_norm)
+            new_params, _ = adam_step(get_params(ag.actor), [-g for g in grads], self.opts["actor"])
+            set_params(ag.actor, new_params)
+            for target, source in ((ag.actor_target, ag.actor), (ag.critic1_target, ag.critic1),
+                                   (ag.critic2_target, ag.critic2)):
+                set_params(target, soft_update(get_params(target), get_params(source), cfg.tau))
+
+
+class ListDqnUpdate:
+    """DQN's update with per-layer parameter lists, a linear action-index
+    scan and a target sync that replaces the target net by a clone."""
+
+    def __init__(self, agent):
+        self.agent = agent
+        self.opt = AdamState.create(get_params(agent.net), lr=agent.config.learning_rate)
+        self.updates = 0
+
+    def __call__(self, episode, rng):
+        ag, cfg = self.agent, self.agent.config
+        batch = ag.buffer.sample(cfg.batch_size, rng)
+        n = len(batch)
+        s, _, r, s2, term = _stack_batch(batch)
+        idx = np.array([next(i for i, a in enumerate(cfg.actions) if a == tr.action) for tr in batch])
+
+        y = r + cfg.gamma * (1.0 - term) * forward(ag.target_net, s2).max(axis=1)
+        masks = make_dropout_masks(ag.net, cfg.dropout, rng)
+        q = forward(ag.net, s, dropout_masks=masks)
+        resid = q[np.arange(n), idx] - y
+        upstream = np.zeros_like(q)
+        upstream[np.arange(n), idx] = 2.0 * resid / n
+        grads, _ = backward(ag.net, s, upstream, dropout_masks=masks)
+        new_params, _ = adam_step(get_params(ag.net), grads, self.opt)
+        set_params(ag.net, new_params)
+
+        self.updates += 1
+        if self.updates % cfg.target_sync == 0:
+            ag.target_net = clone(ag.net)

@@ -1,4 +1,5 @@
 import datetime as dt
+import pickle
 
 import numpy as np
 import pytest
@@ -122,6 +123,25 @@ class TestPctChange:
         x = pct_change(series).as_array()
         rebuilt = closes[:-1] * (1.0 + x / 100.0)
         assert np.allclose(rebuilt, closes[1:], rtol=1e-9, atol=0.0)
+
+
+class TestCloses:
+    def test_one_read_only_array(self, rng):
+        series = random_walk(30, rng)
+        closes = series.closes()
+        assert closes is series.closes()
+        assert closes.dtype == np.float64
+        assert closes.tolist() == [b.close for b in series.bars]
+        assert not closes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            closes[0] = 1.0
+
+    def test_read_only_after_pickling(self, rng):
+        series = random_walk(10, rng)
+        copy = pickle.loads(pickle.dumps(series))
+        assert copy == series
+        assert np.array_equal(copy.closes(), series.closes())
+        assert not copy.closes().flags.writeable
 
 
 class TestSplit:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from tradelab.agents import DqnAgent, DqnConfig, Td3Agent, Td3Config, Transition
 from tradelab.neuralnet import (
     AdamState,
+    Tape,
     adam_step,
     backward,
+    checkpoint_payload,
     clip_gradients,
     clone,
     create_mlp,
@@ -13,6 +16,7 @@ from tradelab.neuralnet import (
     global_norm,
     load_checkpoint,
     make_dropout_masks,
+    net_from_payload,
     save_checkpoint,
     set_params,
     soft_update,
@@ -135,19 +139,20 @@ class TestDropout:
         assert make_dropout_masks(net, 0.0, rng) is None
 
     def test_masks_are_consistent_between_passes(self, rng):
-        net = create_mlp((4, 8, 8, 1), rng)
-        masks = make_dropout_masks(net, 0.5, rng)
-        x = rng.normal(size=4)
-        up = np.array([1.0])
-        grads, _ = backward(net, x, up, dropout_masks=masks)
+        for hidden_act in ("relu", "tanh"):
+            net = create_mlp((4, 8, 8, 1), rng, hidden_activation=hidden_act)
+            masks = make_dropout_masks(net, 0.5, rng)
+            x = rng.normal(size=4)
+            up = np.array([1.0])
+            grads, _ = backward(net, x, up, dropout_masks=masks)
 
-        def objective():
-            return float(forward(net, x, dropout_masks=masks)[0])
+            def objective():
+                return float(forward(net, x, dropout_masks=masks)[0])
 
-        fd = finite_difference_grads(objective, get_params(net))
-        for got, want in zip(grads, fd):
-            for g, w in zip(got.ravel(), want.ravel()):
-                assert rel_close(g, w)
+            fd = finite_difference_grads(objective, get_params(net))
+            for got, want in zip(grads, fd):
+                for g, w in zip(got.ravel(), want.ravel()):
+                    assert rel_close(g, w)
 
 
 class TestAdam:
@@ -252,3 +257,132 @@ class TestCheckpoint:
         twin = clone(net)
         twin.weights[0][0, 0] += 1.0
         assert net.weights[0][0, 0] != twin.weights[0][0, 0]
+
+
+def assert_views_share_theta(net):
+    assert len(net.weights) == len(net.biases) == len(net.layer_dims) - 1
+    for w, b in zip(net.weights, net.biases):
+        assert np.shares_memory(w, net.theta)
+        assert np.shares_memory(b, net.theta)
+    assert all(np.shares_memory(p, net.theta) for p in get_params(net))
+
+
+class TestFlatParameters:
+    def test_create_and_clone(self, rng):
+        net = create_mlp((4, 6, 3), rng)
+        assert_views_share_theta(net)
+        twin = clone(net)
+        assert_views_share_theta(twin)
+        assert not np.shares_memory(twin.theta, net.theta)
+        assert np.array_equal(twin.theta, net.theta)
+
+    def test_theta_layout(self, rng):
+        net = create_mlp((4, 6, 3), rng)
+        assert net.theta.shape == (4 * 6 + 6 + 6 * 3 + 3,)
+        assert np.array_equal(net.theta, np.concatenate([p.ravel() for p in get_params(net)]))
+        net.theta[0] = 7.0
+        assert net.weights[0][0, 0] == 7.0
+
+    def test_set_params_copies_into_the_views(self, rng):
+        net = create_mlp((3, 5, 2), rng)
+        theta = net.theta
+        params = [rng.normal(size=p.shape) for p in get_params(net)]
+        set_params(net, params)
+        assert net.theta is theta
+        assert_views_share_theta(net)
+        for got, want in zip(get_params(net), params):
+            assert np.array_equal(got, want)
+        before = net.theta.copy()
+        for p in params:
+            p += 1.0
+        assert np.array_equal(net.theta, before)
+
+    def test_set_params_shape_mismatch_changes_nothing(self, rng):
+        net = create_mlp((3, 5, 2), rng)
+        before = net.theta.copy()
+        params = [np.zeros_like(p) for p in get_params(net)]
+        params[-1] = np.zeros(3)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            set_params(net, params)
+        assert np.array_equal(net.theta, before)
+
+    def test_net_from_payload(self, rng):
+        net = create_mlp((3, 5, 2), rng, hidden_activation="tanh")
+        loaded = net_from_payload(checkpoint_payload(net))
+        assert_views_share_theta(loaded)
+        assert np.array_equal(loaded.theta, net.theta)
+
+    def test_net_from_payload_rejects_a_misshapen_array(self, rng):
+        payload = checkpoint_payload(create_mlp((3, 5, 2), rng))
+        payload["w1"] = payload["w1"].T.copy()
+        with pytest.raises(ValueError, match="w1 has shape"):
+            net_from_payload(payload)
+
+    def test_agent_restore_load_and_target_sync(self, rng, tmp_path):
+        td3 = Td3Agent(4, Td3Config(batch_size=8, actor_hidden=(5,), critic_hidden=(5,)), seed=1)
+        dqn = DqnAgent(4, DqnConfig(batch_size=8, hidden=(5,), target_sync=2), seed=1)
+        for _ in range(20):
+            tr = Transition(rng.normal(size=4), float(rng.choice((-1.0, 1.0))), 0.01,
+                            rng.normal(size=4), False)
+            td3.store(tr)
+            dqn.store(tr)
+        gen = np.random.default_rng(0)
+        for agent, names in ((td3, Td3Agent._NET_NAMES), (dqn, ("net", "target_net"))):
+            snap = agent.snapshot()
+            agent.update(0, gen)
+            agent.update(0, gen)
+            agent.restore(snap)
+            for name in names:
+                assert_views_share_theta(getattr(agent, name))
+            agent.update(0, gen)
+            agent.update(0, gen)
+            agent.save(tmp_path / "agent.npz")
+            agent.load(tmp_path / "agent.npz")
+            for name in names:
+                assert_views_share_theta(getattr(agent, name))
+        # two updates with target_sync=2: the target is a copy, not an alias
+        assert np.array_equal(dqn.target_net.theta, dqn.net.theta)
+        assert not np.shares_memory(dqn.target_net.theta, dqn.net.theta)
+
+
+class TestTape:
+    @pytest.mark.parametrize("hidden_act", ["relu", "tanh"])
+    @pytest.mark.parametrize("out_act", ["identity", "tanh"])
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    def test_taped_backward_is_bit_identical(self, hidden_act, out_act, rate, rng):
+        net = create_mlp((5, 7, 6, 3), rng, hidden_activation=hidden_act, output_activation=out_act)
+        x = rng.normal(size=(9, 5))
+        up = rng.normal(size=(9, 3))
+        masks = make_dropout_masks(net, rate, rng)
+        tape = Tape()
+        out = forward(net, x, dropout_masks=masks, tape=tape)
+        assert np.array_equal(out, forward(net, x, dropout_masks=masks))
+        taped, taped_dx = backward(net, x, up, dropout_masks=masks, tape=tape)
+        plain, plain_dx = backward(net, x, up, dropout_masks=masks)
+        assert len(taped) == len(plain) == 6
+        for a, b in zip(taped, plain):
+            assert np.array_equal(a, b)
+        assert np.array_equal(taped_dx, plain_dx)
+
+    def test_gradients_land_in_one_vector_laid_out_like_theta(self, rng):
+        net = create_mlp((3, 4, 2), rng)
+        x, up = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+        buf = np.full_like(net.theta, np.nan)
+        grads, _ = backward(net, x, up, out=buf)
+        assert all(np.shares_memory(g, buf) for g in grads)
+        assert np.array_equal(buf, np.concatenate([g.ravel() for g in backward(net, x, up)[0]]))
+        with pytest.raises(ValueError, match="gradient buffer"):
+            backward(net, x, up, out=np.empty(3))
+
+    def test_tape_of_another_pass_is_rejected(self, rng):
+        net, other = create_mlp((3, 4, 2), rng), create_mlp((3, 4, 2), rng)
+        x = rng.normal(size=(5, 3))
+        tape = Tape()
+        forward(other, x, tape=tape)
+        with pytest.raises(ValueError, match="tape"):
+            backward(net, x, np.ones((5, 2)), tape=tape)
+        forward(net, x, tape=tape)
+        with pytest.raises(ValueError, match="tape"):
+            backward(net, x[:2], np.ones((2, 2)), tape=tape)
+        with pytest.raises(ValueError, match="tape"):
+            backward(net, x, np.ones((5, 2)), dropout_masks=make_dropout_masks(net, 0.5, rng), tape=tape)
