@@ -1,7 +1,7 @@
 """Learning agents: continuous-action TD3, discrete DQN, replay, schedules."""
 
 from .dqn import DqnAgent, DqnConfig, dqn_target
-from .replay import ReplayBuffer, Transition
+from .replay import ReplayBuffer
 from .schedules import DecaySchedule, schedule_value
 from .tabular import q_learning, q_learning_update
 from .td3 import (
@@ -21,7 +21,6 @@ __all__ = [
     "ReplayBuffer",
     "Td3Agent",
     "Td3Config",
-    "Transition",
     "actor_gradient",
     "dqn_target",
     "q_learning",

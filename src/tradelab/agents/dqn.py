@@ -26,7 +26,7 @@ from ..neuralnet import (
     make_dropout_masks,
     net_from_payload,
 )
-from .replay import ReplayBuffer, Transition, batch_arrays
+from .replay import ReplayBuffer
 from .schedules import DecaySchedule, schedule_value
 
 
@@ -110,9 +110,6 @@ class DqnAgent:
     def random_action(self, rng: np.random.Generator) -> float:
         return float(self.config.actions[rng.integers(len(self.config.actions))])
 
-    def store(self, transition: Transition) -> None:
-        self.buffer.push(transition)
-
     # -- learning -------------------------------------------------------
 
     def update(self, episode: int, rng: np.random.Generator) -> dict:
@@ -120,9 +117,8 @@ class DqnAgent:
         cfg = self.config
         if len(self.buffer) < cfg.batch_size:
             raise ValueError(f"buffer holds {len(self.buffer)} < batch size {cfg.batch_size}")
-        batch = self.buffer.sample(cfg.batch_size, rng)
-        n = len(batch)
-        s, actions, r, s2, term = batch_arrays(batch)
+        s, actions, r, s2, term = self.buffer.sample(cfg.batch_size, rng)
+        n = len(s)
         try:
             idx = np.array([self._action_index[a] for a in actions.tolist()])
         except KeyError as exc:

@@ -1,59 +1,59 @@
-"""FIFO experience replay with uniform sampling."""
+"""FIFO experience replay of env steps stored as rows of one observation table.
+
+A stored row's state is ``observations[row]`` and its next state is
+``observations[row + 1]``, because every env step advances the bar by one.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class Transition:
-    state: np.ndarray
-    action: float
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
-
-
-def batch_arrays(batch: list[Transition]):
-    """(states, actions, rewards, next_states, terminals) of a sampled batch, one row each."""
-    s = np.array([tr.state for tr in batch], dtype=np.float64)
-    a = np.array([tr.action for tr in batch], dtype=np.float64)
-    r = np.array([tr.reward for tr in batch], dtype=np.float64)
-    s2 = np.array([tr.next_state for tr in batch], dtype=np.float64)
-    term = np.array([tr.terminal for tr in batch], dtype=np.float64)
-    return s, a, r, s2, term
+ROW_DTYPE = np.dtype([("row", np.intp), ("action", np.float64), ("reward", np.float64),
+                      ("terminal", np.float64)])
 
 
 class ReplayBuffer:
-    """Ring buffer; once full, the oldest transition is evicted first."""
+    """Ring buffer; once full, the oldest row is evicted first."""
 
     def __init__(self, capacity: int, seed: int | None = None):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._items: list[Transition] = []
-        self._cursor = 0
+        self.observations: np.ndarray | None = None
+        self._ring: np.ndarray | None = None  # allocated on the first push
+        self._pushed = 0
         self._rng = np.random.default_rng(seed)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return min(self._pushed, self.capacity)
 
-    def push(self, transition: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(transition)
-        else:
-            self._items[self._cursor] = transition
-            self._cursor = (self._cursor + 1) % self.capacity
+    def bind(self, observations: np.ndarray) -> None:
+        """Index future rows into ``observations``; rows already held need an equal table."""
+        if self._pushed and not np.array_equal(observations, self.observations):
+            raise ValueError("cannot bind a different observation table while the buffer holds rows")
+        self.observations = observations
 
-    def sample(self, batch_size: int, rng: np.random.Generator | None = None) -> list[Transition]:
-        if not self._items:
+    def push(self, row: int, action: float, reward: float, terminal: bool) -> None:
+        if self.observations is None:
+            raise ValueError("bind an observation table before pushing")
+        if not 0 <= row < len(self.observations) - 1:
+            raise ValueError(f"row {row} needs a next row inside the {len(self.observations)}-row table")
+        if self._ring is None:
+            self._ring = np.empty(self.capacity, dtype=ROW_DTYPE)
+        self._ring[self._pushed % self.capacity] = (row, action, reward, terminal)
+        self._pushed += 1
+
+    def sample(self, batch_size: int, rng: np.random.Generator | None = None):
+        """(states, actions, rewards, next_states, terminals) of a uniform draw, one row each."""
+        if not self._pushed:
             raise ValueError("cannot sample from an empty buffer")
         gen = self._rng if rng is None else rng
-        idx = gen.integers(0, len(self._items), size=batch_size)
-        return [self._items[i] for i in idx]
+        batch = self._ring[gen.integers(0, len(self), size=batch_size)]
+        rows = batch["row"]
+        return (self.observations[rows], batch["action"], batch["reward"],
+                self.observations[rows + 1], batch["terminal"])
 
-    def items(self) -> list[Transition]:
-        """Contents in insertion order, oldest first."""
-        return self._items[self._cursor :] + self._items[: self._cursor]
+    def items(self) -> np.ndarray:
+        """Stored rows (fields of ``ROW_DTYPE``) in insertion order, oldest first."""
+        held = np.empty(0, ROW_DTYPE) if self._ring is None else self._ring[: len(self)]
+        return np.roll(held, -self._pushed)  # the oldest row sits at pushed % capacity

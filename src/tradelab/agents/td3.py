@@ -30,7 +30,7 @@ from ..neuralnet import (
     net_from_payload,
     soft_update,
 )
-from .replay import ReplayBuffer, Transition, batch_arrays
+from .replay import ReplayBuffer
 from .schedules import DecaySchedule, schedule_value
 
 
@@ -158,9 +158,6 @@ class Td3Agent:
     def random_action(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(self.config.action_low, self.config.action_high))
 
-    def store(self, transition: Transition) -> None:
-        self.buffer.push(transition)
-
     # -- learning -------------------------------------------------------
 
     def update(self, episode: int, rng: np.random.Generator) -> dict:
@@ -168,9 +165,8 @@ class Td3Agent:
         cfg = self.config
         if len(self.buffer) < cfg.batch_size:
             raise ValueError(f"buffer holds {len(self.buffer)} < batch size {cfg.batch_size}")
-        batch = self.buffer.sample(cfg.batch_size, rng)
-        s, a, r, s2, term = batch_arrays(batch)
-        n = len(batch)
+        s, a, r, s2, term = self.buffer.sample(cfg.batch_size, rng)
+        n = len(s)
 
         sigma_t = schedule_value(cfg.policy_noise, episode)
         clip_k = schedule_value(cfg.noise_clip, episode)

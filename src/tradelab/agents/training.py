@@ -12,7 +12,6 @@ import numpy as np
 
 from ..data import PriceSeries
 from ..env import EnvConfig, TradingEnv
-from .replay import Transition
 
 
 def train(agent, segment: PriceSeries, env_config: EnvConfig, episodes: int, seed: int,
@@ -25,6 +24,7 @@ def train(agent, segment: PriceSeries, env_config: EnvConfig, episodes: int, see
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     env = TradingEnv(segment, env_config)
+    agent.buffer.bind(env.observation_table())
     rng = np.random.default_rng([seed, 0x7E4])
     warmup = agent.config.warmup_episodes
     log: list[dict] = []
@@ -40,13 +40,9 @@ def train(agent, segment: PriceSeries, env_config: EnvConfig, episodes: int, see
             else:
                 action = agent.explore_action(obs, learn_episode, rng)
             outcome = env.step(action)
-            agent.store(Transition(
-                state=obs,
-                action=action,
-                reward=outcome.reward,
-                next_state=outcome.observation,
-                terminal=outcome.next_state.terminal,
-            ))
+            # a step moves t by one, so the next state is always the next table row
+            agent.buffer.push(state.t - env.first_t, action, outcome.reward,
+                              outcome.next_state.terminal)
             if not warming and len(agent.buffer) >= agent.config.batch_size:
                 diag = agent.update(learn_episode, rng)
                 losses.append(diag["loss"])

@@ -156,6 +156,10 @@ class TradingEnv:
         w = self.config.window
         return self._returns[t - w : t].copy()
 
+    def observation_table(self) -> np.ndarray:
+        """Read-only view of every observation: row t - w is ``observation_at(t)``."""
+        return np.lib.stride_tricks.sliding_window_view(self._returns, self.config.window)
+
     def reset(self) -> tuple[EnvState, np.ndarray]:
         self._state = EnvState(t=self.first_t, cash=self.config.initial_cash, terminal=False)
         return self._state, self.observation_at(self.first_t)

@@ -16,7 +16,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .baselines import (
     is_random,
     sign_discretize,
 )
-from .data import SplitSpec, chronological_split, load_csv
+from .data import DEFAULT_COLUMNS, SplitSpec, chronological_split, load_csv
 from .env import EnvConfig, TradingEnv
 from .fileio import atomic_open
 from .stats import RunReport, TTestResult, paired_ttest_one_sided, return_pct, sharpe
@@ -84,70 +84,85 @@ class ExperimentConfig:
             )
 
 
-def _schedule_from(d: dict, default: DecaySchedule) -> DecaySchedule:
-    return DecaySchedule(
-        initial=d.get("initial", default.initial),
-        final=d.get("final", default.final),
-        decay=d.get("decay", default.decay),
-    )
+def _shape(default):
+    """The JSON shape of a config value, read off its default: a dict of keys for
+    a dataclass, a one-element list for a tuple, else the leaf type."""
+    if is_dataclass(default):
+        return {f.name: _shape(getattr(default, f.name)) for f in fields(default)}
+    if isinstance(default, tuple):
+        return [_shape(default[0])]
+    return type(default)
 
 
-def _build_td3(d: dict) -> Td3Config:
-    base = Td3Config()
+_CONFIG_SHAPE = {
+    "dataset": {"path": str, "columns": {name: str for name in DEFAULT_COLUMNS}},
+    "split": _shape(SplitSpec()),
+    "env": _shape(EnvConfig()),
+    "td3": _shape(Td3Config()),
+    "dqn": _shape(DqnConfig()),
+    "episodes": int,
+    "strategies": [str],
+    "seeds": [int],
+    "ma_window": int,
+    "output_dir": str,
+    "ttest": {"pairs": [[str]], "alpha": float},
+    "workers": int,
+}
+
+
+def _check_shape(value, shape, key: str) -> None:
+    """Raise ValueError naming the dotted ``key`` ("" at the top) unless ``value`` has ``shape``."""
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"config key {key or '(top level)'}: expected an object, got {value!r}")
+        for name, item in value.items():
+            path = f"{key}.{name}" if key else name
+            if name not in shape:
+                raise ValueError(f"unknown config key {path}")
+            _check_shape(item, shape[name], path)
+    elif isinstance(shape, list):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"config key {key}: expected a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check_shape(item, shape[0], f"{key}[{i}]")
+    else:
+        allowed = (int, float) if shape is float else shape
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(f"config key {key}: expected {shape.__name__}, got {value!r}")
+
+
+def _build(cls, overrides: dict):
+    """``cls()`` with ``overrides`` applied; a schedule may override part of its default."""
+    base = cls()
     kwargs = {}
-    for key in ("gamma", "tau", "policy_delay", "batch_size", "warmup_episodes",
-                "action_low", "action_high", "actor_lr", "critic_lr",
-                "grad_clip_norm", "buffer_capacity"):
-        if key in d:
-            kwargs[key] = d[key]
-    for key in ("exploration_noise", "policy_noise", "noise_clip"):
-        if key in d:
-            kwargs[key] = _schedule_from(d[key], getattr(base, key))
-    for key in ("actor_hidden", "critic_hidden"):
-        if key in d:
-            kwargs[key] = tuple(d[key])
-    return Td3Config(**kwargs)
-
-
-def _build_dqn(d: dict) -> DqnConfig:
-    kwargs = {}
-    for key in ("gamma", "target_sync", "batch_size", "learning_rate",
-                "buffer_capacity", "warmup_episodes", "dropout"):
-        if key in d:
-            kwargs[key] = d[key]
-    if "epsilon" in d:
-        kwargs["epsilon"] = _schedule_from(d["epsilon"], DqnConfig().epsilon)
-    if "actions" in d:
-        kwargs["actions"] = tuple(d["actions"])
-    if "hidden" in d:
-        kwargs["hidden"] = tuple(d["hidden"])
-    return DqnConfig(**kwargs)
+    for name, value in overrides.items():
+        default = getattr(base, name)
+        if isinstance(default, DecaySchedule):
+            value = replace(default, **value)
+        elif isinstance(default, tuple):
+            value = tuple(value)
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a plain (JSON-shaped) dict."""
+    """Build an ExperimentConfig from a plain (JSON-shaped) dict.
+
+    An unknown key or a value of the wrong JSON type is a ValueError naming
+    the dotted key.
+    """
+    _check_shape(raw, _CONFIG_SHAPE, "")
     dataset = raw.get("dataset", {})
     if "path" not in dataset:
         raise ValueError("config must name a dataset path under dataset.path")
-    split_d = raw.get("split", {})
-    env_d = raw.get("env", {})
     ttest_d = raw.get("ttest", {})
     return ExperimentConfig(
         dataset_path=dataset["path"],
         columns=dict(dataset.get("columns", {})),
-        split=SplitSpec(
-            train_frac=split_d.get("train_frac", 0.8),
-            valid_frac=split_d.get("valid_frac", 0.1),
-            test_frac=split_d.get("test_frac", 0.1),
-        ),
-        env=EnvConfig(
-            window=env_d.get("window", 30),
-            transaction_cost=env_d.get("transaction_cost", 0.0),
-            initial_cash=env_d.get("initial_cash", 100_000.0),
-            annualization_days=env_d.get("annualization_days", 252),
-        ),
-        td3=_build_td3(raw.get("td3", {})),
-        dqn=_build_dqn(raw.get("dqn", {})),
+        split=_build(SplitSpec, raw.get("split", {})),
+        env=_build(EnvConfig, raw.get("env", {})),
+        td3=_build(Td3Config, raw.get("td3", {})),
+        dqn=_build(DqnConfig, raw.get("dqn", {})),
         episodes=raw.get("episodes", 50),
         strategies=tuple(raw.get("strategies", DEFAULT_STRATEGIES)),
         seeds=tuple(raw.get("seeds", (0,))),

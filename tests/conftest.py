@@ -34,3 +34,16 @@ def random_walk(n, rng, start_price=100.0, scale=0.02):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def push_pairs(buffer, steps):
+    """Store arbitrary ``(state, action, reward, next_state, terminal)`` steps.
+
+    Replay rows index one observation table and a row's next state is the
+    next row, so the table interleaves the pairs, [s0, s0', s1, s1', ...],
+    and step i is row 2i.
+    """
+    steps = list(steps)
+    buffer.bind(np.array([x for s, _, _, s2, _ in steps for x in (s, s2)], dtype=np.float64))
+    for i, (_, action, reward, _, terminal) in enumerate(steps):
+        buffer.push(2 * i, action, reward, terminal)

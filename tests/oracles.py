@@ -4,8 +4,9 @@ Everything here is deliberately written as plain scalar loops with its own
 branch structure so it shares no code path with the implementations it
 verifies. The exceptions are the list-based agent updates at the end: they
 drive the package's public kernel functions the way the agents did before
-parameters became one flat vector, so the flat update can be checked against
-them bit for bit.
+parameters became one flat vector, and gather each replay batch one stored
+row at a time from the buffer's ring and table, so the flat update and
+``ReplayBuffer.sample`` can be checked against them bit for bit.
 """
 
 import decimal
@@ -137,12 +138,17 @@ def printed_unit(value):
 # -- list-based agent updates ------------------------------------------------
 
 
-def _stack_batch(batch):
-    s = np.stack([tr.state for tr in batch])
-    a = np.array([[tr.action] for tr in batch])
-    r = np.array([tr.reward for tr in batch])
-    s2 = np.stack([tr.next_state for tr in batch])
-    term = np.array([tr.terminal for tr in batch], dtype=np.float64)
+def _gather_batch(buffer, batch_size, rng):
+    """The replay batch, drawn as ``ReplayBuffer.sample`` draws it and gathered
+    one stored row at a time: state = table row, next state = the row after."""
+    slots = rng.integers(0, len(buffer), size=batch_size)
+    stored = [buffer._ring[i] for i in slots]
+    table = buffer.observations
+    s = np.stack([table[int(row["row"])] for row in stored])
+    a = np.array([[float(row["action"])] for row in stored])
+    r = np.array([float(row["reward"]) for row in stored])
+    s2 = np.stack([table[int(row["row"]) + 1] for row in stored])
+    term = np.array([float(row["terminal"]) for row in stored])
     return s, a, r, s2, term
 
 
@@ -168,9 +174,8 @@ class ListTd3Update:
 
     def __call__(self, episode, rng):
         ag, cfg = self.agent, self.agent.config
-        batch = ag.buffer.sample(cfg.batch_size, rng)
-        s, a, r, s2, term = _stack_batch(batch)
-        n = len(batch)
+        s, a, r, s2, term = _gather_batch(ag.buffer, cfg.batch_size, rng)
+        n = len(s)
 
         sigma_t = schedule_value(cfg.policy_noise, episode)
         clip_k = schedule_value(cfg.noise_clip, episode)
@@ -217,10 +222,9 @@ class ListDqnUpdate:
 
     def __call__(self, episode, rng):
         ag, cfg = self.agent, self.agent.config
-        batch = ag.buffer.sample(cfg.batch_size, rng)
-        n = len(batch)
-        s, _, r, s2, term = _stack_batch(batch)
-        idx = np.array([next(i for i, a in enumerate(cfg.actions) if a == tr.action) for tr in batch])
+        s, a, r, s2, term = _gather_batch(ag.buffer, cfg.batch_size, rng)
+        n = len(s)
+        idx = np.array([next(i for i, x in enumerate(cfg.actions) if x == act) for act in a[:, 0]])
 
         y = r + cfg.gamma * (1.0 - term) * forward(ag.target_net, s2).max(axis=1)
         masks = make_dropout_masks(ag.net, cfg.dropout, rng)

@@ -6,7 +6,6 @@ from tradelab.agents import (
     DecaySchedule,
     DqnAgent,
     DqnConfig,
-    Transition,
     dqn_target,
     q_learning,
     q_learning_update,
@@ -15,7 +14,7 @@ from tradelab.agents import (
 from tradelab.env import EnvConfig
 from tradelab.neuralnet import clone, forward, get_params, set_params
 
-from conftest import alternating_series
+from conftest import alternating_series, push_pairs
 from oracles import value_iteration
 
 
@@ -86,14 +85,11 @@ class TestExploration:
 
 class TestUpdate:
     def fill(self, agent, gen, n=32):
-        for _ in range(n):
-            agent.store(Transition(
-                state=gen.normal(size=agent.window),
-                action=float(gen.choice(agent.config.actions)),
-                reward=float(gen.normal(scale=0.01)),
-                next_state=gen.normal(size=agent.window),
-                terminal=False,
-            ))
+        push_pairs(agent.buffer, [
+            (gen.normal(size=agent.window), float(gen.choice(agent.config.actions)),
+             float(gen.normal(scale=0.01)), gen.normal(size=agent.window), False)
+            for _ in range(n)
+        ])
 
     def test_target_lag(self, rng):
         agent = DqnAgent(3, small_config(target_sync=5), seed=1)
@@ -118,7 +114,7 @@ class TestUpdate:
 
     def test_foreign_action_rejected(self, rng):
         agent = DqnAgent(2, small_config(batch_size=1), seed=1)
-        agent.store(Transition(np.zeros(2), 0.37, 0.0, np.zeros(2), False))
+        push_pairs(agent.buffer, [(np.zeros(2), 0.37, 0.0, np.zeros(2), False)])
         with pytest.raises(ValueError, match="not in the discrete action set"):
             agent.update(0, np.random.default_rng(0))
 
@@ -136,13 +132,15 @@ class TestUpdate:
         set_params(agent.net, [np.zeros_like(p) for p in get_params(agent.net)])
         agent.target_net = clone(agent.net)
 
+        # one (state, next state) row pair per (s, a): step (s, a) is row 2 * (2s + a)
+        agent.buffer.bind(np.array([v for s in range(3) for a in range(2)
+                                    for v in (onehot(s), onehot(next_state[s, a]))]))
         gen = np.random.default_rng(0)
         s = 0
         for _ in range(6000):
             a_idx = int(gen.integers(2))
             s2 = int(next_state[s, a_idx])
-            agent.store(Transition(onehot(s), cfg.actions[a_idx],
-                                   float(reward[s, a_idx]), onehot(s2), False))
+            agent.buffer.push(2 * (2 * s + a_idx), cfg.actions[a_idx], float(reward[s, a_idx]), False)
             if len(agent.buffer) >= cfg.batch_size:
                 agent.update(0, gen)
             s = s2
@@ -187,8 +185,8 @@ class TestTraining:
 
     def test_checkpoint_roundtrip(self, tmp_path, rng):
         agent = DqnAgent(3, small_config(), seed=3)
-        for _ in range(16):
-            agent.store(Transition(rng.normal(size=3), -1.0, 0.0, rng.normal(size=3), False))
+        push_pairs(agent.buffer, [(rng.normal(size=3), -1.0, 0.0, rng.normal(size=3), False)
+                                  for _ in range(16)])
         agent.update(0, np.random.default_rng(0))
         path = tmp_path / "dqn.npz"
         agent.save(path)

@@ -1,9 +1,11 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
+from tradelab.agents import DecaySchedule
 from tradelab.cli import main
 from tradelab.data import SplitSpec
 from tradelab.env import EnvConfig
@@ -89,6 +91,47 @@ class TestConfig:
             config_from_dict(raw)
         raw = base_config(tmp_path, strategies=["mrma"], ma_window=4)
         assert config_from_dict(raw).ma_window == 4
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"env": {"window": 4, "transacton_cost": 5}}, "env.transacton_cost"),
+        ({"epsiodes": 3}, "epsiodes"),
+        ({"dataset": {"path": "p.csv", "colums": {}}}, "dataset.colums"),
+        ({"dataset": {"path": "p.csv", "columns": {"closing": "Close"}}}, "dataset.columns.closing"),
+        ({"td3": {"exploration_noise": {"inital": 0.4}}}, "td3.exploration_noise.inital"),
+        ({"dqn": {"hiden": [8]}}, "dqn.hiden"),
+        ({"ttest": {"alfa": 0.05}}, "ttest.alfa"),
+    ])
+    def test_rejects_unknown_keys_by_dotted_path(self, tmp_path, overrides, key):
+        raw = base_config(tmp_path, **overrides)
+        with pytest.raises(ValueError, match=rf"unknown config key {re.escape(key)}$"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"episodes": "50"}, "episodes"),
+        ({"episodes": 3.0}, "episodes"),
+        ({"workers": True}, "workers"),
+        ({"seeds": 0}, "seeds"),
+        ({"seeds": [0, "1"]}, r"seeds\[1\]"),
+        ({"env": {"transaction_cost": "0.1"}}, "env.transaction_cost"),
+        ({"env": {"window": 4.5}}, "env.window"),
+        ({"td3": {"actor_hidden": [8.0]}}, r"td3.actor_hidden\[0\]"),
+        ({"td3": {"policy_noise": {"decay": None}}}, "td3.policy_noise.decay"),
+        ({"dqn": 5}, "dqn"),
+        ({"dataset": {"path": 3}}, "dataset.path"),
+        ({"ttest": {"pairs": [["random_c", 1]]}}, r"ttest.pairs\[0\]\[1\]"),
+    ])
+    def test_rejects_wrong_types_by_key(self, tmp_path, overrides, key):
+        raw = base_config(tmp_path, **overrides)
+        with pytest.raises(ValueError, match=rf"config key {key}: expected"):
+            config_from_dict(raw)
+
+    def test_accepts_integers_for_floats_and_partial_schedules(self, tmp_path):
+        raw = base_config(tmp_path, env={"window": 4, "transaction_cost": 1},
+                          td3={"exploration_noise": {"decay": 20}, "grad_clip_norm": 2})
+        cfg = config_from_dict(raw)
+        assert cfg.env.transaction_cost == 1
+        assert cfg.td3.exploration_noise == DecaySchedule(0.5, 0.05, 20)
+        assert cfg.td3.grad_clip_norm == 2
 
     def test_resolved_echo_is_json_serializable(self, tmp_path):
         cfg = config_from_dict(base_config(tmp_path))
@@ -309,6 +352,16 @@ class TestCli:
         path.write_text("{not json")
         assert main(["compare", "--config", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"env": {"window": 4, "transacton_cost": 5}}, "unknown config key env.transacton_cost"),
+        ({"episodes": "50"}, "config key episodes: expected int, got '50'"),
+    ])
+    def test_invalid_config_reports_the_key(self, tmp_path, capsys, overrides, message):
+        raw = base_config(tmp_path, **overrides)
+        assert main(["compare", "--config", str(self.write_config(tmp_path, raw))]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(raw["output_dir"])
 
     def test_seed_override(self, tmp_path):
         raw = base_config(tmp_path, strategies=["buy_hold"])

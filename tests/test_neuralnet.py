@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tradelab.agents import DqnAgent, DqnConfig, Td3Agent, Td3Config, Transition
+from tradelab.agents import DqnAgent, DqnConfig, Td3Agent, Td3Config
 from tradelab.neuralnet import (
     AdamState,
     Tape,
@@ -22,6 +22,7 @@ from tradelab.neuralnet import (
     soft_update,
 )
 
+from conftest import push_pairs
 from oracles import finite_difference_grads, rel_close
 
 
@@ -321,11 +322,10 @@ class TestFlatParameters:
     def test_agent_restore_load_and_target_sync(self, rng, tmp_path):
         td3 = Td3Agent(4, Td3Config(batch_size=8, actor_hidden=(5,), critic_hidden=(5,)), seed=1)
         dqn = DqnAgent(4, DqnConfig(batch_size=8, hidden=(5,), target_sync=2), seed=1)
-        for _ in range(20):
-            tr = Transition(rng.normal(size=4), float(rng.choice((-1.0, 1.0))), 0.01,
-                            rng.normal(size=4), False)
-            td3.store(tr)
-            dqn.store(tr)
+        steps = [(rng.normal(size=4), float(rng.choice((-1.0, 1.0))), 0.01, rng.normal(size=4), False)
+                 for _ in range(20)]
+        push_pairs(td3.buffer, steps)
+        push_pairs(dqn.buffer, steps)
         gen = np.random.default_rng(0)
         for agent, names in ((td3, Td3Agent._NET_NAMES), (dqn, ("net", "target_net"))):
             snap = agent.snapshot()

@@ -1,14 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tradelab.agents import DecaySchedule, ReplayBuffer, Transition, schedule_value
+from tradelab.agents import DecaySchedule, ReplayBuffer, Td3Agent, Td3Config, schedule_value, train
+from tradelab.env import EnvConfig, TradingEnv
+
+from conftest import make_series, random_walk
 
 
-def tr(tag: float) -> Transition:
-    state = np.array([tag])
-    return Transition(state=state, action=0.0, reward=tag, next_state=state, terminal=False)
+def filled(capacity: int, n: int, seed: int | None = None) -> ReplayBuffer:
+    """Rows 0..n-1 of a table whose row i holds [i]; row i's reward is i."""
+    buf = ReplayBuffer(capacity=capacity, seed=seed)
+    buf.bind(np.arange(n + 1.0)[:, None])
+    for i in range(n):
+        buf.push(i, 0.0, float(i), False)
+    return buf
 
 
 class TestSchedule:
@@ -47,36 +55,30 @@ class TestSchedule:
 
 class TestReplayBuffer:
     def test_fifo_eviction(self):
-        buf = ReplayBuffer(capacity=5)
-        for i in range(8):
-            buf.push(tr(float(i)))
+        buf = filled(capacity=5, n=8)
         assert len(buf) == 5
-        assert [t.reward for t in buf.items()] == [3.0, 4.0, 5.0, 6.0, 7.0]
+        assert buf.items()["reward"].tolist() == [3.0, 4.0, 5.0, 6.0, 7.0]
 
     def test_exact_capacity(self):
-        buf = ReplayBuffer(capacity=3)
-        for i in range(3):
-            buf.push(tr(float(i)))
-        assert [t.reward for t in buf.items()] == [0.0, 1.0, 2.0]
+        buf = filled(capacity=3, n=3)
+        assert buf.items()["reward"].tolist() == [0.0, 1.0, 2.0]
 
     def test_sample_is_seeded(self):
-        buf = ReplayBuffer(capacity=10, seed=3)
-        for i in range(10):
-            buf.push(tr(float(i)))
-        a = [t.reward for t in buf.sample(6)]
-        buf2 = ReplayBuffer(capacity=10, seed=3)
-        for i in range(10):
-            buf2.push(tr(float(i)))
-        b = [t.reward for t in buf2.sample(6)]
+        a = filled(capacity=10, n=10, seed=3).sample(6)[2].tolist()
+        b = filled(capacity=10, n=10, seed=3).sample(6)[2].tolist()
         assert a == b
 
     def test_sample_with_external_rng(self):
-        buf = ReplayBuffer(capacity=4)
-        for i in range(4):
-            buf.push(tr(float(i)))
+        buf = filled(capacity=4, n=4)
         got = buf.sample(3, np.random.default_rng(0))
         again = buf.sample(3, np.random.default_rng(0))
-        assert [t.reward for t in got] == [t.reward for t in again]
+        assert got[2].tolist() == again[2].tolist()
+
+    def test_sample_gathers_each_row_and_the_next(self):
+        s, a, r, s2, term = filled(capacity=5, n=8).sample(50, np.random.default_rng(1))
+        assert set(r.tolist()) <= {3.0, 4.0, 5.0, 6.0, 7.0}
+        assert np.array_equal(s[:, 0], r) and np.array_equal(s2[:, 0], r + 1.0)
+        assert s.shape == s2.shape == (50, 1) and a.shape == term.shape == (50,)
 
     def test_empty_sample_raises(self):
         with pytest.raises(ValueError, match="empty"):
@@ -85,3 +87,105 @@ class TestReplayBuffer:
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
             ReplayBuffer(capacity=0)
+
+    def test_push_needs_a_next_row_in_the_table(self):
+        buf = ReplayBuffer(capacity=4)
+        with pytest.raises(ValueError, match="bind"):
+            buf.push(0, 0.0, 0.0, False)
+        buf.bind(np.zeros((3, 2)))
+        buf.push(1, 0.0, 0.0, False)  # its next state is the last row
+        for row in (2, 3, -1):
+            with pytest.raises(ValueError, match="next row"):
+                buf.push(row, 0.0, 0.0, False)
+        assert len(buf) == 1
+
+    def test_rebinding_needs_an_equal_table(self):
+        buf = ReplayBuffer(capacity=4)
+        table = np.arange(8.0).reshape(4, 2)
+        buf.bind(np.ones((4, 2)))
+        buf.bind(table)  # nothing held yet, so any table will do
+        buf.push(0, 0.0, 0.0, False)
+        buf.bind(table.copy())
+        for other in (table + 1.0, table[:3], np.arange(12.0).reshape(4, 3)):
+            with pytest.raises(ValueError, match="different observation table"):
+                buf.bind(other)
+        assert buf.observations is not None and np.array_equal(buf.observations, table)
+
+
+def spiked_series(n=40, spike_at=20, seed=4):
+    """A random walk whose close triples once: a short held into it is wiped."""
+    closes = [bar.close for bar in random_walk(n, np.random.default_rng(seed)).bars]
+    closes[spike_at + 1:] = [3.0 * c for c in closes[spike_at + 1:]]
+    return make_series(closes)
+
+
+def small_td3(**overrides):
+    return Td3Config(**{"batch_size": 8, "actor_hidden": (4,), "critic_hidden": (4,), **overrides})
+
+
+class TestTrainingRows:
+    WINDOW = 3
+
+    def test_rows_gather_the_observations_the_env_returned(self, monkeypatch):
+        series, env_cfg = spiked_series(), EnvConfig(window=self.WINDOW)
+        seen = []  # (t, next observation, terminal) of every step, in order
+        original_step = TradingEnv.step
+
+        def recording_step(env, action, tc=None):
+            t = env.state.t
+            outcome = original_step(env, action, tc)
+            seen.append((t, outcome.observation, outcome.next_state.terminal))
+            return outcome
+
+        monkeypatch.setattr(TradingEnv, "step", recording_step)
+        agent = Td3Agent(self.WINDOW, small_td3(warmup_episodes=8), seed=0)
+        train(agent, series, env_cfg, episodes=8, seed=3)
+        env = TradingEnv(series, env_cfg)
+        terminal_ts = {t for t, _, terminal in seen if terminal}
+        assert env.last_t in terminal_ts  # a final step
+        assert any(t < env.last_t for t in terminal_ts)  # a wiped step, mid-episode
+
+        rows = agent.buffer.items()
+        assert len(rows) == len(seen)
+        table = agent.buffer.observations
+        for stored, (t, next_obs, terminal) in zip(rows, seen):
+            assert stored["row"] == t - self.WINDOW
+            assert np.array_equal(table[stored["row"]], env.observation_at(t))
+            assert np.array_equal(table[stored["row"] + 1], next_obs)
+            assert np.array_equal(next_obs, env.observation_at(t + 1))
+            assert stored["terminal"] == terminal
+
+        # the buffer never wrapped, so slot i holds step i
+        slots = np.random.default_rng(9).integers(0, len(seen), size=400)
+        s, _, _, s2, term = agent.buffer.sample(400, np.random.default_rng(9))
+        for i, slot in enumerate(slots):
+            t, next_obs, terminal = seen[slot]
+            assert np.array_equal(s[i], env.observation_at(t))
+            assert np.array_equal(s2[i], next_obs)
+            assert term[i] == terminal
+
+    def test_retraining_needs_the_same_segment(self):
+        env_cfg = EnvConfig(window=self.WINDOW)
+        series = random_walk(30, np.random.default_rng(1))
+        agent = Td3Agent(self.WINDOW, small_td3(warmup_episodes=2), seed=0)
+        train(agent, series, env_cfg, episodes=1, seed=0)
+        held = len(agent.buffer)
+        train(agent, series, env_cfg, episodes=1, seed=1)
+        assert len(agent.buffer) == 2 * held
+        with pytest.raises(ValueError, match="different observation table"):
+            train(agent, random_walk(30, np.random.default_rng(2)), env_cfg, episodes=1, seed=0)
+
+    def test_rows_cost_only_the_ring(self):
+        """Training rows are indices: 20,000 of them retain only the ring's bytes."""
+        rows = 20_000
+        agent = Td3Agent(self.WINDOW, small_td3(warmup_episodes=10, buffer_capacity=rows), seed=0)
+        series = random_walk(self.WINDOW + rows // 10 + 1, np.random.default_rng(5))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train(agent, series, EnvConfig(window=self.WINDOW), episodes=10, seed=0)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(agent.buffer) == rows
+        assert grown <= agent.buffer.items().nbytes + 64 * 1024

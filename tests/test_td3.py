@@ -5,7 +5,6 @@ from tradelab.agents import (
     DecaySchedule,
     Td3Agent,
     Td3Config,
-    Transition,
     actor_gradient,
     td3_critic_target,
     td3_select_action,
@@ -15,7 +14,7 @@ from tradelab.agents import (
 from tradelab.env import EnvConfig
 from tradelab.neuralnet import create_mlp, forward, get_params, set_params
 
-from conftest import alternating_series
+from conftest import alternating_series, push_pairs
 from oracles import finite_difference_grads, rel_close
 
 
@@ -120,14 +119,11 @@ class TestCriticTarget:
 
 
 def fill_buffer(agent, rng, n=32, window=3):
-    for _ in range(n):
-        agent.store(Transition(
-            state=rng.normal(size=window),
-            action=float(rng.uniform(-1, 1)),
-            reward=float(rng.normal(scale=0.01)),
-            next_state=rng.normal(size=window),
-            terminal=False,
-        ))
+    push_pairs(agent.buffer, [
+        (rng.normal(size=window), float(rng.uniform(-1, 1)), float(rng.normal(scale=0.01)),
+         rng.normal(size=window), False)
+        for _ in range(n)
+    ])
 
 
 class TestUpdate:
@@ -164,15 +160,8 @@ class TestUpdate:
 
     def test_overfits_single_terminal_transition(self, rng):
         agent = Td3Agent(2, small_config(batch_size=4, policy_delay=2), seed=3)
-        fixed = Transition(
-            state=np.array([1.0, -1.0]),
-            action=0.5,
-            reward=0.07,
-            next_state=np.array([0.0, 0.0]),
-            terminal=True,
-        )
-        for _ in range(agent.config.batch_size):
-            agent.store(fixed)
+        fixed = (np.array([1.0, -1.0]), 0.5, 0.07, np.array([0.0, 0.0]), True)
+        push_pairs(agent.buffer, [fixed] * agent.config.batch_size)
         gen = np.random.default_rng(1)
         loss = None
         for _ in range(3000):

@@ -8,34 +8,31 @@ import numpy as np
 import pytest
 
 from tradelab import neuralnet
-from tradelab.agents import DqnAgent, DqnConfig, Td3Agent, Td3Config, Transition
+from tradelab.agents import DqnAgent, DqnConfig, Td3Agent, Td3Config
 from tradelab.neuralnet import flatten, get_params
 
+from conftest import push_pairs
 from oracles import ListDqnUpdate, ListTd3Update
 
 TD3_NETS = ("actor", "critic1", "critic2", "actor_target", "critic1_target", "critic2_target")
 
 
 def transitions(window, n, seed, actions=None):
+    """(state, action, reward, next_state, terminal) steps."""
     gen = np.random.default_rng(seed)
     out = []
     for _ in range(n):
         action = float(gen.choice(actions)) if actions else float(gen.uniform(-1.0, 1.0))
-        out.append(Transition(
-            state=gen.normal(size=window),
-            action=action,
-            reward=float(gen.normal(scale=0.01)),
-            next_state=gen.normal(size=window),
-            terminal=bool(gen.random() < 0.1),
-        ))
+        out.append((gen.normal(size=window), action, float(gen.normal(scale=0.01)),
+                    gen.normal(size=window), bool(gen.random() < 0.1)))
     return out
 
 
 def twin_agents(cls, window, cfg, actions=None):
     agents = (cls(window, cfg, seed=4), cls(window, cfg, seed=4))
-    for tr in transitions(window, 200, seed=8, actions=actions):
-        for agent in agents:
-            agent.store(tr)
+    steps = transitions(window, 200, seed=8, actions=actions)
+    for agent in agents:
+        push_pairs(agent.buffer, steps)
     return agents
 
 
