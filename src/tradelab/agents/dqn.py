@@ -7,24 +7,21 @@ epsilon-greedy with an exponentially decaying epsilon.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..fileio import atomic_open
 from ..neuralnet import (
     AdamState,
     Tape,
     adam_step,
     backward,
-    checkpoint_payload,
     clone,
     create_mlp,
     forward,
+    load_nets,
     make_dropout_masks,
-    net_from_payload,
+    save_nets,
 )
 from .replay import ReplayBuffer
 from .schedules import DecaySchedule, schedule_value
@@ -55,21 +52,17 @@ class DqnConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
 
-    def hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-
-def dqn_target(r: float, terminal: bool, gamma: float, target_q_next) -> float:
-    """y = r for terminal transitions, else r + gamma * max_a' Q_target(s', a')."""
+def dqn_target(r, terminal, gamma: float, target_q_next) -> np.ndarray:
+    """y = r + gamma * (1 - terminal) * max_a' Q_target(s', a'), elementwise: r alone
+    on terminal rows. ``target_q_next`` holds one row of action values per
+    transition (or one vector for a single transition)."""
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    if terminal:
-        return r
     q = np.asarray(target_q_next, dtype=np.float64)
-    if q.size == 0:
+    if q.shape[-1] == 0:
         raise ValueError("empty target Q vector")
-    return r + gamma * float(q.max())
+    return r + gamma * (1.0 - terminal) * q.max(axis=-1)
 
 
 class DqnAgent:
@@ -126,8 +119,7 @@ class DqnAgent:
                 f"action {exc.args[0]} not in the discrete action set {cfg.actions}"
             ) from None
 
-        q_next = forward(self.target_net, s2)
-        y = r + cfg.gamma * (1.0 - term) * q_next.max(axis=1)
+        y = dqn_target(r, term, cfg.gamma, forward(self.target_net, s2))
 
         masks = make_dropout_masks(self.net, cfg.dropout, rng)
         tape = Tape()
@@ -157,20 +149,9 @@ class DqnAgent:
         self.target_net.theta[...] = snap["target"]
 
     def save(self, path) -> None:
-        payload = {
-            "version": np.array(1),
-            "config_hash": np.array(self.config.hash()),
-            "episodes": np.array(self.episodes_trained),
-        }
-        payload.update(checkpoint_payload(self.net, prefix="net."))
-        payload.update(checkpoint_payload(self.target_net, prefix="target."))
-        with atomic_open(path, "wb") as fh:
-            np.savez(fh, **payload)
+        save_nets(path, {"net": self.net, "target": self.target_net}, self.config,
+                  self.episodes_trained)
 
     def load(self, path) -> None:
-        with np.load(path, allow_pickle=False) as data:
-            if str(data["config_hash"]) != self.config.hash():
-                raise ValueError("checkpoint was written with a different configuration")
-            self.net = net_from_payload(data, prefix="net.")
-            self.target_net = net_from_payload(data, prefix="target.")
-            self.episodes_trained = int(data["episodes"])
+        nets, self.episodes_trained = load_nets(path, ("net", "target"), self.config)
+        self.net, self.target_net = nets["net"], nets["target"]

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dqn import dqn_target
+
 
 def q_learning_update(
     q: np.ndarray, s: int, a: int, r: float, s_next: int, terminal: bool, alpha: float, gamma: float
 ) -> None:
     """Temporal-difference update of one (state, action) cell, in place."""
-    target = r if terminal else r + gamma * float(q[s_next].max())
+    target = dqn_target(r, terminal, gamma, q[s_next])
     q[s, a] += alpha * (target - q[s, a])
 
 

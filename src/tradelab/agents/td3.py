@@ -8,26 +8,23 @@ only every ``policy_delay`` updates.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..fileio import atomic_open
 from ..neuralnet import (
     AdamState,
     Mlp,
     Tape,
     adam_step,
     backward,
-    checkpoint_payload,
     clip_gradients,
     clone,
     create_mlp,
     flatten,
     forward,
-    net_from_payload,
+    load_nets,
+    save_nets,
     soft_update,
 )
 from .replay import ReplayBuffer
@@ -63,48 +60,47 @@ class Td3Config:
         if self.batch_size < 1 or self.policy_delay < 1:
             raise ValueError("batch_size and policy_delay must be >= 1")
 
-    def hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-
-def td3_select_action(actor: Mlp, state, sigma: float, rng: np.random.Generator) -> float:
-    """Actor output plus N(0, sigma) exploration noise, clamped to [-1, 1]."""
+def td3_select_action(actor: Mlp, state, sigma: float, a_low: float, a_high: float,
+                      rng: np.random.Generator) -> float:
+    """Actor output plus N(0, sigma) exploration noise, clamped to [a_low, a_high]."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     a = float(forward(actor, state)[0])
     if sigma > 0:
         a += float(rng.normal(0.0, sigma))
-    return float(np.clip(a, -1.0, 1.0))
+    return float(np.clip(a, a_low, a_high))
 
 
 def td3_target_action(
     actor_target: Mlp,
-    next_state,
+    next_states: np.ndarray,
     sigma_tilde: float,
     noise_clip: float,
     a_low: float,
     a_high: float,
     rng,
-) -> float:
-    """Smoothed target action: clip(pi'(s') + clip(N(0, sigma~), -K, K), a1, a2)."""
+) -> np.ndarray:
+    """Smoothed target actions, one row per next state:
+    clip(pi'(s') + clip(N(0, sigma~), -K, K), a1, a2).
+
+    The noise is one ``(n, 1)`` normal draw, made only when sigma~ > 0.
+    """
     if sigma_tilde < 0 or noise_clip < 0:
         raise ValueError("noise scale and clip bound must be >= 0")
     if a_low >= a_high:
         raise ValueError("a_low must be below a_high")
-    a = float(forward(actor_target, next_state)[0])
-    eps = float(rng.normal(0.0, sigma_tilde)) if sigma_tilde > 0 else 0.0
-    eps = float(np.clip(eps, -noise_clip, noise_clip))
-    return float(np.clip(a + eps, a_low, a_high))
+    a = forward(actor_target, next_states)
+    n = len(a)
+    eps = rng.normal(0.0, sigma_tilde, size=(n, 1)) if sigma_tilde > 0 else np.zeros((n, 1))
+    return np.clip(a + np.clip(eps, -noise_clip, noise_clip), a_low, a_high)
 
 
-def td3_critic_target(r: float, terminal: bool, gamma: float, q1_next: float, q2_next: float) -> float:
-    """y = r for terminal transitions, else r + gamma * min(q1', q2')."""
+def td3_critic_target(r, terminal, gamma: float, q1_next, q2_next) -> np.ndarray:
+    """y = r + gamma * (1 - terminal) * min(q1', q2'), elementwise: r alone on terminal rows."""
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    if terminal:
-        return r
-    return r + gamma * min(q1_next, q2_next)
+    return r + gamma * (1.0 - terminal) * np.minimum(q1_next, q2_next)
 
 
 def actor_gradient(actor: Mlp, critic: Mlp, states: np.ndarray):
@@ -149,11 +145,13 @@ class Td3Agent:
 
     def policy(self, state) -> float:
         """Deterministic (evaluation) action."""
-        return float(np.clip(float(forward(self.actor, state)[0]), -1.0, 1.0))
+        cfg = self.config
+        return float(np.clip(float(forward(self.actor, state)[0]), cfg.action_low, cfg.action_high))
 
     def explore_action(self, state, episode: int, rng: np.random.Generator) -> float:
-        sigma = schedule_value(self.config.exploration_noise, episode)
-        return td3_select_action(self.actor, state, sigma, rng)
+        cfg = self.config
+        sigma = schedule_value(cfg.exploration_noise, episode)
+        return td3_select_action(self.actor, state, sigma, cfg.action_low, cfg.action_high, rng)
 
     def random_action(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(self.config.action_low, self.config.action_high))
@@ -168,17 +166,12 @@ class Td3Agent:
         s, a, r, s2, term = self.buffer.sample(cfg.batch_size, rng)
         n = len(s)
 
-        sigma_t = schedule_value(cfg.policy_noise, episode)
-        clip_k = schedule_value(cfg.noise_clip, episode)
-        a2 = forward(self.actor_target, s2)
-        eps = np.clip(rng.normal(0.0, sigma_t, size=(n, 1)) if sigma_t > 0 else np.zeros((n, 1)),
-                      -clip_k, clip_k)
-        a2 = np.clip(a2 + eps, cfg.action_low, cfg.action_high)
-
+        a2 = td3_target_action(self.actor_target, s2, schedule_value(cfg.policy_noise, episode),
+                               schedule_value(cfg.noise_clip, episode), cfg.action_low,
+                               cfg.action_high, rng)
         x2 = np.hstack([s2, a2])
-        q1_next = forward(self.critic1_target, x2)[:, 0]
-        q2_next = forward(self.critic2_target, x2)[:, 0]
-        y = r + cfg.gamma * (1.0 - term) * np.minimum(q1_next, q2_next)
+        y = td3_critic_target(r, term, cfg.gamma, forward(self.critic1_target, x2)[:, 0],
+                              forward(self.critic2_target, x2)[:, 0])
 
         x = np.hstack([s, a[:, None]])
         losses = []
@@ -228,20 +221,10 @@ class Td3Agent:
             getattr(self, name).theta[...] = snap[name]
 
     def save(self, path) -> None:
-        payload = {
-            "version": np.array(1),
-            "config_hash": np.array(self.config.hash()),
-            "episodes": np.array(self.episodes_trained),
-        }
-        for name in self._NET_NAMES:
-            payload.update(checkpoint_payload(getattr(self, name), prefix=f"{name}."))
-        with atomic_open(path, "wb") as fh:
-            np.savez(fh, **payload)
+        save_nets(path, {name: getattr(self, name) for name in self._NET_NAMES}, self.config,
+                  self.episodes_trained)
 
     def load(self, path) -> None:
-        with np.load(path, allow_pickle=False) as data:
-            if str(data["config_hash"]) != self.config.hash():
-                raise ValueError("checkpoint was written with a different configuration")
-            for name in self._NET_NAMES:
-                setattr(self, name, net_from_payload(data, prefix=f"{name}."))
-            self.episodes_trained = int(data["episodes"])
+        nets, self.episodes_trained = load_nets(path, self._NET_NAMES, self.config)
+        for name, net in nets.items():
+            setattr(self, name, net)

@@ -34,7 +34,6 @@ _RANDOM = ("random_c", "random_d")
 class StrategySpec:
     kind: str
     ma_window: int = 20
-    seed: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:

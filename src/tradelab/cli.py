@@ -5,32 +5,34 @@ Verbs:
   evaluate   evaluate strategies on the test segment using saved checkpoints
   compare    full pipeline: train, evaluate, aggregate, t-test, emit outputs
   ttest      recompute metrics from emitted equity CSVs and run the t-tests
+
+Each verb parses its arguments, calls the harness stages and prints.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import os
 import sys
 from dataclasses import replace
 
-from .agents import DqnAgent, Td3Agent
-from .data import chronological_split, load_csv
 from .harness import (
     ExperimentConfig,
-    _write_atomic,
+    agent_kinds,
     build_table,
+    collect_reports,
     compare_report,
     emit_outputs,
-    emit_training_logs,
+    emit_ttests,
     evaluate_strategies,
+    load_agents,
     load_config,
+    load_segments,
+    read_reports,
     resolved_config,
     run_experiment,
-    train_agent_for_seed,
+    save_agents,
+    train_agents,
 )
-from .stats import RunReport, return_pct, sharpe
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -66,54 +68,29 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
-def _checkpoint_path(cfg: ExperimentConfig, kind: str, seed: int) -> str:
-    return os.path.join(cfg.output_dir, "checkpoints", f"{kind}_seed{seed}.npz")
-
-
-def _needed_agents(strategies) -> list[str]:
-    kinds = []
-    if any(s in strategies for s in ("td3", "td3_sign", "td3_d3")):
-        kinds.append("td3")
-    if "tdqn" in strategies:
-        kinds.append("tdqn")
-    return kinds
-
-
 def cmd_train(cfg: ExperimentConfig) -> int:
-    prices = load_csv(cfg.dataset_path, cfg.columns or None)
-    train_seg, valid_seg, _ = chronological_split(prices, cfg.split, window=cfg.env.window)
-    kinds = _needed_agents(cfg.strategies)
-    if not kinds:
+    train_seg, valid_seg, _ = load_segments(cfg)
+    if not agent_kinds(cfg.strategies):
         print("no trainable strategies requested; nothing to do", file=sys.stderr)
         return 2
-    os.makedirs(os.path.join(cfg.output_dir, "checkpoints"), exist_ok=True)
     for seed in cfg.seeds:
-        for kind in kinds:
-            agent, log = train_agent_for_seed(cfg, kind, seed, train_seg, valid_seg)
-            path = _checkpoint_path(cfg, kind, seed)
-            agent.save(path)
-            emit_training_logs({kind: log}, seed, cfg.output_dir)
+        agents, logs = train_agents(cfg, seed, train_seg, valid_seg)
+        for kind, path in save_agents(cfg, seed, agents, logs).items():
             print(f"trained {kind} seed {seed} -> {path}")
     return 0
 
 
 def cmd_evaluate(cfg: ExperimentConfig) -> int:
-    prices = load_csv(cfg.dataset_path, cfg.columns or None)
-    _, _, test_seg = chronological_split(prices, cfg.split, window=cfg.env.window)
-    reports: dict[str, list[RunReport]] = {s: [] for s in cfg.strategies}
+    _, _, test_seg = load_segments(cfg)
+    per_seed = []
     for seed in cfg.seeds:
-        agents = {}
-        for kind in _needed_agents(cfg.strategies):
-            path = _checkpoint_path(cfg, kind, seed)
-            if not os.path.exists(path):
-                print(f"missing checkpoint {path}; run `tradelab train` first", file=sys.stderr)
-                return 2
-            agent = (Td3Agent(cfg.env.window, cfg.td3, seed=seed) if kind == "td3"
-                     else DqnAgent(cfg.env.window, cfg.dqn, seed=seed))
-            agent.load(path)
-            agents[kind] = agent
-        for strategy, report in evaluate_strategies(cfg, agents, test_seg, seed).items():
-            reports[strategy].append(report)
+        try:
+            agents = load_agents(cfg, seed)
+        except FileNotFoundError as exc:
+            print(f"missing checkpoint {exc.filename}; run `tradelab train` first", file=sys.stderr)
+            return 2
+        per_seed.append(evaluate_strategies(cfg, agents, test_seg, seed))
+    reports = collect_reports(cfg, per_seed)
     table = build_table(reports, cfg.strategies)
     emit_outputs(table, reports, None, cfg.output_dir, resolved_config(cfg))
     _print_table(table)
@@ -123,49 +100,27 @@ def cmd_evaluate(cfg: ExperimentConfig) -> int:
 def cmd_compare(cfg: ExperimentConfig) -> int:
     table, _, ttests = run_experiment(cfg)
     _print_table(table)
-    for row in ttests:
-        r = row.result
-        verdict = "reject H0" if r.reject else "keep H0"
-        print(f"{row.pair} [{row.metric}]: t0={r.t0:.4f} df={r.df} p={r.p_value:.6g} ({verdict})")
+    _print_ttests(ttests)
     return 0
 
 
 def cmd_ttest(cfg: ExperimentConfig) -> int:
-    reports: dict[str, list[RunReport]] = {}
-    strategies = {s for pair in cfg.ttest_pairs for s in pair}
-    for strategy in sorted(strategies):
-        runs = []
-        for seed in cfg.seeds:
-            path = os.path.join(cfg.output_dir, f"equity_{strategy}_{seed}.csv")
-            if not os.path.exists(path):
-                print(f"missing {path}; run `tradelab compare` or `evaluate` first", file=sys.stderr)
-                return 2
-            equity = _read_equity(path)
-            daily = [(b - a) / a for a, b in zip(equity, equity[1:])]
-            try:
-                sharpe_val = sharpe(daily, cfg.env.annualization_days)
-            except ValueError:
-                sharpe_val = 0.0
-            runs.append(RunReport(strategy=strategy, seed=seed, equity=tuple(equity),
-                                  daily_returns=tuple(daily),
-                                  return_pct=return_pct(equity[0], equity[-1]),
-                                  sharpe=sharpe_val))
-        reports[strategy] = runs
+    try:
+        reports = read_reports(cfg, sorted({s for pair in cfg.ttest_pairs for s in pair}))
+    except FileNotFoundError as exc:
+        print(f"missing {exc.filename}; run `tradelab compare` or `evaluate` first", file=sys.stderr)
+        return 2
     ttests = compare_report(reports, cfg.ttest_pairs, cfg.alpha)
-    lines = ["pair,metric,t0,df,p_value"]
-    for row in ttests:
-        r = row.result
-        lines.append(f"{row.pair},{row.metric},{r.t0:.17g},{r.df},{r.p_value:.17g}")
-        verdict = "reject H0" if r.reject else "keep H0"
-        print(f"{row.pair} [{row.metric}]: t0={r.t0:.4f} df={r.df} p={r.p_value:.6g} ({verdict})")
-    _write_atomic(os.path.join(cfg.output_dir, "ttest.csv"), "\n".join(lines) + "\n")
+    _print_ttests(ttests)
+    emit_ttests(ttests, cfg.output_dir)
     return 0
 
 
-def _read_equity(path) -> list[float]:
-    with open(path, encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        return [float(row["cash"]) for row in reader]
+def _print_ttests(ttests) -> None:
+    for row in ttests:
+        r = row.result
+        verdict = "reject H0" if r.reject else "keep H0"
+        print(f"{row.pair} [{row.metric}]: t0={r.t0:.4f} df={r.df} p={r.p_value:.6g} ({verdict})")
 
 
 def _print_table(table) -> None:

@@ -6,12 +6,17 @@ the required agents on the train segment, selects the checkpoint with the
 best validation Sharpe, evaluates everything once on the test segment, and
 aggregates the per-seed reports into a comparison table plus paired t-tests.
 
+Each stage is one function (load the segments, find the agent kinds, build,
+train, save and load agents, evaluate, rebuild reports, emit); the CLI verbs
+only call them.
+
 All artifacts are plain CSV/JSON written atomically; identical configs
 produce byte-identical numeric outputs.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -35,7 +40,9 @@ from .env import EnvConfig, TradingEnv
 from .fileio import atomic_open
 from .stats import RunReport, TTestResult, paired_ttest_one_sided, return_pct, sharpe
 
-AGENT_STRATEGIES = ("td3", "td3_sign", "td3_d3", "tdqn")
+# the agent each agent strategy acts with
+AGENT_OF = {"td3": "td3", "td3_sign": "td3", "td3_d3": "td3", "tdqn": "tdqn"}
+AGENT_STRATEGIES = tuple(AGENT_OF)
 ALL_STRATEGIES = AGENT_STRATEGIES + KINDS
 
 DEFAULT_STRATEGIES = ALL_STRATEGIES
@@ -185,15 +192,88 @@ def load_config(path) -> ExperimentConfig:
 
 def resolved_config(cfg: ExperimentConfig) -> dict:
     """The fully-resolved configuration, for echoing into the output dir."""
-    out = asdict(cfg)
-    out["split"] = asdict(cfg.split)
-    out["env"] = asdict(cfg.env)
-    out["td3"] = asdict(cfg.td3)
-    out["dqn"] = asdict(cfg.dqn)
-    return out
+    return asdict(cfg)
+
+
+# -- data and agents -------------------------------------------------------
+
+
+def load_segments(cfg: ExperimentConfig):
+    """The (train, validation, test) segments of the configured dataset."""
+    prices = load_csv(cfg.dataset_path, cfg.columns or None)
+    return chronological_split(prices, cfg.split, window=cfg.env.window)
+
+
+def agent_kinds(strategies) -> list[str]:
+    """The agents ``strategies`` act with, td3 before tdqn."""
+    return list(dict.fromkeys(AGENT_OF[s] for s in AGENT_STRATEGIES if s in strategies))
+
+
+def make_agent(cfg: ExperimentConfig, kind: str, seed: int):
+    if kind == "td3":
+        return Td3Agent(cfg.env.window, cfg.td3, seed=seed)
+    if kind == "tdqn":
+        return DqnAgent(cfg.env.window, cfg.dqn, seed=seed)
+    raise ValueError(f"not a trainable strategy: {kind!r}")
+
+
+def checkpoint_path(cfg: ExperimentConfig, kind: str, seed: int) -> str:
+    return os.path.join(cfg.output_dir, "checkpoints", f"{kind}_seed{seed}.npz")
+
+
+def save_agents(cfg: ExperimentConfig, seed: int, agents: dict, logs: dict) -> dict[str, str]:
+    """Write each agent's checkpoint and training log; returns kind -> checkpoint path."""
+    paths = {}
+    for kind, agent in agents.items():
+        paths[kind] = checkpoint_path(cfg, kind, seed)
+        os.makedirs(os.path.dirname(paths[kind]), exist_ok=True)
+        agent.save(paths[kind])
+    emit_training_logs(logs, seed, cfg.output_dir)
+    return paths
+
+
+def load_agents(cfg: ExperimentConfig, seed: int) -> dict:
+    """The saved agents the strategy list needs; a missing checkpoint raises
+    FileNotFoundError with the checkpoint path as its ``filename``."""
+    agents = {}
+    for kind in agent_kinds(cfg.strategies):
+        agents[kind] = make_agent(cfg, kind, seed)
+        agents[kind].load(checkpoint_path(cfg, kind, seed))
+    return agents
 
 
 # -- evaluation ------------------------------------------------------------
+
+
+def run_report(strategy: str, seed: int, equity, annualization_days: int, **curves) -> RunReport:
+    """The report of one run from its equity curve; ``curves`` are the other RunReport series.
+
+    A run whose Sharpe ratio is undefined (constant equity) scores 0.0.
+    """
+    daily = tuple((b - a) / a for a, b in zip(equity, equity[1:]))
+    try:
+        sharpe_val = sharpe(daily, annualization_days)
+    except ValueError:
+        sharpe_val = 0.0  # degenerate run (constant equity): no risk, no ratio
+    return RunReport(strategy=strategy, seed=seed, equity=tuple(equity), daily_returns=daily,
+                     return_pct=return_pct(equity[0], equity[-1]), sharpe=sharpe_val, **curves)
+
+
+def read_reports(cfg: ExperimentConfig, strategies) -> dict[str, list[RunReport]]:
+    """Reports rebuilt from the emitted equity curves of ``strategies``, one per seed.
+
+    A missing curve raises FileNotFoundError with its path as ``filename``.
+    """
+    reports = {}
+    for strategy in strategies:
+        reports[strategy] = []
+        for seed in cfg.seeds:
+            path = os.path.join(cfg.output_dir, f"equity_{strategy}_{seed}.csv")
+            with open(path, encoding="utf-8") as fh:
+                equity = [float(row["cash"]) for row in csv.DictReader(fh)]
+            reports[strategy].append(run_report(strategy, seed, equity,
+                                                cfg.env.annualization_days))
+    return reports
 
 
 def evaluate_policy(policy, segment, env_config: EnvConfig, strategy: str, seed: int,
@@ -211,65 +291,34 @@ def evaluate_policy(policy, segment, env_config: EnvConfig, strategy: str, seed:
     equity_dates = [dates[state.t]]
     actions: list[float] = []
     action_dates = []
-    daily: list[float] = []
     while not state.terminal:
         action = float(policy(state.t, obs))
         tc = None
         if hold_fees and state.t not in (env.first_t, env.last_t):
             tc = 0.0
-        prev_cash = state.cash
         outcome = env.step(action, tc=tc)
         actions.append(action)
         action_dates.append(dates[state.t])
         state, obs = outcome.next_state, outcome.observation
         equity.append(state.cash)
         equity_dates.append(dates[state.t])
-        daily.append((state.cash - prev_cash) / prev_cash)
-    try:
-        sharpe_val = sharpe(daily, env_config.annualization_days)
-    except ValueError:
-        sharpe_val = 0.0  # degenerate run (constant equity): no risk, no ratio
-    return RunReport(
-        strategy=strategy,
-        seed=seed,
-        dates=tuple(equity_dates),
-        equity=tuple(equity),
-        daily_returns=tuple(daily),
-        actions=tuple(actions),
-        return_pct=return_pct(equity[0], equity[-1]),
-        sharpe=sharpe_val,
-        action_dates=tuple(action_dates),
-    )
-
-
-def _validation_scorer(env_config: EnvConfig, valid_segment):
-    """Score an agent by its validation Sharpe; -inf when undefined."""
-
-    def score(agent) -> float:
-        report = evaluate_policy(lambda t, obs: agent.policy(obs), valid_segment,
-                                 env_config, strategy="validation", seed=-1)
-        try:
-            return sharpe(report.daily_returns, env_config.annualization_days)
-        except ValueError:
-            return -math.inf
-
-    return score
+    return run_report(strategy, seed, equity, env_config.annualization_days,
+                      dates=tuple(equity_dates), actions=tuple(actions),
+                      action_dates=tuple(action_dates))
 
 
 def train_agent_for_seed(cfg: ExperimentConfig, kind: str, seed: int, train_segment, valid_segment):
-    """Train one agent with validation-Sharpe checkpoint selection."""
-    window = cfg.env.window
-    if kind == "td3":
-        agent = Td3Agent(window, cfg.td3, seed=seed)
-    elif kind == "tdqn":
-        agent = DqnAgent(window, cfg.dqn, seed=seed)
-    else:
-        raise ValueError(f"not a trainable strategy: {kind!r}")
-    score = _validation_scorer(cfg.env, valid_segment)
+    """Train one agent, keeping the episode with the best validation Sharpe (-inf when undefined)."""
+    agent = make_agent(cfg, kind, seed)
     best = {"score": -math.inf, "snapshot": None}
 
     def on_episode_end(a, episode):
-        s = score(a)
+        report = evaluate_policy(lambda t, obs: a.policy(obs), valid_segment, cfg.env,
+                                 strategy="validation", seed=-1)
+        try:
+            s = sharpe(report.daily_returns, cfg.env.annualization_days)
+        except ValueError:
+            s = -math.inf
         if s > best["score"]:
             best["score"] = s
             best["snapshot"] = a.snapshot()
@@ -280,15 +329,24 @@ def train_agent_for_seed(cfg: ExperimentConfig, kind: str, seed: int, train_segm
     return agent, log
 
 
+def train_agents(cfg: ExperimentConfig, seed: int, train_segment, valid_segment):
+    """(agents, training logs), each keyed by agent kind, for the strategy list."""
+    agents, logs = {}, {}
+    for kind in agent_kinds(cfg.strategies):
+        agents[kind], logs[kind] = train_agent_for_seed(cfg, kind, seed, train_segment,
+                                                        valid_segment)
+    return agents, logs
+
+
+_DISCRETIZERS = {"td3_sign": sign_discretize, "td3_d3": d3_discretize}
+
+
 def agent_policy(strategy: str, agents: dict):
-    if strategy in ("td3", "td3_sign", "td3_d3"):
-        agent = agents["td3"]
-        if strategy == "td3":
-            return lambda t, obs: agent.policy(obs)
-        wrap = sign_discretize if strategy == "td3_sign" else d3_discretize
-        return lambda t, obs: wrap(agent.policy(obs))
-    agent = agents["tdqn"]
-    return lambda t, obs: agent.policy(obs)
+    agent = agents[AGENT_OF[strategy]]
+    wrap = _DISCRETIZERS.get(strategy)
+    if wrap is None:
+        return lambda t, obs: agent.policy(obs)
+    return lambda t, obs: wrap(agent.policy(obs))
 
 
 def baseline_policy(spec: StrategySpec, segment, rng):
@@ -303,8 +361,7 @@ def evaluate_strategies(cfg: ExperimentConfig, agents: dict, segment, seed: int)
             policy = agent_policy(strategy, agents)
             hold = False
         else:
-            spec = StrategySpec(kind=strategy, ma_window=cfg.ma_window,
-                                seed=seed if is_random(strategy) else None)
+            spec = StrategySpec(kind=strategy, ma_window=cfg.ma_window)
             rng = (np.random.default_rng([seed, EVAL_STREAM[strategy]])
                    if is_random(strategy) else None)
             policy = baseline_policy(spec, segment, rng)
@@ -316,16 +373,8 @@ def evaluate_strategies(cfg: ExperimentConfig, agents: dict, segment, seed: int)
 
 def run_seed(cfg: ExperimentConfig, seed: int) -> dict:
     """Everything one seed contributes: trained agents evaluated on the test segment."""
-    prices = load_csv(cfg.dataset_path, cfg.columns or None)
-    train_seg, valid_seg, test_seg = chronological_split(prices, cfg.split, window=cfg.env.window)
-
-    agents: dict[str, object] = {}
-    logs: dict[str, list[dict]] = {}
-    if any(s in cfg.strategies for s in ("td3", "td3_sign", "td3_d3")):
-        agents["td3"], logs["td3"] = train_agent_for_seed(cfg, "td3", seed, train_seg, valid_seg)
-    if "tdqn" in cfg.strategies:
-        agents["tdqn"], logs["tdqn"] = train_agent_for_seed(cfg, "tdqn", seed, train_seg, valid_seg)
-
+    train_seg, valid_seg, test_seg = load_segments(cfg)
+    agents, logs = train_agents(cfg, seed, train_seg, valid_seg)
     reports = evaluate_strategies(cfg, agents, test_seg, seed)
     return {"reports": reports, "agents": agents, "logs": logs}
 
@@ -346,6 +395,11 @@ class ComparisonTable:
 
     rows: tuple[ComparisonRow, ...]
     distributions: dict[str, tuple[tuple[float, float], ...]]
+
+
+def collect_reports(cfg: ExperimentConfig, per_seed: list[dict]) -> dict[str, list[RunReport]]:
+    """Seed-ordered report lists per strategy, from one {strategy: report} dict per seed."""
+    return {strategy: [reports[strategy] for reports in per_seed] for strategy in cfg.strategies}
 
 
 def build_table(reports: dict[str, list[RunReport]], order) -> ComparisonTable:
@@ -431,19 +485,24 @@ def emit_outputs(table: ComparisonTable, reports: dict[str, list[RunReport]],
             written.append(path)
 
     if ttests:
-        lines = ["pair,metric,t0,df,p_value"]
-        for row in ttests:
-            r = row.result
-            lines.append(f"{row.pair},{row.metric},{_fmt(r.t0)},{r.df},{_fmt(r.p_value)}")
-        path = os.path.join(outdir, "ttest.csv")
-        _write_atomic(path, "\n".join(lines) + "\n")
-        written.append(path)
+        written.append(emit_ttests(ttests, outdir))
 
     if resolved is not None:
         path = os.path.join(outdir, "resolved_config.json")
         _write_atomic(path, json.dumps(resolved, indent=2, sort_keys=True) + "\n")
         written.append(path)
     return written
+
+
+def emit_ttests(ttests: list[TTestRow], outdir) -> str:
+    """Write ttest.csv; returns its path."""
+    lines = ["pair,metric,t0,df,p_value"]
+    for row in ttests:
+        r = row.result
+        lines.append(f"{row.pair},{row.metric},{_fmt(r.t0)},{r.df},{_fmt(r.p_value)}")
+    path = os.path.join(outdir, "ttest.csv")
+    _write_atomic(path, "\n".join(lines) + "\n")
+    return path
 
 
 def emit_training_logs(logs: dict, seed: int, outdir) -> None:
@@ -483,17 +542,10 @@ def run_experiment(cfg: ExperimentConfig):
     else:
         results = dict(map(_run_seed_task, tasks))
 
-    reports: dict[str, list[RunReport]] = {s: [] for s in cfg.strategies}
-    ckpt_dir = os.path.join(cfg.output_dir, "checkpoints")
-    for seed in cfg.seeds:  # seed order, regardless of completion order
-        outcome = results[seed]
-        for strategy in cfg.strategies:
-            reports[strategy].append(outcome["reports"][strategy])
-        if outcome["agents"]:
-            os.makedirs(ckpt_dir, exist_ok=True)
-            for kind, agent in outcome["agents"].items():
-                agent.save(os.path.join(ckpt_dir, f"{kind}_seed{seed}.npz"))
-        emit_training_logs(outcome["logs"], seed, cfg.output_dir)
+    # seed order, regardless of completion order
+    reports = collect_reports(cfg, [results[seed]["reports"] for seed in cfg.seeds])
+    for seed in cfg.seeds:
+        save_agents(cfg, seed, results[seed]["agents"], results[seed]["logs"])
 
     table = build_table(reports, cfg.strategies)
     pairs = [p for p in cfg.ttest_pairs if p[0] in cfg.strategies and p[1] in cfg.strategies]

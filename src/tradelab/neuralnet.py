@@ -2,7 +2,7 @@
 
 Provides exactly what the agents need and nothing more: forward evaluation,
 exact reverse-mode gradients, bias-corrected Adam, global-norm gradient
-clipping, Polyak mixing, and a bit-exact checkpoint format.
+clipping, Polyak mixing, and a bit-exact checkpoint format for named networks.
 
 Each network keeps all of its parameters in one contiguous float64 vector,
 ``theta``, laid out W0, b0, W1, b1, ... with every matrix row-major.
@@ -24,7 +24,9 @@ per-layer arrays [W0, b0, W1, b1, ...] or the one-element list [theta].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+import json
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -146,10 +148,6 @@ def set_params(net: Mlp, params) -> None:
     for i in range(len(net.weights)):
         net.weights[i][...] = params[2 * i]
         net.biases[i][...] = params[2 * i + 1]
-
-
-def copy_params(params) -> list[np.ndarray]:
-    return [np.array(p, dtype=np.float64) for p in params]
 
 
 def clone(net: Mlp) -> Mlp:
@@ -391,29 +389,38 @@ def net_from_payload(data, prefix: str = "") -> Mlp:
     )
 
 
-def save_checkpoint(net: Mlp, path, extras: dict | None = None) -> None:
-    """Write a versioned, bit-exact dump of dims, activations, and parameters.
+def config_hash(config) -> str:
+    """A short digest of a config dataclass, stored in checkpoints to catch a mismatch."""
+    blob = json.dumps(asdict(config), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-    ``extras`` entries (str, int, float, or arrays) are stored under an
-    ``extra_`` prefix and round-trip through :func:`load_checkpoint`.
+
+def save_nets(path, nets: dict, config, episodes: int) -> None:
+    """Write a versioned, bit-exact checkpoint of named networks.
+
+    Keys: ``version``, ``config_hash``, ``episodes`` and, per network, its
+    :func:`checkpoint_payload` under the prefix ``<name>.``.
     """
-    payload = {"version": np.array(_CHECKPOINT_VERSION)}
-    payload.update(checkpoint_payload(net))
-    for key, value in (extras or {}).items():
-        payload[f"extra_{key}"] = np.asarray(value)
+    payload = {
+        "version": np.array(_CHECKPOINT_VERSION),
+        "config_hash": np.array(config_hash(config)),
+        "episodes": np.array(episodes),
+    }
+    for name, net in nets.items():
+        payload.update(checkpoint_payload(net, prefix=f"{name}."))
     with atomic_open(path, "wb") as fh:
         np.savez(fh, **payload)
 
 
-def load_checkpoint(path) -> tuple[Mlp, dict]:
+def load_nets(path, names, config) -> tuple[dict, int]:
+    """The named networks and the episode count of a :func:`save_nets` checkpoint.
+
+    A ValueError when the version or the configuration differs.
+    """
     with np.load(path, allow_pickle=False) as data:
         version = int(data["version"])
         if version != _CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        net = net_from_payload(data)
-        extras = {}
-        for key in data.files:
-            if key.startswith("extra_"):
-                value = data[key]
-                extras[key[len("extra_") :]] = value.item() if value.ndim == 0 else value
-    return net, extras
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        if str(data["config_hash"]) != config_hash(config):
+            raise ValueError("checkpoint was written with a different configuration")
+        return {name: net_from_payload(data, prefix=f"{name}.") for name in names}, int(data["episodes"])

@@ -35,7 +35,7 @@ from tradelab.neuralnet import (
 from tradelab.agents.schedules import schedule_value
 from tradelab.stats import return_pct, sharpe, t_upper_tail
 
-from conftest import alternating_series, random_walk
+from helpers import alternating_series, random_walk
 from oracles import (
     finite_difference_grads,
     printed_unit,

@@ -13,7 +13,7 @@ from tradelab.baselines import (
 from tradelab.env import EnvConfig
 from tradelab.harness import evaluate_policy
 
-from conftest import make_series, random_walk
+from helpers import make_series, random_walk
 
 
 class TestDeterministicStrategies:
@@ -74,7 +74,7 @@ class TestRandomStrategies:
     def test_discrete_frequencies(self, rng):
         series = random_walk(5, rng)
         gen = np.random.default_rng(7)
-        spec = StrategySpec(kind="random_d", seed=7)
+        spec = StrategySpec(kind="random_d")
         draws = [act(spec, 0, series, gen) for _ in range(10_000)]
         ups = draws.count(1.0)
         assert set(draws) == {-1.0, 1.0}

@@ -14,7 +14,7 @@ from tradelab.data import (
     window_at,
 )
 
-from conftest import make_series, random_walk
+from helpers import make_series, random_walk
 
 CSV_HEADER = "Date,Open,High,Low,Close,Volume\n"
 

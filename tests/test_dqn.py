@@ -14,7 +14,7 @@ from tradelab.agents import (
 from tradelab.env import EnvConfig
 from tradelab.neuralnet import clone, forward, get_params, set_params
 
-from conftest import alternating_series, push_pairs
+from helpers import alternating_series, push_pairs
 from oracles import value_iteration
 
 
@@ -44,17 +44,18 @@ def random_connected_mdp(seed, n_states=5, n_actions=2):
 
 class TestTarget:
     def test_terminal_is_reward(self):
-        assert dqn_target(-0.02, True, 0.99, [5.0, 9.0]) == -0.02
+        assert dqn_target(np.array([-0.02]), np.array([1.0]), 0.99, [[5.0, 9.0]]).tolist() == [-0.02]
 
     def test_max_bootstrap(self):
-        assert dqn_target(1.0, False, 0.9, [0.5, 2.0]) == pytest.approx(2.8)
+        y = dqn_target(np.array([1.0, 1.0]), np.array([0.0, 1.0]), 0.9, [[0.5, 2.0], [0.5, 2.0]])
+        assert y == pytest.approx([2.8, 1.0])
 
     def test_myopic_limit(self):
-        assert dqn_target(0.3, False, 0.0, [50.0, -2.0]) == 0.3
+        assert dqn_target(np.array([0.3]), np.array([0.0]), 0.0, [[50.0, -2.0]]).tolist() == [0.3]
 
     def test_empty_q_vector(self):
         with pytest.raises(ValueError, match="empty"):
-            dqn_target(0.0, False, 0.9, [])
+            dqn_target(np.array([0.0]), np.array([0.0]), 0.9, np.empty((1, 0)))
 
 
 class TestExploration:

@@ -5,7 +5,7 @@ import pytest
 
 from tradelab.env import CASH_FLOOR, EnvConfig, EnvState, TradingEnv, episode_return, settle, step
 
-from conftest import make_series, random_walk
+from helpers import make_series, random_walk
 from oracles import resimulate
 
 

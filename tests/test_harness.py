@@ -21,7 +21,7 @@ from tradelab.harness import (
 )
 from tradelab.stats import RunReport, return_pct
 
-from conftest import make_series, random_walk
+from helpers import make_series, random_walk
 
 
 def write_dataset(tmp_path, n=100, seed=5, name="prices.csv"):
@@ -326,9 +326,15 @@ class TestCli:
         assert main(["compare", "--config", str(cfg_path)]) == 0
         out = capsys.readouterr().out
         assert "strategy" in out and "buy_hold" in out
+        ttest_csv = tmp_path / "out" / "ttest.csv"
+        written = ttest_csv.read_bytes()
+        ttest_csv.unlink()
         assert main(["ttest", "--config", str(cfg_path),
                      "--pairs", "random_c:buy_hold"]) == 0
-        assert os.path.exists(os.path.join(raw["output_dir"], "ttest.csv"))
+        # rebuilt from the equity curves, the t-tests match the ones compare ran
+        assert ttest_csv.read_bytes() == written
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 2 and out.splitlines()[-2:] == printed
 
     def test_train_then_evaluate(self, tmp_path):
         raw = base_config(tmp_path, strategies=["td3", "buy_hold"], seeds=[0],
@@ -341,11 +347,54 @@ class TestCli:
         assert main(["evaluate", "--config", str(cfg_path)]) == 0
         assert os.path.exists(os.path.join(raw["output_dir"], "equity_td3_0.csv"))
 
+    def test_compare_equals_train_then_evaluate(self, tmp_path):
+        raw = base_config(tmp_path, seeds=[0, 1], episodes=2, ttest={"pairs": []},
+                          strategies=["td3", "td3_sign", "td3_d3", "tdqn", "buy_hold", "random_c"])
+        compare_dir, split_dir = tmp_path / "compare", tmp_path / "split"
+        cfg_path = self.write_config(tmp_path, raw)
+        assert main(["compare", "--config", str(cfg_path), "--output-dir", str(compare_dir)]) == 0
+        for verb in ("train", "evaluate"):
+            assert main([verb, "--config", str(cfg_path), "--output-dir", str(split_dir)]) == 0
+
+        def files(root):
+            return sorted(os.path.relpath(os.path.join(d, f), root)
+                          for d, _, names in os.walk(root) for f in names)
+
+        names = files(compare_dir)
+        assert names == files(split_dir)
+        assert len(names) == 34  # 24 curves, 4 checkpoints, 4 training logs, table, config
+        for name in names:
+            a, b = compare_dir / name, split_dir / name
+            if name.endswith(".npz"):
+                with np.load(a) as x, np.load(b) as y:
+                    assert sorted(x.files) == sorted(y.files)
+                    for key in x.files:
+                        assert x[key].dtype == y[key].dtype and np.array_equal(x[key], y[key]), key
+            elif name == "resolved_config.json":
+                x, y = json.loads(a.read_text()), json.loads(b.read_text())
+                assert (x.pop("output_dir"), y.pop("output_dir")) == (str(compare_dir), str(split_dir))
+                assert x == y
+            else:
+                assert a.read_bytes() == b.read_bytes(), name
+
     def test_evaluate_without_checkpoint_fails(self, tmp_path, capsys):
         raw = base_config(tmp_path, strategies=["td3"], seeds=[0])
         cfg_path = self.write_config(tmp_path, raw)
         assert main(["evaluate", "--config", str(cfg_path)]) == 2
-        assert "missing checkpoint" in capsys.readouterr().err
+        ckpt = os.path.join(raw["output_dir"], "checkpoints", "td3_seed0.npz")
+        assert capsys.readouterr().err == f"missing checkpoint {ckpt}; run `tradelab train` first\n"
+
+    def test_train_without_trainable_strategy_fails(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path, base_config(tmp_path, strategies=["buy_hold"]))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "no trainable strategies requested; nothing to do\n"
+
+    def test_ttest_without_equity_curves_fails(self, tmp_path, capsys):
+        raw = base_config(tmp_path)
+        assert main(["ttest", "--config", str(self.write_config(tmp_path, raw))]) == 2
+        curve = os.path.join(raw["output_dir"], "equity_buy_hold_0.csv")
+        assert capsys.readouterr().err == (
+            f"missing {curve}; run `tradelab compare` or `evaluate` first\n")
 
     def test_bad_config_reports_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -14,15 +14,15 @@ from tradelab.neuralnet import (
     forward,
     get_params,
     global_norm,
-    load_checkpoint,
+    load_nets,
     make_dropout_masks,
     net_from_payload,
-    save_checkpoint,
+    save_nets,
     set_params,
     soft_update,
 )
 
-from conftest import push_pairs
+from helpers import push_pairs
 from oracles import finite_difference_grads, rel_close
 
 
@@ -243,15 +243,42 @@ class TestCheckpoint:
     def test_roundtrip_is_bit_exact(self, rng, tmp_path):
         net = create_mlp((5, 16, 3), rng, hidden_activation="tanh", output_activation="tanh")
         path = tmp_path / "net.npz"
-        save_checkpoint(net, path, extras={"episodes": 17, "config_hash": "abc123"})
-        loaded, extras = load_checkpoint(path)
+        save_nets(path, {"main": net}, Td3Config(), 17)
+        nets, episodes = load_nets(path, ("main",), Td3Config())
+        loaded = nets["main"]
         assert loaded.layer_dims == net.layer_dims
         assert loaded.hidden_activation == "tanh"
         assert loaded.output_activation == "tanh"
         for a, b in zip(get_params(net), get_params(loaded)):
             assert np.array_equal(a, b)
-        assert extras["episodes"] == 17
-        assert str(extras["config_hash"]) == "abc123"
+        assert episodes == 17
+
+    def test_keys_dtypes_and_shapes(self, rng, tmp_path):
+        path = tmp_path / "nets.npz"
+        nets = {"a": create_mlp((3, 4, 1), rng), "b": create_mlp((2, 1), rng)}
+        save_nets(path, nets, Td3Config(), 5)
+        with np.load(path) as data:
+            got = {key: (data[key].dtype.str, data[key].shape) for key in data.files}
+        want = {"version": ("<i8", ()), "config_hash": ("<U16", ()), "episodes": ("<i8", ())}
+        for name, dims in (("a", (3, 4, 1)), ("b", (2, 1))):
+            want[f"{name}.layer_dims"] = ("<i8", (len(dims),))
+            want[f"{name}.hidden_activation"] = ("<U4", ())
+            want[f"{name}.output_activation"] = ("<U8", ())
+            for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+                want[f"{name}.w{i}"] = ("<f8", (fan_in, fan_out))
+                want[f"{name}.b{i}"] = ("<f8", (fan_out,))
+        assert got == want
+
+    def test_load_checks_version_and_config(self, rng, tmp_path):
+        path = tmp_path / "net.npz"
+        save_nets(path, {"main": create_mlp((2, 1), rng)}, Td3Config(), 0)
+        with pytest.raises(ValueError, match="different configuration"):
+            load_nets(path, ("main",), Td3Config(tau=0.5))
+        with np.load(path) as data:
+            payload = {key: data[key] for key in data.files}
+        np.savez(path, **{**payload, "version": np.array(2)})
+        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+            load_nets(path, ("main",), Td3Config())
 
     def test_clone_is_independent(self, rng):
         net = create_mlp((2, 3, 1), rng)

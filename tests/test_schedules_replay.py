@@ -7,7 +7,7 @@ import pytest
 from tradelab.agents import DecaySchedule, ReplayBuffer, Td3Agent, Td3Config, schedule_value, train
 from tradelab.env import EnvConfig, TradingEnv
 
-from conftest import make_series, random_walk
+from helpers import make_series, random_walk
 
 
 def filled(capacity: int, n: int, seed: int | None = None) -> ReplayBuffer:

@@ -12,9 +12,9 @@ from tradelab.agents import (
     train,
 )
 from tradelab.env import EnvConfig
-from tradelab.neuralnet import create_mlp, forward, get_params, set_params
+from tradelab.neuralnet import config_hash, create_mlp, forward, get_params, set_params
 
-from conftest import alternating_series, push_pairs
+from helpers import alternating_series, push_pairs
 from oracles import finite_difference_grads, rel_close
 
 
@@ -45,8 +45,8 @@ class StubRng:
     def __init__(self, draw):
         self.draw = draw
 
-    def normal(self, loc, scale):
-        return self.draw
+    def normal(self, loc, scale, size):
+        return np.full(size, self.draw)
 
 
 class TestSelectAction:
@@ -54,21 +54,21 @@ class TestSelectAction:
         actor = create_mlp((3, 4, 1), rng, output_activation="tanh")
         state = rng.normal(size=3)
         expected = float(forward(actor, state)[0])
-        assert td3_select_action(actor, state, 0.0, rng) == expected
+        assert td3_select_action(actor, state, 0.0, -1.0, 1.0, rng) == expected
 
     def test_zero_network_acts_zero(self, rng):
-        assert td3_select_action(zero_actor(3), [1.0, 2.0, 3.0], 0.0, rng) == 0.0
+        assert td3_select_action(zero_actor(3), [1.0, 2.0, 3.0], 0.0, -1.0, 1.0, rng) == 0.0
 
     def test_noise_is_centered(self):
         actor = zero_actor(2)
         gen = np.random.default_rng(99)
-        draws = [td3_select_action(actor, [0.0, 0.0], 0.2, gen) for _ in range(10_000)]
+        draws = [td3_select_action(actor, [0.0, 0.0], 0.2, -1.0, 1.0, gen) for _ in range(10_000)]
         assert abs(float(np.mean(draws))) < 0.01
 
     def test_clamped_to_unit_interval(self):
         actor = zero_actor(1)
         gen = np.random.default_rng(5)
-        draws = [td3_select_action(actor, [0.0], 5.0, gen) for _ in range(500)]
+        draws = [td3_select_action(actor, [0.0], 5.0, -1.0, 1.0, gen) for _ in range(500)]
         assert all(-1.0 <= a <= 1.0 for a in draws)
         assert any(abs(a) == 1.0 for a in draws)
 
@@ -76,46 +76,57 @@ class TestSelectAction:
 class TestTargetAction:
     def test_noiseless(self, rng):
         actor = create_mlp((2, 3, 1), rng, output_activation="tanh")
-        state = [0.5, -0.5]
-        expected = float(np.clip(forward(actor, state)[0], -0.9, 0.8))
-        assert td3_target_action(actor, state, 0.0, 0.4, -0.9, 0.8, rng) == expected
+        states = np.array([[0.5, -0.5], [3.0, 1.0]])
+        expected = np.clip(forward(actor, states), -0.9, 0.8)
+        got = td3_target_action(actor, states, 0.0, 0.4, -0.9, 0.8, rng)
+        assert got.shape == (2, 1)
+        assert np.array_equal(got, expected)
 
     def test_zero_clip_kills_noise(self, rng):
         actor = zero_actor(2)
-        got = td3_target_action(actor, [1.0, 1.0], 0.3, 0.0, -1.0, 1.0, np.random.default_rng(1))
-        assert got == 0.0
+        got = td3_target_action(actor, np.ones((3, 2)), 0.3, 0.0, -1.0, 1.0, np.random.default_rng(1))
+        assert np.array_equal(got, np.zeros((3, 1)))
 
     def test_double_clip_hand_example(self):
         # policy output 0.9, raw draw +0.5 clipped to +0.3, sum clipped to 1.0
         actor = zero_actor(1)
         actor.biases[-1][:] = np.arctanh(0.9)
-        got = td3_target_action(actor, [0.0], 0.2, 0.3, -1.0, 1.0, StubRng(0.5))
-        assert got == pytest.approx(1.0, abs=1e-12)
+        got = td3_target_action(actor, np.zeros((2, 1)), 0.2, 0.3, -1.0, 1.0, StubRng(0.5))
+        assert got == pytest.approx(np.ones((2, 1)), abs=1e-12)
 
     def test_noise_stays_within_clip(self):
         actor = zero_actor(1)
         gen = np.random.default_rng(2)
-        for _ in range(2000):
-            a = td3_target_action(actor, [0.0], 1.0, 0.25, -1.0, 1.0, gen)
-            assert -0.25 <= a <= 0.25
+        a = td3_target_action(actor, np.zeros((2000, 1)), 1.0, 0.25, -1.0, 1.0, gen)
+        assert np.all((-0.25 <= a) & (a <= 0.25))
+
+    def test_one_draw_per_batch_only_when_noisy(self):
+        actor = zero_actor(1)
+        gen, twin = np.random.default_rng(3), np.random.default_rng(3)
+        td3_target_action(actor, np.zeros((5, 1)), 0.0, 0.5, -1.0, 1.0, gen)
+        assert gen.random() == twin.random()
+        got = td3_target_action(actor, np.zeros((5, 1)), 0.2, 0.5, -1.0, 1.0, gen)
+        assert np.array_equal(got, np.clip(twin.normal(0.0, 0.2, size=(5, 1)), -0.5, 0.5))
 
 
 class TestCriticTarget:
     def test_terminal_is_reward(self):
-        assert td3_critic_target(0.05, True, 0.99, 3.0, 4.0) == 0.05
+        y = td3_critic_target(np.array([0.05]), np.array([1.0]), 0.99, np.array([3.0]), np.array([4.0]))
+        assert y.tolist() == [0.05]
 
     def test_min_of_twin_critics(self):
-        assert td3_critic_target(0.1, False, 0.99, 1.0, 0.8) == pytest.approx(0.892)
+        y = td3_critic_target(np.array([0.1]), np.array([0.0]), 0.99, np.array([1.0]), np.array([0.8]))
+        assert y == pytest.approx([0.892])
 
     def test_equal_critics_reduce(self):
-        assert td3_critic_target(0.2, False, 0.9, 0.7, 0.7) == pytest.approx(0.2 + 0.9 * 0.7)
+        y = td3_critic_target(np.array([0.2]), np.array([0.0]), 0.9, np.array([0.7]), np.array([0.7]))
+        assert y == pytest.approx([0.2 + 0.9 * 0.7])
 
     def test_min_bound_property(self, rng):
-        for _ in range(200):
-            r, q1, q2 = rng.normal(size=3)
-            y = td3_critic_target(r, False, 0.99, q1, q2)
-            assert y <= r + 0.99 * q1 + 1e-12
-            assert y <= r + 0.99 * q2 + 1e-12
+        r, q1, q2 = rng.normal(size=(3, 200))
+        y = td3_critic_target(r, np.zeros(200), 0.99, q1, q2)
+        assert np.all(y <= r + 0.99 * q1 + 1e-12)
+        assert np.all(y <= r + 0.99 * q2 + 1e-12)
 
 
 def fill_buffer(agent, rng, n=32, window=3):
@@ -263,5 +274,22 @@ class TestConfig:
             Td3Config(action_high=1.5)
 
     def test_hash_is_stable_and_sensitive(self):
-        assert Td3Config().hash() == Td3Config().hash()
-        assert Td3Config().hash() != Td3Config(tau=0.01).hash()
+        assert config_hash(Td3Config()) == config_hash(Td3Config()) == "086e70cfa5a75711"
+        assert config_hash(Td3Config(tau=0.01)) == "78562e7fc3d6bbd6"
+
+
+class TestActionBounds:
+    def bounded_agent(self):
+        agent = Td3Agent(3, small_config(action_low=-0.2, action_high=0.2), seed=0)
+        agent.actor.biases[-1][:] = 2.0  # raw actor output near 0.96
+        return agent
+
+    def test_policy_is_clamped(self):
+        assert self.bounded_agent().policy(np.zeros(3)) == 0.2
+
+    def test_explore_action_is_clamped(self):
+        agent = self.bounded_agent()
+        gen = np.random.default_rng(0)
+        draws = [agent.explore_action(np.zeros(3), 0, gen) for _ in range(200)]
+        assert max(draws) == 0.2
+        assert min(draws) >= -0.2

@@ -11,7 +11,7 @@ from tradelab import neuralnet
 from tradelab.agents import DqnAgent, DqnConfig, Td3Agent, Td3Config
 from tradelab.neuralnet import flatten, get_params
 
-from conftest import push_pairs
+from helpers import push_pairs
 from oracles import ListDqnUpdate, ListTd3Update
 
 TD3_NETS = ("actor", "critic1", "critic2", "actor_target", "critic1_target", "critic2_target")
