@@ -154,4 +154,8 @@ class DqnAgent:
 
     def load(self, path) -> None:
         nets, self.episodes_trained = load_nets(path, ("net", "target"), self.config)
+        for name, net in nets.items():
+            if net.layer_dims != self.net.layer_dims:
+                raise ValueError(f"{path}: checkpoint {name} has layer dims {net.layer_dims}, "
+                                 f"but env.window {self.window} builds {self.net.layer_dims}")
         self.net, self.target_net = nets["net"], nets["target"]

@@ -15,14 +15,13 @@ ROW_DTYPE = np.dtype([("row", np.intp), ("action", np.float64), ("reward", np.fl
 class ReplayBuffer:
     """Ring buffer; once full, the oldest row is evicted first."""
 
-    def __init__(self, capacity: int, seed: int | None = None):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.observations: np.ndarray | None = None
         self._ring: np.ndarray | None = None  # allocated on the first push
         self._pushed = 0
-        self._rng = np.random.default_rng(seed)
 
     def __len__(self) -> int:
         return min(self._pushed, self.capacity)
@@ -43,12 +42,11 @@ class ReplayBuffer:
         self._ring[self._pushed % self.capacity] = (row, action, reward, terminal)
         self._pushed += 1
 
-    def sample(self, batch_size: int, rng: np.random.Generator | None = None):
+    def sample(self, batch_size: int, rng: np.random.Generator):
         """(states, actions, rewards, next_states, terminals) of a uniform draw, one row each."""
         if not self._pushed:
             raise ValueError("cannot sample from an empty buffer")
-        gen = self._rng if rng is None else rng
-        batch = self._ring[gen.integers(0, len(self), size=batch_size)]
+        batch = self._ring[rng.integers(0, len(self), size=batch_size)]
         rows = batch["row"]
         return (self.observations[rows], batch["action"], batch["reward"],
                 self.observations[rows + 1], batch["terminal"])

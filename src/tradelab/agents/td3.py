@@ -227,4 +227,9 @@ class Td3Agent:
     def load(self, path) -> None:
         nets, self.episodes_trained = load_nets(path, self._NET_NAMES, self.config)
         for name, net in nets.items():
+            built = getattr(self, name).layer_dims
+            if net.layer_dims != built:
+                raise ValueError(f"{path}: checkpoint {name} has layer dims {net.layer_dims}, "
+                                 f"but env.window {self.window} builds {built}")
+        for name, net in nets.items():
             setattr(self, name, net)

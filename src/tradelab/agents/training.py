@@ -24,36 +24,36 @@ def train(agent, segment: PriceSeries, env_config: EnvConfig, episodes: int, see
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     env = TradingEnv(segment, env_config)
-    agent.buffer.bind(env.observation_table())
+    table = env.observation_table()
+    agent.buffer.bind(table)
     rng = np.random.default_rng([seed, 0x7E4])
     warmup = agent.config.warmup_episodes
     log: list[dict] = []
     for episode in range(episodes):
         warming = episode < warmup
         learn_episode = max(0, episode - warmup)
-        state, obs = env.reset()
+        env.reset()
         total_reward = 0.0
         losses: list[float] = []
-        while not state.terminal:
+        while not env.terminal:
+            # a step moves t by one, so the next state is always the next table row
+            row = env.t - env.first_t
             if warming:
                 action = agent.random_action(rng)
             else:
-                action = agent.explore_action(obs, learn_episode, rng)
-            outcome = env.step(action)
-            # a step moves t by one, so the next state is always the next table row
-            agent.buffer.push(state.t - env.first_t, action, outcome.reward,
-                              outcome.next_state.terminal)
+                action = agent.explore_action(table[row], learn_episode, rng)
+            reward, terminal = env.step(action)
+            agent.buffer.push(row, action, reward, terminal)
             if not warming and len(agent.buffer) >= agent.config.batch_size:
                 diag = agent.update(learn_episode, rng)
                 losses.append(diag["loss"])
-            total_reward += outcome.reward
-            state, obs = outcome.next_state, outcome.observation
+            total_reward += reward
         agent.episodes_trained += 1
         log.append({
             "episode": episode,
             "warmup": warming,
             "total_reward": total_reward,
-            "final_cash": state.cash,
+            "final_cash": env.cash,
             "mean_loss": float(np.mean(losses)) if losses else float("nan"),
         })
         if on_episode_end is not None:

@@ -84,27 +84,6 @@ class PriceSeries:
 
 
 @dataclass(frozen=True)
-class ReturnSeries:
-    """Daily close-to-close percentage changes.
-
-    values[t] is the move into bars[t+1], in percent, so a series of n prices
-    yields n-1 returns.
-    """
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(not math.isfinite(v) for v in self.values):
-            raise ValueError("return series contains non-finite values")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class SplitSpec:
     """Chronological train/validation/test fractions."""
 
@@ -187,13 +166,20 @@ def load_csv(path, columns: Mapping[str, str] | None = None) -> PriceSeries:
     return PriceSeries(bars=tuple(bars))
 
 
-def pct_change(prices: PriceSeries) -> ReturnSeries:
-    """Percentage change of consecutive closes: 100 * (p[t+1] - p[t]) / p[t]."""
+def pct_change(prices: PriceSeries) -> np.ndarray:
+    """Percentage change of consecutive closes, 100 * (p[t+1] - p[t]) / p[t].
+
+    Entry t is the move into bar t + 1, so n prices yield n - 1 changes. The
+    array is read-only.
+    """
     if len(prices) < 2:
         raise ValueError("series too short for percentage change (need at least 2 prices)")
     closes = prices.closes()
     values = 100.0 * (closes[1:] - closes[:-1]) / closes[:-1]
-    return ReturnSeries(values=tuple(float(v) for v in values))
+    if not np.isfinite(values).all():
+        raise ValueError("return series contains non-finite values")
+    values.flags.writeable = False
+    return values
 
 
 def chronological_split(
@@ -223,14 +209,3 @@ def chronological_split(
                     f"window {window} needs at least {need}"
                 )
     return tuple(PriceSeries(bars=p) for p in pieces)
-
-
-def window_at(returns: ReturnSeries, t: int, w: int) -> np.ndarray:
-    """The w most recent percentage changes ending at index t, oldest first."""
-    if w < 1:
-        raise ValueError(f"window length must be positive, got {w}")
-    if t < w - 1:
-        raise ValueError(f"insufficient history: t={t} needs at least {w - 1}")
-    if t >= len(returns):
-        raise ValueError(f"index {t} out of range for {len(returns)} returns")
-    return np.array(returns.values[t - w + 1 : t + 1], dtype=np.float64)

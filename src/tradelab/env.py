@@ -21,7 +21,7 @@ step (w + 1 to fill the first window, one more day to trade into).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,23 +48,6 @@ class EnvConfig:
             raise ValueError(f"initial cash must be > 0, got {self.initial_cash}")
         if self.annualization_days < 1:
             raise ValueError(f"annualization days must be >= 1, got {self.annualization_days}")
-
-
-@dataclass(frozen=True)
-class EnvState:
-    """t is the bar index whose close the next position opens at."""
-
-    t: int
-    cash: float
-    terminal: bool = False
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    next_state: EnvState
-    reward: float
-    observation: np.ndarray | None
-    info: dict
 
 
 def settle(cash: float, action: float, p_t: float, p_next: float, tc: float):
@@ -95,30 +78,14 @@ def settle(cash: float, action: float, p_t: float, p_next: float, tc: float):
     return cash - committed + settlement, shares, committed, fee, False
 
 
-def step(
-    state: EnvState,
-    action: float,
-    p_t: float,
-    p_next: float,
-    config: EnvConfig,
-    tc: float | None = None,
-) -> StepOutcome:
-    """Advance one day. ``tc`` overrides the configured transaction cost."""
-    if state.terminal:
-        raise ValueError("cannot step a terminal state")
-    cost = config.transaction_cost if tc is None else tc
-    new_cash, shares, committed, fee, wiped = settle(state.cash, action, p_t, p_next, cost)
-    reward = math.log(new_cash / state.cash)
-    next_state = EnvState(t=state.t + 1, cash=new_cash, terminal=wiped)
-    info = {"held_shares": shares, "committed_cash": committed, "fee": fee}
-    return StepOutcome(next_state=next_state, reward=reward, observation=None, info=info)
-
-
 class TradingEnv:
-    """Single-segment episode driver around :func:`step`.
+    """One chronological pass over a price segment.
 
-    Runs one chronological pass over a price segment. Instances are
-    single-threaded; independent instances share nothing mutable.
+    ``t`` is the bar whose close the next position opens at, ``cash`` the
+    only state that carries over, and ``terminal`` whether the pass is over.
+    The observation at bar t is row ``t - first_t`` of
+    :meth:`observation_table`. Instances are single-threaded; independent
+    instances share nothing mutable.
     """
 
     def __init__(self, segment: PriceSeries, config: EnvConfig):
@@ -128,64 +95,32 @@ class TradingEnv:
                 f"segment too short: {len(segment)} prices, window {w} needs at least {w + 2}"
             )
         self.config = config
-        self.segment = segment
         self._closes = segment.closes()
-        self._returns = pct_change(segment).as_array()
-        self._state: EnvState | None = None
-
-    @property
-    def state(self) -> EnvState:
-        if self._state is None:
-            raise ValueError("environment not reset")
-        return self._state
-
-    @property
-    def first_t(self) -> int:
-        return self.config.window
-
-    @property
-    def last_t(self) -> int:
-        """Last bar index at which a position can still open."""
-        return len(self.segment) - 2
-
-    def n_steps(self) -> int:
-        return self.last_t - self.first_t + 1
-
-    def observation_at(self, t: int) -> np.ndarray:
-        """Window of the last w moves known at bar t (the newest leads into bar t)."""
-        w = self.config.window
-        return self._returns[t - w : t].copy()
+        self._returns = pct_change(segment)
+        self.first_t = w
+        self.last_t = len(segment) - 2  # the last bar a position can still open at
+        self.t = self.first_t
+        self.cash: float | None = None  # None until reset
+        self.terminal = True
 
     def observation_table(self) -> np.ndarray:
-        """Read-only view of every observation: row t - w is ``observation_at(t)``."""
+        """Read-only view of every observation: row t - w holds the w moves known at bar t,
+        the newest leading into bar t."""
         return np.lib.stride_tricks.sliding_window_view(self._returns, self.config.window)
 
-    def reset(self) -> tuple[EnvState, np.ndarray]:
-        self._state = EnvState(t=self.first_t, cash=self.config.initial_cash, terminal=False)
-        return self._state, self.observation_at(self.first_t)
+    def reset(self) -> None:
+        self.t = self.first_t
+        self.cash = self.config.initial_cash
+        self.terminal = False
 
-    def step(self, action: float, tc: float | None = None) -> StepOutcome:
-        state = self.state
-        t = state.t
-        outcome = step(state, action, self._closes[t], self._closes[t + 1], self.config, tc=tc)
-        next_state = outcome.next_state
-        if next_state.t > self.last_t:
-            next_state = replace(next_state, terminal=True)
-        obs = self.observation_at(next_state.t)
-        self._state = next_state
-        return StepOutcome(
-            next_state=next_state,
-            reward=outcome.reward,
-            observation=obs,
-            info=outcome.info,
-        )
-
-
-def episode_return(cash_curve) -> float:
-    """Whole-period log growth log(last/first); equals the summed step rewards."""
-    curve = list(cash_curve)
-    if not curve:
-        raise ValueError("empty cash curve")
-    if any(not c > 0 for c in curve):
-        raise ValueError("cash curve contains non-positive entries")
-    return math.log(curve[-1] / curve[0])
+    def step(self, action: float, tc: float | None = None) -> tuple[float, bool]:
+        """Advance one day; returns (reward, terminal). ``tc`` overrides the configured cost."""
+        if self.terminal:
+            raise ValueError("environment not reset" if self.cash is None
+                             else "cannot step a terminal state")
+        t, cash = self.t, self.cash
+        cost = self.config.transaction_cost if tc is None else tc
+        self.cash, _, _, _, wiped = settle(cash, action, self._closes[t], self._closes[t + 1], cost)
+        self.t = t + 1
+        self.terminal = wiped or self.t > self.last_t
+        return math.log(self.cash / cash), self.terminal

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -39,6 +40,8 @@ from .data import DEFAULT_COLUMNS, SplitSpec, chronological_split, load_csv
 from .env import EnvConfig, TradingEnv
 from .fileio import atomic_open
 from .stats import RunReport, TTestResult, paired_ttest_one_sided, return_pct, sharpe
+
+log = logging.getLogger(__name__)
 
 # the agent each agent strategy acts with
 AGENT_OF = {"td3": "td3", "td3_sign": "td3", "td3_d3": "td3", "tdqn": "tdqn"}
@@ -285,26 +288,23 @@ def evaluate_policy(policy, segment, env_config: EnvConfig, strategy: str, seed:
     (single open / single close emulation for the hold strategies).
     """
     env = TradingEnv(segment, env_config)
-    state, obs = env.reset()
-    dates = segment.dates()
-    equity = [state.cash]
-    equity_dates = [dates[state.t]]
+    table = env.observation_table()
+    env.reset()
+    equity = [env.cash]
     actions: list[float] = []
-    action_dates = []
-    while not state.terminal:
-        action = float(policy(state.t, obs))
+    while not env.terminal:
+        t = env.t
+        action = float(policy(t, table[t - env.first_t]))
         tc = None
-        if hold_fees and state.t not in (env.first_t, env.last_t):
+        if hold_fees and t not in (env.first_t, env.last_t):
             tc = 0.0
-        outcome = env.step(action, tc=tc)
+        env.step(action, tc=tc)
         actions.append(action)
-        action_dates.append(dates[state.t])
-        state, obs = outcome.next_state, outcome.observation
-        equity.append(state.cash)
-        equity_dates.append(dates[state.t])
+        equity.append(env.cash)
+    dates = segment.dates()
     return run_report(strategy, seed, equity, env_config.annualization_days,
-                      dates=tuple(equity_dates), actions=tuple(actions),
-                      action_dates=tuple(action_dates))
+                      dates=dates[env.first_t : env.t + 1], actions=tuple(actions),
+                      action_dates=dates[env.first_t : env.t])
 
 
 def train_agent_for_seed(cfg: ExperimentConfig, kind: str, seed: int, train_segment, valid_segment):
@@ -548,7 +548,15 @@ def run_experiment(cfg: ExperimentConfig):
         save_agents(cfg, seed, results[seed]["agents"], results[seed]["logs"])
 
     table = build_table(reports, cfg.strategies)
-    pairs = [p for p in cfg.ttest_pairs if p[0] in cfg.strategies and p[1] in cfg.strategies]
-    ttests = compare_report(reports, pairs, cfg.alpha) if pairs and len(cfg.seeds) >= 2 else []
+    requested = set(cfg.strategies)
+    pairs = [p for p in cfg.ttest_pairs if set(p) <= requested]
+    dropped = [":".join(p) for p in cfg.ttest_pairs if not set(p) <= requested]
+    if dropped:
+        log.warning("skipping t-test pair(s) %s: strategies not requested", ", ".join(dropped))
+    if cfg.ttest_pairs and len(cfg.seeds) < 2:
+        log.warning("skipping all t-tests: a paired t-test needs at least 2 seeds, got %d",
+                    len(cfg.seeds))
+        pairs = []
+    ttests = compare_report(reports, pairs, cfg.alpha) if pairs else []
     emit_outputs(table, reports, ttests, cfg.output_dir, resolved_config(cfg))
     return table, reports, ttests

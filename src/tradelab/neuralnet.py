@@ -422,5 +422,5 @@ def load_nets(path, names, config) -> tuple[dict, int]:
         if version != _CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         if str(data["config_hash"]) != config_hash(config):
-            raise ValueError("checkpoint was written with a different configuration")
+            raise ValueError(f"{path}: checkpoint was written with a different configuration")
         return {name: net_from_payload(data, prefix=f"{name}.") for name in names}, int(data["episodes"])

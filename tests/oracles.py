@@ -70,6 +70,16 @@ def resimulate(initial_cash, actions, prices, tcs):
     return curve, rewards, wiped
 
 
+def episode_return(cash_curve) -> float:
+    """Whole-period log growth log(last/first); equals the summed step rewards."""
+    curve = list(cash_curve)
+    if not curve:
+        raise ValueError("empty cash curve")
+    if any(not c > 0 for c in curve):
+        raise ValueError("cash curve contains non-positive entries")
+    return math.log(curve[-1] / curve[0])
+
+
 def finite_difference_grads(f, params, h=1e-5):
     """Central-difference gradient of scalar f(params) w.r.t. each array."""
     grads = []

@@ -21,7 +21,7 @@ from tradelab.agents import (
 )
 from tradelab.baselines import d3_discretize, sign_discretize
 from tradelab.data import SplitSpec, chronological_split
-from tradelab.env import EnvConfig, TradingEnv, episode_return
+from tradelab.env import EnvConfig, TradingEnv
 from tradelab.harness import config_from_dict, evaluate_policy, run_experiment
 from tradelab.neuralnet import (
     backward,
@@ -37,6 +37,7 @@ from tradelab.stats import return_pct, sharpe, t_upper_tail
 
 from helpers import alternating_series, random_walk
 from oracles import (
+    episode_return,
     finite_difference_grads,
     printed_unit,
     rel_close,
@@ -66,15 +67,15 @@ def test_criterion_01_environment_oracle():
         tc = float(gen.uniform(0.0, 1.0))
         env = TradingEnv(series, EnvConfig(window=w, transaction_cost=tc,
                                            initial_cash=float(gen.uniform(1e2, 1e6))))
-        state, _ = env.reset()
-        actions, curve = [], [state.cash]
-        while not state.terminal:
+        env.reset()
+        actions, curve = [], [env.cash]
+        while not env.terminal:
             action = float(gen.uniform(-1.0, 1.0))
             if gen.random() < 0.1:
                 action = 0.0
             actions.append(action)
-            state = env.step(action).next_state
-            curve.append(state.cash)
+            env.step(action)
+            curve.append(env.cash)
         prices = [b.close for b in series.bars[env.first_t:]]
         expected, _, _ = resimulate(curve[0], actions, prices, [tc] * len(actions))
         err = max(abs(a - b) / max(abs(b), 1e-300) for a, b in zip(curve, expected))
@@ -97,13 +98,12 @@ def test_criterion_02_telescoping_rewards():
             n = w + 2
         series = random_walk(n, gen, scale=0.1)
         env = TradingEnv(series, EnvConfig(window=w, transaction_cost=float(gen.uniform(0, 0.5))))
-        state, _ = env.reset()
-        total, curve = 0.0, [state.cash]
-        while not state.terminal:
-            out = env.step(float(gen.uniform(-1, 1)))
-            total += out.reward
-            state = out.next_state
-            curve.append(state.cash)
+        env.reset()
+        total, curve = 0.0, [env.cash]
+        while not env.terminal:
+            reward, _ = env.step(float(gen.uniform(-1, 1)))
+            total += reward
+            curve.append(env.cash)
         worst = max(worst, abs(total - episode_return(curve)))
     ok = worst < 1e-9
     announce(2, ok, f"max |sum(rewards) - log(cT/c0)| = {worst:.2e} over 300 episodes")

@@ -11,8 +11,8 @@ from tradelab.data import (
     chronological_split,
     load_csv,
     pct_change,
-    window_at,
 )
+from tradelab.env import EnvConfig, TradingEnv
 
 from helpers import make_series, random_walk
 
@@ -105,22 +105,33 @@ class TestBarInvariants:
 
 class TestPctChange:
     def test_hand_example(self):
-        assert pct_change(make_series([100, 110, 99])).values == (10.0, -10.0)
+        assert pct_change(make_series([100, 110, 99])).tolist() == [10.0, -10.0]
 
     def test_constant_series(self):
-        assert pct_change(make_series([50, 50, 50])).values == (0.0, 0.0)
+        assert pct_change(make_series([50, 50, 50])).tolist() == [0.0, 0.0]
 
     def test_halving(self):
-        assert pct_change(make_series([200, 100])).values == (-50.0,)
+        assert pct_change(make_series([200, 100])).tolist() == [-50.0]
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="too short"):
             pct_change(make_series([100]))
 
+    def test_read_only_float64(self, rng):
+        x = pct_change(random_walk(20, rng))
+        assert x.dtype == np.float64 and x.shape == (19,)
+        assert not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 1.0
+
+    def test_non_finite_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            pct_change(make_series([1e-300, 1e300]))
+
     def test_reconstruction_roundtrip(self, rng):
         series = random_walk(200, rng)
         closes = series.closes()
-        x = pct_change(series).as_array()
+        x = pct_change(series)
         rebuilt = closes[:-1] * (1.0 + x / 100.0)
         assert np.allclose(rebuilt, closes[1:], rtol=1e-9, atol=0.0)
 
@@ -171,33 +182,34 @@ class TestSplit:
         assert [len(p) for p in parts] == [80, 10, 10]
 
 
+def table(closes, w):
+    """The observation table of an env over ``closes`` with window ``w``."""
+    return TradingEnv(make_series(closes), EnvConfig(window=w)).observation_table()
+
+
 class TestWindow:
     def test_first_full_window(self):
-        returns = pct_change(make_series([100, 101, 102.01, 103.0301, 104.060401]))
-        r4 = returns.values
-        got = window_at(returns, 2, 3)
+        closes = [100, 101, 102.01, 103.0301, 104.060401]
+        r4 = pct_change(make_series(closes)).tolist()
+        got = table(closes, 3)[0]
         assert got.tolist() == [r4[0], r4[1], r4[2]]
 
     def test_literal_values(self):
-        from tradelab.data import ReturnSeries
-
-        returns = ReturnSeries(values=(1.0, 2.0, 3.0, 4.0))
-        assert window_at(returns, 2, 3).tolist() == [1.0, 2.0, 3.0]
-        assert window_at(returns, 3, 3).tolist() == [2.0, 3.0, 4.0]
+        # percentage changes 100, -50, 200, -50, all exact in binary
+        rows = table([100, 200, 100, 300, 150], 3)
+        assert rows[0].tolist() == [100.0, -50.0, 200.0]
+        assert rows[1].tolist() == [-50.0, 200.0, -50.0]
 
     def test_insufficient_history(self):
-        from tradelab.data import ReturnSeries
-
-        returns = ReturnSeries(values=(1.0, 2.0, 3.0, 4.0))
-        with pytest.raises(ValueError, match="insufficient history"):
-            window_at(returns, 3, 5)
+        # a window of 5 moves plus one tradable day needs 7 prices
+        with pytest.raises(ValueError, match="too short"):
+            table([100, 101, 102, 103, 104, 105], 5)
 
     def test_one_step_shift_shares_all_but_one(self, rng):
         series = random_walk(60, rng)
-        returns = pct_change(series)
         w = 7
-        for t in range(w - 1, len(returns) - 1):
-            a = window_at(returns, t, w)
-            b = window_at(returns, t + 1, w)
+        rows = TradingEnv(series, EnvConfig(window=w)).observation_table()
+        for i in range(len(rows) - 1):
+            a, b = rows[i], rows[i + 1]
             assert a[1:].tolist() == b[:-1].tolist()
             assert not np.array_equal(a, b) or a[0] == a[-1]

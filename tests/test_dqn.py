@@ -196,6 +196,17 @@ class TestTraining:
         for a, b in zip(get_params(agent.net), get_params(twin.net)):
             assert np.array_equal(a, b)
 
+    def test_checkpoint_window_mismatch_names_path_and_window(self, tmp_path):
+        path = tmp_path / "dqn.npz"
+        DqnAgent(3, small_config(), seed=3).save(path)
+        other = DqnAgent(5, small_config(), seed=3)
+        dims = other.net.layer_dims
+        with pytest.raises(ValueError) as err:
+            other.load(path)
+        assert str(err.value) == (f"{path}: checkpoint net has layer dims {(3, *dims[1:])}, "
+                                  f"but env.window 5 builds {dims}")
+        assert other.net.layer_dims == other.target_net.layer_dims == dims
+
 
 class TestConfig:
     def test_invariants(self):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from tradelab.env import CASH_FLOOR, EnvConfig, EnvState, TradingEnv, episode_return, settle, step
+from tradelab.env import CASH_FLOOR, EnvConfig, TradingEnv, settle
 
 from helpers import make_series, random_walk
-from oracles import resimulate
+from oracles import episode_return, resimulate
 
 
 class TestSettle:
@@ -53,47 +53,68 @@ class TestSettle:
             settle(100.0, 0.5, 0.0, 11, 0.0)
 
 
+def one_step_env(p_t, p_next, window=1, **config):
+    """An env reset at bar ``window``, whose one step trades from p_t into p_next."""
+    env = TradingEnv(make_series([p_t] * window + [p_t, p_next]), EnvConfig(window=window, **config))
+    env.reset()
+    return env
+
+
 class TestStepFunction:
     def test_reward_is_log_growth(self):
-        state = EnvState(t=5, cash=100_000)
-        out = step(state, 0.5, 100, 110, EnvConfig(window=2))
-        assert out.next_state.cash == pytest.approx(105_000)
-        assert out.reward == pytest.approx(math.log(1.05), abs=1e-12)
-        assert out.next_state.t == 6
-        assert out.info["held_shares"] == 500
+        env = one_step_env(100, 110, window=2, initial_cash=100_000)
+        assert env.t == 2
+        reward, _ = env.step(0.5)
+        assert env.cash == pytest.approx(105_000)
+        assert reward == pytest.approx(math.log(1.05), abs=1e-12)
+        assert env.t == 3
 
     def test_hold_reward_zero(self):
-        out = step(EnvState(t=0, cash=100_000), 0.0, 100, 90, EnvConfig(window=1))
-        assert out.next_state.cash == 100_000
-        assert out.reward == 0.0
+        env = one_step_env(100, 90, initial_cash=100_000)
+        reward, _ = env.step(0.0)
+        assert env.cash == 100_000
+        assert reward == 0.0
 
     def test_terminal_state_rejected(self):
+        env = one_step_env(1, 1, initial_cash=1.0)
+        _, terminal = env.step(0.0)
+        assert terminal and env.terminal
         with pytest.raises(ValueError, match="terminal"):
-            step(EnvState(t=0, cash=1.0, terminal=True), 0.0, 1, 1, EnvConfig(window=1))
+            env.step(0.0)
 
     def test_wipe_marks_terminal(self):
-        out = step(EnvState(t=0, cash=100_000), -1.0, 100, 210, EnvConfig(window=1))
-        assert out.next_state.terminal
-        assert out.next_state.cash == CASH_FLOOR
-        assert out.reward == pytest.approx(math.log(CASH_FLOOR / 100_000))
+        # two tradable days, so only the wipe can end the episode after the first
+        env = TradingEnv(make_series([100, 100, 210, 210]), EnvConfig(window=1, initial_cash=100_000))
+        env.reset()
+        reward, terminal = env.step(-1.0)
+        assert terminal and env.terminal
+        assert env.t == 2 and env.t <= env.last_t
+        assert env.cash == CASH_FLOOR
+        assert reward == pytest.approx(math.log(CASH_FLOOR / 100_000))
+
+    def test_step_before_reset_raises(self):
+        env = TradingEnv(make_series([100, 101, 102]), EnvConfig(window=1))
+        with pytest.raises(ValueError, match="not reset"):
+            env.step(0.0)
 
 
 class TestTradingEnv:
     def test_reset_contract(self):
         env = TradingEnv(make_series([100] * 33), EnvConfig(window=30, initial_cash=100_000))
-        state, obs = env.reset()
-        assert state.cash == 100_000
-        assert not state.terminal
-        assert state.t == 30
+        env.reset()
+        obs = env.observation_table()[env.t - env.first_t]
+        assert env.cash == 100_000
+        assert not env.terminal
+        assert env.t == 30
         assert obs.shape == (30,)
 
     def test_minimum_segment_has_one_step(self):
         # w + 2 prices: one full window plus one tradable day
         env = TradingEnv(make_series([100, 101, 102, 103]), EnvConfig(window=2))
         env.reset()
-        assert env.n_steps() == 1
-        out = env.step(1.0)
-        assert out.next_state.terminal
+        assert env.last_t - env.first_t + 1 == 1
+        _, terminal = env.step(1.0)
+        assert terminal
 
     def test_segment_too_short(self):
         with pytest.raises(ValueError, match="too short"):
@@ -104,41 +125,52 @@ class TestTradingEnv:
     def test_observation_alignment_excludes_traded_return(self):
         series = make_series([100, 110, 121, 133.1, 146.41])
         env = TradingEnv(series, EnvConfig(window=2))
-        _, obs = env.reset()
+        table = env.observation_table()
+        env.reset()
         # the window ends with the move into the position-opening bar
-        assert obs.tolist() == pytest.approx([10.0, 10.0])
-        out = env.step(1.0)
-        assert out.observation.tolist() == pytest.approx([10.0, 10.0])
+        assert table[env.t - env.first_t].tolist() == pytest.approx([10.0, 10.0])
+        env.step(1.0)
+        assert table[env.t - env.first_t].tolist() == pytest.approx([10.0, 10.0])
+
+    def test_observation_rows_are_trailing_moves(self, rng):
+        series = random_walk(40, rng)
+        closes = series.closes()
+        for w in (1, 3, 7):
+            env = TradingEnv(series, EnvConfig(window=w))
+            table = env.observation_table()
+            assert table.shape == (len(series) - w, w)
+            for t in range(env.first_t, env.last_t + 2):
+                window = closes[t - w : t + 1]
+                assert table[t - w].tolist() == (100 * np.diff(window) / window[:-1]).tolist()
 
     def test_hold_never_changes_cash(self, rng):
         series = random_walk(40, rng)
         env = TradingEnv(series, EnvConfig(window=3, transaction_cost=2.0))
-        state, _ = env.reset()
-        while not state.terminal:
-            state = env.step(0.0).next_state
-        assert state.cash == env.config.initial_cash
+        env.reset()
+        while not env.terminal:
+            env.step(0.0)
+        assert env.cash == env.config.initial_cash
 
     def test_full_long_compounding(self, rng):
         series = random_walk(50, rng)
         env = TradingEnv(series, EnvConfig(window=4, transaction_cost=0.0, initial_cash=5000.0))
-        state, _ = env.reset()
+        env.reset()
         first_price = series.bars[env.first_t].close
-        while not state.terminal:
-            state = env.step(1.0).next_state
+        while not env.terminal:
+            env.step(1.0)
         expected = 5000.0 * series.bars[-1].close / first_price
-        assert state.cash == pytest.approx(expected, rel=1e-9)
+        assert env.cash == pytest.approx(expected, rel=1e-9)
 
     def test_telescoping(self, rng):
         series = random_walk(60, rng)
         env = TradingEnv(series, EnvConfig(window=3, transaction_cost=0.05))
-        state, _ = env.reset()
-        curve = [state.cash]
+        env.reset()
+        curve = [env.cash]
         total = 0.0
-        while not state.terminal:
-            out = env.step(float(rng.uniform(-0.9, 1.0)))
-            total += out.reward
-            state = out.next_state
-            curve.append(state.cash)
+        while not env.terminal:
+            reward, _ = env.step(float(rng.uniform(-0.9, 1.0)))
+            total += reward
+            curve.append(env.cash)
         assert abs(total - episode_return(curve)) < 1e-9
 
     def test_scale_equivariance(self, rng):
@@ -149,15 +181,14 @@ class TestTradingEnv:
         for scale in (1.0, 7.5):
             env = TradingEnv(series, EnvConfig(window=3, transaction_cost=0.0,
                                                initial_cash=10_000.0 * scale))
-            state, _ = env.reset()
-            curve, rews = [state.cash], []
+            env.reset()
+            curve, rews = [env.cash], []
             for action in actions:
-                if state.terminal:
+                if env.terminal:
                     break
-                out = env.step(action)
-                state = out.next_state
-                curve.append(state.cash)
-                rews.append(out.reward)
+                reward, _ = env.step(action)
+                curve.append(env.cash)
+                rews.append(reward)
             curves.append(curve)
             rewards.append(rews)
         ratio = np.array(curves[1]) / np.array(curves[0])
@@ -184,14 +215,14 @@ class TestTradingEnv:
             tc = float(rng.uniform(0, 0.5))
             env = TradingEnv(series, EnvConfig(window=w, transaction_cost=tc,
                                                initial_cash=float(rng.uniform(100, 1e6))))
-            state, _ = env.reset()
+            env.reset()
             actions = []
-            curve = [state.cash]
-            while not state.terminal:
+            curve = [env.cash]
+            while not env.terminal:
                 action = float(rng.uniform(-1, 1))
                 actions.append(action)
-                state = env.step(action).next_state
-                curve.append(state.cash)
+                env.step(action)
+                curve.append(env.cash)
             prices = [b.close for b in series.bars[env.first_t:]]
             expected_curve, _, _ = resimulate(curve[0], actions, prices, [tc] * len(actions))
             assert np.allclose(curve, expected_curve, rtol=1e-9, atol=0.0)

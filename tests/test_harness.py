@@ -1,10 +1,13 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tradelab
 from tradelab.agents import DecaySchedule
 from tradelab.cli import main
 from tradelab.data import SplitSpec
@@ -383,6 +386,36 @@ class TestCli:
         assert main(["evaluate", "--config", str(cfg_path)]) == 2
         ckpt = os.path.join(raw["output_dir"], "checkpoints", "td3_seed0.npz")
         assert capsys.readouterr().err == f"missing checkpoint {ckpt}; run `tradelab train` first\n"
+
+    def test_evaluate_with_another_window_fails(self, tmp_path, capsys):
+        raw = base_config(tmp_path, strategies=["td3", "tdqn"], seeds=[0], episodes=1)
+        raw["env"]["window"] = 6
+        assert main(["train", "--config", str(self.write_config(tmp_path, raw))]) == 0
+        capsys.readouterr()
+        raw["env"]["window"] = 8
+        assert main(["evaluate", "--config", str(self.write_config(tmp_path, raw))]) == 1
+        ckpt = os.path.join(raw["output_dir"], "checkpoints", "td3_seed0.npz")
+        err = capsys.readouterr().err
+        assert err == (f"error: {ckpt}: checkpoint actor has layer dims (6, 8, 1), "
+                       "but env.window 8 builds (8, 8, 1)\n")
+
+    def test_compare_warns_about_skipped_work(self, tmp_path):
+        raw = base_config(tmp_path, strategies=["long"], seeds=[0])
+        del raw["ttest"]  # the default pairs need agent strategies
+        data = raw["dataset"]["path"]
+        with open(data, "a", encoding="utf-8") as fh:
+            fh.write("2030-01-01,null,null,null,null,null\n")
+        src = os.path.dirname(os.path.dirname(tradelab.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tradelab.cli", "compare", "--config",
+             str(self.write_config(tmp_path, raw))],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"{data}: dropped 1 row(s) with blank or unparseable fields",
+            "skipping t-test pair(s) td3_sign:td3, td3_d3:td3: strategies not requested",
+            "skipping all t-tests: a paired t-test needs at least 2 seeds, got 1",
+        ]
 
     def test_train_without_trainable_strategy_fails(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path, base_config(tmp_path, strategies=["buy_hold"]))

@@ -280,6 +280,13 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
             load_nets(path, ("main",), Td3Config())
 
+    def test_config_mismatch_names_the_path(self, rng, tmp_path):
+        path = tmp_path / "net.npz"
+        save_nets(path, {"main": create_mlp((2, 1), rng)}, Td3Config(), 0)
+        with pytest.raises(ValueError) as err:
+            load_nets(path, ("main",), Td3Config(tau=0.5))
+        assert str(err.value) == f"{path}: checkpoint was written with a different configuration"
+
     def test_clone_is_independent(self, rng):
         net = create_mlp((2, 3, 1), rng)
         twin = clone(net)

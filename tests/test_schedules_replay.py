@@ -10,9 +10,9 @@ from tradelab.env import EnvConfig, TradingEnv
 from helpers import make_series, random_walk
 
 
-def filled(capacity: int, n: int, seed: int | None = None) -> ReplayBuffer:
+def filled(capacity: int, n: int) -> ReplayBuffer:
     """Rows 0..n-1 of a table whose row i holds [i]; row i's reward is i."""
-    buf = ReplayBuffer(capacity=capacity, seed=seed)
+    buf = ReplayBuffer(capacity=capacity)
     buf.bind(np.arange(n + 1.0)[:, None])
     for i in range(n):
         buf.push(i, 0.0, float(i), False)
@@ -64,8 +64,8 @@ class TestReplayBuffer:
         assert buf.items()["reward"].tolist() == [0.0, 1.0, 2.0]
 
     def test_sample_is_seeded(self):
-        a = filled(capacity=10, n=10, seed=3).sample(6)[2].tolist()
-        b = filled(capacity=10, n=10, seed=3).sample(6)[2].tolist()
+        a = filled(capacity=10, n=10).sample(6, np.random.default_rng(3))[2].tolist()
+        b = filled(capacity=10, n=10).sample(6, np.random.default_rng(3))[2].tolist()
         assert a == b
 
     def test_sample_with_external_rng(self):
@@ -82,7 +82,7 @@ class TestReplayBuffer:
 
     def test_empty_sample_raises(self):
         with pytest.raises(ValueError, match="empty"):
-            ReplayBuffer(capacity=2).sample(1)
+            ReplayBuffer(capacity=2).sample(1, np.random.default_rng(0))
 
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
@@ -132,15 +132,16 @@ class TestTrainingRows:
         original_step = TradingEnv.step
 
         def recording_step(env, action, tc=None):
-            t = env.state.t
-            outcome = original_step(env, action, tc)
-            seen.append((t, outcome.observation, outcome.next_state.terminal))
-            return outcome
+            t = env.t
+            reward, terminal = original_step(env, action, tc)
+            seen.append((t, env.observation_table()[env.t - env.first_t].copy(), terminal))
+            return reward, terminal
 
         monkeypatch.setattr(TradingEnv, "step", recording_step)
         agent = Td3Agent(self.WINDOW, small_td3(warmup_episodes=8), seed=0)
         train(agent, series, env_cfg, episodes=8, seed=3)
         env = TradingEnv(series, env_cfg)
+        observations = np.array(env.observation_table())  # row t - w is the observation at t
         terminal_ts = {t for t, _, terminal in seen if terminal}
         assert env.last_t in terminal_ts  # a final step
         assert any(t < env.last_t for t in terminal_ts)  # a wiped step, mid-episode
@@ -150,9 +151,9 @@ class TestTrainingRows:
         table = agent.buffer.observations
         for stored, (t, next_obs, terminal) in zip(rows, seen):
             assert stored["row"] == t - self.WINDOW
-            assert np.array_equal(table[stored["row"]], env.observation_at(t))
+            assert np.array_equal(table[stored["row"]], observations[t - self.WINDOW])
             assert np.array_equal(table[stored["row"] + 1], next_obs)
-            assert np.array_equal(next_obs, env.observation_at(t + 1))
+            assert np.array_equal(next_obs, observations[t + 1 - self.WINDOW])
             assert stored["terminal"] == terminal
 
         # the buffer never wrapped, so slot i holds step i
@@ -160,7 +161,7 @@ class TestTrainingRows:
         s, _, _, s2, term = agent.buffer.sample(400, np.random.default_rng(9))
         for i, slot in enumerate(slots):
             t, next_obs, terminal = seen[slot]
-            assert np.array_equal(s[i], env.observation_at(t))
+            assert np.array_equal(s[i], observations[t - self.WINDOW])
             assert np.array_equal(s2[i], next_obs)
             assert term[i] == terminal
 

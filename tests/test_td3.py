@@ -263,6 +263,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="different configuration"):
             other.load(path)
 
+    def test_window_mismatch_names_path_and_window(self, tmp_path):
+        path = tmp_path / "agent.npz"
+        Td3Agent(3, small_config(), seed=7).save(path)
+        other = Td3Agent(4, small_config(), seed=7)
+        with pytest.raises(ValueError) as err:
+            other.load(path)
+        assert str(err.value) == (f"{path}: checkpoint actor has layer dims (3, 8, 1), "
+                                  "but env.window 4 builds (4, 8, 1)")
+        assert other.actor.layer_dims == (4, 8, 1)  # nothing was replaced
+
 
 class TestConfig:
     def test_invariants(self):
