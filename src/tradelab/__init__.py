@@ -1,7 +1,7 @@
 """tradelab: a single-asset daily-trading reinforcement-learning laboratory.
 
 Continuous-action (TD3-style) and discrete (DQN-style) agents trained from
-scratch on a log-return trading MDP, nine benchmark strategies, performance
+scratch on a log-return trading MDP, eight benchmark strategies, performance
 metrics with a paired t-test, and a reproducible multi-seed batch harness.
 """
 

@@ -69,7 +69,7 @@ def td3_select_action(actor: Mlp, state, sigma: float, a_low: float, a_high: flo
     a = float(forward(actor, state)[0])
     if sigma > 0:
         a += float(rng.normal(0.0, sigma))
-    return float(np.clip(a, a_low, a_high))
+    return float(min(max(a, a_low), a_high))  # a bound read from JSON may be an int
 
 
 def td3_target_action(
@@ -146,7 +146,7 @@ class Td3Agent:
     def policy(self, state) -> float:
         """Deterministic (evaluation) action."""
         cfg = self.config
-        return float(np.clip(float(forward(self.actor, state)[0]), cfg.action_low, cfg.action_high))
+        return float(min(max(float(forward(self.actor, state)[0]), cfg.action_low), cfg.action_high))
 
     def explore_action(self, state, episode: int, rng: np.random.Generator) -> float:
         cfg = self.config
@@ -154,7 +154,8 @@ class Td3Agent:
         return td3_select_action(self.actor, state, sigma, cfg.action_low, cfg.action_high, rng)
 
     def random_action(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.config.action_low, self.config.action_high))
+        low, high = self.config.action_low, self.config.action_high
+        return low + (high - low) * rng.random()  # the same double as rng.uniform(low, high)
 
     # -- learning -------------------------------------------------------
 

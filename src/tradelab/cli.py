@@ -36,7 +36,10 @@ from .harness import (
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in text.split(",") if s.strip())
+    try:
+        return tuple(int(s) for s in text.split(",") if s.strip())
+    except ValueError as exc:  # int() names the bad item
+        raise ValueError(f"--seeds: {exc}") from None
 
 
 def _parse_pairs(text: str) -> tuple[tuple[str, str], ...]:
@@ -59,7 +62,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         updates["output_dir"] = args.output_dir
     if getattr(args, "strategies", None):
         updates["strategies"] = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
-    if getattr(args, "workers", None):
+    if getattr(args, "workers", None) is not None:
         updates["workers"] = args.workers
     if getattr(args, "pairs", None):
         updates["ttest_pairs"] = _parse_pairs(args.pairs)

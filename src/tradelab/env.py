@@ -95,7 +95,7 @@ class TradingEnv:
                 f"segment too short: {len(segment)} prices, window {w} needs at least {w + 2}"
             )
         self.config = config
-        self._closes = segment.closes()
+        self._closes = segment.closes().tolist()  # settle on Python floats
         self._returns = pct_change(segment)
         self.first_t = w
         self.last_t = len(segment) - 2  # the last bar a position can still open at

@@ -341,12 +341,16 @@ def train_agents(cfg: ExperimentConfig, seed: int, train_segment, valid_segment)
 _DISCRETIZERS = {"td3_sign": sign_discretize, "td3_d3": d3_discretize}
 
 
-def agent_policy(strategy: str, agents: dict):
+def agent_policy(strategy: str, agents: dict, memo: list):
+    """``memo[t]`` caches the agent's raw action at bar t for all of the agent's strategies."""
     agent = agents[AGENT_OF[strategy]]
-    wrap = _DISCRETIZERS.get(strategy)
-    if wrap is None:
-        return lambda t, obs: agent.policy(obs)
-    return lambda t, obs: wrap(agent.policy(obs))
+    wrap = _DISCRETIZERS.get(strategy, float)
+
+    def policy(t, obs):
+        if memo[t] is None:
+            memo[t] = agent.policy(obs)
+        return wrap(memo[t])
+    return policy
 
 
 def baseline_policy(spec: StrategySpec, segment, rng):
@@ -356,9 +360,10 @@ def baseline_policy(spec: StrategySpec, segment, rng):
 def evaluate_strategies(cfg: ExperimentConfig, agents: dict, segment, seed: int) -> dict[str, RunReport]:
     """One test-segment pass per requested strategy for one seed."""
     reports: dict[str, RunReport] = {}
+    memos = {kind: [None] * len(segment) for kind in agents}
     for strategy in cfg.strategies:
         if strategy in AGENT_STRATEGIES:
-            policy = agent_policy(strategy, agents)
+            policy = agent_policy(strategy, agents, memos[AGENT_OF[strategy]])
             hold = False
         else:
             spec = StrategySpec(kind=strategy, ma_window=cfg.ma_window)

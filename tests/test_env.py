@@ -228,6 +228,60 @@ class TestTradingEnv:
             assert np.allclose(curve, expected_curve, rtol=1e-9, atol=0.0)
 
 
+class TestScalarSettle:
+    """The env settles on Python floats. Its cash curve and rewards must equal, bit for
+    bit, those of ``settle`` fed the np.float64 closes of ``PriceSeries.closes()``."""
+
+    @staticmethod
+    def float64_pass(series, config, actions, tcs):
+        closes = series.closes()
+        assert type(closes[0]) is np.float64
+        cash, t = config.initial_cash, config.window
+        curve, rewards = [cash], []
+        for action, tc in zip(actions, tcs):
+            cost = config.transaction_cost if tc is None else tc
+            new_cash, _, _, _, wiped = settle(cash, action, closes[t], closes[t + 1], cost)
+            rewards.append(math.log(new_cash / cash))
+            curve.append(new_cash)
+            cash, t = new_cash, t + 1
+            if wiped:
+                break
+        return curve, rewards
+
+    def test_bit_identical_to_float64_settle(self, rng):
+        kinds = {"zero": 0, "wipe": 0, "override": 0}
+        for _ in range(250):
+            n = int(rng.integers(4, 30))
+            series = random_walk(n, rng, scale=float(rng.choice([0.02, 0.3, 0.9])))
+            w = int(rng.integers(1, 3))
+            if n < w + 2:
+                continue
+            config = EnvConfig(window=w, transaction_cost=float(rng.uniform(0, 0.5)),
+                               initial_cash=float(rng.uniform(100, 1e6)))
+            steps = n - 1 - w
+            actions = [float(rng.choice([0.0, -1.0, 1.0, rng.uniform(-1, 1)]))
+                       for _ in range(steps)]
+            tcs = [None if rng.random() < 0.5 else float(rng.choice([0.0, rng.uniform(0, 2)]))
+                   for _ in range(steps)]
+            env = TradingEnv(series, config)
+            env.reset()
+            curve, rewards = [env.cash], []
+            for action, tc in zip(actions, tcs):
+                reward, terminal = env.step(action, tc=tc)
+                assert type(env.cash) is float
+                curve.append(env.cash)
+                rewards.append(reward)
+                if terminal:
+                    break
+            expected_curve, expected_rewards = self.float64_pass(series, config, actions, tcs)
+            assert curve == expected_curve
+            assert rewards == expected_rewards
+            kinds["zero"] += 0.0 in actions[: len(rewards)]
+            kinds["wipe"] += len(rewards) < steps
+            kinds["override"] += any(tc is not None for tc in tcs[: len(rewards)])
+        assert all(count > 0 for count in kinds.values()), kinds
+
+
 class TestEpisodeReturn:
     def test_hand_example(self):
         assert episode_return([100_000, 105_000, 103_950]) == pytest.approx(math.log(1.0395), abs=1e-12)

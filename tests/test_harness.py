@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import tradelab
+import tradelab.agents.td3 as td3_module
 from tradelab.agents import DecaySchedule
+from tradelab.baselines import d3_discretize, sign_discretize
 from tradelab.cli import main
 from tradelab.data import SplitSpec
 from tradelab.env import EnvConfig
@@ -18,7 +20,9 @@ from tradelab.harness import (
     config_from_dict,
     emit_outputs,
     evaluate_policy,
+    evaluate_strategies,
     load_config,
+    make_agent,
     resolved_config,
     run_experiment,
 )
@@ -170,6 +174,33 @@ class TestEvaluatePolicy:
         report = evaluate_policy(lambda t, obs: 0.0, series, EnvConfig(window=2), "idle", 0)
         assert report.sharpe == 0.0
         assert report.return_pct == 0.0
+
+
+class TestEvaluateStrategies:
+    def test_td3_strategies_share_one_actor_pass_per_bar(self, tmp_path, monkeypatch):
+        raw = base_config(tmp_path, strategies=["td3", "td3_sign", "td3_d3"], seeds=[0])
+        cfg = config_from_dict(raw)
+        agent = make_agent(cfg, "td3", 0)
+        agent.actor.weights[-1][:] = 0.0
+        agent.actor.biases[-1][:] = -0.3  # tanh(-0.3): short for td3 and td3_sign, flat for td3_d3
+        # the close doubles on bar 10: both shorts are wiped there, td3_d3 trades on
+        segment = make_series([100.0] * 10 + [200.0] * 10)
+        unshared = {
+            "td3": evaluate_policy(lambda t, obs: agent.policy(obs), segment, cfg.env, "td3", 0),
+            "td3_sign": evaluate_policy(lambda t, obs: sign_discretize(agent.policy(obs)),
+                                        segment, cfg.env, "td3_sign", 0),
+            "td3_d3": evaluate_policy(lambda t, obs: d3_discretize(agent.policy(obs)),
+                                      segment, cfg.env, "td3_d3", 0),
+        }
+        calls = []
+        forward = td3_module.forward
+        monkeypatch.setattr(td3_module, "forward",
+                            lambda net, x, **kw: calls.append(1) or forward(net, x, **kw))
+        reports = evaluate_strategies(cfg, {"td3": agent}, segment, 0)
+        assert reports == unshared
+        steps = {s: len(r.actions) for s, r in reports.items()}
+        assert steps == {"td3": 6, "td3_sign": 6, "td3_d3": 15}
+        assert len(calls) == max(steps.values())  # one forward per visited test bar
 
 
 class TestCompareReport:
@@ -450,3 +481,18 @@ class TestCli:
         cfg_path = self.write_config(tmp_path, raw)
         assert main(["compare", "--config", str(cfg_path), "--seeds", "7"]) == 0
         assert os.path.exists(os.path.join(raw["output_dir"], "equity_buy_hold_7.csv"))
+
+    def test_zero_workers_rejected(self, tmp_path, capsys):
+        raw = base_config(tmp_path, strategies=["buy_hold"])
+        cfg_path = self.write_config(tmp_path, raw)
+        assert main(["compare", "--config", str(cfg_path), "--workers", "0"]) == 1
+        assert capsys.readouterr().err == "error: workers must be >= 1\n"
+        assert not os.path.exists(raw["output_dir"])
+
+    def test_bad_seed_names_the_flag(self, tmp_path, capsys):
+        raw = base_config(tmp_path, strategies=["buy_hold"])
+        cfg_path = self.write_config(tmp_path, raw)
+        assert main(["compare", "--config", str(cfg_path), "--seeds", "1,x"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seeds: ") and "'x'" in err
+        assert not os.path.exists(raw["output_dir"])

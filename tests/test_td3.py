@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tradelab.agents.td3 as td3_module
 from tradelab.agents import (
     DecaySchedule,
     Td3Agent,
@@ -303,3 +304,35 @@ class TestActionBounds:
         draws = [agent.explore_action(np.zeros(3), 0, gen) for _ in range(200)]
         assert max(draws) == 0.2
         assert min(draws) >= -0.2
+
+
+class TestScalarActions:
+    """The scalar clamp and uniform draw reproduce np.clip and rng.uniform exactly."""
+
+    BOUNDS = ((-1.0, 1.0), (-0.37, 0.91), (0.1, 0.3))
+
+    @pytest.mark.parametrize("low,high", BOUNDS)
+    def test_random_action_is_rng_uniform(self, low, high):
+        agent = Td3Agent(3, small_config(action_low=low, action_high=high), seed=0)
+        ours, reference = np.random.default_rng(41), np.random.default_rng(41)
+        for _ in range(20_000):
+            a = agent.random_action(ours)
+            assert type(a) is float
+            assert a == float(reference.uniform(low, high))
+        assert ours.random() == reference.random()  # the streams stayed in step
+
+    @pytest.mark.parametrize("low,high", BOUNDS)
+    def test_clamp_is_np_clip(self, monkeypatch, low, high):
+        agent = Td3Agent(3, small_config(action_low=low, action_high=high), seed=0)
+        rng = np.random.default_rng(0)
+        eps = 1e-12
+        raws = (low - 0.5, low - eps, low, low + eps, 0.5 * (low + high), -0.0,
+                high - eps, high, high + eps, high + 0.5)
+        for raw in raws:
+            monkeypatch.setattr(td3_module, "forward", lambda net, state, raw=raw: np.array([raw]))
+            expected = float(np.clip(raw, low, high))
+            for got in (agent.policy(np.zeros(3)),
+                        td3_select_action(agent.actor, np.zeros(3), 0.0, low, high, rng)):
+                assert type(got) is float
+                assert got == expected
+                assert np.signbit(got) == np.signbit(expected)
