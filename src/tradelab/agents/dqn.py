@@ -94,6 +94,15 @@ class DqnAgent:
     def policy(self, state) -> float:
         return self.config.actions[self.greedy_index(state)]
 
+    def policies(self, rows) -> list[float]:
+        """Greedy actions for a (n, window) array of states, the network run over
+        blocks of ``batch_size`` rows."""
+        cfg = self.config
+        step = cfg.batch_size
+        best = [np.argmax(forward(self.net, rows[i : i + step]), axis=1)
+                for i in range(0, len(rows), step)]
+        return [cfg.actions[k] for k in np.concatenate(best).tolist()]
+
     def explore_action(self, state, episode: int, rng: np.random.Generator) -> float:
         eps = schedule_value(self.config.epsilon, episode)
         if rng.random() < eps:

@@ -148,6 +148,16 @@ class Td3Agent:
         cfg = self.config
         return float(min(max(float(forward(self.actor, state)[0]), cfg.action_low), cfg.action_high))
 
+    def policies(self, rows) -> list[float]:
+        """Deterministic actions for a (n, window) array of states, the actor run over
+        blocks of ``batch_size`` rows. A batched product rounds differently from
+        the single-row one, so an action may differ from ``policy(row)`` in the
+        last bits."""
+        cfg = self.config
+        step = cfg.batch_size
+        out = [forward(self.actor, rows[i : i + step])[:, 0] for i in range(0, len(rows), step)]
+        return np.clip(np.concatenate(out), cfg.action_low, cfg.action_high).tolist()
+
     def explore_action(self, state, episode: int, rng: np.random.Generator) -> float:
         cfg = self.config
         sigma = schedule_value(cfg.exploration_noise, episode)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .harness import (
     ExperimentConfig,
@@ -21,12 +20,13 @@ from .harness import (
     build_table,
     collect_reports,
     compare_report,
+    config_from_dict,
     emit_outputs,
     emit_ttests,
     evaluate_strategies,
     load_agents,
-    load_config,
     load_segments,
+    read_config,
     read_reports,
     resolved_config,
     run_experiment,
@@ -54,8 +54,10 @@ def _parse_pairs(text: str) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
+def _apply_overrides(raw, args):
+    """The raw config with the command-line flags applied, so that one
+    ``config_from_dict`` validates the result."""
+    updates, ttest = {}, {}
     if getattr(args, "seeds", None):
         updates["seeds"] = _parse_seeds(args.seeds)
     if getattr(args, "output_dir", None):
@@ -65,10 +67,15 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if getattr(args, "workers", None) is not None:
         updates["workers"] = args.workers
     if getattr(args, "pairs", None):
-        updates["ttest_pairs"] = _parse_pairs(args.pairs)
+        ttest["pairs"] = _parse_pairs(args.pairs)
     if getattr(args, "alpha", None) is not None:
-        updates["alpha"] = args.alpha
-    return replace(cfg, **updates) if updates else cfg
+        ttest["alpha"] = args.alpha
+    if not isinstance(raw, dict):
+        return raw  # config_from_dict rejects it
+    if ttest:
+        base = raw.get("ttest", {})
+        updates["ttest"] = {**base, **ttest} if isinstance(base, dict) else base
+    return {**raw, **updates}
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
@@ -159,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = config_from_dict(_apply_overrides(read_config(args.config), args))
         handler = {
             "train": cmd_train,
             "evaluate": cmd_evaluate,

@@ -23,10 +23,11 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .agents import DecaySchedule, DqnAgent, DqnConfig, Td3Agent, Td3Config, train
+from .agents import DecaySchedule, DqnAgent, DqnConfig, ReplayBuffer, Td3Agent, Td3Config, train
 from .baselines import (
     KINDS,
     StrategySpec,
@@ -75,6 +76,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if not self.strategies:
+            raise ValueError("strategies must name at least one strategy")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be unique")
         unknown = [s for s in self.strategies if s not in ALL_STRATEGIES]
@@ -184,13 +187,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path) -> ExperimentConfig:
+def read_config(path):
+    """The JSON value of the config file at ``path``, before any validation."""
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON config: {exc}") from None
-    return config_from_dict(raw)
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(read_config(path))
 
 
 def resolved_config(cfg: ExperimentConfig) -> dict:
@@ -283,38 +290,43 @@ def evaluate_policy(policy, segment, env_config: EnvConfig, strategy: str, seed:
                     hold_fees: bool = False) -> RunReport:
     """Run one chronological pass of ``policy`` over ``segment``.
 
-    ``policy(t, obs)`` returns the action for bar index t. With ``hold_fees``
-    the configured transaction cost applies only on the first and final step
+    ``policy(rows)`` maps the segment's decision rows (rows ``0 .. last_t -
+    first_t`` of the observation table, row i for bar ``first_t + i``) to one
+    action per row; the pass stops early at a wipe. With ``hold_fees`` the
+    configured transaction cost applies only on the first and final step
     (single open / single close emulation for the hold strategies).
     """
     env = TradingEnv(segment, env_config)
-    table = env.observation_table()
+    rows = env.observation_table()[: env.last_t - env.first_t + 1]
+    actions = policy(rows)
+    if len(actions) != len(rows):
+        raise ValueError(f"policy returned {len(actions)} actions for {len(rows)} rows")
     env.reset()
     equity = [env.cash]
-    actions: list[float] = []
-    while not env.terminal:
-        t = env.t
-        action = float(policy(t, table[t - env.first_t]))
-        tc = None
-        if hold_fees and t not in (env.first_t, env.last_t):
-            tc = 0.0
-        env.step(action, tc=tc)
-        actions.append(action)
+    for action in actions:
+        tc = 0.0 if hold_fees and env.t not in (env.first_t, env.last_t) else None
+        env.step(float(action), tc=tc)
         equity.append(env.cash)
+        if env.terminal:
+            break
     dates = segment.dates()
     return run_report(strategy, seed, equity, env_config.annualization_days,
-                      dates=dates[env.first_t : env.t + 1], actions=tuple(actions),
+                      dates=dates[env.first_t : env.t + 1],
+                      actions=tuple(map(float, actions[: env.t - env.first_t])),
                       action_dates=dates[env.first_t : env.t])
 
 
 def train_agent_for_seed(cfg: ExperimentConfig, kind: str, seed: int, train_segment, valid_segment):
-    """Train one agent, keeping the episode with the best validation Sharpe (-inf when undefined)."""
+    """Train one agent, keeping the episode with the best validation Sharpe (-inf when undefined).
+
+    Validation runs the agent's batched ``policies``. The trained agent's
+    replay buffer is emptied: it is training-only state.
+    """
     agent = make_agent(cfg, kind, seed)
     best = {"score": -math.inf, "snapshot": None}
 
     def on_episode_end(a, episode):
-        report = evaluate_policy(lambda t, obs: a.policy(obs), valid_segment, cfg.env,
-                                 strategy="validation", seed=-1)
+        report = evaluate_policy(a.policies, valid_segment, cfg.env, "validation", -1)
         try:
             s = sharpe(report.daily_returns, cfg.env.annualization_days)
         except ValueError:
@@ -326,6 +338,7 @@ def train_agent_for_seed(cfg: ExperimentConfig, kind: str, seed: int, train_segm
     log = train(agent, train_segment, cfg.env, cfg.episodes, seed, on_episode_end=on_episode_end)
     if best["snapshot"] is not None:
         agent.restore(best["snapshot"])
+    agent.buffer = ReplayBuffer(agent.buffer.capacity)
     return agent, log
 
 
@@ -341,39 +354,28 @@ def train_agents(cfg: ExperimentConfig, seed: int, train_segment, valid_segment)
 _DISCRETIZERS = {"td3_sign": sign_discretize, "td3_d3": d3_discretize}
 
 
-def agent_policy(strategy: str, agents: dict, memo: list):
-    """``memo[t]`` caches the agent's raw action at bar t for all of the agent's strategies."""
-    agent = agents[AGENT_OF[strategy]]
-    wrap = _DISCRETIZERS.get(strategy, float)
-
-    def policy(t, obs):
-        if memo[t] is None:
-            memo[t] = agent.policy(obs)
-        return wrap(memo[t])
-    return policy
-
-
-def baseline_policy(spec: StrategySpec, segment, rng):
-    return lambda t, obs: act(spec, t, segment, rng)
-
-
 def evaluate_strategies(cfg: ExperimentConfig, agents: dict, segment, seed: int) -> dict[str, RunReport]:
-    """One test-segment pass per requested strategy for one seed."""
-    reports: dict[str, RunReport] = {}
-    memos = {kind: [None] * len(segment) for kind in agents}
-    for strategy in cfg.strategies:
+    """One test-segment pass per requested strategy for one seed.
+
+    An agent acts row by row, one single-row forward per bar; its actions are
+    computed on the first pass that needs them and shared by all of its
+    strategies. A baseline calls ``act`` once per bar.
+    """
+    agent_actions: dict[str, list] = {}  # agent kind -> its raw action per decision row
+
+    def actions(strategy, rows):
         if strategy in AGENT_STRATEGIES:
-            policy = agent_policy(strategy, agents, memos[AGENT_OF[strategy]])
-            hold = False
-        else:
-            spec = StrategySpec(kind=strategy, ma_window=cfg.ma_window)
-            rng = (np.random.default_rng([seed, EVAL_STREAM[strategy]])
-                   if is_random(strategy) else None)
-            policy = baseline_policy(spec, segment, rng)
-            hold = holds_position(strategy)
-        reports[strategy] = evaluate_policy(policy, segment, cfg.env, strategy, seed,
-                                            hold_fees=hold)
-    return reports
+            kind = AGENT_OF[strategy]
+            if kind not in agent_actions:
+                agent_actions[kind] = [agents[kind].policy(row) for row in rows]
+            return list(map(_DISCRETIZERS.get(strategy, float), agent_actions[kind]))
+        spec = StrategySpec(kind=strategy, ma_window=cfg.ma_window)
+        rng = np.random.default_rng([seed, EVAL_STREAM[strategy]]) if is_random(strategy) else None
+        return [act(spec, cfg.env.window + i, segment, rng) for i in range(len(rows))]
+
+    return {strategy: evaluate_policy(partial(actions, strategy), segment, cfg.env, strategy, seed,
+                                      hold_fees=holds_position(strategy))
+            for strategy in cfg.strategies}
 
 
 def run_seed(cfg: ExperimentConfig, seed: int) -> dict:

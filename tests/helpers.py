@@ -16,6 +16,11 @@ def make_series(closes, start=dt.date(2020, 1, 1)):
     return PriceSeries(bars=bars)
 
 
+def constant_policy(action):
+    """A rows-to-actions policy that takes ``action`` on every bar."""
+    return lambda rows: [action] * len(rows)
+
+
 def alternating_series(n, start_price=100.0, pct=1.0):
     """Deterministic series whose percentage changes alternate +pct, -pct."""
     closes = [start_price]

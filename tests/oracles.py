@@ -80,6 +80,31 @@ def episode_return(cash_curve) -> float:
     return math.log(curve[-1] / curve[0])
 
 
+def validation_sharpe(agent, segment, env_config):
+    """Row-by-row validation score of ``agent``: the annualized Sharpe of one
+    greedy pass over ``segment``, or -inf when it is undefined.
+
+    Each observation is rebuilt from the closes and scored with one
+    ``agent.policy`` call; the pass is re-simulated day by day.
+    """
+    closes = [bar.close for bar in segment.bars]
+    w = env_config.window
+    actions = []
+    for t in range(w, len(closes) - 1):
+        obs = [100.0 * (closes[k + 1] - closes[k]) / closes[k] for k in range(t - w, t)]
+        actions.append(agent.policy(np.array(obs)))
+    tcs = [env_config.transaction_cost] * len(actions)
+    curve, _, _ = resimulate(env_config.initial_cash, actions, closes[w:], tcs)
+    daily = [(b - a) / a for a, b in zip(curve, curve[1:])]
+    if len(daily) < 2:
+        return -math.inf
+    mean = sum(daily) / len(daily)
+    var = sum((d - mean) ** 2 for d in daily) / (len(daily) - 1)
+    if var == 0.0:
+        return -math.inf
+    return math.sqrt(env_config.annualization_days) * mean / math.sqrt(var)
+
+
 def finite_difference_grads(f, params, h=1e-5):
     """Central-difference gradient of scalar f(params) w.r.t. each array."""
     grads = []

@@ -35,7 +35,7 @@ from tradelab.neuralnet import (
 from tradelab.agents.schedules import schedule_value
 from tradelab.stats import return_pct, sharpe, t_upper_tail
 
-from helpers import alternating_series, random_walk
+from helpers import alternating_series, constant_policy, random_walk
 from oracles import (
     episode_return,
     finite_difference_grads,
@@ -242,7 +242,7 @@ def test_criterion_07_metric_exactness():
     gen = np.random.default_rng(3)
     series = random_walk(60, gen)
     env_cfg = EnvConfig(window=5, transaction_cost=0.0, initial_cash=1e5)
-    report = evaluate_policy(lambda t, obs: 1.0, series, env_cfg, "buy_hold", 0, hold_fees=True)
+    report = evaluate_policy(constant_policy(1.0), series, env_cfg, "buy_hold", 0, hold_fees=True)
     expected_final = 1e5 * series.bars[-1].close / series.bars[5].close
     bh_rel = abs(report.equity[-1] - expected_final) / expected_final
     ok = (abs(r1 - 9.3) < 1e-9 and abs(r2 + 35.3) < 1e-9
@@ -291,8 +291,9 @@ def test_criterion_09_learnability_benchmark():
     for seed in range(10):
         agent = Td3Agent(4, cfg, seed=seed)
         train(agent, train_seg, env_cfg, episodes=18, seed=seed)
-        raw = evaluate_policy(lambda t, obs: agent.policy(obs), test_seg, env_cfg, "td3", seed)
-        signd = evaluate_policy(lambda t, obs: sign_discretize(agent.policy(obs)),
+        raw = evaluate_policy(lambda rows: [agent.policy(r) for r in rows],
+                              test_seg, env_cfg, "td3", seed)
+        signd = evaluate_policy(lambda rows: [sign_discretize(agent.policy(r)) for r in rows],
                                 test_seg, env_cfg, "td3_sign", seed)
         if math.log(raw.equity[-1] / raw.equity[0]) > 0:
             wins += 1

@@ -150,8 +150,8 @@ class TestBuyHoldCompounding:
         series = random_walk(50, rng)
         env_cfg = EnvConfig(window=4, transaction_cost=0.0, initial_cash=1e5)
         spec = StrategySpec(kind="buy_hold")
-        report = evaluate_policy(lambda t, obs: act(spec, t, series), series, env_cfg,
-                                 "buy_hold", seed=0, hold_fees=True)
+        report = evaluate_policy(lambda rows: [act(spec, 4 + i, series) for i in range(len(rows))],
+                                 series, env_cfg, "buy_hold", seed=0, hold_fees=True)
         first_open = series.bars[4].close
         expected = 1e5 * series.bars[-1].close / first_open
         assert report.equity[-1] == pytest.approx(expected, rel=1e-9)

@@ -218,3 +218,12 @@ class TestConfig:
             DqnConfig(actions=(-2.0, 1.0))
         with pytest.raises(ValueError):
             DqnConfig(dropout=1.0)
+
+
+class TestBatchedPolicies:
+    def test_matches_row_by_row_policy(self):
+        agent = DqnAgent(4, small_config(actions=(-1.0, 0.0, 1.0)), seed=3)
+        rows = np.random.default_rng(5).normal(scale=20.0, size=(19, 4))  # 3 blocks of 8
+        batched = agent.policies(rows)
+        assert batched == [agent.policy(row) for row in rows]
+        assert set(batched) == {-1.0, 0.0, 1.0}

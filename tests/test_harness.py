@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import tradelab
+import tradelab.agents.dqn as dqn_module
 import tradelab.agents.td3 as td3_module
-from tradelab.agents import DecaySchedule
+from tradelab.agents import DecaySchedule, train
 from tradelab.baselines import d3_discretize, sign_discretize
 from tradelab.cli import main
 from tradelab.data import SplitSpec
@@ -21,14 +23,20 @@ from tradelab.harness import (
     emit_outputs,
     evaluate_policy,
     evaluate_strategies,
+    load_agents,
     load_config,
+    load_segments,
     make_agent,
     resolved_config,
     run_experiment,
+    save_agents,
+    train_agent_for_seed,
+    train_agents,
 )
 from tradelab.stats import RunReport, return_pct
 
-from helpers import make_series, random_walk
+from helpers import constant_policy, make_series, random_walk
+from oracles import validation_sharpe
 
 
 def write_dataset(tmp_path, n=100, seed=5, name="prices.csv"):
@@ -87,6 +95,10 @@ class TestConfig:
     def test_rejects_unknown_strategy(self, tmp_path):
         with pytest.raises(ValueError, match="unknown strategies"):
             config_from_dict(base_config(tmp_path, strategies=["momentum"]))
+
+    def test_rejects_empty_strategy_list(self, tmp_path):
+        with pytest.raises(ValueError, match="strategies"):
+            config_from_dict(base_config(tmp_path, strategies=[]))
 
     def test_rejects_duplicate_seeds(self, tmp_path):
         with pytest.raises(ValueError, match="unique"):
@@ -149,7 +161,7 @@ class TestConfig:
 class TestEvaluatePolicy:
     def test_equity_and_actions_align(self, rng):
         series = random_walk(30, rng)
-        report = evaluate_policy(lambda t, obs: 0.5, series, EnvConfig(window=3),
+        report = evaluate_policy(constant_policy(0.5), series, EnvConfig(window=3),
                                  "half_long", seed=0)
         steps = len(series) - 1 - 3
         assert len(report.actions) == steps
@@ -163,15 +175,15 @@ class TestEvaluatePolicy:
     def test_hold_fee_suppression(self):
         series = make_series([50.0] * 7)
         env_cfg = EnvConfig(window=1, transaction_cost=1.0, initial_cash=100_000.0)
-        bh = evaluate_policy(lambda t, obs: 1.0, series, env_cfg, "buy_hold", 0, hold_fees=True)
-        daily = evaluate_policy(lambda t, obs: 1.0, series, env_cfg, "long", 0, hold_fees=False)
+        bh = evaluate_policy(constant_policy(1.0), series, env_cfg, "buy_hold", 0, hold_fees=True)
+        daily = evaluate_policy(constant_policy(1.0), series, env_cfg, "long", 0, hold_fees=False)
         # two fee events versus one per day on a flat price
         assert bh.equity[-1] == pytest.approx(100_000.0 * 0.99 * 0.99, rel=1e-12)
         assert daily.equity[-1] == pytest.approx(100_000.0 * 0.99**5, rel=1e-12)
 
     def test_degenerate_run_gets_zero_sharpe(self, rng):
         series = random_walk(20, rng)
-        report = evaluate_policy(lambda t, obs: 0.0, series, EnvConfig(window=2), "idle", 0)
+        report = evaluate_policy(constant_policy(0.0), series, EnvConfig(window=2), "idle", 0)
         assert report.sharpe == 0.0
         assert report.return_pct == 0.0
 
@@ -186,10 +198,11 @@ class TestEvaluateStrategies:
         # the close doubles on bar 10: both shorts are wiped there, td3_d3 trades on
         segment = make_series([100.0] * 10 + [200.0] * 10)
         unshared = {
-            "td3": evaluate_policy(lambda t, obs: agent.policy(obs), segment, cfg.env, "td3", 0),
-            "td3_sign": evaluate_policy(lambda t, obs: sign_discretize(agent.policy(obs)),
+            "td3": evaluate_policy(lambda rows: [agent.policy(r) for r in rows],
+                                   segment, cfg.env, "td3", 0),
+            "td3_sign": evaluate_policy(lambda rows: [sign_discretize(agent.policy(r)) for r in rows],
                                         segment, cfg.env, "td3_sign", 0),
-            "td3_d3": evaluate_policy(lambda t, obs: d3_discretize(agent.policy(obs)),
+            "td3_d3": evaluate_policy(lambda rows: [d3_discretize(agent.policy(r)) for r in rows],
                                       segment, cfg.env, "td3_d3", 0),
         }
         calls = []
@@ -201,6 +214,58 @@ class TestEvaluateStrategies:
         steps = {s: len(r.actions) for s, r in reports.items()}
         assert steps == {"td3": 6, "td3_sign": 6, "td3_d3": 15}
         assert len(calls) == max(steps.values())  # one forward per visited test bar
+
+
+class TestValidation:
+    """Validation passes run the agents' batched ``policies``; training drops the replay ring."""
+
+    def config(self, tmp_path, **overrides):
+        raw = base_config(tmp_path, **overrides)
+        raw["dataset"]["path"] = str(write_dataset(tmp_path, n=400, name="long.csv")[0])
+        return config_from_dict(raw)
+
+    @pytest.mark.parametrize("kind,module", [("td3", td3_module), ("tdqn", dqn_module)])
+    def test_one_forward_per_block_of_rows(self, tmp_path, monkeypatch, kind, module):
+        cfg = self.config(tmp_path)
+        _, valid_seg, _ = load_segments(cfg)
+        agent = make_agent(cfg, kind, 0)
+        calls = []
+        forward = module.forward
+        monkeypatch.setattr(module, "forward",
+                            lambda net, x, **kw: calls.append(len(x)) or forward(net, x, **kw))
+        report = evaluate_policy(agent.policies, valid_seg, cfg.env, "validation", -1)
+        rows = len(valid_seg) - cfg.env.window - 1
+        assert len(report.actions) == rows == 35
+        assert len(calls) == math.ceil(rows / agent.config.batch_size) == 5
+        assert sum(calls) == rows
+
+    @pytest.mark.parametrize("kind", ["td3", "tdqn"])
+    def test_selects_the_row_by_row_best_episode(self, tmp_path, kind):
+        cfg = self.config(tmp_path, episodes=5)  # one warmup and four learning episodes
+        train_seg, valid_seg, _ = load_segments(cfg)
+        agent, _ = train_agent_for_seed(cfg, kind, 0, train_seg, valid_seg)
+
+        scores, snapshots = [], []
+
+        def record(a, episode):
+            scores.append(validation_sharpe(a, valid_seg, cfg.env))
+            snapshots.append(a.snapshot())
+
+        train(make_agent(cfg, kind, 0), train_seg, cfg.env, cfg.episodes, 0, on_episode_end=record)
+        best = scores.index(max(scores))
+        assert math.isfinite(scores[best]) and len(set(scores)) > 2
+        selected = agent.snapshot()
+        assert all(np.array_equal(selected[name], theta) for name, theta in snapshots[best].items())
+
+    def test_trained_agents_drop_replay_rows_and_still_save_and_evaluate(self, tmp_path):
+        cfg = self.config(tmp_path, strategies=["td3", "td3_sign", "tdqn"], seeds=[0], episodes=2)
+        train_seg, valid_seg, test_seg = load_segments(cfg)
+        agents, logs = train_agents(cfg, 0, train_seg, valid_seg)
+        for agent in agents.values():
+            assert len(agent.buffer) == 0 and len(agent.buffer.items()) == 0
+        save_agents(cfg, 0, agents, logs)
+        reports = evaluate_strategies(cfg, agents, test_seg, 0)
+        assert evaluate_strategies(cfg, load_agents(cfg, 0), test_seg, 0) == reports
 
 
 class TestCompareReport:
@@ -487,6 +552,39 @@ class TestCli:
         cfg_path = self.write_config(tmp_path, raw)
         assert main(["compare", "--config", str(cfg_path), "--workers", "0"]) == 1
         assert capsys.readouterr().err == "error: workers must be >= 1\n"
+        assert not os.path.exists(raw["output_dir"])
+
+    @pytest.mark.parametrize("overrides,flags", [
+        ({"strategies": []}, []),
+        ({}, ["--strategies", ","]),
+    ])
+    def test_empty_strategy_list_fails(self, tmp_path, capsys, overrides, flags):
+        raw = base_config(tmp_path, **overrides)
+        cfg_path = self.write_config(tmp_path, raw)
+        assert main(["compare", "--config", str(cfg_path), *flags]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "strategies" in err[0]
+        assert not os.path.exists(raw["output_dir"])
+
+    def test_strategy_override_validates_with_the_config(self, tmp_path, capsys):
+        raw = base_config(tmp_path)
+        del raw["strategies"]  # the default list has mrma/tfma, which window 4 cannot feed
+        cfg_path = self.write_config(tmp_path, raw)
+        assert main(["compare", "--config", str(cfg_path)]) == 1
+        assert "need env.window >= 20" in capsys.readouterr().err
+        assert main(["compare", "--config", str(cfg_path), "--strategies", "long"]) == 0
+        assert os.path.exists(os.path.join(raw["output_dir"], "equity_long_0.csv"))
+
+    @pytest.mark.parametrize("flag,message", [
+        ("mrma", "mrma/tfma with ma_window 20 need env.window >= 20"),
+        ("long,momentum", "unknown strategies ['momentum']"),
+    ])
+    def test_invalid_strategy_override_fails_by_name(self, tmp_path, capsys, flag, message):
+        raw = base_config(tmp_path)
+        cfg_path = self.write_config(tmp_path, raw)
+        assert main(["compare", "--config", str(cfg_path), "--strategies", flag]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         assert not os.path.exists(raw["output_dir"])
 
     def test_bad_seed_names_the_flag(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -336,3 +338,25 @@ class TestScalarActions:
                 assert type(got) is float
                 assert got == expected
                 assert np.signbit(got) == np.signbit(expected)
+
+
+class TestBatchedPolicies:
+    """``policies`` runs the actor over blocks of rows; it matches ``policy`` row by row
+    up to gemm-versus-gemv rounding and clamps the same way."""
+
+    @pytest.mark.parametrize("bounds", [
+        {"action_low": -1.0, "action_high": 1.0},
+        {"action_low": -0.2, "action_high": 0.2},
+        json.loads('{"action_low": -1, "action_high": 1}'),
+    ])
+    def test_matches_row_by_row_policy(self, bounds):
+        agent = Td3Agent(5, small_config(**bounds), seed=3)
+        rows = np.random.default_rng(0).normal(scale=3.0, size=(21, 5))  # 3 blocks of 8
+        batched = agent.policies(rows)
+        single = [agent.policy(row) for row in rows]
+        assert all(type(a) is float for a in batched)
+        assert np.max(np.abs(np.subtract(batched, single))) <= 1e-12
+        low, high = bounds["action_low"], bounds["action_high"]
+        assert all(low <= a <= high for a in batched)
+        if high < 1:  # the bounds bind on some rows
+            assert high in batched and low in batched
