@@ -106,11 +106,13 @@ class DqnAgent:
     def explore_action(self, state, episode: int, rng: np.random.Generator) -> float:
         eps = schedule_value(self.config.epsilon, episode)
         if rng.random() < eps:
-            return self.random_action(rng)
+            return self.random_actions(rng, 1)[0]
         return self.policy(state)
 
-    def random_action(self, rng: np.random.Generator) -> float:
-        return float(self.config.actions[rng.integers(len(self.config.actions))])
+    def random_actions(self, rng: np.random.Generator, n: int) -> list[float]:
+        """n uniform picks from the action set in one draw, which leaves ``rng`` where n scalar draws would."""
+        actions = np.asarray(self.config.actions, dtype=np.float64)
+        return actions[rng.integers(len(actions), size=n)].tolist()
 
     # -- learning -------------------------------------------------------
 

@@ -163,9 +163,10 @@ class Td3Agent:
         sigma = schedule_value(cfg.exploration_noise, episode)
         return td3_select_action(self.actor, state, sigma, cfg.action_low, cfg.action_high, rng)
 
-    def random_action(self, rng: np.random.Generator) -> float:
+    def random_actions(self, rng: np.random.Generator, n: int) -> list[float]:
+        """n uniform actions from one draw, which leaves ``rng`` where n scalar draws would."""
         low, high = self.config.action_low, self.config.action_high
-        return low + (high - low) * rng.random()  # the same double as rng.uniform(low, high)
+        return (low + (high - low) * rng.random(n)).tolist()  # the doubles of rng.uniform(low, high)
 
     # -- learning -------------------------------------------------------
 

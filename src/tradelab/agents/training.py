@@ -33,21 +33,26 @@ def train(agent, segment: PriceSeries, env_config: EnvConfig, episodes: int, see
         warming = episode < warmup
         learn_episode = max(0, episode - warmup)
         env.reset()
+        if warming:  # no warmup action reads the state, so one draw serves the episode
+            drawn_from = rng.bit_generator.state
+            actions = agent.random_actions(rng, env.last_t - env.first_t + 1)
         total_reward = 0.0
         losses: list[float] = []
         while not env.terminal:
             # a step moves t by one, so the next state is always the next table row
             row = env.t - env.first_t
-            if warming:
-                action = agent.random_action(rng)
-            else:
-                action = agent.explore_action(table[row], learn_episode, rng)
+            action = actions[row] if warming else agent.explore_action(table[row], learn_episode, rng)
             reward, terminal = env.step(action)
             agent.buffer.push(row, action, reward, terminal)
             if not warming and len(agent.buffer) >= agent.config.batch_size:
                 diag = agent.update(learn_episode, rng)
                 losses.append(diag["loss"])
             total_reward += reward
+        taken = env.t - env.first_t
+        if warming and taken < len(actions):
+            # a wipe ended the episode: leave rng where one draw per step taken would
+            rng.bit_generator.state = drawn_from
+            agent.random_actions(rng, taken)
         agent.episodes_trained += 1
         log.append({
             "episode": episode,

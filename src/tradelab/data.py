@@ -11,6 +11,7 @@ import csv
 import datetime as dt
 import logging
 import math
+import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -28,6 +29,7 @@ DEFAULT_COLUMNS: Mapping[str, str] = {
 }
 
 DATE_FORMAT = "%Y-%m-%d"
+_ISO_DATE = re.compile(r"\d{4}-\d\d-\d\d", re.ASCII)  # DATE_FORMAT, zero-padded
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,13 @@ def _parse_float(text: str) -> float:
     return value
 
 
+def _parse_date(text: str) -> dt.date:
+    """``text`` read with DATE_FORMAT; an ISO ``YYYY-MM-DD`` date takes the fast parser."""
+    if _ISO_DATE.fullmatch(text):
+        return dt.date.fromisoformat(text)
+    return dt.datetime.strptime(text, DATE_FORMAT).date()
+
+
 def load_csv(path, columns: Mapping[str, str] | None = None) -> PriceSeries:
     """Load a daily OHLCV CSV into a date-sorted PriceSeries.
 
@@ -143,7 +152,7 @@ def load_csv(path, columns: Mapping[str, str] | None = None) -> PriceSeries:
             line = reader.line_num
             raw = {key: (row.get(name) or "").strip() for key, name in colmap.items()}
             try:
-                date = dt.datetime.strptime(raw["date"], DATE_FORMAT).date()
+                date = _parse_date(raw["date"])
                 fields = {k: _parse_float(raw[k]) for k in ("open", "high", "low", "close", "volume")}
             except ValueError:
                 dropped += 1

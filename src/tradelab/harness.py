@@ -477,16 +477,18 @@ def emit_outputs(table: ComparisonTable, reports: dict[str, list[RunReport]],
     _write_atomic(path, "\n".join(lines) + "\n")
     written.append(path)
 
+    # format each date once, not once per row of every file
+    iso = {d: d.isoformat() for d in {d for runs in reports.values() for r in runs for d in r.dates}}
     for strategy, runs in reports.items():
         for report in runs:
             eq = ["date,cash"]
-            eq += [f"{d.isoformat()},{_fmt(c)}" for d, c in zip(report.dates, report.equity)]
+            eq += [f"{iso[d]},{_fmt(c)}" for d, c in zip(report.dates, report.equity)]
             path = os.path.join(outdir, f"equity_{strategy}_{report.seed}.csv")
             _write_atomic(path, "\n".join(eq) + "\n")
             written.append(path)
 
             ac = ["date,action"]
-            ac += [f"{d.isoformat()},{_fmt(a)}" for d, a in zip(report.action_dates, report.actions)]
+            ac += [f"{iso[d]},{_fmt(a)}" for d, a in zip(report.action_dates, report.actions)]
             path = os.path.join(outdir, f"actions_{strategy}_{report.seed}.csv")
             _write_atomic(path, "\n".join(ac) + "\n")
             written.append(path)

@@ -6,7 +6,9 @@ verifies. The exceptions are the list-based agent updates at the end: they
 drive the package's public kernel functions the way the agents did before
 parameters became one flat vector, and gather each replay batch one stored
 row at a time from the buffer's ring and table, so the flat update and
-``ReplayBuffer.sample`` can be checked against them bit for bit.
+``ReplayBuffer.sample`` can be checked against them bit for bit, and the
+per-step training loop, which drives the package's env, buffer and agent
+updates but draws each warmup action on its own.
 """
 
 import decimal
@@ -15,6 +17,7 @@ import math
 import numpy as np
 
 from tradelab.agents import schedule_value
+from tradelab.env import TradingEnv
 from tradelab.neuralnet import (
     AdamState,
     adam_step,
@@ -274,3 +277,52 @@ class ListDqnUpdate:
         self.updates += 1
         if self.updates % cfg.target_sync == 0:
             ag.target_net = clone(ag.net)
+
+
+# -- training loop -----------------------------------------------------------
+
+
+def scalar_random_action(agent, rng):
+    """One warmup action from one scalar draw: a pick from a discrete action set,
+    or a uniform double in [action_low, action_high)."""
+    cfg = agent.config
+    if hasattr(cfg, "actions"):
+        return float(cfg.actions[rng.integers(len(cfg.actions))])
+    return cfg.action_low + (cfg.action_high - cfg.action_low) * rng.random()
+
+
+def per_step_train(agent, segment, env_config, episodes, seed):
+    """``agents.training.train`` with one scalar random-action draw per warmup
+    step; returns the same per-episode log records."""
+    env = TradingEnv(segment, env_config)
+    table = env.observation_table()
+    agent.buffer.bind(table)
+    rng = np.random.default_rng([seed, 0x7E4])
+    warmup = agent.config.warmup_episodes
+    log = []
+    for episode in range(episodes):
+        warming = episode < warmup
+        learn_episode = max(0, episode - warmup)
+        env.reset()
+        total_reward = 0.0
+        losses = []
+        while not env.terminal:
+            row = env.t - env.first_t
+            if warming:
+                action = scalar_random_action(agent, rng)
+            else:
+                action = agent.explore_action(table[row], learn_episode, rng)
+            reward, terminal = env.step(action)
+            agent.buffer.push(row, action, reward, terminal)
+            if not warming and len(agent.buffer) >= agent.config.batch_size:
+                losses.append(agent.update(learn_episode, rng)["loss"])
+            total_reward += reward
+        agent.episodes_trained += 1
+        log.append({
+            "episode": episode,
+            "warmup": warming,
+            "total_reward": total_reward,
+            "final_cash": env.cash,
+            "mean_loss": float(np.mean(losses)) if losses else float("nan"),
+        })
+    return log

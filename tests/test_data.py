@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from tradelab.data import (
+    DATE_FORMAT,
     PriceBar,
     PriceSeries,
     SplitSpec,
+    _parse_date,
     chronological_split,
     load_csv,
     pct_change,
@@ -71,6 +73,31 @@ class TestLoadCsv:
         series = load_csv(path)
         assert len(series) == 2
         assert list(series.closes()) == [100.0, 99.0]
+
+    def test_dates_are_what_strptime_reads(self, tmp_path):
+        path = write_csv(tmp_path, [row(d, 100) for d in
+                                    ("2016-01-04", "2016-1-5", "20160106", "2016-02-30", "2016-W01-1")])
+        assert load_csv(path).dates() == (dt.date(2016, 1, 4), dt.date(2016, 1, 5))
+
+        gen = np.random.default_rng(8)
+        texts = ["2016-01- 5", "2016- 1-05", "0000-01-01", "9999-12-31", "2016-1-05", "2016-01-5",
+                 "２０１６-01-05", "2016-01-05T", "2016/01/05", "+016-01-05", "2016-02-29", "2015-02-29"]
+        pieces = (["2016", "0000", "0001", "9999", "201", "20160", " 2016"], ["-", "-", "/", " "],
+                  ["1", "01", "9", "09", "10", "12", "13", "00", "0", " 1", "1 "], ["-", "-", ""],
+                  ["1", "01", "5", "05", "29", "30", "31", "32", "00", " 5", "5 ", "W"])
+        texts += ["".join(gen.choice(p) for p in pieces) for _ in range(2000)]
+        texts += [f"{y:04d}-{m:02d}-{d:02d}" for y, m, d in zip(
+            gen.integers(0, 10_000, 500), gen.integers(0, 14, 500), gen.integers(0, 33, 500))]
+        for text in texts:
+            try:
+                expected = dt.datetime.strptime(text, DATE_FORMAT).date()
+            except ValueError:
+                expected = None
+            try:
+                got = _parse_date(text)
+            except ValueError:
+                got = None
+            assert got == expected, text
 
     def test_custom_column_names(self, tmp_path):
         path = write_csv(

@@ -80,8 +80,12 @@ class TestExploration:
 
     def test_discrete_action_set(self):
         agent = DqnAgent(2, small_config(actions=(-1.0, 0.0, 1.0)), seed=0)
-        gen = np.random.default_rng(1)
-        assert {agent.random_action(gen) for _ in range(200)} == {-1.0, 0.0, 1.0}
+        gen, reference = np.random.default_rng(1), np.random.default_rng(1)
+        drawn = agent.random_actions(gen, 200)
+        assert set(drawn) == {-1.0, 0.0, 1.0}
+        assert all(type(a) is float for a in drawn)
+        assert drawn == [agent.config.actions[reference.integers(3)] for _ in range(200)]
+        assert gen.random() == reference.random()  # the streams stayed in step
 
 
 class TestUpdate:

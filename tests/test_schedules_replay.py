@@ -4,10 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tradelab.agents import DecaySchedule, ReplayBuffer, Td3Agent, Td3Config, schedule_value, train
+from tradelab.agents import (
+    DecaySchedule,
+    DqnAgent,
+    DqnConfig,
+    ReplayBuffer,
+    Td3Agent,
+    Td3Config,
+    schedule_value,
+    train,
+)
 from tradelab.env import EnvConfig, TradingEnv
 
 from helpers import make_series, random_walk
+from oracles import per_step_train
 
 
 def filled(capacity: int, n: int) -> ReplayBuffer:
@@ -123,6 +133,10 @@ def small_td3(**overrides):
     return Td3Config(**{"batch_size": 8, "actor_hidden": (4,), "critic_hidden": (4,), **overrides})
 
 
+def small_dqn(**overrides):
+    return DqnConfig(**{"batch_size": 8, "hidden": (4,), **overrides})
+
+
 class TestTrainingRows:
     WINDOW = 3
 
@@ -190,3 +204,63 @@ class TestTrainingRows:
             tracemalloc.stop()
         assert len(agent.buffer) == rows
         assert grown <= agent.buffer.items().nbytes + 64 * 1024
+
+
+class TestWarmupStream:
+    """A warmup episode draws its actions at once and rewinds the generator when a
+    wipe ends it early, so training matches one draw per step bit for bit."""
+
+    WINDOW = 3
+    WARMUP = 6
+    AGENTS = {  # TD3 bounds read from JSON are ints
+        "td3_int_bounds": (Td3Agent, small_td3(warmup_episodes=WARMUP, action_low=-1, action_high=1)),
+        "dqn_2_actions": (DqnAgent, small_dqn(warmup_episodes=WARMUP, actions=(-1.0, 1.0))),
+        "dqn_3_actions": (DqnAgent, small_dqn(warmup_episodes=WARMUP, actions=(-1.0, 0.0, 1.0))),
+    }
+
+    def make(self, kind):
+        cls, cfg = self.AGENTS[kind]
+        return cls(self.WINDOW, cfg, seed=2)
+
+    def episode_lengths(self, agent, series):
+        """Steps of each episode in the buffer, and the steps of a full pass."""
+        rows = agent.buffer.items()
+        ends = np.flatnonzero(rows["terminal"] == 1.0)
+        env = TradingEnv(series, EnvConfig(window=self.WINDOW))
+        return np.diff(ends, prepend=-1), env.last_t - env.first_t + 1
+
+    @pytest.mark.parametrize("kind", AGENTS)
+    def test_matches_per_step_draws(self, kind):
+        series, env_cfg = spiked_series(), EnvConfig(window=self.WINDOW)
+        agent, reference = self.make(kind), self.make(kind)
+        episodes = self.WARMUP + 3
+        log = train(agent, series, env_cfg, episodes, seed=5)
+        expected = per_step_train(reference, series, env_cfg, episodes, seed=5)
+
+        lengths, steps = self.episode_lengths(agent, series)
+        assert len(lengths) == episodes
+        assert 0 < np.sum(lengths[: self.WARMUP] < steps) < self.WARMUP  # wipes mid-warmup
+        assert all(not math.isnan(r["mean_loss"]) for r in log[self.WARMUP:])  # then it learns
+        assert agent.buffer.items().tobytes() == reference.buffer.items().tobytes()
+        np.testing.assert_equal(log, expected)
+        theta = reference.snapshot()
+        for name, values in agent.snapshot().items():
+            assert np.array_equal(values, theta[name]), name
+
+    @pytest.mark.parametrize("kind", AGENTS)
+    def test_one_draw_per_warmup_episode(self, kind, monkeypatch):
+        series = spiked_series()
+        agent = self.make(kind)
+        sizes = []
+        draw = agent.random_actions
+
+        def counted(rng, n):
+            sizes.append(n)
+            return draw(rng, n)
+
+        monkeypatch.setattr(agent, "random_actions", counted)
+        train(agent, series, EnvConfig(window=self.WINDOW), self.WARMUP, seed=5)
+        lengths, steps = self.episode_lengths(agent, series)
+        assert 0 < np.sum(lengths < steps) < self.WARMUP
+        # each episode draws a full pass; a wiped one then redraws the steps it took
+        assert sizes == [n for k in lengths.tolist() for n in ([steps] if k == steps else [steps, k])]

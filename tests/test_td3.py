@@ -317,8 +317,9 @@ class TestScalarActions:
     def test_random_action_is_rng_uniform(self, low, high):
         agent = Td3Agent(3, small_config(action_low=low, action_high=high), seed=0)
         ours, reference = np.random.default_rng(41), np.random.default_rng(41)
-        for _ in range(20_000):
-            a = agent.random_action(ours)
+        drawn = agent.random_actions(ours, 20_000)
+        assert len(drawn) == 20_000
+        for a in drawn:
             assert type(a) is float
             assert a == float(reference.uniform(low, high))
         assert ours.random() == reference.random()  # the streams stayed in step
