@@ -51,6 +51,12 @@ class DqnConfig:
             raise ValueError("discrete actions must lie in [-1, 1]")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.batch_size > self.buffer_capacity:
+            raise ValueError(f"batch_size {self.batch_size} exceeds buffer_capacity {self.buffer_capacity}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 def dqn_target(r, terminal, gamma: float, target_q_next) -> np.ndarray:

@@ -59,6 +59,13 @@ class Td3Config:
             raise ValueError("action bounds must stay within [-1, 1]")
         if self.batch_size < 1 or self.policy_delay < 1:
             raise ValueError("batch_size and policy_delay must be >= 1")
+        if self.batch_size > self.buffer_capacity:
+            raise ValueError(f"batch_size {self.batch_size} exceeds buffer_capacity {self.buffer_capacity}")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
+        for name in ("actor_lr", "critic_lr", "grad_clip_norm"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 def td3_select_action(actor: Mlp, state, sigma: float, a_low: float, a_high: float,

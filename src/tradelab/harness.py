@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .agents import DecaySchedule, DqnAgent, DqnConfig, ReplayBuffer, Td3Agent, Td3Config, train
+from .agents import DqnAgent, DqnConfig, ReplayBuffer, Td3Agent, Td3Config, train
 from .baselines import (
     KINDS,
     StrategySpec,
@@ -49,9 +49,6 @@ AGENT_OF = {"td3": "td3", "td3_sign": "td3", "td3_d3": "td3", "tdqn": "tdqn"}
 AGENT_STRATEGIES = tuple(AGENT_OF)
 ALL_STRATEGIES = AGENT_STRATEGIES + KINDS
 
-DEFAULT_STRATEGIES = ALL_STRATEGIES
-DEFAULT_TTEST_PAIRS = (("td3_sign", "td3"), ("td3_d3", "td3"))
-
 # stable per-strategy stream tags so evaluation rngs never collide
 EVAL_STREAM = {kind: i for i, kind in enumerate(ALL_STRATEGIES)}
 
@@ -65,11 +62,11 @@ class ExperimentConfig:
     td3: Td3Config = field(default_factory=Td3Config)
     dqn: DqnConfig = field(default_factory=DqnConfig)
     episodes: int = 50
-    strategies: tuple[str, ...] = DEFAULT_STRATEGIES
+    strategies: tuple[str, ...] = ALL_STRATEGIES
     seeds: tuple[int, ...] = (0,)
     ma_window: int = 20
     output_dir: str = "out"
-    ttest_pairs: tuple[tuple[str, str], ...] = DEFAULT_TTEST_PAIRS
+    ttest_pairs: tuple[tuple[str, str], ...] = (("td3_sign", "td3"), ("td3_d3", "td3"))
     alpha: float = 0.01
     workers: int = 1
 
@@ -97,94 +94,61 @@ class ExperimentConfig:
             )
 
 
-def _shape(default):
-    """The JSON shape of a config value, read off its default: a dict of keys for
-    a dataclass, a one-element list for a tuple, else the leaf type."""
-    if is_dataclass(default):
-        return {f.name: _shape(getattr(default, f.name)) for f in fields(default)}
-    if isinstance(default, tuple):
-        return [_shape(default[0])]
-    return type(default)
+def _read(default, value, key: str = ""):
+    """``value``, a JSON value, checked against ``default`` and built in one step.
 
-
-_CONFIG_SHAPE = {
-    "dataset": {"path": str, "columns": {name: str for name in DEFAULT_COLUMNS}},
-    "split": _shape(SplitSpec()),
-    "env": _shape(EnvConfig()),
-    "td3": _shape(Td3Config()),
-    "dqn": _shape(DqnConfig()),
-    "episodes": int,
-    "strategies": [str],
-    "seeds": [int],
-    "ma_window": int,
-    "output_dir": str,
-    "ttest": {"pairs": [[str]], "alpha": float},
-    "workers": int,
-}
-
-
-def _check_shape(value, shape, key: str) -> None:
-    """Raise ValueError naming the dotted ``key`` ("" at the top) unless ``value`` has ``shape``."""
-    if isinstance(shape, dict):
+    A dataclass default takes an object of its fields and gives
+    ``replace(default, **changes)``; a dict default takes an object of its keys
+    and gives the changes alone; a tuple default takes a list whose items are
+    read against ``default[0]``; a leaf takes a value of its default's type (an
+    int for a float, a bool for neither). A mismatch is a ValueError naming the
+    dotted ``key`` ("" at the top).
+    """
+    if is_dataclass(default) or isinstance(default, dict):
         if not isinstance(value, dict):
             raise ValueError(f"config key {key or '(top level)'}: expected an object, got {value!r}")
+        known = default
+        if is_dataclass(default):
+            known = {f.name: getattr(default, f.name) for f in fields(default)}
+        changes = {}
         for name, item in value.items():
             path = f"{key}.{name}" if key else name
-            if name not in shape:
+            if name not in known:
                 raise ValueError(f"unknown config key {path}")
-            _check_shape(item, shape[name], path)
-    elif isinstance(shape, list):
+            changes[name] = _read(known[name], item, path)
+        return replace(default, **changes) if is_dataclass(default) else changes
+    if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"config key {key}: expected a list, got {value!r}")
-        for i, item in enumerate(value):
-            _check_shape(item, shape[0], f"{key}[{i}]")
-    else:
-        allowed = (int, float) if shape is float else shape
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise ValueError(f"config key {key}: expected {shape.__name__}, got {value!r}")
+        return tuple(_read(default[0], item, f"{key}[{i}]") for i, item in enumerate(value))
+    allowed = (int, float) if isinstance(default, float) else type(default)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ValueError(f"config key {key}: expected {type(default).__name__}, got {value!r}")
+    return value
 
 
-def _build(cls, overrides: dict):
-    """``cls()`` with ``overrides`` applied; a schedule may override part of its default."""
-    base = cls()
-    kwargs = {}
-    for name, value in overrides.items():
-        default = getattr(base, name)
-        if isinstance(default, DecaySchedule):
-            value = replace(default, **value)
-        elif isinstance(default, tuple):
-            value = tuple(value)
-        kwargs[name] = value
-    return cls(**kwargs)
+# JSON groups whose keys are ExperimentConfig fields under other names
+_GROUPS = {"dataset": {"path": "dataset_path", "columns": "columns"},
+           "ttest": {"pairs": "ttest_pairs", "alpha": "alpha"}}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a plain (JSON-shaped) dict.
 
-    An unknown key or a value of the wrong JSON type is a ValueError naming
-    the dotted key.
+    Every default comes from the config dataclasses. An unknown key or a
+    value of the wrong JSON type is a ValueError naming the dotted key.
     """
-    _check_shape(raw, _CONFIG_SHAPE, "")
-    dataset = raw.get("dataset", {})
-    if "path" not in dataset:
+    defaults = ExperimentConfig(dataset_path="")  # the path itself is required below
+    shape = {f.name: getattr(defaults, f.name) for f in fields(defaults)}
+    for group, names in _GROUPS.items():
+        shape[group] = {key: shape.pop(name) for key, name in names.items()}
+    shape["dataset"]["columns"] = DEFAULT_COLUMNS  # the keys a column remap may name
+    changes = _read(shape, raw)
+    for group, names in _GROUPS.items():
+        changes.update((names[key], value) for key, value in changes.pop(group, {}).items())
+    if "dataset_path" not in changes:
         raise ValueError("config must name a dataset path under dataset.path")
-    ttest_d = raw.get("ttest", {})
-    return ExperimentConfig(
-        dataset_path=dataset["path"],
-        columns=dict(dataset.get("columns", {})),
-        split=_build(SplitSpec, raw.get("split", {})),
-        env=_build(EnvConfig, raw.get("env", {})),
-        td3=_build(Td3Config, raw.get("td3", {})),
-        dqn=_build(DqnConfig, raw.get("dqn", {})),
-        episodes=raw.get("episodes", 50),
-        strategies=tuple(raw.get("strategies", DEFAULT_STRATEGIES)),
-        seeds=tuple(raw.get("seeds", (0,))),
-        ma_window=raw.get("ma_window", 20),
-        output_dir=raw.get("output_dir", "out"),
-        ttest_pairs=tuple(tuple(p) for p in ttest_d.get("pairs", DEFAULT_TTEST_PAIRS)),
-        alpha=ttest_d.get("alpha", 0.01),
-        workers=raw.get("workers", 1),
-    )
+    return ExperimentConfig(**changes)
 
 
 def read_config(path):

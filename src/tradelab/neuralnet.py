@@ -283,16 +283,9 @@ class AdamState:
     v: list = field(default_factory=list)
 
     @classmethod
-    def create(cls, params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        return cls(
-            lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-            step=0,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
+    def create(cls, params, **hyper):
+        """Zeroed moments for ``params``; ``hyper`` overrides lr, beta1, beta2 or eps."""
+        return cls(**hyper, m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
 def adam_step(params, grads, opt: AdamState):

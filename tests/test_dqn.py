@@ -223,6 +223,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             DqnConfig(dropout=1.0)
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"batch_size": 64, "buffer_capacity": 32}, "batch_size 64 exceeds buffer_capacity 32"),
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"learning_rate": 0.0}, "learning_rate must be > 0, got 0.0"),
+        ({"learning_rate": -0.5}, "learning_rate must be > 0, got -0.5"),
+    ])
+    def test_rejects_values_that_fail_in_training(self, overrides, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            DqnConfig(**overrides)
+
+    def test_batch_may_fill_the_buffer(self):
+        assert DqnConfig(batch_size=32, buffer_capacity=32).batch_size == 32
+
 
 class TestBatchedPolicies:
     def test_matches_row_by_row_policy(self):

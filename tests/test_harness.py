@@ -1,9 +1,12 @@
+import ast
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +17,10 @@ import tradelab.agents.td3 as td3_module
 from tradelab.agents import DecaySchedule, train
 from tradelab.baselines import d3_discretize, sign_discretize
 from tradelab.cli import main
-from tradelab.data import SplitSpec
+from tradelab.data import DEFAULT_COLUMNS, SplitSpec
 from tradelab.env import EnvConfig
 from tradelab.harness import (
+    ExperimentConfig,
     build_table,
     compare_report,
     config_from_dict,
@@ -151,6 +155,34 @@ class TestConfig:
         assert cfg.env.transaction_cost == 1
         assert cfg.td3.exploration_noise == DecaySchedule(0.5, 0.05, 20)
         assert cfg.td3.grad_clip_norm == 2
+
+    def test_agent_config_errors_surface_through_the_reader(self, tmp_path):
+        raw = base_config(tmp_path, td3={"batch_size": 8, "buffer_capacity": 4})
+        with pytest.raises(ValueError, match="^batch_size 8 exceeds buffer_capacity 4$"):
+            config_from_dict(raw)
+
+    def test_full_defaults_round_trip(self):
+        """Every field written out as JSON reads back to the defaults."""
+        defaults = ExperimentConfig(dataset_path="prices.csv")
+        raw = json.loads(json.dumps(asdict(defaults)))  # tuples become lists
+        raw["dataset"] = {"path": raw.pop("dataset_path"), "columns": raw.pop("columns")}
+        raw["ttest"] = {"pairs": raw.pop("ttest_pairs"), "alpha": raw.pop("alpha")}
+        assert config_from_dict(raw) == defaults
+        raw["dataset"]["columns"] = dict(DEFAULT_COLUMNS)
+        assert config_from_dict(raw).columns == DEFAULT_COLUMNS
+
+    def test_readme_configs_are_read(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        worked = json.loads(re.search(r"cat > cfg\.json <<'EOF'\n(.*?)\nEOF", readme, re.S).group(1))
+        library = ast.literal_eval(re.search(r"config_from_dict\((\{.*?\})\)", readme, re.S).group(1))
+        defaults = ExperimentConfig(dataset_path="prices.csv")
+        # the Configuration block spells out the defaults, with a cost and five seeds
+        assert config_from_dict(block) == replace(
+            defaults, env=replace(defaults.env, transaction_cost=0.1), seeds=(0, 1, 2, 3, 4))
+        assert config_from_dict(worked).strategies == ("td3", "td3_sign", "td3_d3", "buy_hold",
+                                                       "random_d")
+        assert config_from_dict(library).seeds == (0, 1, 2)
 
     def test_resolved_echo_is_json_serializable(self, tmp_path):
         cfg = config_from_dict(base_config(tmp_path))

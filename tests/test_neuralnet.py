@@ -178,6 +178,12 @@ class TestAdam:
             x, opt = adam_step(x, [2.0 * x[0]], opt)
         assert abs(x[0][0]) < 0.5
 
+    def test_create_defaults_are_the_dataclass_defaults(self):
+        params = [np.ones((2, 3))]
+        opt = AdamState.create(params, eps=1e-6)
+        assert (opt.lr, opt.beta1, opt.beta2, opt.eps, opt.step) == (1e-3, 0.9, 0.999, 1e-6, 0)
+        assert opt.m[0].shape == opt.v[0].shape == (2, 3) and not opt.m[0].any()
+
     def test_rejects_non_finite_gradient(self):
         params = [np.array([1.0])]
         opt = AdamState.create(params)

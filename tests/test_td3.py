@@ -286,6 +286,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             Td3Config(action_high=1.5)
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"batch_size": 64, "buffer_capacity": 32}, "batch_size 64 exceeds buffer_capacity 32"),
+        ({"tau": -0.1}, r"tau must lie in \[0, 1\], got -0.1"),
+        ({"tau": 1.5}, r"tau must lie in \[0, 1\], got 1.5"),
+        ({"grad_clip_norm": 0.0}, "grad_clip_norm must be > 0, got 0.0"),
+        ({"actor_lr": 0.0}, "actor_lr must be > 0, got 0.0"),
+        ({"critic_lr": -1e-3}, "critic_lr must be > 0, got -0.001"),
+    ])
+    def test_rejects_values_that_fail_in_training(self, overrides, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            Td3Config(**overrides)
+
+    def test_accepts_the_boundary_values(self):
+        Td3Config(batch_size=32, buffer_capacity=32, tau=0.0)
+        Td3Config(tau=1.0)
+
     def test_hash_is_stable_and_sensitive(self):
         assert config_hash(Td3Config()) == config_hash(Td3Config()) == "086e70cfa5a75711"
         assert config_hash(Td3Config(tau=0.01)) == "78562e7fc3d6bbd6"
