@@ -5,7 +5,7 @@ scratch on a log-return trading MDP, eight benchmark strategies, performance
 metrics with a paired t-test, and a reproducible multi-seed batch harness.
 """
 
-from .data import PriceBar, PriceSeries, SplitSpec, chronological_split, load_csv, pct_change
+from .data import PriceSeries, SplitSpec, chronological_split, load_csv, pct_change
 from .env import EnvConfig, TradingEnv, settle
 from .stats import RunReport, TTestResult, paired_ttest_one_sided, return_pct, sharpe, t_upper_tail
 

@@ -1,7 +1,8 @@
 """Non-learning benchmark strategies and the action discretizers.
 
-Every strategy exposes the same act(t, prices) surface as the agents so the
-evaluation loop treats them interchangeably. Buy-and-hold / sell-and-hold are
+Every strategy gives its action for bar t through act(spec, t, prices); the
+harness wraps those calls in the policy(rows) surface the agents expose, so
+the evaluation loop treats both alike. Buy-and-hold / sell-and-hold are
 emulated inside the daily-close environment as a constant +1 / -1 with fees
 charged only on the first open and the final close (the environment itself
 force-closes daily, so the runner suppresses intermediate fees for them).
@@ -42,13 +43,12 @@ class StrategySpec:
             raise ValueError(f"ma_window must be >= 2 for {self.kind}, got {self.ma_window}")
 
 
-def moving_average(prices: PriceSeries, t: int, window: int) -> float:
+def moving_average(closes: np.ndarray, t: int, window: int) -> float:
     """Simple moving average of the ``window`` closes ending at bar t."""
-    if t >= len(prices):
-        raise ValueError(f"index {t} out of range for {len(prices)} prices")
+    if t >= len(closes):
+        raise ValueError(f"index {t} out of range for {len(closes)} prices")
     if t < window:
         raise ValueError(f"insufficient history for a {window}-bar average at t={t}")
-    closes = prices.closes()
     return float(closes[t - window + 1 : t + 1].mean())
 
 
@@ -64,8 +64,9 @@ def act(spec: StrategySpec, t: int, prices: PriceSeries, rng: np.random.Generato
     if kind == "random_d":
         return float(_require_rng(rng, kind).choice((-1.0, 1.0)))
     # technical rules: compare today's close with its moving average
-    ma = moving_average(prices, t, spec.ma_window)
-    p = prices.bars[t].close
+    closes = prices.closes()
+    ma = moving_average(closes, t, spec.ma_window)
+    p = closes[t]
     if kind == "mrma":
         return 1.0 if p < ma else -1.0
     return 1.0 if p > ma else -1.0  # tfma

@@ -135,7 +135,7 @@ def _print_ttests(ttests) -> None:
 
 def _print_table(table) -> None:
     print(f"{'strategy':<12} {'return_pct':>12} {'sharpe':>10}")
-    for row in table.rows:
+    for row in table:
         print(f"{row.strategy:<12} {row.return_pct:>12.4f} {row.sharpe:>10.4f}")
 
 

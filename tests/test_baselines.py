@@ -40,7 +40,7 @@ class TestDeterministicStrategies:
 class TestTechnicalStrategies:
     def test_moving_average_window_ends_at_t(self):
         series = make_series([10, 10, 10, 13])
-        assert moving_average(series, 3, 3) == pytest.approx(11.0)
+        assert moving_average(series.closes(), 3, 3) == pytest.approx(11.0)
 
     def test_mean_reversion_hand_example(self):
         series = make_series([10, 10, 10, 13])
@@ -56,7 +56,7 @@ class TestTechnicalStrategies:
         tf = StrategySpec(kind="tfma", ma_window=5)
         closes = series.closes()
         for t in range(5, 60):
-            ma = moving_average(series, t, 5)
+            ma = moving_average(closes, t, 5)
             if closes[t] != ma:
                 assert act(mr, t, series) == -act(tf, t, series)
 
@@ -152,6 +152,6 @@ class TestBuyHoldCompounding:
         spec = StrategySpec(kind="buy_hold")
         report = evaluate_policy(lambda rows: [act(spec, 4 + i, series) for i in range(len(rows))],
                                  series, env_cfg, "buy_hold", seed=0, hold_fees=True)
-        first_open = series.bars[4].close
-        expected = 1e5 * series.bars[-1].close / first_open
+        first_open = series.closes()[4]
+        expected = 1e5 * series.closes()[-1] / first_open
         assert report.equity[-1] == pytest.approx(expected, rel=1e-9)

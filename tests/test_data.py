@@ -1,12 +1,15 @@
+import contextlib
 import datetime as dt
+import logging
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tradelab.data import (
     DATE_FORMAT,
-    PriceBar,
     PriceSeries,
     SplitSpec,
     _parse_date,
@@ -17,6 +20,7 @@ from tradelab.data import (
 from tradelab.env import EnvConfig, TradingEnv
 
 from helpers import make_series, random_walk
+from oracles import reference_load_csv
 
 CSV_HEADER = "Date,Open,High,Low,Close,Volume\n"
 
@@ -37,7 +41,7 @@ class TestLoadCsv:
         series = load_csv(path)
         assert len(series) == 3
         assert list(series.closes()) == [100.0, 110.0, 99.0]
-        assert series.bars[0].date == dt.date(2020, 1, 1)
+        assert series.dates()[0] == dt.date(2020, 1, 1)
 
     def test_rows_sorted_by_date(self, tmp_path):
         path = write_csv(tmp_path, [row("2020-01-03", 99), row("2020-01-01", 100), row("2020-01-02", 110)])
@@ -107,7 +111,7 @@ class TestLoadCsv:
         )
         series = load_csv(path, columns={"date": "day", "open": "o", "high": "h",
                                          "low": "l", "close": "c", "volume": "v"})
-        assert series.bars[0].close == 100.5
+        assert series.closes()[0] == 100.5
 
     def test_error_carries_line_context(self, tmp_path):
         path = write_csv(tmp_path, [row("2020-01-01", 100), row("2020-01-02", -5)])
@@ -115,19 +119,136 @@ class TestLoadCsv:
             load_csv(path)
 
 
-class TestBarInvariants:
-    def test_close_must_be_positive(self):
-        with pytest.raises(ValueError, match="non-positive close"):
-            PriceBar(dt.date(2020, 1, 1), 1.0, 1.0, 1.0, 0.0, 0.0)
+FIELDS = ("date", "open", "high", "low", "close", "volume")
+DEFAULT_HEADER = dict(zip(FIELDS, ("Date", "Open", "High", "Low", "Close", "Volume")))
+DATE_CELLS = ["2020-01-01", "2020-01-02", "2020-01-03", "2020-01-04", "2020-01-05", "2020-1-6",
+              "20200107", "2020/01/08", "2020-02-30", " 2020-01-09 ", "null", ""]
+NUMBER_CELLS = ["1", "2", "3.5", " 4 ", '"2"', "0", "-0.0", "-1", "1e400", "null", "inf", "-inf",
+                "nan", "", "x"]
 
-    def test_low_bounds_other_fields(self):
+
+@st.composite
+def csv_files(draw):
+    """(text, columns) of a generated price CSV and the column remap to read it with."""
+    names = dict(DEFAULT_HEADER)
+    columns = None
+    if draw(st.booleans()):
+        columns = {f: f"my_{f}" for f in draw(st.sets(st.sampled_from(FIELDS), min_size=1))}
+        names.update(columns)
+    # (name, field) per column; an extra column, a repeated name among them, holds 7s
+    extra = draw(st.sampled_from([[], ["Adj Close"], [names["close"]], [names["low"]]]))
+    header = draw(st.permutations([(name, f) for f, name in names.items()] + [(n, None) for n in extra]))
+    if draw(st.sampled_from([False] * 19 + [True])):
+        header.remove(draw(st.sampled_from(header)))
+    lines = [",".join(name for name, _ in header)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["blank", "clean", "clean", "one_bad_field", "one_bad_field", "any"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        price = draw(st.sampled_from(["1", "2", "3.5"]))
+        cells = {"date": draw(st.sampled_from(DATE_CELLS)), "volume": "100",
+                 **{f: price for f in ("open", "high", "low", "close")}}
+        if kind == "one_bad_field":
+            cells[draw(st.sampled_from(FIELDS[1:]))] = draw(st.sampled_from(NUMBER_CELLS))
+        elif kind == "any":
+            cells.update((f, draw(st.sampled_from(NUMBER_CELLS))) for f in FIELDS[1:])
+        texts = [cells.get(f, "7") for _, f in header]
+        width = draw(st.sampled_from([0, 0, 0, 0, 0, -1, -3, 1, 2]))  # short rows and extra cells
+        texts = texts[:width] if width < 0 else texts + ["9"] * width
+        lines.append(",".join(texts))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""])), columns
+
+
+def columns_of(path, columns):
+    series = load_csv(path, columns)
+    return series.dates(), series.closes().tolist()
+
+
+def outcome(load, *args):
+    """``load(*args)``'s (dates, closes), or the type and message of the error it raised."""
+    try:
+        dates, closes = load(*args)
+    except (ValueError, FileNotFoundError) as exc:
+        return type(exc), str(exc)
+    return tuple(dates), list(closes)
+
+
+@contextlib.contextmanager
+def logged_warnings():
+    """The messages ``tradelab.data`` logs inside the block."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("tradelab.data")
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+class TestLoaderMatchesReference:
+    """``load_csv`` accepts, drops and rejects exactly what the row-object loader did."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(case=csv_files())
+    @example(case=("", None))  # empty file
+    @example(case=(CSV_HEADER + "\n2020-01-02,1,1,1,1,1\n\n\n2020-01-01,2,2,2,2,1\n", None))  # blanks
+    @example(case=(CSV_HEADER + "2020-01-01,1,1,1\n2020-01-02,1,1,1,1,1,5,6\n", None))  # short, extra
+    @example(case=(CSV_HEADER + "2020-01-01,null,1,1,1,1\n2020-01-02,1,inf,1,1,1\n"
+                   "2020-01-03,1,1,nan,1,1\n2020-01-04,1,1,1,1,1\n", None))  # null, inf, nan
+    @example(case=(CSV_HEADER + "2020-01-03,1,1,1,1,1\n2020-1-4,1,1,1,1,1\n2020-01-01,1,1,1,1,1\n",
+                   None))  # unsorted, non-ISO
+    @example(case=(CSV_HEADER + "2020-01-01,1,1,1,1,1\n2020-01-01,2,2,2,2,1\n", None))  # duplicate
+    @example(case=(CSV_HEADER + "2020-01-01,0,1,1,1,1\n", None))  # non-positive open
+    @example(case=(CSV_HEADER + "2020-01-01,1,-2,1,1,1\n", None))  # non-positive high
+    @example(case=(CSV_HEADER + "2020-01-01,1,1,0,1,1\n", None))  # non-positive low
+    @example(case=(CSV_HEADER + "2020-01-01,1,1,1,0,1\n", None))  # non-positive close
+    @example(case=(CSV_HEADER + "2020-01-01,1,1,1,1,-1\n", None))  # negative volume
+    @example(case=(CSV_HEADER + "2020-01-01,1,2,1.5,2,1\n", None))  # low above open
+    @example(case=(CSV_HEADER + "2020-01-01,2,2,1.5,1,1\n", None))  # low above close
+    @example(case=(CSV_HEADER + "2020-01-01,2,1,1.5,2,1\n", None))  # low above high
+    @example(case=("v,c,d,h,l,o\n1,3,2020-01-01,3,3,3\n", {"date": "d", "open": "o", "high": "h",
+                                                             "low": "l", "close": "c",
+                                                             "volume": "v"}))  # remapped header
+    def test_generated_csvs(self, tmp_path_factory, case):
+        text, columns = case
+        path = tmp_path_factory.mktemp("csv") / "prices.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with logged_warnings() as warnings:
+            got = outcome(columns_of, path, columns)
+        expected_warnings = []
+        expected = outcome(reference_load_csv, path, columns, expected_warnings)
+        assert got == expected
+        assert warnings == expected_warnings
+
+
+class TestBarInvariants:
+    def test_close_must_be_positive(self, tmp_path):
+        for close in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-positive close"):
+                PriceSeries((dt.date(2020, 1, 1),), (close,))
+        path = write_csv(tmp_path, ["2020-01-01,1.0,1.0,1.0,0.0,0.0\n"])
+        with pytest.raises(ValueError, match="non-positive close"):
+            load_csv(path)
+
+    def test_low_bounds_other_fields(self, tmp_path):
+        path = write_csv(tmp_path, ["2020-01-01,1.0,2.0,1.5,1.0,0.0\n"])
         with pytest.raises(ValueError, match="low exceeds"):
-            PriceBar(dt.date(2020, 1, 1), 1.0, 2.0, 1.5, 1.0, 0.0)
+            load_csv(path)
 
     def test_dates_strictly_increasing(self):
-        bar = PriceBar(dt.date(2020, 1, 1), 1.0, 1.0, 1.0, 1.0, 0.0)
+        day = dt.date(2020, 1, 1)
         with pytest.raises(ValueError, match="strictly increasing"):
-            PriceSeries(bars=(bar, bar))
+            PriceSeries((day, day), (1.0, 1.0))
+
+    def test_one_close_per_date(self):
+        with pytest.raises(ValueError, match="empty"):
+            PriceSeries((), ())
+        with pytest.raises(ValueError, match="2 dates for 1 closes"):
+            PriceSeries((dt.date(2020, 1, 1), dt.date(2020, 1, 2)), (1.0,))
 
 
 class TestPctChange:
@@ -165,11 +286,13 @@ class TestPctChange:
 
 class TestCloses:
     def test_one_read_only_array(self, rng):
-        series = random_walk(30, rng)
+        values = rng.uniform(1.0, 2.0, 30)
+        series = PriceSeries([dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(30)], values)
         closes = series.closes()
         assert closes is series.closes()
         assert closes.dtype == np.float64
-        assert closes.tolist() == [b.close for b in series.bars]
+        assert closes.tolist() == values.tolist()
+        assert not np.shares_memory(closes, values)
         assert not closes.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             closes[0] = 1.0
@@ -198,8 +321,9 @@ class TestSplit:
     def test_concatenation_is_identity(self, rng):
         series = random_walk(97, rng)
         parts = chronological_split(series, SplitSpec(0.6, 0.2, 0.2))
-        rejoined = parts[0].bars + parts[1].bars + parts[2].bars
-        assert rejoined == series.bars
+        assert parts[0].dates() + parts[1].dates() + parts[2].dates() == series.dates()
+        rejoined = np.concatenate([p.closes() for p in parts])
+        assert rejoined.tolist() == series.closes().tolist()
 
     def test_window_check(self):
         series = make_series(range(1, 101))

@@ -155,10 +155,10 @@ class TestTradingEnv:
         series = random_walk(50, rng)
         env = TradingEnv(series, EnvConfig(window=4, transaction_cost=0.0, initial_cash=5000.0))
         env.reset()
-        first_price = series.bars[env.first_t].close
+        first_price = series.closes()[env.first_t]
         while not env.terminal:
             env.step(1.0)
-        expected = 5000.0 * series.bars[-1].close / first_price
+        expected = 5000.0 * series.closes()[-1] / first_price
         assert env.cash == pytest.approx(expected, rel=1e-9)
 
     def test_telescoping(self, rng):
@@ -223,7 +223,7 @@ class TestTradingEnv:
                 actions.append(action)
                 env.step(action)
                 curve.append(env.cash)
-            prices = [b.close for b in series.bars[env.first_t:]]
+            prices = series.closes()[env.first_t:].tolist()
             expected_curve, _, _ = resimulate(curve[0], actions, prices, [tc] * len(actions))
             assert np.allclose(curve, expected_curve, rtol=1e-9, atol=0.0)
 

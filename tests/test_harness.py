@@ -47,8 +47,8 @@ def write_dataset(tmp_path, n=100, seed=5, name="prices.csv"):
     gen = np.random.default_rng(seed)
     series = random_walk(n, gen)
     lines = ["Date,Open,High,Low,Close,Volume"]
-    for bar in series.bars:
-        lines.append(f"{bar.date.isoformat()},{bar.close},{bar.close},{bar.close},{bar.close},100")
+    for date, close in zip(series.dates(), series.closes().tolist()):
+        lines.append(f"{date.isoformat()},{close},{close},{close},{close},100")
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return path, series
@@ -114,6 +114,19 @@ class TestConfig:
             config_from_dict(raw)
         raw = base_config(tmp_path, strategies=["mrma"], ma_window=4)
         assert config_from_dict(raw).ma_window == 4
+        raw = base_config(tmp_path, strategies=["long"], ma_window=1)
+        assert config_from_dict(raw).ma_window == 1  # unused without mrma/tfma
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"strategies": ["td3", "mrma"], "ma_window": 1}, "ma_window must be >= 2 for mrma, got 1"),
+        ({"strategies": ["tfma"], "ma_window": 0}, "ma_window must be >= 2 for tfma, got 0"),
+        ({"ttest": {"alpha": -3}}, "ttest.alpha must lie in (0, 1), got -3"),
+        ({"ttest": {"alpha": 0}}, "ttest.alpha must lie in (0, 1), got 0"),
+        ({"ttest": {"alpha": 1.0}}, "ttest.alpha must lie in (0, 1), got 1.0"),
+    ])
+    def test_rejects_values_that_would_fail_after_training(self, tmp_path, overrides, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config_from_dict(base_config(tmp_path, **overrides))
 
     @pytest.mark.parametrize("overrides,key", [
         ({"env": {"window": 4, "transacton_cost": 5}}, "env.transacton_cost"),
@@ -201,8 +214,8 @@ class TestEvaluatePolicy:
         assert len(report.daily_returns) == steps
         assert report.return_pct == pytest.approx(
             return_pct(report.equity[0], report.equity[-1]))
-        assert report.dates[0] == series.bars[3].date
-        assert report.action_dates[-1] == series.bars[-2].date
+        assert report.dates[0] == series.dates()[3]
+        assert report.action_dates[-1] == series.dates()[-2]
 
     def test_hold_fee_suppression(self):
         series = make_series([50.0] * 7)
@@ -348,13 +361,13 @@ class TestRunExperiment:
         table, reports, _ = run_experiment(cfg)
         runs = reports["buy_hold"]
         assert len({r.return_pct for r in runs}) == 1
-        assert table.rows[0].return_pct == pytest.approx(runs[0].return_pct)
+        assert table[0].return_pct == pytest.approx(runs[0].return_pct)
 
     def test_outputs_exist_and_roundtrip(self, tmp_path):
         cfg = config_from_dict(base_config(tmp_path))
         table, reports, ttests = run_experiment(cfg)
         for strategy in cfg.strategies:
-            assert len(table.distributions[strategy]) == len(cfg.seeds)
+            assert len(reports[strategy]) == len(cfg.seeds)
         out = cfg.output_dir
         assert os.path.exists(os.path.join(out, "comparison.csv"))
         assert os.path.exists(os.path.join(out, "resolved_config.json"))
@@ -369,7 +382,7 @@ class TestRunExperiment:
             rows = fh.read().strip().splitlines()[1:]
         cash = [float(r.split(",")[1]) for r in rows]
         assert return_pct(cash[0], cash[-1]) == pytest.approx(
-            [r for r in table.rows if r.strategy == "buy_hold"][0].return_pct, abs=1e-9)
+            [r for r in table if r.strategy == "buy_hold"][0].return_pct, abs=1e-9)
 
     def test_actions_stay_in_bounds(self, tmp_path):
         cfg = config_from_dict(base_config(tmp_path))
@@ -405,7 +418,7 @@ class TestRunExperiment:
         cfg_par = config_from_dict({**raw, "output_dir": str(tmp_path / "par"), "workers": 2})
         table_seq, reports_seq, _ = run_experiment(cfg_seq)
         table_par, reports_par, _ = run_experiment(cfg_par)
-        assert table_seq.rows == table_par.rows
+        assert table_seq == table_par
         for strategy in reports_seq:
             for a, b in zip(reports_seq[strategy], reports_par[strategy]):
                 assert a.equity == b.equity
@@ -618,6 +631,21 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         assert not os.path.exists(raw["output_dir"])
+
+    def test_values_that_would_fail_after_training_fail_on_read(self, tmp_path, capsys):
+        raw = base_config(tmp_path, strategies=["td3", "mrma"], ma_window=1, ttest={"alpha": -3})
+        assert main(["compare", "--config", str(self.write_config(tmp_path, raw))]) == 1
+        assert capsys.readouterr().err == "error: ttest.alpha must lie in (0, 1), got -3\n"
+        raw["ttest"] = {"alpha": 0.05}
+        assert main(["compare", "--config", str(self.write_config(tmp_path, raw))]) == 1
+        assert capsys.readouterr().err == "error: ma_window must be >= 2 for mrma, got 1\n"
+        assert not os.path.exists(raw["output_dir"])
+
+    def test_alpha_flag_is_checked(self, tmp_path, capsys):
+        raw = base_config(tmp_path, strategies=["buy_hold"])
+        cfg_path = self.write_config(tmp_path, raw)
+        assert main(["ttest", "--config", str(cfg_path), "--alpha", "5"]) == 1
+        assert capsys.readouterr().err == "error: ttest.alpha must lie in (0, 1), got 5.0\n"
 
     def test_bad_seed_names_the_flag(self, tmp_path, capsys):
         raw = base_config(tmp_path, strategies=["buy_hold"])

@@ -124,7 +124,7 @@ class TestReplayBuffer:
 
 def spiked_series(n=40, spike_at=20, seed=4):
     """A random walk whose close triples once: a short held into it is wiped."""
-    closes = [bar.close for bar in random_walk(n, np.random.default_rng(seed)).bars]
+    closes = random_walk(n, np.random.default_rng(seed)).closes().tolist()
     closes[spike_at + 1:] = [3.0 * c for c in closes[spike_at + 1:]]
     return make_series(closes)
 
