@@ -80,10 +80,7 @@ class DqnAgent:
         self.net = create_mlp((window, *cfg.hidden, len(cfg.actions)), rng)
         self.target_net = clone(self.net)
         self.opt = AdamState.create([self.net.theta], lr=cfg.learning_rate)
-        # action value -> its first index in cfg.actions
-        self._action_index = {}
-        for i, a in enumerate(cfg.actions):
-            self._action_index.setdefault(a, i)
+        self._actions = np.asarray(cfg.actions, dtype=np.float64)
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
         self.updates = 0
         self.episodes_trained = 0
@@ -117,8 +114,7 @@ class DqnAgent:
 
     def random_actions(self, rng: np.random.Generator, n: int) -> list[float]:
         """n uniform picks from the action set in one draw, which leaves ``rng`` where n scalar draws would."""
-        actions = np.asarray(self.config.actions, dtype=np.float64)
-        return actions[rng.integers(len(actions), size=n)].tolist()
+        return self._actions[rng.integers(len(self._actions), size=n)].tolist()
 
     # -- learning -------------------------------------------------------
 
@@ -129,27 +125,26 @@ class DqnAgent:
             raise ValueError(f"buffer holds {len(self.buffer)} < batch size {cfg.batch_size}")
         s, actions, r, s2, term = self.buffer.sample(cfg.batch_size, rng)
         n = len(s)
-        try:
-            idx = np.array([self._action_index[a] for a in actions.tolist()])
-        except KeyError as exc:
-            raise ValueError(
-                f"action {exc.args[0]} not in the discrete action set {cfg.actions}"
-            ) from None
+        hits = actions[:, None] == self._actions
+        found = hits.any(axis=1)
+        if not found.all():
+            raise ValueError(f"action {float(actions[~found][0])} not in the discrete action set {cfg.actions}")
+        idx = hits.argmax(axis=1)  # the first match, for a set that repeats an action
 
         y = dqn_target(r, term, cfg.gamma, forward(self.target_net, s2))
 
         masks = make_dropout_masks(self.net, cfg.dropout, rng)
         tape = Tape()
         q = forward(self.net, s, dropout_masks=masks, tape=tape)
-        taken = q[np.arange(n), idx]
-        resid = taken - y
-        loss = float(np.mean(resid**2))
+        rows = np.arange(n)
+        resid = q[rows, idx] - y
+        loss = float(np.add.reduce(resid * resid)) / n  # np.mean's sum and divide
 
         upstream = np.zeros_like(q)
-        upstream[np.arange(n), idx] = 2.0 * resid / n
+        upstream[rows, idx] = 2.0 * resid / n
         grad = np.empty_like(self.net.theta)
-        backward(self.net, s, upstream, dropout_masks=masks, tape=tape, out=grad)
-        self.net.theta[...] = adam_step([self.net.theta], [grad], self.opt)[0][0]
+        backward(self.net, s, upstream, dropout_masks=masks, tape=tape, out=grad, wrt="params")
+        adam_step([self.net.theta], [grad], self.opt)
 
         self.updates += 1
         if self.updates % cfg.target_sync == 0:

@@ -114,16 +114,17 @@ def actor_gradient(actor: Mlp, critic: Mlp, states: np.ndarray):
     """Gradient of J = mean_i Q(s_i, pi(s_i)) w.r.t. the actor parameters.
 
     dQ/da is taken from the critic's input gradient at the action slot and
-    chained through the actor. Returns (grads, J).
+    chained through the actor; the critic's own parameter gradients are
+    never computed. Returns (grads, J).
     """
     n = states.shape[0]
     actor_tape, critic_tape = Tape(), Tape()
     a_pi = forward(actor, states, tape=actor_tape)
-    x = np.hstack([states, a_pi])
+    x = np.concatenate([states, a_pi], axis=1)
     q = forward(critic, x, tape=critic_tape)
-    _, dx = backward(critic, x, np.full((n, 1), 1.0 / n), tape=critic_tape)
+    _, dx = backward(critic, x, np.full((n, 1), 1.0 / n), tape=critic_tape, wrt="input")
     da = dx[:, states.shape[1]:]
-    grads, _ = backward(actor, states, da, tape=actor_tape)
+    grads, _ = backward(actor, states, da, tape=actor_tape, wrt="params")
     return grads, float(np.mean(q))
 
 
@@ -188,20 +189,20 @@ class Td3Agent:
         a2 = td3_target_action(self.actor_target, s2, schedule_value(cfg.policy_noise, episode),
                                schedule_value(cfg.noise_clip, episode), cfg.action_low,
                                cfg.action_high, rng)
-        x2 = np.hstack([s2, a2])
+        x2 = np.concatenate([s2, a2], axis=1)
         y = td3_critic_target(r, term, cfg.gamma, forward(self.critic1_target, x2)[:, 0],
                               forward(self.critic2_target, x2)[:, 0])
 
-        x = np.hstack([s, a[:, None]])
+        x = np.concatenate([s, a[:, None]], axis=1)
         losses = []
         for critic, opt in ((self.critic1, self.critic1_opt), (self.critic2, self.critic2_opt)):
             tape = Tape()
             q = forward(critic, x, tape=tape)[:, 0]
             resid = q - y
-            losses.append(float(np.mean(resid**2)))
+            losses.append(float(np.add.reduce(resid * resid)) / n)  # np.mean's sum and divide
             grad = np.empty_like(critic.theta)
-            backward(critic, x, (2.0 * resid / n)[:, None], tape=tape, out=grad)
-            critic.theta[...] = adam_step([critic.theta], [grad], opt)[0][0]
+            backward(critic, x, (2.0 * resid / n)[:, None], tape=tape, out=grad, wrt="params")
+            adam_step([critic.theta], [grad], opt)
 
         diag = {
             "loss": 0.5 * (losses[0] + losses[1]),
@@ -216,15 +217,14 @@ class Td3Agent:
             actor_grads, _ = actor_gradient(self.actor, self.critic1, s)
             # the global norm sums layer by layer, so clip the per-layer views
             actor_grads = clip_gradients(actor_grads, cfg.grad_clip_norm)
-            descent = -flatten(actor_grads)
-            self.actor.theta[...] = adam_step([self.actor.theta], [descent], self.actor_opt)[0][0]
+            adam_step([self.actor.theta], [-flatten(actor_grads)], self.actor_opt)
 
             for target, source in (
                 (self.actor_target, self.actor),
                 (self.critic1_target, self.critic1),
                 (self.critic2_target, self.critic2),
             ):
-                target.theta[...] = soft_update([target.theta], [source.theta], cfg.tau)[0]
+                soft_update([target.theta], [source.theta], cfg.tau)
         return diag
 
     # -- snapshots ------------------------------------------------------

@@ -12,10 +12,14 @@ array operation on ``theta``. :func:`backward` writes the parameter
 gradients into one vector laid out like ``theta`` and returns per-layer
 views of it.
 
-:func:`forward` can record the values of each layer on a :class:`Tape`;
+Each kernel computes only what its caller reads. :func:`forward` adds the
+bias and applies the activation in place on each layer's product, and can
+record each layer's input and activation on a :class:`Tape`;
 :func:`backward` given that tape uses them instead of running the forward
-pass again. Without a tape it runs the same forward pass itself, so both
-give bit-identical gradients.
+pass again (without one it runs the same pass itself, so both give
+bit-identical gradients). ``backward(..., wrt=...)`` computes the parameter
+gradients, the input gradient or both. :func:`adam_step` and
+:func:`soft_update` move their first argument in place and return None.
 
 The list helpers (:func:`get_params`, :func:`set_params`, :func:`adam_step`,
 :func:`clip_gradients`, :func:`soft_update`) take parameter lists: either
@@ -38,23 +42,10 @@ OUTPUT_ACTIVATIONS = ("identity", "tanh")
 _CHECKPOINT_VERSION = 1
 
 
-def _apply(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "identity":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # a is the already-computed activation of z
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    if name == "tanh":
-        return 1.0 - a * a
-    raise ValueError(f"unknown activation {name!r}")
+def _grad(name: str, a: np.ndarray) -> np.ndarray:
+    """The derivative of a relu or tanh from its output ``a``; relu's is a bool
+    mask, which multiplies as 1.0/0.0."""
+    return a > 0.0 if name == "relu" else 1.0 - a * a
 
 
 def _param_views(dims, flat: np.ndarray) -> list[np.ndarray]:
@@ -81,6 +72,7 @@ class Mlp:
     output_activation: str = "identity"
     weights: list[np.ndarray] = field(init=False, repr=False)
     biases: list[np.ndarray] = field(init=False, repr=False)
+    activations: tuple[str, ...] = field(init=False, repr=False)  # one name per layer
 
     def __post_init__(self):
         size = _param_count(self.layer_dims)
@@ -90,8 +82,13 @@ class Mlp:
                 f"theta must be a contiguous float64 vector of {size} parameters for dims "
                 f"{self.layer_dims}, got {theta.dtype} {theta.shape}"
             )
+        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
+            raise ValueError(f"hidden activation must be one of {HIDDEN_ACTIVATIONS}")
+        if self.output_activation not in OUTPUT_ACTIVATIONS:
+            raise ValueError(f"output activation must be one of {OUTPUT_ACTIVATIONS}")
         views = _param_views(self.layer_dims, theta)
         self.weights, self.biases = views[0::2], views[1::2]
+        self.activations = (self.hidden_activation,) * (len(self.weights) - 1) + (self.output_activation,)
 
     @property
     def in_dim(self) -> int:
@@ -100,9 +97,6 @@ class Mlp:
     @property
     def out_dim(self) -> int:
         return self.layer_dims[-1]
-
-    def activation_for(self, layer: int) -> str:
-        return self.output_activation if layer == len(self.weights) - 1 else self.hidden_activation
 
 
 def create_mlp(
@@ -115,10 +109,6 @@ def create_mlp(
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError(f"invalid layer dims {dims}")
-    if hidden_activation not in HIDDEN_ACTIVATIONS:
-        raise ValueError(f"hidden activation must be one of {HIDDEN_ACTIVATIONS}")
-    if output_activation not in OUTPUT_ACTIVATIONS:
-        raise ValueError(f"output activation must be one of {OUTPUT_ACTIVATIONS}")
     net = Mlp(dims, np.empty(_param_count(dims)), hidden_activation, output_activation)
     for w, b in zip(net.weights, net.biases):
         bound = 1.0 / np.sqrt(w.shape[0])
@@ -179,8 +169,9 @@ def make_dropout_masks(net: Mlp, rate: float, rng: np.random.Generator):
 class Tape:
     """What one forward pass computed, kept for the backward pass that follows.
 
-    Per layer: its input (after the previous layer's dropout), its
-    pre-activation and its activation (before dropout). A tape holds one
+    Per layer: its input (after the previous layer's dropout) and its
+    activation (before dropout). Each activation's derivative is a function
+    of the activation itself, so no pre-activation is kept. A tape holds one
     pass; recording another overwrites it.
     """
 
@@ -188,22 +179,24 @@ class Tape:
         self.net: Mlp | None = None
         self.dropout_masks = None
         self.inputs: list[np.ndarray] = []
-        self.pres: list[np.ndarray] = []
         self.posts: list[np.ndarray] = []
 
 
 def _forward_pass(net: Mlp, x: np.ndarray, dropout_masks, tape: Tape | None) -> np.ndarray:
     if tape is not None:
         tape.net, tape.dropout_masks = net, dropout_masks
-        tape.inputs, tape.pres, tape.posts = [], [], []
+        tape.inputs, tape.posts = [], []
     a = x
     last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
-        h = _apply(net.activation_for(i), z)
+    for i, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
+        h = a @ w
+        h += b
+        if act == "relu":
+            np.maximum(h, 0.0, out=h)
+        elif act == "tanh":
+            np.tanh(h, out=h)
         if tape is not None:
             tape.inputs.append(a)
-            tape.pres.append(z)
             tape.posts.append(h)
         a = h if dropout_masks is None or i == last else h * dropout_masks[i]
     return a
@@ -224,7 +217,8 @@ def forward(net: Mlp, x, dropout_masks=None, tape: Tape | None = None) -> np.nda
     return out[0] if squeeze else out
 
 
-def backward(net: Mlp, x, upstream_grad, dropout_masks=None, tape: Tape | None = None, out=None):
+def backward(net: Mlp, x, upstream_grad, dropout_masks=None, tape: Tape | None = None, out=None,
+             wrt: str = "both"):
     """Exact gradients of sum(output * upstream_grad) w.r.t. params and input.
 
     Returns (param_grads, input_grad) with param_grads ordered like
@@ -233,8 +227,12 @@ def backward(net: Mlp, x, upstream_grad, dropout_masks=None, tape: Tape | None =
     parameter gradients accumulate over rows; the caller folds any 1/N into
     ``upstream_grad``. ``tape`` is the record of ``forward(net, x,
     dropout_masks, tape=tape)`` with the current parameters; without one the
-    forward pass runs here.
+    forward pass runs here. ``wrt`` is ``"both"``, ``"params"`` or
+    ``"input"``; the gradient it leaves out is not computed and comes back
+    as None.
     """
+    if wrt not in ("both", "params", "input"):
+        raise ValueError(f"wrt must be one of 'both', 'params' or 'input', got {wrt!r}")
     batch, squeeze = _as_batch(x)
     up, _ = _as_batch(upstream_grad)
     if batch.shape[1] != net.in_dim:
@@ -246,28 +244,30 @@ def backward(net: Mlp, x, upstream_grad, dropout_masks=None, tape: Tape | None =
         _forward_pass(net, batch, dropout_masks, tape)
     elif tape.net is not net or tape.dropout_masks is not dropout_masks or tape.inputs[0].shape != batch.shape:
         raise ValueError("tape was recorded for another network, input shape or dropout masks")
-    if out is None:
-        out = np.empty_like(net.theta)
-    elif out.shape != net.theta.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"gradient buffer must be a contiguous float64 vector of shape {net.theta.shape}")
-
-    grads = _param_views(net.layer_dims, out)
+    grads = None
+    if wrt != "input":
+        if out is None:
+            out = np.empty_like(net.theta)
+        elif out.shape != net.theta.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(f"gradient buffer must be a contiguous float64 vector of shape {net.theta.shape}")
+        grads = _param_views(net.layer_dims, out)
     last = len(net.weights) - 1
     g = up
     for i in range(last, -1, -1):
-        act_name = net.activation_for(i)
-        if act_name == "identity":
+        act = net.activations[i]
+        if act == "identity":
             delta = g  # g * 1.0, exactly
         else:
-            local = _grad(act_name, tape.pres[i], tape.posts[i])
+            local = _grad(act, tape.posts[i])
             if dropout_masks is not None and i < last:
                 local = local * dropout_masks[i]
             delta = g * local
-        np.matmul(tape.inputs[i].T, delta, out=grads[2 * i])
-        np.add.reduce(delta, axis=0, out=grads[2 * i + 1])
-        g = delta @ net.weights[i].T
-    input_grad = g[0] if squeeze else g
-    return grads, input_grad
+        if grads is not None:
+            np.matmul(tape.inputs[i].T, delta, out=grads[2 * i])
+            np.add.reduce(delta, axis=0, out=grads[2 * i + 1])
+        if i > 0 or wrt != "params":
+            g = delta @ net.weights[i].T
+    return grads, None if wrt == "params" else (g[0] if squeeze else g)
 
 
 @dataclass
@@ -288,8 +288,8 @@ class AdamState:
         return cls(**hyper, m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
-def adam_step(params, grads, opt: AdamState):
-    """One Adam update. Returns (new_params, opt); ``opt``'s moments are updated in place."""
+def adam_step(params, grads, opt: AdamState) -> None:
+    """One Adam update of ``params``, ``opt``'s moments and its step, in place once every check passed."""
     if len(params) != len(grads) or len(params) != len(opt.m):
         raise ValueError("parameter/gradient/moment list lengths differ")
     for p, g in zip(params, grads):
@@ -301,7 +301,6 @@ def adam_step(params, grads, opt: AdamState):
     t = opt.step
     bc1 = 1.0 - opt.beta1**t
     bc2 = 1.0 - opt.beta2**t
-    new_params = []
     for p, g, m, v in zip(params, grads, opt.m, opt.v):
         # m <- beta1 * m + (1 - beta1) * g and v <- beta2 * v + (1 - beta2) * g^2
         m *= opt.beta1
@@ -314,8 +313,7 @@ def adam_step(params, grads, opt: AdamState):
         step = m / bc1
         step *= opt.lr
         step /= denom
-        new_params.append(p - step)
-    return new_params, opt
+        p -= step
 
 
 def global_norm(grads) -> float:
@@ -333,18 +331,18 @@ def clip_gradients(grads, max_norm: float):
     return [g * scale for g in grads]
 
 
-def soft_update(target_params, source_params, tau: float):
-    """Polyak mix: target <- tau * source + (1 - tau) * target, elementwise."""
+def soft_update(target_params, source_params, tau: float) -> None:
+    """Polyak mix in place once every check passed: target <- tau * source + (1 - tau) * target."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     if len(target_params) != len(source_params):
         raise ValueError("parameter list lengths differ")
-    out = []
     for tgt, src in zip(target_params, source_params):
         if tgt.shape != src.shape:
             raise ValueError(f"shape mismatch {tgt.shape} vs {src.shape}")
-        out.append(tau * src + (1.0 - tau) * tgt)
-    return out
+    for tgt, src in zip(target_params, source_params):
+        tgt *= 1.0 - tau
+        tgt += tau * src  # the same sum as tau * src + (1 - tau) * tgt: addition commutes
 
 
 def flatten(params) -> np.ndarray:

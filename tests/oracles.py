@@ -3,8 +3,11 @@
 Everything here is deliberately written as plain scalar loops with its own
 branch structure so it shares no code path with the implementations it
 verifies; ``reference_load_csv`` is the row-object CSV loader that the
-columnar ``load_csv`` replaced. The exceptions are the list-based agent
-updates at the end: they drive the package's public kernel functions the
+columnar ``load_csv`` replaced, and the dense-kernel references
+(``reference_forward_pass``, ``reference_backward``, ``reference_adam_step``,
+``reference_soft_update``) are the kernel as it ran before it worked in
+place, so the lean kernel can be held to its bits. The exceptions are the
+list-based agent updates at the end: they drive the package's public kernel functions the
 way the agents did before parameters became one flat vector, and gather
 each replay batch one stored row at a time from the buffer's ring and
 table, so the flat update and ``ReplayBuffer.sample`` can be checked against
@@ -33,7 +36,6 @@ from tradelab.neuralnet import (
     get_params,
     global_norm,
     make_dropout_masks,
-    set_params,
     soft_update,
 )
 
@@ -267,6 +269,105 @@ def reference_load_csv(path, columns=None, warnings=None):
     return [r.date for r in records], [r.close for r in records]
 
 
+# -- the reference dense kernel ----------------------------------------------
+#
+# The forward pass, backward pass, Adam step and Polyak mix as the kernel ran
+# them before they worked in place: every layer keeps its pre-activation,
+# backward always computes both the parameter and the input gradients, and
+# Adam and Polyak return new arrays. The lean kernel must give the same bits.
+
+
+class ReferenceTape:
+    """Per layer: its input, its pre-activation and its activation (before dropout)."""
+
+    def __init__(self):
+        self.inputs, self.pres, self.posts = [], [], []
+
+
+def _reference_activation(net, layer):
+    return net.output_activation if layer == len(net.weights) - 1 else net.hidden_activation
+
+
+def reference_forward_pass(net, x, dropout_masks=None, tape=None):
+    """Output of ``net`` on the (batch, in_dim) array ``x``, recording on ``tape``."""
+    a = x
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ w + b
+        name = _reference_activation(net, i)
+        if name == "relu":
+            h = np.maximum(z, 0.0)
+        elif name == "tanh":
+            h = np.tanh(z)
+        else:
+            h = z
+        if tape is not None:
+            tape.inputs.append(a)
+            tape.pres.append(z)
+            tape.posts.append(h)
+        a = h if dropout_masks is None or i == last else h * dropout_masks[i]
+    return a
+
+
+def reference_backward(net, x, upstream_grad, dropout_masks=None):
+    """(param_grads, input_grad) of sum(output * upstream_grad) for the
+    (batch, in_dim) array ``x``: per-layer views [dW0, db0, ...] into one
+    vector laid out like ``net.theta``, and the (batch, in_dim) input gradient."""
+    tape = ReferenceTape()
+    reference_forward_pass(net, x, dropout_masks, tape)
+    flat = np.empty_like(net.theta)
+    grads, start = [], 0
+    for w in net.weights:
+        fan_in, fan_out = w.shape
+        grads.append(flat[start : start + fan_in * fan_out].reshape(fan_in, fan_out))
+        grads.append(flat[start + fan_in * fan_out : start + (fan_in + 1) * fan_out])
+        start += (fan_in + 1) * fan_out
+    last = len(net.weights) - 1
+    g = upstream_grad
+    for i in range(last, -1, -1):
+        name = _reference_activation(net, i)
+        if name == "identity":
+            delta = g
+        else:
+            if name == "relu":
+                local = (tape.pres[i] > 0.0).astype(np.float64)
+            else:
+                local = 1.0 - tape.posts[i] * tape.posts[i]
+            if dropout_masks is not None and i < last:
+                local = local * dropout_masks[i]
+            delta = g * local
+        np.matmul(tape.inputs[i].T, delta, out=grads[2 * i])
+        np.add.reduce(delta, axis=0, out=grads[2 * i + 1])
+        g = delta @ net.weights[i].T
+    return grads, g
+
+
+def reference_adam_step(params, grads, opt):
+    """One Adam update: new parameter arrays; ``opt``'s moments and step move in place."""
+    opt.step += 1
+    t = opt.step
+    bc1 = 1.0 - opt.beta1**t
+    bc2 = 1.0 - opt.beta2**t
+    new_params = []
+    for p, g, m, v in zip(params, grads, opt.m, opt.v):
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * (g * g)
+        denom = np.sqrt(v / bc2)
+        denom += opt.eps
+        step = m / bc1
+        step *= opt.lr
+        step /= denom
+        new_params.append(p - step)
+    return new_params
+
+
+def reference_soft_update(target_params, source_params, tau):
+    """New arrays tau * source + (1 - tau) * target."""
+    return [tau * src + (1.0 - tau) * tgt for tgt, src in zip(target_params, source_params)]
+
+
 # -- list-based agent updates ------------------------------------------------
 
 
@@ -287,8 +388,8 @@ def _gather_batch(buffer, batch_size, rng):
 class ListTd3Update:
     """TD3's update with per-layer parameter lists.
 
-    Every backward runs its own forward pass, Adam and Polyak mixing go layer
-    by layer through get_params/set_params, and the actor gradient is
+    Every backward runs its own forward pass and computes both gradients,
+    Adam and Polyak mixing go layer by layer on the get_params views, and the actor gradient is
     rebuilt here from forward and backward. It moves the networks of the
     agent it is given and keeps its own per-layer Adam state.
     """
@@ -325,8 +426,7 @@ class ListTd3Update:
             critic = getattr(ag, name)
             resid = forward(critic, x)[:, 0] - y
             grads, _ = backward(critic, x, (2.0 * resid / n)[:, None])
-            new_params, _ = adam_step(get_params(critic), grads, self.opts[name])
-            set_params(critic, new_params)
+            adam_step(get_params(critic), grads, self.opts[name])
 
         self.updates += 1
         if self.updates % cfg.policy_delay == 0:
@@ -336,11 +436,10 @@ class ListTd3Update:
             grads, _ = backward(ag.actor, s, dx[:, s.shape[1]:])
             self.actor_grad_norms.append(global_norm(grads))
             grads = clip_gradients(grads, cfg.grad_clip_norm)
-            new_params, _ = adam_step(get_params(ag.actor), [-g for g in grads], self.opts["actor"])
-            set_params(ag.actor, new_params)
+            adam_step(get_params(ag.actor), [-g for g in grads], self.opts["actor"])
             for target, source in ((ag.actor_target, ag.actor), (ag.critic1_target, ag.critic1),
                                    (ag.critic2_target, ag.critic2)):
-                set_params(target, soft_update(get_params(target), get_params(source), cfg.tau))
+                soft_update(get_params(target), get_params(source), cfg.tau)
 
 
 class ListDqnUpdate:
@@ -365,8 +464,7 @@ class ListDqnUpdate:
         upstream = np.zeros_like(q)
         upstream[np.arange(n), idx] = 2.0 * resid / n
         grads, _ = backward(ag.net, s, upstream, dropout_masks=masks)
-        new_params, _ = adam_step(get_params(ag.net), grads, self.opt)
-        set_params(ag.net, new_params)
+        adam_step(get_params(ag.net), grads, self.opt)
 
         self.updates += 1
         if self.updates % cfg.target_sync == 0:

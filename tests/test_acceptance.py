@@ -258,7 +258,9 @@ def test_criterion_08_schedule_and_mixing_algebra():
     """The derived schedule, Polyak-mixing, and clipping examples to 1e-9."""
     sched = schedule_value(DecaySchedule(0.5, 0.05, 50.0), 50)
     sched_expected = 0.05 + 0.45 * math.exp(-1.0)
-    mixed = soft_update([np.array([0.0])], [np.array([1.0])], 0.005)[0][0]
+    target = [np.array([0.0])]
+    soft_update(target, [np.array([1.0])], 0.005)
+    mixed = target[0][0]
     clipped = clip_gradients([np.array([6.0]), np.array([8.0])], 1.0)
     clip_ok = (abs(clipped[0][0] - 0.6) < 1e-9 and abs(clipped[1][0] - 0.8) < 1e-9
                and abs(global_norm(clipped) - 1.0) < 1e-9)

@@ -123,6 +123,14 @@ class TestUpdate:
         with pytest.raises(ValueError, match="not in the discrete action set"):
             agent.update(0, np.random.default_rng(0))
 
+    def test_repeated_action_trains_its_first_index(self, rng):
+        agent = DqnAgent(2, small_config(batch_size=4, hidden=(), actions=(-1.0, 1.0, -1.0)), seed=1)
+        push_pairs(agent.buffer, [(rng.normal(size=2), -1.0, 1.0, rng.normal(size=2), False)] * 4)
+        before = agent.net.weights[0].copy()
+        agent.update(0, np.random.default_rng(0))
+        moved = (agent.net.weights[0] != before).any(axis=0)
+        assert moved.tolist() == [True, False, False]
+
     def test_chain_mdp_matches_value_iteration(self):
         # 3-state deterministic chain, reward only for moving right from the end
         next_state = np.array([[0, 1], [0, 2], [1, 2]])

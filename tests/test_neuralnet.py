@@ -94,6 +94,11 @@ class TestBackward:
         assert all(np.all(g == 0) for g in grads)
         assert np.all(input_grad == 0)
 
+    def test_unknown_wrt_is_rejected_by_name(self, rng):
+        net = create_mlp((3, 2), rng)
+        with pytest.raises(ValueError, match="wrt must be one of 'both', 'params' or 'input', got 'weights'"):
+            backward(net, np.ones(3), np.ones(2), wrt="weights")
+
     @pytest.mark.parametrize("hidden_act,out_act", [("relu", "identity"), ("tanh", "tanh")])
     def test_gradients_match_finite_differences(self, hidden_act, out_act, rng):
         for _ in range(5):
@@ -159,23 +164,24 @@ class TestDropout:
 class TestAdam:
     def test_zero_gradient_keeps_params(self, rng):
         params = [rng.normal(size=(3, 2)), rng.normal(size=2)]
+        before = [p.copy() for p in params]
         opt = AdamState.create(params, lr=0.01)
-        new_params, opt = adam_step(params, [np.zeros_like(p) for p in params], opt)
+        assert adam_step(params, [np.zeros_like(p) for p in params], opt) is None
         assert opt.step == 1
-        for p, q in zip(params, new_params):
+        for p, q in zip(params, before):
             assert np.array_equal(p, q)
 
     def test_first_step_moves_by_learning_rate(self):
         params = [np.array([5.0])]
         opt = AdamState.create(params, lr=1e-3)
-        new_params, _ = adam_step(params, [np.array([1.0])], opt)
-        assert new_params[0][0] == pytest.approx(5.0 - 1e-3, abs=1e-9)
+        adam_step(params, [np.array([1.0])], opt)
+        assert params[0][0] == pytest.approx(5.0 - 1e-3, abs=1e-9)
 
     def test_minimizes_quadratic(self):
         x = [np.array([1.0])]
         opt = AdamState.create(x, lr=0.1)
         for _ in range(100):
-            x, opt = adam_step(x, [2.0 * x[0]], opt)
+            adam_step(x, [2.0 * x[0]], opt)
         assert abs(x[0][0]) < 0.5
 
     def test_create_defaults_are_the_dataclass_defaults(self):
@@ -189,12 +195,14 @@ class TestAdam:
         opt = AdamState.create(params)
         with pytest.raises(ValueError, match="non-finite"):
             adam_step(params, [np.array([float("inf")])], opt)
+        assert params[0].tolist() == [1.0] and opt.step == 0 and not opt.m[0].any()
 
     def test_rejects_shape_mismatch(self):
         params = [np.array([1.0, 2.0])]
         opt = AdamState.create(params)
         with pytest.raises(ValueError, match="shape"):
             adam_step(params, [np.array([1.0])], opt)
+        assert params[0].tolist() == [1.0, 2.0] and opt.step == 0
 
 
 class TestClip:
@@ -224,25 +232,34 @@ class TestClip:
 
 class TestSoftUpdate:
     def test_full_copy(self):
-        out = soft_update([np.zeros(3)], [np.ones(3)], 1.0)
-        assert np.array_equal(out[0], np.ones(3))
+        target = [np.zeros(3)]
+        assert soft_update(target, [np.ones(3)], 1.0) is None
+        assert np.array_equal(target[0], np.ones(3))
 
     def test_no_update(self):
-        out = soft_update([np.zeros(3)], [np.ones(3)], 0.0)
-        assert np.array_equal(out[0], np.zeros(3))
+        target = [np.zeros(3)]
+        soft_update(target, [np.ones(3)], 0.0)
+        assert np.array_equal(target[0], np.zeros(3))
 
     def test_small_mix(self):
-        out = soft_update([np.array([0.0])], [np.array([1.0])], 0.005)
-        assert out[0][0] == pytest.approx(0.005, abs=1e-12)
+        target = [np.array([0.0])]
+        soft_update(target, [np.array([1.0])], 0.005)
+        assert target[0][0] == pytest.approx(0.005, abs=1e-12)
 
     def test_contraction_toward_source(self, rng):
         target = [rng.normal(size=(3, 3))]
         source = [rng.normal(size=(3, 3))]
         tau = 0.1
-        mixed = soft_update(target, source, tau)
         gap_before = np.abs(target[0] - source[0])
-        gap_after = np.abs(mixed[0] - source[0])
+        soft_update(target, source, tau)
+        gap_after = np.abs(target[0] - source[0])
         assert np.allclose(gap_after, (1 - tau) * gap_before, rtol=1e-12)
+
+    def test_shape_mismatch_moves_nothing(self):
+        target = [np.zeros(2), np.zeros(3)]
+        with pytest.raises(ValueError, match="shape mismatch"):
+            soft_update(target, [np.ones(2), np.ones(4)], 0.5)
+        assert not target[0].any()
 
 
 class TestCheckpoint:
@@ -292,6 +309,12 @@ class TestCheckpoint:
         with pytest.raises(ValueError) as err:
             load_nets(path, ("main",), Td3Config(tau=0.5))
         assert str(err.value) == f"{path}: checkpoint was written with a different configuration"
+
+    def test_unknown_activation_fails_at_load(self, rng):
+        payload = checkpoint_payload(create_mlp((2, 3, 1), rng))
+        for key, name in (("hidden_activation", "sigmoid"), ("output_activation", "relu")):
+            with pytest.raises(ValueError, match=key.replace("_", " ") + " must be one of"):
+                net_from_payload({**payload, key: np.array(name)})
 
     def test_clone_is_independent(self, rng):
         net = create_mlp((2, 3, 1), rng)
