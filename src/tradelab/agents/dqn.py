@@ -87,22 +87,18 @@ class DqnAgent:
 
     # -- acting ---------------------------------------------------------
 
-    def q_values(self, state) -> np.ndarray:
-        return forward(self.net, state)
-
-    def greedy_index(self, state) -> int:
-        # np.argmax breaks ties toward the lowest index
-        return int(np.argmax(self.q_values(state)))
-
     def policy(self, state) -> float:
-        return self.config.actions[self.greedy_index(state)]
+        """Greedy action: ``policies`` of a one-row stack."""
+        return self.policies(np.asarray(state, dtype=np.float64)[None])[0]
 
     def policies(self, rows) -> list[float]:
-        """Greedy actions for a (n, window) array of states, the network run over
-        blocks of ``batch_size`` rows."""
+        """Greedy actions for a (n, window) array of states; np.argmax breaks ties
+        toward the lowest index. The network runs over (k, 1, window) stacks of
+        ``batch_size`` rows, so each row's Q-values have exactly the bits of a
+        single-row forward."""
         cfg = self.config
         step = cfg.batch_size
-        best = [np.argmax(forward(self.net, rows[i : i + step]), axis=1)
+        best = [np.argmax(forward(self.net, rows[i : i + step, None])[:, 0], axis=1)
                 for i in range(0, len(rows), step)]
         return [cfg.actions[k] for k in np.concatenate(best).tolist()]
 

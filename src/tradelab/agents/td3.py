@@ -152,18 +152,16 @@ class Td3Agent:
     # -- acting ---------------------------------------------------------
 
     def policy(self, state) -> float:
-        """Deterministic (evaluation) action."""
-        cfg = self.config
-        return float(min(max(float(forward(self.actor, state)[0]), cfg.action_low), cfg.action_high))
+        """Deterministic (evaluation) action: ``policies`` of a one-row stack."""
+        return self.policies(np.asarray(state, dtype=np.float64)[None])[0]
 
     def policies(self, rows) -> list[float]:
-        """Deterministic actions for a (n, window) array of states, the actor run over
-        blocks of ``batch_size`` rows. A batched product rounds differently from
-        the single-row one, so an action may differ from ``policy(row)`` in the
-        last bits."""
+        """Deterministic actions for a (n, window) array of states, clamped to the
+        action bounds. The actor runs over (k, 1, window) stacks of ``batch_size``
+        rows, so each action has exactly the bits of a single-row forward."""
         cfg = self.config
         step = cfg.batch_size
-        out = [forward(self.actor, rows[i : i + step])[:, 0] for i in range(0, len(rows), step)]
+        out = [forward(self.actor, rows[i : i + step, None]).ravel() for i in range(0, len(rows), step)]
         return np.clip(np.concatenate(out), cfg.action_low, cfg.action_high).tolist()
 
     def explore_action(self, state, episode: int, rng: np.random.Generator) -> float:

@@ -326,9 +326,9 @@ _DISCRETIZERS = {"td3_sign": sign_discretize, "td3_d3": d3_discretize}
 def evaluate_strategies(cfg: ExperimentConfig, agents: dict, segment, seed: int) -> dict[str, RunReport]:
     """One test-segment pass per requested strategy for one seed.
 
-    An agent acts row by row, one single-row forward per bar; its actions are
-    computed on the first pass that needs them and shared by all of its
-    strategies. A baseline calls ``act`` once per bar.
+    An agent's actions come from one ``policies`` call, made on the first pass
+    that needs them and shared by all of its strategies; they carry the bits
+    of one single-row forward per bar. A baseline calls ``act`` once per bar.
     """
     agent_actions: dict[str, list] = {}  # agent kind -> its raw action per decision row
 
@@ -336,7 +336,7 @@ def evaluate_strategies(cfg: ExperimentConfig, agents: dict, segment, seed: int)
         if strategy in AGENT_STRATEGIES:
             kind = AGENT_OF[strategy]
             if kind not in agent_actions:
-                agent_actions[kind] = [agents[kind].policy(row) for row in rows]
+                agent_actions[kind] = agents[kind].policies(rows)
             return list(map(_DISCRETIZERS.get(strategy, float), agent_actions[kind]))
         spec = StrategySpec(kind=strategy, ma_window=cfg.ma_window)
         rng = np.random.default_rng([seed, EVAL_STREAM[strategy]]) if is_random(strategy) else None

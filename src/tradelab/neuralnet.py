@@ -144,13 +144,14 @@ def clone(net: Mlp) -> Mlp:
     return Mlp(net.layer_dims, net.theta.copy(), net.hidden_activation, net.output_activation)
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
+def _as_batch(x, stack: bool = False) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         return arr[None, :], True
-    if arr.ndim == 2:
+    if arr.ndim == 2 or stack and arr.ndim == 3 and arr.shape[1] == 1:
         return arr, False
-    raise ValueError(f"input must be a vector or a batch of vectors, got ndim {arr.ndim}")
+    kinds = "a vector, a batch or an (n, 1, dim) stack" if stack else "a vector or a batch of vectors"
+    raise ValueError(f"input must be {kinds}, got shape {arr.shape}")
 
 
 def make_dropout_masks(net: Mlp, rate: float, rng: np.random.Generator):
@@ -203,14 +204,19 @@ def _forward_pass(net: Mlp, x: np.ndarray, dropout_masks, tape: Tape | None) -> 
 
 
 def forward(net: Mlp, x, dropout_masks=None, tape: Tape | None = None) -> np.ndarray:
-    """Evaluate the network; accepts a single vector or a (batch, dim) array.
+    """Evaluate the network on a vector, a (batch, dim) array or an (n, 1, dim) stack.
 
-    With a ``tape``, the values of every layer are recorded on it for
-    :func:`backward`.
+    A stack's outputs, shaped (n, 1, out), carry exactly the bits of n
+    single-vector calls: numpy's matmul runs one gemv (or dot) per item of a
+    stack, the routine a single row gets, while a (batch, dim) product runs
+    a gemm that may round differently. With a ``tape``, the values of every
+    layer are recorded on it for :func:`backward`; a stack takes no tape.
     """
-    batch, squeeze = _as_batch(x)
-    if batch.shape[1] != net.in_dim:
-        raise ValueError(f"input dim {batch.shape[1]} != network input {net.in_dim}")
+    batch, squeeze = _as_batch(x, stack=True)
+    if batch.ndim == 3 and tape is not None:
+        raise ValueError("a stack of rows is evaluated without a tape")
+    if batch.shape[-1] != net.in_dim:
+        raise ValueError(f"input dim {batch.shape[-1]} != network input {net.in_dim}")
     if not np.isfinite(batch).all():
         raise ValueError("non-finite input")
     out = _forward_pass(net, batch, dropout_masks, tape)

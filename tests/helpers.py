@@ -5,6 +5,7 @@ import datetime as dt
 import numpy as np
 
 from tradelab.data import PriceSeries
+from tradelab.env import EnvConfig, TradingEnv
 
 
 def make_series(closes, start=dt.date(2020, 1, 1)):
@@ -31,6 +32,15 @@ def random_walk(n, rng, start_price=100.0, scale=0.02):
     for _ in range(n - 1):
         closes.append(max(closes[-1] * (1.0 + rng.normal(0.0, scale)), 1e-3))
     return make_series(closes)
+
+
+def observation_rows(window, n, seed=0, scale=0.3):
+    """The first ``n`` rows of a random walk's observation table: sliding-window
+    views, as the harness passes them to the agents."""
+    series = random_walk(n + window + 1, np.random.default_rng(seed), scale=scale)
+    rows = TradingEnv(series, EnvConfig(window=window)).observation_table()[:n]
+    assert len(rows) == n
+    return rows
 
 
 def push_pairs(buffer, steps):

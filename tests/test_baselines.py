@@ -42,6 +42,14 @@ class TestTechnicalStrategies:
         series = make_series([10, 10, 10, 13])
         assert moving_average(series.closes(), 3, 3) == pytest.approx(11.0)
 
+    @pytest.mark.parametrize("window", [2, 20, 499])  # 499: the longest window 500 bars allow
+    def test_moving_average_is_np_mean(self, rng, window):
+        closes = random_walk(500, rng).closes()
+        for t in range(window, len(closes)):
+            ma = moving_average(closes, t, window)
+            assert type(ma) is float
+            assert ma == closes[t - window + 1 : t + 1].mean()
+
     def test_mean_reversion_hand_example(self):
         series = make_series([10, 10, 10, 13])
         assert act(StrategySpec(kind="mrma", ma_window=3), 3, series) == -1.0

@@ -14,7 +14,7 @@ from tradelab.agents import (
 from tradelab.env import EnvConfig
 from tradelab.neuralnet import clone, forward, get_params, set_params
 
-from helpers import alternating_series, push_pairs
+from helpers import alternating_series, observation_rows, push_pairs
 from oracles import value_iteration
 
 
@@ -69,7 +69,7 @@ class TestExploration:
     def test_greedy_is_deterministic_argmax(self):
         agent = DqnAgent(2, small_config(epsilon=DecaySchedule(0.0, 0.0, 1.0)), seed=0)
         state = np.array([0.3, -0.7])
-        expected = agent.config.actions[int(np.argmax(agent.q_values(state)))]
+        expected = agent.config.actions[int(np.argmax(forward(agent.net, state)))]
         gen = np.random.default_rng(0)
         assert all(agent.explore_action(state, 0, gen) == expected for _ in range(50))
 
@@ -246,9 +246,15 @@ class TestConfig:
 
 
 class TestBatchedPolicies:
+    """``policies`` runs the network over (k, 1, window) stacks of ``batch_size`` rows;
+    each greedy action comes from the bits of a single-row forward."""
+
     def test_matches_row_by_row_policy(self):
-        agent = DqnAgent(4, small_config(actions=(-1.0, 0.0, 1.0)), seed=3)
-        rows = np.random.default_rng(5).normal(scale=20.0, size=(19, 4))  # 3 blocks of 8
-        batched = agent.policies(rows)
-        assert batched == [agent.policy(row) for row in rows]
-        assert set(batched) == {-1.0, 0.0, 1.0}
+        for actions in ((-1.0, 1.0), (-1.0, 0.0, 1.0)):
+            agent = DqnAgent(5, small_config(batch_size=64, actions=actions), seed=3)
+            for n in (1, 63, 64, 65, 200):  # around the 64-row block boundary
+                rows = observation_rows(5, n, scale=2.0)
+                batched = agent.policies(rows)
+                vector = [actions[int(np.argmax(forward(agent.net, row)))] for row in rows]
+                assert batched == [agent.policy(row) for row in rows] == vector
+            assert set(batched) == set(actions)

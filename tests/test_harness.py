@@ -234,7 +234,7 @@ class TestEvaluatePolicy:
 
 
 class TestEvaluateStrategies:
-    def test_td3_strategies_share_one_actor_pass_per_bar(self, tmp_path, monkeypatch):
+    def test_td3_strategies_share_one_policies_call(self, tmp_path, monkeypatch):
         raw = base_config(tmp_path, strategies=["td3", "td3_sign", "td3_d3"], seeds=[0])
         cfg = config_from_dict(raw)
         agent = make_agent(cfg, "td3", 0)
@@ -250,15 +250,21 @@ class TestEvaluateStrategies:
             "td3_d3": evaluate_policy(lambda rows: [d3_discretize(agent.policy(r)) for r in rows],
                                       segment, cfg.env, "td3_d3", 0),
         }
-        calls = []
+        policies_rows, forward_rows = [], []
+        policies = agent.policies
+        monkeypatch.setattr(agent, "policies",
+                            lambda rows: policies_rows.append(len(rows)) or policies(rows))
         forward = td3_module.forward
         monkeypatch.setattr(td3_module, "forward",
-                            lambda net, x, **kw: calls.append(1) or forward(net, x, **kw))
+                            lambda net, x, **kw: forward_rows.append(len(x)) or forward(net, x, **kw))
         reports = evaluate_strategies(cfg, {"td3": agent}, segment, 0)
         assert reports == unshared
         steps = {s: len(r.actions) for s, r in reports.items()}
         assert steps == {"td3": 6, "td3_sign": 6, "td3_d3": 15}
-        assert len(calls) == max(steps.values())  # one forward per visited test bar
+        rows = max(steps.values())  # td3_d3 is never wiped, so it visits every decision row
+        assert policies_rows == [rows]  # one call serves all three strategies
+        assert len(forward_rows) == math.ceil(rows / agent.config.batch_size) == 2
+        assert forward_rows == [8, 7]
 
 
 class TestValidation:

@@ -67,6 +67,35 @@ class TestForward:
         rows = np.stack([forward(net, x) for x in xs])
         assert np.allclose(batch, rows, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("hidden_act", ["relu", "tanh"])
+    @pytest.mark.parametrize("out_act", ["identity", "tanh"])
+    def test_stack_is_row_exact(self, hidden_act, out_act):
+        # numpy runs one gemv or dot per item of an (n, 1, d) stack, as for a single row;
+        # this holds the installed BLAS build to it
+        for seed, dims in enumerate([(30, 64, 32, 1), (30, 64, 32, 3), (7, 5, 2)]):
+            gen = np.random.default_rng(seed)
+            net = create_mlp(dims, gen, hidden_activation=hidden_act, output_activation=out_act)
+            xs = gen.normal(scale=0.5, size=(130, dims[0]))
+            stacked = forward(net, xs[:, None, :])
+            assert stacked.shape == (130, 1, dims[-1])
+            rows = np.stack([forward(net, x) for x in xs])
+            assert stacked[:, 0].tobytes() == rows.tobytes()
+
+    def test_stack_keeps_the_checks(self, rng):
+        net = create_mlp((3, 4, 2), rng)
+        xs = rng.normal(size=(5, 1, 3))
+        with pytest.raises(ValueError, match=r"or an \(n, 1, dim\) stack, got shape \(5, 3, 1\)"):
+            forward(net, xs.reshape(5, 3, 1))
+        with pytest.raises(ValueError, match="without a tape"):
+            forward(net, xs, tape=Tape())
+        with pytest.raises(ValueError, match="input dim 2 != network input 3"):
+            forward(net, xs[:, :, :2])
+        xs[4, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite input"):
+            forward(net, xs)
+        with pytest.raises(ValueError, match=r"got shape \(1, 5, 1, 3\)"):
+            forward(net, xs[None])
+
     def test_repeated_forward_is_bit_identical(self, rng):
         net = create_mlp((4, 6, 2), rng)
         x = rng.normal(size=(5, 4))

@@ -17,7 +17,7 @@ from tradelab.agents import (
 from tradelab.env import EnvConfig
 from tradelab.neuralnet import config_hash, create_mlp, forward, get_params, set_params
 
-from helpers import alternating_series, push_pairs
+from helpers import alternating_series, observation_rows, push_pairs
 from oracles import finite_difference_grads, rel_close
 
 
@@ -358,8 +358,8 @@ class TestScalarActions:
 
 
 class TestBatchedPolicies:
-    """``policies`` runs the actor over blocks of rows; it matches ``policy`` row by row
-    up to gemm-versus-gemv rounding and clamps the same way."""
+    """``policies`` runs the actor over (k, 1, window) stacks of ``batch_size`` rows; each
+    action has the bits of a single-row forward and is clamped the same way."""
 
     @pytest.mark.parametrize("bounds", [
         {"action_low": -1.0, "action_high": 1.0},
@@ -367,13 +367,14 @@ class TestBatchedPolicies:
         json.loads('{"action_low": -1, "action_high": 1}'),
     ])
     def test_matches_row_by_row_policy(self, bounds):
-        agent = Td3Agent(5, small_config(**bounds), seed=3)
-        rows = np.random.default_rng(0).normal(scale=3.0, size=(21, 5))  # 3 blocks of 8
-        batched = agent.policies(rows)
-        single = [agent.policy(row) for row in rows]
-        assert all(type(a) is float for a in batched)
-        assert np.max(np.abs(np.subtract(batched, single))) <= 1e-12
+        agent = Td3Agent(5, small_config(batch_size=64, **bounds), seed=3)
         low, high = bounds["action_low"], bounds["action_high"]
-        assert all(low <= a <= high for a in batched)
+        for n in (1, 63, 64, 65, 200):  # around the 64-row block boundary
+            rows = observation_rows(5, n)
+            batched = agent.policies(rows)
+            vector = [float(np.clip(forward(agent.actor, row)[0], low, high)) for row in rows]
+            assert all(type(a) is float for a in batched)
+            assert batched == [agent.policy(row) for row in rows] == vector
+            assert all(low <= a <= high for a in batched)
         if high < 1:  # the bounds bind on some rows
             assert high in batched and low in batched
