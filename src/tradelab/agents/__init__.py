@@ -1,14 +1,14 @@
 """Learning agents: continuous-action TD3, discrete DQN, replay, schedules."""
 
-from .dqn import DqnAgent, DqnConfig, dqn_target
+from .dqn import DqnAgent, DqnConfig
 from .replay import ReplayBuffer
 from .schedules import DecaySchedule, schedule_value
 from .tabular import q_learning, q_learning_update
+from .targets import bootstrap_target
 from .td3 import (
     Td3Agent,
     Td3Config,
     actor_gradient,
-    td3_critic_target,
     td3_select_action,
     td3_target_action,
 )
@@ -22,11 +22,10 @@ __all__ = [
     "Td3Agent",
     "Td3Config",
     "actor_gradient",
-    "dqn_target",
+    "bootstrap_target",
     "q_learning",
     "q_learning_update",
     "schedule_value",
-    "td3_critic_target",
     "td3_select_action",
     "td3_target_action",
     "train",

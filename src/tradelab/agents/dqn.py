@@ -25,6 +25,7 @@ from ..neuralnet import (
 )
 from .replay import ReplayBuffer
 from .schedules import DecaySchedule, schedule_value
+from .targets import bootstrap_target
 
 
 @dataclass(frozen=True)
@@ -59,18 +60,6 @@ class DqnConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
-def dqn_target(r, terminal, gamma: float, target_q_next) -> np.ndarray:
-    """y = r + gamma * (1 - terminal) * max_a' Q_target(s', a'), elementwise: r alone
-    on terminal rows. ``target_q_next`` holds one row of action values per
-    transition (or one vector for a single transition)."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    q = np.asarray(target_q_next, dtype=np.float64)
-    if q.shape[-1] == 0:
-        raise ValueError("empty target Q vector")
-    return r + gamma * (1.0 - terminal) * q.max(axis=-1)
-
-
 class DqnAgent:
     def __init__(self, window: int, config: DqnConfig | None = None, seed: int = 0):
         self.window = window
@@ -79,7 +68,7 @@ class DqnAgent:
         rng = np.random.default_rng([seed, 0xD99])
         self.net = create_mlp((window, *cfg.hidden, len(cfg.actions)), rng)
         self.target_net = clone(self.net)
-        self.opt = AdamState.create([self.net.theta], lr=cfg.learning_rate)
+        self.opt = AdamState.create(self.net.theta, lr=cfg.learning_rate)
         self._actions = np.asarray(cfg.actions, dtype=np.float64)
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
         self.updates = 0
@@ -127,7 +116,7 @@ class DqnAgent:
             raise ValueError(f"action {float(actions[~found][0])} not in the discrete action set {cfg.actions}")
         idx = hits.argmax(axis=1)  # the first match, for a set that repeats an action
 
-        y = dqn_target(r, term, cfg.gamma, forward(self.target_net, s2))
+        y = bootstrap_target(r, term, cfg.gamma, forward(self.target_net, s2).max(axis=-1))
 
         masks = make_dropout_masks(self.net, cfg.dropout, rng)
         tape = Tape()
@@ -138,9 +127,8 @@ class DqnAgent:
 
         upstream = np.zeros_like(q)
         upstream[rows, idx] = 2.0 * resid / n
-        grad = np.empty_like(self.net.theta)
-        backward(self.net, s, upstream, dropout_masks=masks, tape=tape, out=grad, wrt="params")
-        adam_step([self.net.theta], [grad], self.opt)
+        grad, _ = backward(self.net, s, upstream, dropout_masks=masks, tape=tape, wrt="params")
+        adam_step(self.net.theta, grad, self.opt)
 
         self.updates += 1
         if self.updates % cfg.target_sync == 0:

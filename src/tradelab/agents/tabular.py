@@ -1,21 +1,21 @@
 """Tabular Q-learning on small finite MDPs.
 
-Shares the bootstrap target arithmetic with the network agents; used to
-validate that arithmetic against exact value iteration on toy problems.
+Shares :func:`bootstrap_target` with the network agents; used to validate
+that arithmetic against exact value iteration on toy problems.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dqn import dqn_target
+from .targets import bootstrap_target
 
 
 def q_learning_update(
     q: np.ndarray, s: int, a: int, r: float, s_next: int, terminal: bool, alpha: float, gamma: float
 ) -> None:
     """Temporal-difference update of one (state, action) cell, in place."""
-    target = dqn_target(r, terminal, gamma, q[s_next])
+    target = bootstrap_target(r, terminal, gamma, q[s_next].max())
     q[s, a] += alpha * (target - q[s, a])
 
 

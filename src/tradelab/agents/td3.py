@@ -21,7 +21,6 @@ from ..neuralnet import (
     clip_gradients,
     clone,
     create_mlp,
-    flatten,
     forward,
     load_nets,
     save_nets,
@@ -29,6 +28,7 @@ from ..neuralnet import (
 )
 from .replay import ReplayBuffer
 from .schedules import DecaySchedule, schedule_value
+from .targets import bootstrap_target
 
 
 @dataclass(frozen=True)
@@ -103,19 +103,12 @@ def td3_target_action(
     return np.clip(a + np.clip(eps, -noise_clip, noise_clip), a_low, a_high)
 
 
-def td3_critic_target(r, terminal, gamma: float, q1_next, q2_next) -> np.ndarray:
-    """y = r + gamma * (1 - terminal) * min(q1', q2'), elementwise: r alone on terminal rows."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    return r + gamma * (1.0 - terminal) * np.minimum(q1_next, q2_next)
-
-
 def actor_gradient(actor: Mlp, critic: Mlp, states: np.ndarray):
     """Gradient of J = mean_i Q(s_i, pi(s_i)) w.r.t. the actor parameters.
 
     dQ/da is taken from the critic's input gradient at the action slot and
     chained through the actor; the critic's own parameter gradients are
-    never computed. Returns (grads, J).
+    never computed. Returns (grad, J), the gradient laid out like ``actor.theta``.
     """
     n = states.shape[0]
     actor_tape, critic_tape = Tape(), Tape()
@@ -124,8 +117,8 @@ def actor_gradient(actor: Mlp, critic: Mlp, states: np.ndarray):
     q = forward(critic, x, tape=critic_tape)
     _, dx = backward(critic, x, np.full((n, 1), 1.0 / n), tape=critic_tape, wrt="input")
     da = dx[:, states.shape[1]:]
-    grads, _ = backward(actor, states, da, tape=actor_tape, wrt="params")
-    return grads, float(np.mean(q))
+    grad, _ = backward(actor, states, da, tape=actor_tape, wrt="params")
+    return grad, float(np.mean(q))
 
 
 class Td3Agent:
@@ -142,9 +135,9 @@ class Td3Agent:
         self.actor_target = clone(self.actor)
         self.critic1_target = clone(self.critic1)
         self.critic2_target = clone(self.critic2)
-        self.actor_opt = AdamState.create([self.actor.theta], lr=cfg.actor_lr)
-        self.critic1_opt = AdamState.create([self.critic1.theta], lr=cfg.critic_lr)
-        self.critic2_opt = AdamState.create([self.critic2.theta], lr=cfg.critic_lr)
+        self.actor_opt = AdamState.create(self.actor.theta, lr=cfg.actor_lr)
+        self.critic1_opt = AdamState.create(self.critic1.theta, lr=cfg.critic_lr)
+        self.critic2_opt = AdamState.create(self.critic2.theta, lr=cfg.critic_lr)
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
         self.updates = 0
         self.episodes_trained = 0
@@ -188,8 +181,8 @@ class Td3Agent:
                                schedule_value(cfg.noise_clip, episode), cfg.action_low,
                                cfg.action_high, rng)
         x2 = np.concatenate([s2, a2], axis=1)
-        y = td3_critic_target(r, term, cfg.gamma, forward(self.critic1_target, x2)[:, 0],
-                              forward(self.critic2_target, x2)[:, 0])
+        y = bootstrap_target(r, term, cfg.gamma, np.minimum(forward(self.critic1_target, x2)[:, 0],
+                                                            forward(self.critic2_target, x2)[:, 0]))
 
         x = np.concatenate([s, a[:, None]], axis=1)
         losses = []
@@ -198,9 +191,8 @@ class Td3Agent:
             q = forward(critic, x, tape=tape)[:, 0]
             resid = q - y
             losses.append(float(np.add.reduce(resid * resid)) / n)  # np.mean's sum and divide
-            grad = np.empty_like(critic.theta)
-            backward(critic, x, (2.0 * resid / n)[:, None], tape=tape, out=grad, wrt="params")
-            adam_step([critic.theta], [grad], opt)
+            grad, _ = backward(critic, x, (2.0 * resid / n)[:, None], tape=tape, wrt="params")
+            adam_step(critic.theta, grad, opt)
 
         diag = {
             "loss": 0.5 * (losses[0] + losses[1]),
@@ -212,17 +204,16 @@ class Td3Agent:
         if self.updates % cfg.policy_delay == 0:
             diag["actor_updated"] = True
             # Ascend J = mean(Q1(s, pi(s))): chain dQ/da through the actor.
-            actor_grads, _ = actor_gradient(self.actor, self.critic1, s)
-            # the global norm sums layer by layer, so clip the per-layer views
-            actor_grads = clip_gradients(actor_grads, cfg.grad_clip_norm)
-            adam_step([self.actor.theta], [-flatten(actor_grads)], self.actor_opt)
+            actor_grad, _ = actor_gradient(self.actor, self.critic1, s)
+            actor_grad = clip_gradients(actor_grad, self.actor.layer_dims, cfg.grad_clip_norm)
+            adam_step(self.actor.theta, -actor_grad, self.actor_opt)
 
             for target, source in (
                 (self.actor_target, self.actor),
                 (self.critic1_target, self.critic1),
                 (self.critic2_target, self.critic2),
             ):
-                soft_update([target.theta], [source.theta], cfg.tau)
+                soft_update(target.theta, source.theta, cfg.tau)
         return diag
 
     # -- snapshots ------------------------------------------------------

@@ -75,14 +75,17 @@ class ExperimentConfig:
             raise ValueError("at least one seed is required")
         if not self.strategies:
             raise ValueError("strategies must name at least one strategy")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be unique")
         unknown = [s for s in self.strategies if s not in ALL_STRATEGIES]
         if unknown:
             raise ValueError(f"unknown strategies {unknown}; expected among {ALL_STRATEGIES}")
         for pair in self.ttest_pairs:
             if len(pair) != 2 or any(s not in ALL_STRATEGIES for s in pair):
                 raise ValueError(f"invalid t-test pair {pair}")
+        for name, items in (("seeds", self.seeds), ("strategies", self.strategies),
+                            ("t-test pairs", [":".join(pair) for pair in self.ttest_pairs])):
+            repeated = next((x for i, x in enumerate(items) if x in items[:i]), None)
+            if repeated is not None:
+                raise ValueError(f"{name} must be unique; {repeated!r} repeats")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
         if self.workers < 1:

@@ -7,10 +7,11 @@ clipping, Polyak mixing, and a bit-exact checkpoint format for named networks.
 Each network keeps all of its parameters in one contiguous float64 vector,
 ``theta``, laid out W0, b0, W1, b1, ... with every matrix row-major.
 ``weights[i]`` and ``biases[i]`` are views into ``theta``, never separate
-arrays, so a whole-network Adam step, Polyak mix, snapshot or clone is one
-array operation on ``theta``. :func:`backward` writes the parameter
-gradients into one vector laid out like ``theta`` and returns per-layer
-views of it.
+arrays. :func:`backward` returns the parameter gradient as one vector laid
+out like ``theta``, so every optimiser kernel works on one array:
+:func:`adam_step` and :func:`soft_update` are elementwise on arrays of any
+shape and move their first argument in place, and :func:`clip_gradients`
+takes the layer dims only to sum the global norm layer by layer.
 
 Each kernel computes only what its caller reads. :func:`forward` adds the
 bias and applies the activation in place on each layer's product, and can
@@ -18,12 +19,7 @@ record each layer's input and activation on a :class:`Tape`;
 :func:`backward` given that tape uses them instead of running the forward
 pass again (without one it runs the same pass itself, so both give
 bit-identical gradients). ``backward(..., wrt=...)`` computes the parameter
-gradients, the input gradient or both. :func:`adam_step` and
-:func:`soft_update` move their first argument in place and return None.
-
-The list helpers (:func:`get_params`, :func:`set_params`, :func:`adam_step`,
-:func:`clip_gradients`, :func:`soft_update`) take parameter lists: either
-per-layer arrays [W0, b0, W1, b1, ...] or the one-element list [theta].
+gradient, the input gradient or both.
 """
 
 from __future__ import annotations
@@ -117,29 +113,6 @@ def create_mlp(
     return net
 
 
-def get_params(net: Mlp) -> list[np.ndarray]:
-    """Views [W0, b0, W1, b1, ...] into ``net.theta``."""
-    out = []
-    for w, b in zip(net.weights, net.biases):
-        out.append(w)
-        out.append(b)
-    return out
-
-
-def set_params(net: Mlp, params) -> None:
-    """Copy per-layer arrays into the network's views; ``params`` stays unaliased."""
-    expected = 2 * len(net.weights)
-    if len(params) != expected:
-        raise ValueError(f"expected {expected} parameter arrays, got {len(params)}")
-    for i in range(len(net.weights)):
-        w, b = params[2 * i], params[2 * i + 1]
-        if w.shape != net.weights[i].shape or b.shape != net.biases[i].shape:
-            raise ValueError(f"parameter shape mismatch at layer {i}")
-    for i in range(len(net.weights)):
-        net.weights[i][...] = params[2 * i]
-        net.biases[i][...] = params[2 * i + 1]
-
-
 def clone(net: Mlp) -> Mlp:
     return Mlp(net.layer_dims, net.theta.copy(), net.hidden_activation, net.output_activation)
 
@@ -223,19 +196,17 @@ def forward(net: Mlp, x, dropout_masks=None, tape: Tape | None = None) -> np.nda
     return out[0] if squeeze else out
 
 
-def backward(net: Mlp, x, upstream_grad, dropout_masks=None, tape: Tape | None = None, out=None,
+def backward(net: Mlp, x, upstream_grad, dropout_masks=None, tape: Tape | None = None,
              wrt: str = "both"):
     """Exact gradients of sum(output * upstream_grad) w.r.t. params and input.
 
-    Returns (param_grads, input_grad) with param_grads ordered like
-    :func:`get_params`: views into one vector laid out like ``net.theta``,
-    which is ``out`` when given and a fresh vector otherwise. For a batch,
-    parameter gradients accumulate over rows; the caller folds any 1/N into
-    ``upstream_grad``. ``tape`` is the record of ``forward(net, x,
-    dropout_masks, tape=tape)`` with the current parameters; without one the
-    forward pass runs here. ``wrt`` is ``"both"``, ``"params"`` or
-    ``"input"``; the gradient it leaves out is not computed and comes back
-    as None.
+    Returns (param_grad, input_grad) with param_grad a fresh vector laid out
+    like ``net.theta``. For a batch, parameter gradients accumulate over
+    rows; the caller folds any 1/N into ``upstream_grad``. ``tape`` is the
+    record of ``forward(net, x, dropout_masks, tape=tape)`` with the current
+    parameters; without one the forward pass runs here. ``wrt`` is
+    ``"both"``, ``"params"`` or ``"input"``; the gradient it leaves out is
+    not computed and comes back as None.
     """
     if wrt not in ("both", "params", "input"):
         raise ValueError(f"wrt must be one of 'both', 'params' or 'input', got {wrt!r}")
@@ -250,13 +221,10 @@ def backward(net: Mlp, x, upstream_grad, dropout_masks=None, tape: Tape | None =
         _forward_pass(net, batch, dropout_masks, tape)
     elif tape.net is not net or tape.dropout_masks is not dropout_masks or tape.inputs[0].shape != batch.shape:
         raise ValueError("tape was recorded for another network, input shape or dropout masks")
-    grads = None
+    out = views = None
     if wrt != "input":
-        if out is None:
-            out = np.empty_like(net.theta)
-        elif out.shape != net.theta.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-            raise ValueError(f"gradient buffer must be a contiguous float64 vector of shape {net.theta.shape}")
-        grads = _param_views(net.layer_dims, out)
+        out = np.empty_like(net.theta)
+        views = _param_views(net.layer_dims, out)  # where each layer's gradient lands
     last = len(net.weights) - 1
     g = up
     for i in range(last, -1, -1):
@@ -268,92 +236,81 @@ def backward(net: Mlp, x, upstream_grad, dropout_masks=None, tape: Tape | None =
             if dropout_masks is not None and i < last:
                 local = local * dropout_masks[i]
             delta = g * local
-        if grads is not None:
-            np.matmul(tape.inputs[i].T, delta, out=grads[2 * i])
-            np.add.reduce(delta, axis=0, out=grads[2 * i + 1])
+        if views is not None:
+            np.matmul(tape.inputs[i].T, delta, out=views[2 * i])
+            np.add.reduce(delta, axis=0, out=views[2 * i + 1])
         if i > 0 or wrt != "params":
             g = delta @ net.weights[i].T
-    return grads, None if wrt == "params" else (g[0] if squeeze else g)
+    return out, None if wrt == "params" else (g[0] if squeeze else g)
 
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam accumulators for one parameter list."""
+    """Bias-corrected Adam accumulators for one parameter array."""
 
+    m: np.ndarray
+    v: np.ndarray
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
 
     @classmethod
-    def create(cls, params, **hyper):
-        """Zeroed moments for ``params``; ``hyper`` overrides lr, beta1, beta2 or eps."""
-        return cls(**hyper, m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+    def create(cls, param, **hyper):
+        """Zeroed moments shaped like ``param``; ``hyper`` overrides lr, beta1, beta2 or eps."""
+        return cls(np.zeros_like(param), np.zeros_like(param), **hyper)
 
 
-def adam_step(params, grads, opt: AdamState) -> None:
-    """One Adam update of ``params``, ``opt``'s moments and its step, in place once every check passed."""
-    if len(params) != len(grads) or len(params) != len(opt.m):
-        raise ValueError("parameter/gradient/moment list lengths differ")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if not np.isfinite(g).all():
-            raise ValueError("non-finite gradient")
+def adam_step(param, grad, opt: AdamState) -> None:
+    """One Adam update of ``param``, ``opt``'s moments and its step, in place once every check passed."""
+    if not param.shape == grad.shape == opt.m.shape:
+        raise ValueError(f"gradient shape {grad.shape} != parameter shape {param.shape} "
+                         f"(moments {opt.m.shape})")
+    if not np.isfinite(grad).all():
+        raise ValueError("non-finite gradient")
     opt.step += 1
     t = opt.step
     bc1 = 1.0 - opt.beta1**t
     bc2 = 1.0 - opt.beta2**t
-    for p, g, m, v in zip(params, grads, opt.m, opt.v):
-        # m <- beta1 * m + (1 - beta1) * g and v <- beta2 * v + (1 - beta2) * g^2
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * (g * g)
-        # p - lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / bc1, v_hat = v / bc2
-        denom = np.sqrt(v / bc2)
-        denom += opt.eps
-        step = m / bc1
-        step *= opt.lr
-        step /= denom
-        p -= step
+    m, v = opt.m, opt.v
+    # m <- beta1 * m + (1 - beta1) * g and v <- beta2 * v + (1 - beta2) * g^2
+    m *= opt.beta1
+    m += (1.0 - opt.beta1) * grad
+    v *= opt.beta2
+    v += (1.0 - opt.beta2) * (grad * grad)
+    # p - lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / bc1, v_hat = v / bc2
+    denom = np.sqrt(v / bc2)
+    denom += opt.eps
+    step = m / bc1
+    step *= opt.lr
+    step /= denom
+    param -= step
 
 
-def global_norm(grads) -> float:
-    return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+def global_norm(grad: np.ndarray, dims) -> float:
+    """The L2 norm of a gradient laid out like ``theta`` for ``dims``, summed layer
+    by layer: one whole-vector sum can round differently."""
+    return float(np.sqrt(sum(float(np.sum(g * g)) for g in _param_views(dims, grad))))
 
 
-def clip_gradients(grads, max_norm: float):
-    """Scale all gradients by max_norm/norm when the global L2 norm exceeds it."""
+def clip_gradients(grad: np.ndarray, dims, max_norm: float) -> np.ndarray:
+    """``grad`` scaled by max_norm/norm when its :func:`global_norm` exceeds max_norm,
+    else ``grad`` itself."""
     if not max_norm > 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    norm = global_norm(grads)
-    if norm <= max_norm:
-        return list(grads)
-    scale = max_norm / norm
-    return [g * scale for g in grads]
+    norm = global_norm(grad, dims)
+    return grad if norm <= max_norm else grad * (max_norm / norm)
 
 
-def soft_update(target_params, source_params, tau: float) -> None:
+def soft_update(target, source, tau: float) -> None:
     """Polyak mix in place once every check passed: target <- tau * source + (1 - tau) * target."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if len(target_params) != len(source_params):
-        raise ValueError("parameter list lengths differ")
-    for tgt, src in zip(target_params, source_params):
-        if tgt.shape != src.shape:
-            raise ValueError(f"shape mismatch {tgt.shape} vs {src.shape}")
-    for tgt, src in zip(target_params, source_params):
-        tgt *= 1.0 - tau
-        tgt += tau * src  # the same sum as tau * src + (1 - tau) * tgt: addition commutes
-
-
-def flatten(params) -> np.ndarray:
-    """One float64 vector of per-layer arrays [W0, b0, ...], laid out like ``theta``."""
-    return np.concatenate([np.ravel(p) for p in params]).astype(np.float64, copy=False)
+    if target.shape != source.shape:
+        raise ValueError(f"shape mismatch {target.shape} vs {source.shape}")
+    target *= 1.0 - tau
+    target += tau * source  # the same sum as tau * source + (1 - tau) * target: addition commutes
 
 
 def checkpoint_payload(net: Mlp, prefix: str = "") -> dict:
@@ -371,16 +328,16 @@ def checkpoint_payload(net: Mlp, prefix: str = "") -> dict:
 
 def net_from_payload(data, prefix: str = "") -> Mlp:
     dims = tuple(int(d) for d in data[f"{prefix}layer_dims"])
-    params = []
-    for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
-        for key, shape in ((f"{prefix}w{i}", (fan_in, fan_out)), (f"{prefix}b{i}", (fan_out,))):
-            arr = data[key]
-            if arr.shape != shape:
-                raise ValueError(f"checkpoint array {key} has shape {arr.shape}, expected {shape}")
-            params.append(arr)
+    theta = np.empty(_param_count(dims))
+    for i, view in enumerate(_param_views(dims, theta)):
+        key = f"{prefix}{'wb'[i % 2]}{i // 2}"
+        arr = data[key]
+        if arr.shape != view.shape:
+            raise ValueError(f"checkpoint array {key} has shape {arr.shape}, expected {view.shape}")
+        view[...] = arr
     return Mlp(
         layer_dims=dims,
-        theta=flatten(params),
+        theta=theta,
         hidden_activation=str(data[f"{prefix}hidden_activation"]),
         output_activation=str(data[f"{prefix}output_activation"]),
     )

@@ -5,15 +5,16 @@ branch structure so it shares no code path with the implementations it
 verifies; ``reference_load_csv`` is the row-object CSV loader that the
 columnar ``load_csv`` replaced, and the dense-kernel references
 (``reference_forward_pass``, ``reference_backward``, ``reference_adam_step``,
-``reference_soft_update``) are the kernel as it ran before it worked in
-place, so the lean kernel can be held to its bits. The exceptions are the
-list-based agent updates at the end: they drive the package's public kernel functions the
-way the agents did before parameters became one flat vector, and gather
-each replay batch one stored row at a time from the buffer's ring and
-table, so the flat update and ``ReplayBuffer.sample`` can be checked against
-them bit for bit, and the per-step training loop, which drives the
-package's env, buffer and agent updates but draws each warmup action on its
-own.
+``reference_clip_gradients``, ``reference_soft_update``) are the kernel as it
+ran before it worked in place on one flat vector, so the lean kernel can be
+held to its bits. The list-based agent
+updates at the end run that reference kernel layer by layer on per-layer
+parameter lists, the way the agents did before parameters became one flat
+vector, and gather each replay batch one stored row at a time from the
+buffer's ring and table, so the flat update and ``ReplayBuffer.sample`` can
+be checked against them bit for bit. The exception is the per-step
+training loop, which drives the package's env, buffer and agent updates but
+draws each warmup action on its own.
 """
 
 import csv
@@ -26,18 +27,7 @@ import numpy as np
 
 from tradelab.agents import schedule_value
 from tradelab.env import TradingEnv
-from tradelab.neuralnet import (
-    AdamState,
-    adam_step,
-    backward,
-    clip_gradients,
-    clone,
-    forward,
-    get_params,
-    global_norm,
-    make_dropout_masks,
-    soft_update,
-)
+from tradelab.neuralnet import clone, make_dropout_masks
 
 
 def resimulate(initial_cash, actions, prices, tcs):
@@ -271,10 +261,12 @@ def reference_load_csv(path, columns=None, warnings=None):
 
 # -- the reference dense kernel ----------------------------------------------
 #
-# The forward pass, backward pass, Adam step and Polyak mix as the kernel ran
-# them before they worked in place: every layer keeps its pre-activation,
-# backward always computes both the parameter and the input gradients, and
-# Adam and Polyak return new arrays. The lean kernel must give the same bits.
+# The forward pass, backward pass, Adam step, clipping and Polyak mix as the
+# kernel ran them before they worked in place on one flat vector: every layer
+# keeps its pre-activation, backward always computes both the parameter and
+# the input gradients, Adam, clipping and Polyak go layer by layer on lists
+# of per-layer arrays and return new arrays. The lean kernel must give the
+# same bits.
 
 
 class ReferenceTape:
@@ -342,6 +334,20 @@ def reference_backward(net, x, upstream_grad, dropout_masks=None):
     return grads, g
 
 
+def reference_params(net):
+    """Views [W0, b0, W1, b1, ...] into ``net.theta``."""
+    return [p for layer in zip(net.weights, net.biases) for p in layer]
+
+
+class ReferenceAdamState:
+    """Adam's hyperparameters, step and per-layer moments for ``reference_adam_step``."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps, self.step = lr, beta1, beta2, eps, 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+
 def reference_adam_step(params, grads, opt):
     """One Adam update: new parameter arrays; ``opt``'s moments and step move in place."""
     opt.step += 1
@@ -368,6 +374,19 @@ def reference_soft_update(target_params, source_params, tau):
     return [tau * src + (1.0 - tau) * tgt for tgt, src in zip(target_params, source_params)]
 
 
+def reference_clip_gradients(grads, max_norm):
+    """(clipped, norm): per-layer gradients scaled by max_norm/norm when their
+    global L2 norm, summed one layer at a time, exceeds max_norm."""
+    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    return (grads if norm <= max_norm else [g * (max_norm / norm) for g in grads]), norm
+
+
+def _assign(params, values):
+    """Copy new per-layer arrays into the views ``params``."""
+    for p, value in zip(params, values):
+        p[...] = value
+
+
 # -- list-based agent updates ------------------------------------------------
 
 
@@ -386,21 +405,22 @@ def _gather_batch(buffer, batch_size, rng):
 
 
 class ListTd3Update:
-    """TD3's update with per-layer parameter lists.
+    """TD3's update on per-layer parameter lists with the reference kernel.
 
-    Every backward runs its own forward pass and computes both gradients,
-    Adam and Polyak mixing go layer by layer on the get_params views, and the actor gradient is
-    rebuilt here from forward and backward. It moves the networks of the
-    agent it is given and keeps its own per-layer Adam state.
+    Every backward runs its own forward pass and computes both gradients;
+    Adam, clipping and Polyak mixing go layer by layer on the
+    ``reference_params`` views, and the actor gradient is rebuilt here from
+    forward and backward. It moves the networks of the agent it is given and
+    keeps its own per-layer Adam state.
     """
 
     def __init__(self, agent):
         cfg = agent.config
         self.agent = agent
         self.opts = {
-            "actor": AdamState.create(get_params(agent.actor), lr=cfg.actor_lr),
-            "critic1": AdamState.create(get_params(agent.critic1), lr=cfg.critic_lr),
-            "critic2": AdamState.create(get_params(agent.critic2), lr=cfg.critic_lr),
+            "actor": ReferenceAdamState(reference_params(agent.actor), lr=cfg.actor_lr),
+            "critic1": ReferenceAdamState(reference_params(agent.critic1), lr=cfg.critic_lr),
+            "critic2": ReferenceAdamState(reference_params(agent.critic2), lr=cfg.critic_lr),
         }
         self.updates = 0
         self.actor_grad_norms = []  # before clipping, one per delayed step
@@ -412,43 +432,46 @@ class ListTd3Update:
 
         sigma_t = schedule_value(cfg.policy_noise, episode)
         clip_k = schedule_value(cfg.noise_clip, episode)
-        a2 = forward(ag.actor_target, s2)
+        a2 = reference_forward_pass(ag.actor_target, s2)
         eps = np.clip(rng.normal(0.0, sigma_t, size=(n, 1)) if sigma_t > 0 else np.zeros((n, 1)),
                       -clip_k, clip_k)
         a2 = np.clip(a2 + eps, cfg.action_low, cfg.action_high)
         x2 = np.hstack([s2, a2])
-        q1_next = forward(ag.critic1_target, x2)[:, 0]
-        q2_next = forward(ag.critic2_target, x2)[:, 0]
+        q1_next = reference_forward_pass(ag.critic1_target, x2)[:, 0]
+        q2_next = reference_forward_pass(ag.critic2_target, x2)[:, 0]
         y = r + cfg.gamma * (1.0 - term) * np.minimum(q1_next, q2_next)
 
         x = np.hstack([s, a])
         for name in ("critic1", "critic2"):
-            critic = getattr(ag, name)
-            resid = forward(critic, x)[:, 0] - y
-            grads, _ = backward(critic, x, (2.0 * resid / n)[:, None])
-            adam_step(get_params(critic), grads, self.opts[name])
+            params = reference_params(getattr(ag, name))
+            resid = reference_forward_pass(getattr(ag, name), x)[:, 0] - y
+            grads, _ = reference_backward(getattr(ag, name), x, (2.0 * resid / n)[:, None])
+            _assign(params, reference_adam_step(params, grads, self.opts[name]))
 
         self.updates += 1
         if self.updates % cfg.policy_delay == 0:
-            a_pi = forward(ag.actor, s)
+            a_pi = reference_forward_pass(ag.actor, s)
             xa = np.hstack([s, a_pi])
-            _, dx = backward(ag.critic1, xa, np.full((n, 1), 1.0 / n))
-            grads, _ = backward(ag.actor, s, dx[:, s.shape[1]:])
-            self.actor_grad_norms.append(global_norm(grads))
-            grads = clip_gradients(grads, cfg.grad_clip_norm)
-            adam_step(get_params(ag.actor), [-g for g in grads], self.opts["actor"])
+            _, dx = reference_backward(ag.critic1, xa, np.full((n, 1), 1.0 / n))
+            grads, _ = reference_backward(ag.actor, s, dx[:, s.shape[1]:])
+            grads, norm = reference_clip_gradients(grads, cfg.grad_clip_norm)
+            self.actor_grad_norms.append(norm)
+            params = reference_params(ag.actor)
+            _assign(params, reference_adam_step(params, [-g for g in grads], self.opts["actor"]))
             for target, source in ((ag.actor_target, ag.actor), (ag.critic1_target, ag.critic1),
                                    (ag.critic2_target, ag.critic2)):
-                soft_update(get_params(target), get_params(source), cfg.tau)
+                params = reference_params(target)
+                _assign(params, reference_soft_update(params, reference_params(source), cfg.tau))
 
 
 class ListDqnUpdate:
-    """DQN's update with per-layer parameter lists, a linear action-index
-    scan and a target sync that replaces the target net by a clone."""
+    """DQN's update on per-layer parameter lists with the reference kernel, a
+    linear action-index scan and a target sync that replaces the target net
+    by a clone."""
 
     def __init__(self, agent):
         self.agent = agent
-        self.opt = AdamState.create(get_params(agent.net), lr=agent.config.learning_rate)
+        self.opt = ReferenceAdamState(reference_params(agent.net), lr=agent.config.learning_rate)
         self.updates = 0
 
     def __call__(self, episode, rng):
@@ -457,14 +480,15 @@ class ListDqnUpdate:
         n = len(s)
         idx = np.array([next(i for i, x in enumerate(cfg.actions) if x == act) for act in a[:, 0]])
 
-        y = r + cfg.gamma * (1.0 - term) * forward(ag.target_net, s2).max(axis=1)
+        y = r + cfg.gamma * (1.0 - term) * reference_forward_pass(ag.target_net, s2).max(axis=1)
         masks = make_dropout_masks(ag.net, cfg.dropout, rng)
-        q = forward(ag.net, s, dropout_masks=masks)
+        q = reference_forward_pass(ag.net, s, dropout_masks=masks)
         resid = q[np.arange(n), idx] - y
         upstream = np.zeros_like(q)
         upstream[np.arange(n), idx] = 2.0 * resid / n
-        grads, _ = backward(ag.net, s, upstream, dropout_masks=masks)
-        adam_step(get_params(ag.net), grads, self.opt)
+        grads, _ = reference_backward(ag.net, s, upstream, dropout_masks=masks)
+        params = reference_params(ag.net)
+        _assign(params, reference_adam_step(params, grads, self.opt))
 
         self.updates += 1
         if self.updates % cfg.target_sync == 0:

@@ -28,7 +28,6 @@ from tradelab.neuralnet import (
     clip_gradients,
     create_mlp,
     forward,
-    get_params,
     global_norm,
     soft_update,
 )
@@ -124,14 +123,13 @@ def test_criterion_03_gradient_checks():
         net = create_mlp(dims, gen, hidden_activation=hidden, output_activation=out_act)
         x = gen.normal(size=dims[0])
         up = gen.normal(size=dims[-1])
-        grads, input_grad = backward(net, x, up)
+        grad, input_grad = backward(net, x, up)
 
         def objective():
             return float(forward(net, x) @ up)
 
-        fd = finite_difference_grads(objective, get_params(net))
-        for got, want in zip(grads, fd):
-            assert all(rel_close(g, w) for g, w in zip(got.ravel(), want.ravel()))
+        fd = finite_difference_grads(objective, [net.theta])[0]
+        assert all(rel_close(g, w) for g, w in zip(grad, fd))
         xs = x.copy()
 
         def objective_x():
@@ -147,15 +145,14 @@ def test_criterion_03_gradient_checks():
         actor = create_mlp((state_dim, int(gen.integers(2, 8)), 1), gen, output_activation="tanh")
         critic = create_mlp((state_dim + 1, int(gen.integers(2, 8)), 1), gen)
         states = gen.normal(size=(int(gen.integers(2, 8)), state_dim))
-        grads, _ = actor_gradient(actor, critic, states)
+        grad, _ = actor_gradient(actor, critic, states)
 
         def objective_j():
             a = forward(actor, states)
             return float(np.mean(forward(critic, np.hstack([states, a]))))
 
-        fd = finite_difference_grads(objective_j, get_params(actor))
-        for got, want in zip(grads, fd):
-            assert all(rel_close(g, w) for g, w in zip(got.ravel(), want.ravel()))
+        fd = finite_difference_grads(objective_j, [actor.theta])[0]
+        assert all(rel_close(g, w) for g, w in zip(grad, fd))
         composite_checked += 1
 
     elapsed = time.monotonic() - start
@@ -258,12 +255,13 @@ def test_criterion_08_schedule_and_mixing_algebra():
     """The derived schedule, Polyak-mixing, and clipping examples to 1e-9."""
     sched = schedule_value(DecaySchedule(0.5, 0.05, 50.0), 50)
     sched_expected = 0.05 + 0.45 * math.exp(-1.0)
-    target = [np.array([0.0])]
-    soft_update(target, [np.array([1.0])], 0.005)
-    mixed = target[0][0]
-    clipped = clip_gradients([np.array([6.0]), np.array([8.0])], 1.0)
-    clip_ok = (abs(clipped[0][0] - 0.6) < 1e-9 and abs(clipped[1][0] - 0.8) < 1e-9
-               and abs(global_norm(clipped) - 1.0) < 1e-9)
+    target = np.array([0.0])
+    soft_update(target, np.array([1.0]), 0.005)
+    mixed = target[0]
+    # one (1, 1) layer: w0 = 6, b0 = 8
+    clipped = clip_gradients(np.array([6.0, 8.0]), (1, 1), 1.0)
+    clip_ok = (abs(clipped[0] - 0.6) < 1e-9 and abs(clipped[1] - 0.8) < 1e-9
+               and abs(global_norm(clipped, (1, 1)) - 1.0) < 1e-9)
     ok = abs(sched - sched_expected) < 1e-9 and abs(mixed - 0.005) < 1e-9 and clip_ok
     announce(8, ok, f"schedule {sched:.12f}, polyak {mixed:.6f}, clip scale exact")
     assert abs(sched - sched_expected) < 1e-9

@@ -6,13 +6,13 @@ from tradelab.agents import (
     DecaySchedule,
     DqnAgent,
     DqnConfig,
-    dqn_target,
+    bootstrap_target,
     q_learning,
     q_learning_update,
     train,
 )
 from tradelab.env import EnvConfig
-from tradelab.neuralnet import clone, forward, get_params, set_params
+from tradelab.neuralnet import clone, forward
 
 from helpers import alternating_series, observation_rows, push_pairs
 from oracles import value_iteration
@@ -42,6 +42,11 @@ def random_connected_mdp(seed, n_states=5, n_actions=2):
     return ns, rw
 
 
+def dqn_target(r, terminal, gamma, target_q_next):
+    """DQN's target: the bootstrap on the best next action value of each row."""
+    return bootstrap_target(r, terminal, gamma, np.asarray(target_q_next).max(axis=-1))
+
+
 class TestTarget:
     def test_terminal_is_reward(self):
         assert dqn_target(np.array([-0.02]), np.array([1.0]), 0.99, [[5.0, 9.0]]).tolist() == [-0.02]
@@ -54,8 +59,16 @@ class TestTarget:
         assert dqn_target(np.array([0.3]), np.array([0.0]), 0.0, [[50.0, -2.0]]).tolist() == [0.3]
 
     def test_empty_q_vector(self):
-        with pytest.raises(ValueError, match="empty"):
+        # an empty action row has no max to bootstrap on, and no config builds one
+        with pytest.raises(ValueError, match="zero-size array"):
             dqn_target(np.array([0.0]), np.array([0.0]), 0.9, np.empty((1, 0)))
+        with pytest.raises(ValueError, match="at least two discrete actions"):
+            DqnConfig(actions=())
+
+    @pytest.mark.parametrize("gamma", [-0.1, 1.0, 1.5])
+    def test_gamma_outside_unit_interval(self, gamma):
+        with pytest.raises(ValueError, match=f"gamma must lie in \\[0, 1\\), got {gamma}"):
+            bootstrap_target(np.array([0.0]), np.array([0.0]), gamma, np.array([1.0]))
 
 
 class TestExploration:
@@ -75,7 +88,7 @@ class TestExploration:
 
     def test_tie_breaks_to_lowest_index(self):
         agent = DqnAgent(2, small_config(), seed=0)
-        set_params(agent.net, [np.zeros_like(p) for p in get_params(agent.net)])
+        agent.net.theta[...] = 0.0
         assert agent.policy([1.0, 1.0]) == agent.config.actions[0] == -1.0
 
     def test_discrete_action_set(self):
@@ -100,16 +113,13 @@ class TestUpdate:
         agent = DqnAgent(3, small_config(target_sync=5), seed=1)
         self.fill(agent, rng)
         gen = np.random.default_rng(0)
-        frozen = [p.copy() for p in get_params(agent.target_net)]
+        frozen = agent.target_net.theta.copy()
         for k in range(4):
             agent.update(0, gen)
-            for a, b in zip(frozen, get_params(agent.target_net)):
-                assert np.array_equal(a, b)
+            assert np.array_equal(frozen, agent.target_net.theta)
         agent.update(0, gen)  # fifth update syncs
-        assert any(not np.array_equal(a, b)
-                   for a, b in zip(frozen, get_params(agent.target_net)))
-        for a, b in zip(get_params(agent.net), get_params(agent.target_net)):
-            assert np.array_equal(a, b)
+        assert not np.array_equal(frozen, agent.target_net.theta)
+        assert np.array_equal(agent.net.theta, agent.target_net.theta)
 
     def test_underfilled_buffer_rejected(self, rng):
         agent = DqnAgent(3, small_config(batch_size=64), seed=1)
@@ -142,7 +152,7 @@ class TestUpdate:
                         target_sync=25, buffer_capacity=5000,
                         epsilon=DecaySchedule(1.0, 1.0, 1.0))
         agent = DqnAgent(3, cfg, seed=0)
-        set_params(agent.net, [np.zeros_like(p) for p in get_params(agent.net)])
+        agent.net.theta[...] = 0.0
         agent.target_net = clone(agent.net)
 
         # one (state, next state) row pair per (s, a): step (s, a) is row 2 * (2s + a)
@@ -192,9 +202,8 @@ class TestTraining:
         for _ in range(2):
             agent = DqnAgent(3, cfg, seed=21)
             train(agent, series, EnvConfig(window=3, initial_cash=1000.0), episodes=4, seed=21)
-            params.append([p.copy() for p in get_params(agent.net)])
-        for a, b in zip(*params):
-            assert np.array_equal(a, b)
+            params.append(agent.net.theta.copy())
+        assert np.array_equal(*params)
 
     def test_checkpoint_roundtrip(self, tmp_path, rng):
         agent = DqnAgent(3, small_config(), seed=3)
@@ -205,8 +214,7 @@ class TestTraining:
         agent.save(path)
         twin = DqnAgent(3, small_config(), seed=77)
         twin.load(path)
-        for a, b in zip(get_params(agent.net), get_params(twin.net)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(agent.net.theta, twin.net.theta)
 
     def test_checkpoint_window_mismatch_names_path_and_window(self, tmp_path):
         path = tmp_path / "dqn.npz"

@@ -107,6 +107,18 @@ class TestConfig:
     def test_rejects_duplicate_seeds(self, tmp_path):
         with pytest.raises(ValueError, match="unique"):
             config_from_dict(base_config(tmp_path, seeds=[1, 1]))
+        with pytest.raises(ValueError, match="^seeds must be unique; 3 repeats$"):
+            config_from_dict(base_config(tmp_path, seeds=[3, 1, 3]))
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"strategies": ["long", "long", "short"]}, "strategies must be unique; 'long' repeats"),
+        ({"ttest": {"pairs": [["long", "short"], ["short", "long"], ["long", "short"]]}},
+         "t-test pairs must be unique; 'long:short' repeats"),
+    ])
+    def test_rejects_a_repeated_strategy_or_pair_by_name(self, tmp_path, overrides, message):
+        with pytest.raises(ValueError) as err:
+            config_from_dict(base_config(tmp_path, **overrides))
+        assert str(err.value) == message
 
     def test_rejects_ma_window_wider_than_observation(self, tmp_path):
         raw = base_config(tmp_path, strategies=["mrma"], ma_window=20)
@@ -629,6 +641,7 @@ class TestCli:
     @pytest.mark.parametrize("flag,message", [
         ("mrma", "mrma/tfma with ma_window 20 need env.window >= 20"),
         ("long,momentum", "unknown strategies ['momentum']"),
+        ("long,long", "strategies must be unique; 'long' repeats"),
     ])
     def test_invalid_strategy_override_fails_by_name(self, tmp_path, capsys, flag, message):
         raw = base_config(tmp_path)

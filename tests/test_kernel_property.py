@@ -4,7 +4,8 @@
 bits of the reference kernel in ``oracles`` for every layer shape, batch
 size (a single vector included), activation pair, dropout mask, taped or
 untaped pass and gradient target, and ``backward`` must match central
-differences on whole batches.
+differences on whole batches. The flat kernels run on the concatenation of
+per-layer arrays that the reference updates one layer at a time.
 """
 
 import numpy as np
@@ -20,12 +21,12 @@ from tradelab.neuralnet import (
     backward,
     create_mlp,
     forward,
-    get_params,
     make_dropout_masks,
     soft_update,
 )
 
 from oracles import (
+    ReferenceAdamState,
     ReferenceTape,
     finite_difference_grads,
     reference_adam_step,
@@ -38,6 +39,11 @@ from oracles import (
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
 WRT = ("both", "params", "input")
+
+
+def concat(arrays):
+    """One vector of per-layer arrays, in order: the layout of ``theta``."""
+    return np.concatenate([a.ravel() for a in arrays])
 
 
 @st.composite
@@ -58,7 +64,7 @@ def passes(draw, max_batch=70):
 
 @st.composite
 def param_lists(draw):
-    """Parameter arrays of one network: per-layer matrices and vectors, or one flat vector."""
+    """Per-layer parameter arrays: matrices and vectors of any mix of shapes."""
     shapes = draw(st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple),
                            min_size=1, max_size=4))
     gen = np.random.default_rng(draw(SEEDS))
@@ -77,12 +83,12 @@ def test_forward_and_backward_match_reference(run, taped, wrt):
     tape = Tape() if taped else None
     out = forward(net, x, dropout_masks=masks, tape=tape)
     assert np.array_equal(out, want_out[0] if single else want_out)
-    grads, dx = backward(net, x, up, dropout_masks=masks, tape=tape, wrt=wrt)
+    grad, dx = backward(net, x, up, dropout_masks=masks, tape=tape, wrt=wrt)
     if wrt == "input":
-        assert grads is None
+        assert grad is None
     else:
-        assert len(grads) == len(want_grads)
-        assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+        assert grad.shape == net.theta.shape
+        assert np.array_equal(grad, concat(want_grads))
     if wrt == "params":
         assert dx is None
     else:
@@ -92,18 +98,18 @@ def test_forward_and_backward_match_reference(run, taped, wrt):
 @SETTINGS
 @given(param_lists(), st.integers(1, 6), st.sampled_from([1e-3, 0.1]))
 def test_adam_steps_match_reference(params_gen, steps, lr):
-    params, gen = params_gen
-    opt, ref_opt = AdamState.create(params, lr=lr), AdamState.create(params, lr=lr)
-    want = [p.copy() for p in params]
+    want, gen = params_gen
+    theta = concat(want)
+    opt, ref_opt = AdamState.create(theta, lr=lr), ReferenceAdamState(want, lr=lr)
     for _ in range(steps):
         # zeros, float dust and large entries side by side
-        scale = [gen.choice([0.0, 1e-9, 1.0, 1e3], size=p.shape) for p in params]
+        scale = [gen.choice([0.0, 1e-9, 1.0, 1e3], size=p.shape) for p in want]
         grads = [s * gen.normal(size=s.shape) for s in scale]
-        assert adam_step(params, grads, opt) is None
+        assert adam_step(theta, concat(grads), opt) is None
         want = reference_adam_step(want, grads, ref_opt)
         assert opt.step == ref_opt.step
-        assert all(np.array_equal(p, w) for p, w in zip(params, want))
-        assert all(np.array_equal(a, b) for a, b in zip(opt.m + opt.v, ref_opt.m + ref_opt.v))
+        assert np.array_equal(theta, concat(want))
+        assert np.array_equal(opt.m, concat(ref_opt.m)) and np.array_equal(opt.v, concat(ref_opt.v))
 
 
 @SETTINGS
@@ -111,11 +117,11 @@ def test_adam_steps_match_reference(params_gen, steps, lr):
 def test_soft_update_matches_reference(params_gen, tau):
     target, gen = params_gen
     source = [gen.normal(size=t.shape) for t in target]
-    source_before = [s.copy() for s in source]
+    flat_target, flat_source = concat(target), concat(source)
     want = reference_soft_update(target, source, tau)
-    assert soft_update(target, source, tau) is None
-    assert all(np.array_equal(t, w) for t, w in zip(target, want))
-    assert all(np.array_equal(s, b) for s, b in zip(source, source_before))
+    assert soft_update(flat_target, flat_source, tau) is None
+    assert np.array_equal(flat_target, concat(want))
+    assert np.array_equal(flat_source, concat(source))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -128,13 +134,13 @@ def test_batch_gradients_match_finite_differences(run):
     # a relu pre-activation within a step's reach of its kink has no central difference
     if net.hidden_activation == "relu":
         assume(all(np.abs(z).min() > 1e-3 for z in tape.pres[:-1]))
-    grads, dx = backward(net, x, up, dropout_masks=masks)
+    grad, dx = backward(net, x, up, dropout_masks=masks)
 
     def objective():
         return float(np.sum(forward(net, x, dropout_masks=masks) * up))
 
-    for got, want in zip(grads, finite_difference_grads(objective, get_params(net))):
-        assert all(rel_close(g, w) for g, w in zip(got.ravel(), want.ravel()))
+    want = finite_difference_grads(objective, [net.theta])[0]
+    assert all(rel_close(g, w) for g, w in zip(grad, want))
 
     xs = x.copy()
 

@@ -4,6 +4,7 @@ import pytest
 from tradelab.agents import DqnAgent, DqnConfig, Td3Agent, Td3Config
 from tradelab.neuralnet import (
     AdamState,
+    Mlp,
     Tape,
     adam_step,
     backward,
@@ -12,13 +13,11 @@ from tradelab.neuralnet import (
     clone,
     create_mlp,
     forward,
-    get_params,
     global_norm,
     load_nets,
     make_dropout_masks,
     net_from_payload,
     save_nets,
-    set_params,
     soft_update,
 )
 
@@ -40,7 +39,7 @@ class TestForward:
     def test_zero_parameters_give_zero_output(self, rng):
         for out_act in ("identity", "tanh"):
             net = create_mlp((4, 8, 2), rng, output_activation=out_act)
-            set_params(net, [np.zeros_like(p) for p in get_params(net)])
+            net.theta[...] = 0.0
             assert forward(net, rng.normal(size=4)).tolist() == [0.0, 0.0]
 
     def test_tanh_output_range(self, rng):
@@ -102,14 +101,13 @@ class TestForward:
         assert np.array_equal(forward(net, x), forward(net, x))
         g1, i1 = backward(net, x, np.ones((5, 2)))
         g2, i2 = backward(net, x, np.ones((5, 2)))
-        assert all(np.array_equal(a, b) for a, b in zip(g1, g2))
+        assert np.array_equal(g1, g2)
         assert np.array_equal(i1, i2)
 
     def test_determinism_from_seed(self):
         a = create_mlp((4, 8, 1), np.random.default_rng(7))
         b = create_mlp((4, 8, 1), np.random.default_rng(7))
-        for pa, pb in zip(get_params(a), get_params(b)):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(a.theta, b.theta)
 
 
 class TestBackward:
@@ -119,8 +117,8 @@ class TestBackward:
 
     def test_zero_upstream_zeroes_everything(self, rng):
         net = create_mlp((3, 4, 2), rng)
-        grads, input_grad = backward(net, rng.normal(size=3), [0.0, 0.0])
-        assert all(np.all(g == 0) for g in grads)
+        grad, input_grad = backward(net, rng.normal(size=3), [0.0, 0.0])
+        assert grad.shape == net.theta.shape and np.all(grad == 0)
         assert np.all(input_grad == 0)
 
     def test_unknown_wrt_is_rejected_by_name(self, rng):
@@ -135,16 +133,14 @@ class TestBackward:
             net = create_mlp(dims, rng, hidden_activation=hidden_act, output_activation=out_act)
             x = rng.normal(size=dims[0])
             up = rng.normal(size=dims[-1])
-            grads, input_grad = backward(net, x, up)
-            params = get_params(net)
+            grad, input_grad = backward(net, x, up)
 
             def objective():
                 return float(forward(net, x) @ up)
 
-            fd = finite_difference_grads(objective, params)
-            for got, want in zip(grads, fd):
-                for g, w in zip(got.ravel(), want.ravel()):
-                    assert rel_close(g, w)
+            fd = finite_difference_grads(objective, [net.theta])[0]
+            for g, w in zip(grad, fd):
+                assert rel_close(g, w)
 
             xs = x.copy()
 
@@ -159,13 +155,9 @@ class TestBackward:
         net = create_mlp((3, 4, 1), rng)
         xs = rng.normal(size=(5, 3))
         ups = rng.normal(size=(5, 1))
-        batch_grads, _ = backward(net, xs, ups)
-        summed = None
-        for x, up in zip(xs, ups):
-            g, _ = backward(net, x, up)
-            summed = g if summed is None else [a + b for a, b in zip(summed, g)]
-        for got, want in zip(batch_grads, summed):
-            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        batch_grad, _ = backward(net, xs, ups)
+        summed = sum(backward(net, x, up)[0] for x, up in zip(xs, ups))
+        assert np.allclose(batch_grad, summed, rtol=1e-12, atol=1e-12)
 
 
 class TestDropout:
@@ -179,116 +171,123 @@ class TestDropout:
             masks = make_dropout_masks(net, 0.5, rng)
             x = rng.normal(size=4)
             up = np.array([1.0])
-            grads, _ = backward(net, x, up, dropout_masks=masks)
+            grad, _ = backward(net, x, up, dropout_masks=masks)
 
             def objective():
                 return float(forward(net, x, dropout_masks=masks)[0])
 
-            fd = finite_difference_grads(objective, get_params(net))
-            for got, want in zip(grads, fd):
-                for g, w in zip(got.ravel(), want.ravel()):
-                    assert rel_close(g, w)
+            fd = finite_difference_grads(objective, [net.theta])[0]
+            for g, w in zip(grad, fd):
+                assert rel_close(g, w)
 
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self, rng):
-        params = [rng.normal(size=(3, 2)), rng.normal(size=2)]
-        before = [p.copy() for p in params]
-        opt = AdamState.create(params, lr=0.01)
-        assert adam_step(params, [np.zeros_like(p) for p in params], opt) is None
+        param = rng.normal(size=(3, 2))  # any shape: the step is elementwise
+        before = param.copy()
+        opt = AdamState.create(param, lr=0.01)
+        assert adam_step(param, np.zeros_like(param), opt) is None
         assert opt.step == 1
-        for p, q in zip(params, before):
-            assert np.array_equal(p, q)
+        assert np.array_equal(param, before)
 
     def test_first_step_moves_by_learning_rate(self):
-        params = [np.array([5.0])]
-        opt = AdamState.create(params, lr=1e-3)
-        adam_step(params, [np.array([1.0])], opt)
-        assert params[0][0] == pytest.approx(5.0 - 1e-3, abs=1e-9)
+        param = np.array([5.0])
+        opt = AdamState.create(param, lr=1e-3)
+        adam_step(param, np.array([1.0]), opt)
+        assert param[0] == pytest.approx(5.0 - 1e-3, abs=1e-9)
 
     def test_minimizes_quadratic(self):
-        x = [np.array([1.0])]
+        x = np.array([1.0])
         opt = AdamState.create(x, lr=0.1)
         for _ in range(100):
-            adam_step(x, [2.0 * x[0]], opt)
-        assert abs(x[0][0]) < 0.5
+            adam_step(x, 2.0 * x, opt)
+        assert abs(x[0]) < 0.5
 
     def test_create_defaults_are_the_dataclass_defaults(self):
-        params = [np.ones((2, 3))]
-        opt = AdamState.create(params, eps=1e-6)
+        opt = AdamState.create(np.ones((2, 3)), eps=1e-6)
         assert (opt.lr, opt.beta1, opt.beta2, opt.eps, opt.step) == (1e-3, 0.9, 0.999, 1e-6, 0)
-        assert opt.m[0].shape == opt.v[0].shape == (2, 3) and not opt.m[0].any()
+        assert opt.m.shape == opt.v.shape == (2, 3) and not opt.m.any()
 
     def test_rejects_non_finite_gradient(self):
-        params = [np.array([1.0])]
-        opt = AdamState.create(params)
+        param = np.array([1.0])
+        opt = AdamState.create(param)
         with pytest.raises(ValueError, match="non-finite"):
-            adam_step(params, [np.array([float("inf")])], opt)
-        assert params[0].tolist() == [1.0] and opt.step == 0 and not opt.m[0].any()
+            adam_step(param, np.array([float("inf")]), opt)
+        assert param.tolist() == [1.0] and opt.step == 0 and not opt.m.any()
 
     def test_rejects_shape_mismatch(self):
-        params = [np.array([1.0, 2.0])]
-        opt = AdamState.create(params)
+        param = np.array([1.0, 2.0])
+        opt = AdamState.create(param)
         with pytest.raises(ValueError, match="shape"):
-            adam_step(params, [np.array([1.0])], opt)
-        assert params[0].tolist() == [1.0, 2.0] and opt.step == 0
+            adam_step(param, np.array([1.0]), opt)
+        assert param.tolist() == [1.0, 2.0] and opt.step == 0
 
 
 class TestClip:
     def test_scales_down_when_above(self):
-        grads = [np.array([6.0]), np.array([8.0])]  # global norm 10
-        clipped = clip_gradients(grads, 1.0)
-        assert clipped[0][0] == pytest.approx(0.6)
-        assert clipped[1][0] == pytest.approx(0.8)
-        assert global_norm(clipped) == pytest.approx(1.0)
+        grad = np.array([6.0, 8.0])  # global norm 10 over dims (1, 1): w0 = 6, b0 = 8
+        clipped = clip_gradients(grad, (1, 1), 1.0)
+        assert clipped[0] == pytest.approx(0.6)
+        assert clipped[1] == pytest.approx(0.8)
+        assert global_norm(clipped, (1, 1)) == pytest.approx(1.0)
 
     def test_untouched_when_below(self):
-        grads = [np.array([0.3]), np.array([0.4])]
-        clipped = clip_gradients(grads, 1.0)
-        assert np.array_equal(clipped[0], grads[0])
+        grad = np.array([0.3, 0.4])
+        assert np.array_equal(clip_gradients(grad, (1, 1), 1.0), grad)
 
     def test_zero_gradients_pass_through(self):
-        grads = [np.zeros(3)]
-        assert np.array_equal(clip_gradients(grads, 1.0)[0], grads[0])
+        grad = np.zeros(3)
+        assert np.array_equal(clip_gradients(grad, (2, 1), 1.0), grad)
 
     def test_idempotent(self, rng):
-        grads = [rng.normal(size=(4, 3)) * 10.0]
-        once = clip_gradients(grads, 0.7)
-        twice = clip_gradients(once, 0.7)
-        for a, b in zip(once, twice):
-            assert np.array_equal(a, b)
+        grad = rng.normal(size=12) * 10.0
+        once = clip_gradients(grad, (3, 3), 0.7)
+        assert np.array_equal(clip_gradients(once, (3, 3), 0.7), once)
+
+    def test_norm_sums_layer_by_layer(self):
+        # a TD3-actor-shaped gradient (seed 9) whose one-sum norm rounds differently
+        dims = (30, 64, 32, 1)
+        grad = np.random.default_rng(9).normal(size=30 * 64 + 64 + 64 * 32 + 32 + 32 + 1)
+        bounds = np.cumsum([0] + [n for a, b in zip(dims, dims[1:]) for n in (a * b, b)])
+        norm = np.sqrt(sum(float(np.sum(grad[i:j] * grad[i:j])) for i, j in zip(bounds, bounds[1:])))
+        one_sum = np.sqrt(np.sum(grad * grad))
+        assert norm != one_sum
+        assert global_norm(grad, dims) == norm
+        clipped = clip_gradients(grad, dims, 1.0)
+        assert np.array_equal(clipped, grad * (1.0 / norm))
+        assert not np.array_equal(clipped, grad * (1.0 / one_sum))
 
 
 class TestSoftUpdate:
     def test_full_copy(self):
-        target = [np.zeros(3)]
-        assert soft_update(target, [np.ones(3)], 1.0) is None
-        assert np.array_equal(target[0], np.ones(3))
+        target = np.zeros(3)
+        assert soft_update(target, np.ones(3), 1.0) is None
+        assert np.array_equal(target, np.ones(3))
 
     def test_no_update(self):
-        target = [np.zeros(3)]
-        soft_update(target, [np.ones(3)], 0.0)
-        assert np.array_equal(target[0], np.zeros(3))
+        target = np.zeros(3)
+        soft_update(target, np.ones(3), 0.0)
+        assert np.array_equal(target, np.zeros(3))
 
     def test_small_mix(self):
-        target = [np.array([0.0])]
-        soft_update(target, [np.array([1.0])], 0.005)
-        assert target[0][0] == pytest.approx(0.005, abs=1e-12)
+        target = np.array([0.0])
+        soft_update(target, np.array([1.0]), 0.005)
+        assert target[0] == pytest.approx(0.005, abs=1e-12)
 
     def test_contraction_toward_source(self, rng):
-        target = [rng.normal(size=(3, 3))]
-        source = [rng.normal(size=(3, 3))]
+        target = rng.normal(size=(3, 3))  # any shape: the mix is elementwise
+        source = rng.normal(size=(3, 3))
         tau = 0.1
-        gap_before = np.abs(target[0] - source[0])
+        gap_before = np.abs(target - source)
         soft_update(target, source, tau)
-        gap_after = np.abs(target[0] - source[0])
+        gap_after = np.abs(target - source)
         assert np.allclose(gap_after, (1 - tau) * gap_before, rtol=1e-12)
 
     def test_shape_mismatch_moves_nothing(self):
-        target = [np.zeros(2), np.zeros(3)]
+        target = np.zeros(5)
         with pytest.raises(ValueError, match="shape mismatch"):
-            soft_update(target, [np.ones(2), np.ones(4)], 0.5)
-        assert not target[0].any()
+            soft_update(target, np.ones(6), 0.5)
+        assert not target.any()
 
 
 class TestCheckpoint:
@@ -301,8 +300,7 @@ class TestCheckpoint:
         assert loaded.layer_dims == net.layer_dims
         assert loaded.hidden_activation == "tanh"
         assert loaded.output_activation == "tanh"
-        for a, b in zip(get_params(net), get_params(loaded)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(net.theta, loaded.theta)
         assert episodes == 17
 
     def test_keys_dtypes_and_shapes(self, rng, tmp_path):
@@ -357,7 +355,6 @@ def assert_views_share_theta(net):
     for w, b in zip(net.weights, net.biases):
         assert np.shares_memory(w, net.theta)
         assert np.shares_memory(b, net.theta)
-    assert all(np.shares_memory(p, net.theta) for p in get_params(net))
 
 
 class TestFlatParameters:
@@ -372,32 +369,25 @@ class TestFlatParameters:
     def test_theta_layout(self, rng):
         net = create_mlp((4, 6, 3), rng)
         assert net.theta.shape == (4 * 6 + 6 + 6 * 3 + 3,)
-        assert np.array_equal(net.theta, np.concatenate([p.ravel() for p in get_params(net)]))
+        layers = [p.ravel() for w, b in zip(net.weights, net.biases) for p in (w, b)]
+        assert np.array_equal(net.theta, np.concatenate(layers))
         net.theta[0] = 7.0
         assert net.weights[0][0, 0] == 7.0
 
-    def test_set_params_copies_into_the_views(self, rng):
+    def test_theta_writes_show_in_the_views(self, rng):
         net = create_mlp((3, 5, 2), rng)
-        theta = net.theta
-        params = [rng.normal(size=p.shape) for p in get_params(net)]
-        set_params(net, params)
-        assert net.theta is theta
+        values = rng.normal(size=net.theta.shape)
+        net.theta[...] = values
         assert_views_share_theta(net)
-        for got, want in zip(get_params(net), params):
-            assert np.array_equal(got, want)
-        before = net.theta.copy()
-        for p in params:
-            p += 1.0
-        assert np.array_equal(net.theta, before)
+        assert np.array_equal(net.weights[1], values[20:30].reshape(5, 2))
+        assert np.array_equal(net.biases[1], values[30:])
+        values += 1.0
+        assert not np.array_equal(net.theta, values)
 
-    def test_set_params_shape_mismatch_changes_nothing(self, rng):
-        net = create_mlp((3, 5, 2), rng)
-        before = net.theta.copy()
-        params = [np.zeros_like(p) for p in get_params(net)]
-        params[-1] = np.zeros(3)
-        with pytest.raises(ValueError, match="shape mismatch"):
-            set_params(net, params)
-        assert np.array_equal(net.theta, before)
+    def test_mlp_rejects_a_misshapen_theta(self):
+        for theta in (np.zeros(31), np.zeros(32, dtype=np.float32), np.zeros((2, 16)), np.zeros(64)[::2]):
+            with pytest.raises(ValueError, match="contiguous float64 vector of 32 parameters"):
+                Mlp((3, 5, 2), theta)
 
     def test_net_from_payload(self, rng):
         net = create_mlp((3, 5, 2), rng, hidden_activation="tanh")
@@ -451,20 +441,20 @@ class TestTape:
         assert np.array_equal(out, forward(net, x, dropout_masks=masks))
         taped, taped_dx = backward(net, x, up, dropout_masks=masks, tape=tape)
         plain, plain_dx = backward(net, x, up, dropout_masks=masks)
-        assert len(taped) == len(plain) == 6
-        for a, b in zip(taped, plain):
-            assert np.array_equal(a, b)
+        assert taped.shape == plain.shape == net.theta.shape
+        assert np.array_equal(taped, plain)
         assert np.array_equal(taped_dx, plain_dx)
 
     def test_gradients_land_in_one_vector_laid_out_like_theta(self, rng):
         net = create_mlp((3, 4, 2), rng)
         x, up = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
-        buf = np.full_like(net.theta, np.nan)
-        grads, _ = backward(net, x, up, out=buf)
-        assert all(np.shares_memory(g, buf) for g in grads)
-        assert np.array_equal(buf, np.concatenate([g.ravel() for g in backward(net, x, up)[0]]))
-        with pytest.raises(ValueError, match="gradient buffer"):
-            backward(net, x, up, out=np.empty(3))
+        tape = Tape()
+        forward(net, x, tape=tape)
+        grad, _ = backward(net, x, up, tape=tape)
+        assert grad.shape == net.theta.shape and grad.dtype == np.float64 and grad.flags.c_contiguous
+        # the identity output layer: dW1 = h1^T up in W1's slot of theta, db1 = column sums of up
+        assert np.array_equal(grad[16:24].reshape(4, 2), tape.posts[0].T @ up)
+        assert np.array_equal(grad[24:], up.sum(axis=0))
 
     def test_tape_of_another_pass_is_rejected(self, rng):
         net, other = create_mlp((3, 4, 2), rng), create_mlp((3, 4, 2), rng)

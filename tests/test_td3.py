@@ -9,13 +9,13 @@ from tradelab.agents import (
     Td3Agent,
     Td3Config,
     actor_gradient,
-    td3_critic_target,
+    bootstrap_target,
     td3_select_action,
     td3_target_action,
     train,
 )
 from tradelab.env import EnvConfig
-from tradelab.neuralnet import config_hash, create_mlp, forward, get_params, set_params
+from tradelab.neuralnet import config_hash, create_mlp, forward
 
 from helpers import alternating_series, observation_rows, push_pairs
 from oracles import finite_difference_grads, rel_close
@@ -38,7 +38,7 @@ def small_config(**overrides):
 
 def zero_actor(window):
     net = create_mlp((window, 4, 1), np.random.default_rng(0), output_activation="tanh")
-    set_params(net, [np.zeros_like(p) for p in get_params(net)])
+    net.theta[...] = 0.0
     return net
 
 
@@ -112,22 +112,27 @@ class TestTargetAction:
         assert np.array_equal(got, np.clip(twin.normal(0.0, 0.2, size=(5, 1)), -0.5, 0.5))
 
 
+def critic_target(r, terminal, gamma, q1_next, q2_next):
+    """TD3's target: the bootstrap on the smaller of the twin target critics."""
+    return bootstrap_target(r, terminal, gamma, np.minimum(q1_next, q2_next))
+
+
 class TestCriticTarget:
     def test_terminal_is_reward(self):
-        y = td3_critic_target(np.array([0.05]), np.array([1.0]), 0.99, np.array([3.0]), np.array([4.0]))
+        y = critic_target(np.array([0.05]), np.array([1.0]), 0.99, np.array([3.0]), np.array([4.0]))
         assert y.tolist() == [0.05]
 
     def test_min_of_twin_critics(self):
-        y = td3_critic_target(np.array([0.1]), np.array([0.0]), 0.99, np.array([1.0]), np.array([0.8]))
+        y = critic_target(np.array([0.1]), np.array([0.0]), 0.99, np.array([1.0]), np.array([0.8]))
         assert y == pytest.approx([0.892])
 
     def test_equal_critics_reduce(self):
-        y = td3_critic_target(np.array([0.2]), np.array([0.0]), 0.9, np.array([0.7]), np.array([0.7]))
+        y = critic_target(np.array([0.2]), np.array([0.0]), 0.9, np.array([0.7]), np.array([0.7]))
         assert y == pytest.approx([0.2 + 0.9 * 0.7])
 
     def test_min_bound_property(self, rng):
         r, q1, q2 = rng.normal(size=(3, 200))
-        y = td3_critic_target(r, np.zeros(200), 0.99, q1, q2)
+        y = critic_target(r, np.zeros(200), 0.99, q1, q2)
         assert np.all(y <= r + 0.99 * q1 + 1e-12)
         assert np.all(y <= r + 0.99 * q2 + 1e-12)
 
@@ -144,27 +149,24 @@ class TestUpdate:
     def test_delayed_actor_and_targets(self, rng):
         agent = Td3Agent(3, small_config(policy_delay=3), seed=1)
         fill_buffer(agent, rng)
-        before_actor = [p.copy() for p in get_params(agent.actor)]
-        before_targets = [p.copy() for p in get_params(agent.critic1_target)]
+        before_actor = agent.actor.theta.copy()
+        before_targets = agent.critic1_target.theta.copy()
         gen = np.random.default_rng(0)
         d1 = agent.update(0, gen)
         d2 = agent.update(0, gen)
         assert not d1["actor_updated"] and not d2["actor_updated"]
-        for a, b in zip(before_actor, get_params(agent.actor)):
-            assert np.array_equal(a, b)
-        for a, b in zip(before_targets, get_params(agent.critic1_target)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(before_actor, agent.actor.theta)
+        assert np.array_equal(before_targets, agent.critic1_target.theta)
         d3 = agent.update(0, gen)
         assert d3["actor_updated"]
-        assert any(not np.array_equal(a, b)
-                   for a, b in zip(before_actor, get_params(agent.actor)))
+        assert not np.array_equal(before_actor, agent.actor.theta)
 
     def test_critics_move_every_update(self, rng):
         agent = Td3Agent(3, small_config(), seed=2)
         fill_buffer(agent, rng)
-        before = [p.copy() for p in get_params(agent.critic1)]
+        before = agent.critic1.theta.copy()
         agent.update(0, np.random.default_rng(0))
-        assert any(not np.array_equal(a, b) for a, b in zip(before, get_params(agent.critic1)))
+        assert not np.array_equal(before, agent.critic1.theta)
 
     def test_underfilled_buffer_rejected(self, rng):
         agent = Td3Agent(3, small_config(batch_size=16), seed=0)
@@ -186,17 +188,16 @@ class TestUpdate:
         actor = create_mlp((2, 3, 1), rng, output_activation="tanh")
         critic = create_mlp((3, 4, 1), rng)
         states = rng.normal(size=(6, 2))
-        grads, _ = actor_gradient(actor, critic, states)
+        grad, _ = actor_gradient(actor, critic, states)
 
         def objective():
             actions = forward(actor, states)
             q = forward(critic, np.hstack([states, actions]))
             return float(np.mean(q))
 
-        fd = finite_difference_grads(objective, get_params(actor))
-        for got, want in zip(grads, fd):
-            for g, w in zip(got.ravel(), want.ravel()):
-                assert rel_close(g, w)
+        fd = finite_difference_grads(objective, [actor.theta])[0]
+        for g, w in zip(grad, fd):
+            assert rel_close(g, w)
 
 
 class TestTraining:
@@ -208,19 +209,17 @@ class TestTraining:
         for _ in range(2):
             agent = Td3Agent(3, cfg, seed=11)
             train(agent, series, env_cfg, episodes=4, seed=11)
-            params.append([p.copy() for p in get_params(agent.actor)])
-        for a, b in zip(*params):
-            assert np.array_equal(a, b)
+            params.append(agent.actor.theta.copy())
+        assert np.array_equal(*params)
 
     def test_warmup_only_leaves_params_untouched(self):
         series = alternating_series(40)
         cfg = small_config(warmup_episodes=3)
         agent = Td3Agent(3, cfg, seed=5)
-        before = [p.copy() for p in get_params(agent.actor)]
+        before = agent.actor.theta.copy()
         log = train(agent, series, EnvConfig(window=3), episodes=3, seed=5)
         assert all(rec["warmup"] for rec in log)
-        for a, b in zip(before, get_params(agent.actor)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(before, agent.actor.theta)
         assert len(agent.buffer) > 0
 
     def test_learns_alternating_pattern_single_seed(self):
@@ -253,10 +252,8 @@ class TestCheckpoint:
         twin = Td3Agent(3, small_config(), seed=99)
         twin.load(path)
         assert twin.episodes_trained == 9
-        for a, b in zip(get_params(agent.actor), get_params(twin.actor)):
-            assert np.array_equal(a, b)
-        for a, b in zip(get_params(agent.critic2_target), get_params(twin.critic2_target)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(agent.actor.theta, twin.actor.theta)
+        assert np.array_equal(agent.critic2_target.theta, twin.critic2_target.theta)
 
     def test_config_mismatch_rejected(self, tmp_path):
         agent = Td3Agent(3, small_config(), seed=7)
