@@ -7,6 +7,7 @@ epsilon-greedy with an exponentially decaying epsilon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,7 +105,8 @@ class DqnAgent:
     # -- learning -------------------------------------------------------
 
     def update(self, episode: int, rng: np.random.Generator) -> dict:
-        """One MSE step on the taken-action Q-values; periodic hard target sync."""
+        """One MSE step on the taken-action Q-values; periodic hard target sync.
+        A non-finite loss raises before the Adam step."""
         cfg = self.config
         if len(self.buffer) < cfg.batch_size:
             raise ValueError(f"buffer holds {len(self.buffer)} < batch size {cfg.batch_size}")
@@ -124,6 +126,8 @@ class DqnAgent:
         rows = np.arange(n)
         resid = q[rows, idx] - y
         loss = float(np.add.reduce(resid * resid)) / n  # np.mean's sum and divide
+        if not math.isfinite(loss):
+            raise ValueError(f"tdqn update {self.updates + 1}: non-finite loss {loss}")
 
         upstream = np.zeros_like(q)
         upstream[rows, idx] = 2.0 * resid / n

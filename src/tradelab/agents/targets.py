@@ -12,6 +12,4 @@ def bootstrap_target(r, terminal, gamma: float, next_value) -> np.ndarray:
     min(q1', q2'), DQN's max over the target net's action values, or a
     Q-table row's max.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     return r + gamma * (1.0 - terminal) * next_value

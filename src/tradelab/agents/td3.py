@@ -8,6 +8,7 @@ only every ``policy_delay`` updates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,8 +72,6 @@ class Td3Config:
 def td3_select_action(actor: Mlp, state, sigma: float, a_low: float, a_high: float,
                       rng: np.random.Generator) -> float:
     """Actor output plus N(0, sigma) exploration noise, clamped to [a_low, a_high]."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
     a = float(forward(actor, state)[0])
     if sigma > 0:
         a += float(rng.normal(0.0, sigma))
@@ -93,10 +92,6 @@ def td3_target_action(
 
     The noise is one ``(n, 1)`` normal draw, made only when sigma~ > 0.
     """
-    if sigma_tilde < 0 or noise_clip < 0:
-        raise ValueError("noise scale and clip bound must be >= 0")
-    if a_low >= a_high:
-        raise ValueError("a_low must be below a_high")
     a = forward(actor_target, next_states)
     n = len(a)
     eps = rng.normal(0.0, sigma_tilde, size=(n, 1)) if sigma_tilde > 0 else np.zeros((n, 1))
@@ -170,7 +165,8 @@ class Td3Agent:
     # -- learning -------------------------------------------------------
 
     def update(self, episode: int, rng: np.random.Generator) -> dict:
-        """One gradient step on both critics, delayed actor/target step."""
+        """One gradient step on both critics, delayed actor/target step; a non-finite
+        critic loss or actor objective raises before the Adam step that would use it."""
         cfg = self.config
         if len(self.buffer) < cfg.batch_size:
             raise ValueError(f"buffer holds {len(self.buffer)} < batch size {cfg.batch_size}")
@@ -185,12 +181,16 @@ class Td3Agent:
                                                             forward(self.critic2_target, x2)[:, 0]))
 
         x = np.concatenate([s, a[:, None]], axis=1)
-        losses = []
-        for critic, opt in ((self.critic1, self.critic1_opt), (self.critic2, self.critic2_opt)):
-            tape = Tape()
-            q = forward(critic, x, tape=tape)[:, 0]
-            resid = q - y
-            losses.append(float(np.add.reduce(resid * resid)) / n)  # np.mean's sum and divide
+        number = self.updates + 1
+        tapes = (Tape(), Tape())
+        resids = [forward(critic, x, tape=tape)[:, 0] - y
+                  for critic, tape in zip((self.critic1, self.critic2), tapes)]
+        losses = [float(np.add.reduce(r * r)) / n for r in resids]  # np.mean's sum and divide
+        for name, loss in zip(("critic1", "critic2"), losses):  # both, before either critic moves
+            if not math.isfinite(loss):
+                raise ValueError(f"td3 update {number}: non-finite {name} loss {loss}")
+        for critic, opt, tape, resid in zip((self.critic1, self.critic2),
+                                            (self.critic1_opt, self.critic2_opt), tapes, resids):
             grad, _ = backward(critic, x, (2.0 * resid / n)[:, None], tape=tape, wrt="params")
             adam_step(critic.theta, grad, opt)
 
@@ -204,7 +204,9 @@ class Td3Agent:
         if self.updates % cfg.policy_delay == 0:
             diag["actor_updated"] = True
             # Ascend J = mean(Q1(s, pi(s))): chain dQ/da through the actor.
-            actor_grad, _ = actor_gradient(self.actor, self.critic1, s)
+            actor_grad, objective = actor_gradient(self.actor, self.critic1, s)
+            if not math.isfinite(objective):
+                raise ValueError(f"td3 update {number}: non-finite actor objective {objective}")
             actor_grad = clip_gradients(actor_grad, self.actor.layer_dims, cfg.grad_clip_norm)
             adam_step(self.actor.theta, -actor_grad, self.actor_opt)
 

@@ -1,46 +1,24 @@
 """Non-learning benchmark strategies and the action discretizers.
 
-Every strategy gives its action for bar t through act(spec, t, prices); the
+Every strategy gives its action for bar t through act(kind, t, prices); the
 harness wraps those calls in the policy(rows) surface the agents expose, so
 the evaluation loop treats both alike. Buy-and-hold / sell-and-hold are
 emulated inside the daily-close environment as a constant +1 / -1 with fees
 charged only on the first open and the final close (the environment itself
-force-closes daily, so the runner suppresses intermediate fees for them).
+force-closes daily, so the runner suppresses intermediate fees for the
+``HOLDS`` kinds). The experiment config checks the kinds and ``ma_window``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import PriceSeries
 
-KINDS = (
-    "random_c",
-    "random_d",
-    "buy_hold",
-    "sell_hold",
-    "long",
-    "short",
-    "mrma",
-    "tfma",
-)
-
-_TECHNICAL = ("mrma", "tfma")
-_RANDOM = ("random_c", "random_d")
-
-
-@dataclass(frozen=True)
-class StrategySpec:
-    kind: str
-    ma_window: int = 20
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind in _TECHNICAL and self.ma_window < 2:
-            raise ValueError(f"ma_window must be >= 2 for {self.kind}, got {self.ma_window}")
+TECHNICAL = ("mrma", "tfma")  # moving-average rules
+RANDOM = ("random_c", "random_d")  # the kinds that draw from an rng
+HOLDS = ("buy_hold", "sell_hold")  # one open and one close span the whole period
+KINDS = RANDOM + HOLDS + ("long", "short") + TECHNICAL  # this order numbers the evaluation streams
 
 
 def moving_average(closes: np.ndarray, t: int, window: int) -> float:
@@ -52,39 +30,26 @@ def moving_average(closes: np.ndarray, t: int, window: int) -> float:
     return float(np.add.reduce(closes[t - window + 1 : t + 1])) / window  # np.mean's sum and divide
 
 
-def act(spec: StrategySpec, t: int, prices: PriceSeries, rng: np.random.Generator | None = None) -> float:
-    """The strategy's action for bar t."""
-    kind = spec.kind
+def act(kind: str, t: int, prices: PriceSeries, rng: np.random.Generator | None = None,
+        ma_window: int = 20) -> float:
+    """The action of strategy ``kind`` for bar t."""
     if kind in ("buy_hold", "long"):
         return 1.0
     if kind in ("sell_hold", "short"):
         return -1.0
-    if kind == "random_c":
-        return float(_require_rng(rng, kind).uniform(-1.0, 1.0))
-    if kind == "random_d":
-        return float(_require_rng(rng, kind).choice((-1.0, 1.0)))
+    if kind in RANDOM:
+        if rng is None:
+            raise ValueError(f"strategy {kind!r} needs an rng")
+        return float(rng.uniform(-1.0, 1.0) if kind == "random_c" else rng.choice((-1.0, 1.0)))
+    if kind not in TECHNICAL:
+        raise ValueError(f"unknown strategy kind {kind!r}; expected one of {KINDS}")
     # technical rules: compare today's close with its moving average
     closes = prices.closes()
-    ma = moving_average(closes, t, spec.ma_window)
+    ma = moving_average(closes, t, ma_window)
     p = closes[t]
     if kind == "mrma":
         return 1.0 if p < ma else -1.0
     return 1.0 if p > ma else -1.0  # tfma
-
-
-def _require_rng(rng, kind):
-    if rng is None:
-        raise ValueError(f"strategy {kind!r} needs an rng")
-    return rng
-
-
-def holds_position(kind: str) -> bool:
-    """True for strategies whose single open/close spans the whole period."""
-    return kind in ("buy_hold", "sell_hold")
-
-
-def is_random(kind: str) -> bool:
-    return kind in _RANDOM
 
 
 def sign_discretize(a: float) -> float:

@@ -28,15 +28,7 @@ from functools import partial
 import numpy as np
 
 from .agents import DqnAgent, DqnConfig, ReplayBuffer, Td3Agent, Td3Config, train
-from .baselines import (
-    KINDS,
-    StrategySpec,
-    act,
-    d3_discretize,
-    holds_position,
-    is_random,
-    sign_discretize,
-)
+from .baselines import HOLDS, KINDS, RANDOM, TECHNICAL, act, d3_discretize, sign_discretize
 from .data import DEFAULT_COLUMNS, SplitSpec, chronological_split, load_csv
 from .env import EnvConfig, TradingEnv
 from .fileio import atomic_open
@@ -81,6 +73,8 @@ class ExperimentConfig:
         for pair in self.ttest_pairs:
             if len(pair) != 2 or any(s not in ALL_STRATEGIES for s in pair):
                 raise ValueError(f"invalid t-test pair {pair}")
+            if pair[0] == pair[1]:
+                raise ValueError(f"t-test pair {pair} compares a strategy with itself")
         for name, items in (("seeds", self.seeds), ("strategies", self.strategies),
                             ("t-test pairs", [":".join(pair) for pair in self.ttest_pairs])):
             repeated = next((x for i, x in enumerate(items) if x in items[:i]), None)
@@ -92,14 +86,14 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"ttest.alpha must lie in (0, 1), got {self.alpha}")
-        for s in self.strategies:
-            if s in KINDS:  # a baseline's own checks, here rather than after training
-                StrategySpec(kind=s, ma_window=self.ma_window)
-        # the moving average must be defined at the first decision bar
-        if any(s in self.strategies for s in ("mrma", "tfma")) and self.ma_window > self.env.window:
-            raise ValueError(
-                f"mrma/tfma with ma_window {self.ma_window} need env.window >= {self.ma_window}"
-            )
+        technical = [s for s in self.strategies if s in TECHNICAL]
+        if technical:  # the moving average must be defined at the first decision bar
+            if self.ma_window < 2:
+                raise ValueError(f"ma_window must be >= 2 for {technical[0]}, got {self.ma_window}")
+            if self.ma_window > self.env.window:
+                raise ValueError(
+                    f"mrma/tfma with ma_window {self.ma_window} need env.window >= {self.ma_window}"
+                )
 
 
 def _read(default, value, key: str = ""):
@@ -341,12 +335,12 @@ def evaluate_strategies(cfg: ExperimentConfig, agents: dict, segment, seed: int)
             if kind not in agent_actions:
                 agent_actions[kind] = agents[kind].policies(rows)
             return list(map(_DISCRETIZERS.get(strategy, float), agent_actions[kind]))
-        spec = StrategySpec(kind=strategy, ma_window=cfg.ma_window)
-        rng = np.random.default_rng([seed, EVAL_STREAM[strategy]]) if is_random(strategy) else None
-        return [act(spec, cfg.env.window + i, segment, rng) for i in range(len(rows))]
+        rng = np.random.default_rng([seed, EVAL_STREAM[strategy]]) if strategy in RANDOM else None
+        return [act(strategy, cfg.env.window + i, segment, rng, cfg.ma_window)
+                for i in range(len(rows))]
 
     return {strategy: evaluate_policy(partial(actions, strategy), segment, cfg.env, strategy, seed,
-                                      hold_fees=holds_position(strategy))
+                                      hold_fees=strategy in HOLDS)
             for strategy in cfg.strategies}
 
 

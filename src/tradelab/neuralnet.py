@@ -20,6 +20,10 @@ record each layer's input and activation on a :class:`Tape`;
 pass again (without one it runs the same pass itself, so both give
 bit-identical gradients). ``backward(..., wrt=...)`` computes the parameter
 gradient, the input gradient or both.
+
+The kernels check shapes, dims and tapes only. A rate, a step size or a
+finite input is checked once where its value enters: the agent configs,
+the price loader and :func:`load_nets`.
 """
 
 from __future__ import annotations
@@ -131,8 +135,6 @@ def make_dropout_masks(net: Mlp, rate: float, rng: np.random.Generator):
     """Inverted-dropout masks for the hidden layers; None means no dropout."""
     if rate == 0.0:
         return None
-    if not 0.0 < rate < 1.0:
-        raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
     masks = []
     for dim in net.layer_dims[1:-1]:
         keep = (rng.random(dim) >= rate).astype(np.float64)
@@ -190,8 +192,6 @@ def forward(net: Mlp, x, dropout_masks=None, tape: Tape | None = None) -> np.nda
         raise ValueError("a stack of rows is evaluated without a tape")
     if batch.shape[-1] != net.in_dim:
         raise ValueError(f"input dim {batch.shape[-1]} != network input {net.in_dim}")
-    if not np.isfinite(batch).all():
-        raise ValueError("non-finite input")
     out = _forward_pass(net, batch, dropout_masks, tape)
     return out[0] if squeeze else out
 
@@ -263,12 +263,10 @@ class AdamState:
 
 
 def adam_step(param, grad, opt: AdamState) -> None:
-    """One Adam update of ``param``, ``opt``'s moments and its step, in place once every check passed."""
+    """One Adam update of ``param``, ``opt``'s moments and its step, in place."""
     if not param.shape == grad.shape == opt.m.shape:
         raise ValueError(f"gradient shape {grad.shape} != parameter shape {param.shape} "
                          f"(moments {opt.m.shape})")
-    if not np.isfinite(grad).all():
-        raise ValueError("non-finite gradient")
     opt.step += 1
     t = opt.step
     bc1 = 1.0 - opt.beta1**t
@@ -297,16 +295,12 @@ def global_norm(grad: np.ndarray, dims) -> float:
 def clip_gradients(grad: np.ndarray, dims, max_norm: float) -> np.ndarray:
     """``grad`` scaled by max_norm/norm when its :func:`global_norm` exceeds max_norm,
     else ``grad`` itself."""
-    if not max_norm > 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
     norm = global_norm(grad, dims)
     return grad if norm <= max_norm else grad * (max_norm / norm)
 
 
 def soft_update(target, source, tau: float) -> None:
-    """Polyak mix in place once every check passed: target <- tau * source + (1 - tau) * target."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
+    """Polyak mix in place: target <- tau * source + (1 - tau) * target."""
     if target.shape != source.shape:
         raise ValueError(f"shape mismatch {target.shape} vs {source.shape}")
     target *= 1.0 - tau
@@ -334,6 +328,8 @@ def net_from_payload(data, prefix: str = "") -> Mlp:
         arr = data[key]
         if arr.shape != view.shape:
             raise ValueError(f"checkpoint array {key} has shape {arr.shape}, expected {view.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint array {key} is not finite")
         view[...] = arr
     return Mlp(
         layer_dims=dims,
@@ -369,7 +365,8 @@ def save_nets(path, nets: dict, config, episodes: int) -> None:
 def load_nets(path, names, config) -> tuple[dict, int]:
     """The named networks and the episode count of a :func:`save_nets` checkpoint.
 
-    A ValueError when the version or the configuration differs.
+    A ValueError naming ``path`` when the version or the configuration
+    differs, or when a network's array is misshapen or not finite.
     """
     with np.load(path, allow_pickle=False) as data:
         version = int(data["version"])
@@ -377,4 +374,8 @@ def load_nets(path, names, config) -> tuple[dict, int]:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         if str(data["config_hash"]) != config_hash(config):
             raise ValueError(f"{path}: checkpoint was written with a different configuration")
-        return {name: net_from_payload(data, prefix=f"{name}.") for name in names}, int(data["episodes"])
+        try:
+            nets = {name: net_from_payload(data, prefix=f"{name}.") for name in names}
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        return nets, int(data["episodes"])

@@ -6,6 +6,8 @@ from tradelab.agents import (
     DecaySchedule,
     DqnAgent,
     DqnConfig,
+    ReplayBuffer,
+    Td3Config,
     bootstrap_target,
     q_learning,
     q_learning_update,
@@ -65,11 +67,6 @@ class TestTarget:
         with pytest.raises(ValueError, match="at least two discrete actions"):
             DqnConfig(actions=())
 
-    @pytest.mark.parametrize("gamma", [-0.1, 1.0, 1.5])
-    def test_gamma_outside_unit_interval(self, gamma):
-        with pytest.raises(ValueError, match=f"gamma must lie in \\[0, 1\\), got {gamma}"):
-            bootstrap_target(np.array([0.0]), np.array([0.0]), gamma, np.array([1.0]))
-
 
 class TestExploration:
     def test_full_exploration_is_uniform(self):
@@ -126,6 +123,21 @@ class TestUpdate:
         self.fill(agent, rng, n=3)
         with pytest.raises(ValueError, match="batch size"):
             agent.update(0, np.random.default_rng(0))
+
+    def test_non_finite_reward_fails_by_name_before_the_weights_move(self, rng):
+        agent = DqnAgent(3, small_config(target_sync=1), seed=1)
+        self.fill(agent, rng)
+        agent.update(0, np.random.default_rng(0))  # moments off zero
+        before = agent.snapshot()
+        m, v, step = agent.opt.m.copy(), agent.opt.v.copy(), agent.opt.step
+        agent.buffer = ReplayBuffer(agent.config.buffer_capacity)
+        push_pairs(agent.buffer, [(rng.normal(size=3), 1.0, float("nan"), rng.normal(size=3), False)]
+                   * agent.config.batch_size)
+        with pytest.raises(ValueError, match=r"^tdqn update 2: non-finite loss nan$"):
+            agent.update(0, np.random.default_rng(0))
+        assert all(np.array_equal(before[k], x) for k, x in agent.snapshot().items())
+        assert np.array_equal(agent.opt.m, m) and np.array_equal(agent.opt.v, v)
+        assert agent.opt.step == step and agent.updates == 1
 
     def test_foreign_action_rejected(self, rng):
         agent = DqnAgent(2, small_config(batch_size=1), seed=1)
@@ -216,6 +228,18 @@ class TestTraining:
         twin.load(path)
         assert np.array_equal(agent.net.theta, twin.net.theta)
 
+    def test_checkpoint_with_a_non_finite_weight_fails_at_load(self, tmp_path):
+        agent = DqnAgent(3, small_config(), seed=3)
+        agent.target_net.theta[-1] = np.nan
+        path = tmp_path / "dqn.npz"
+        agent.save(path)
+        twin = DqnAgent(3, small_config(), seed=4)
+        before = twin.snapshot()
+        with pytest.raises(ValueError) as err:
+            twin.load(path)
+        assert str(err.value) == f"{path}: checkpoint array target.b1 is not finite"
+        assert all(np.array_equal(before[k], x) for k, x in twin.snapshot().items())
+
     def test_checkpoint_window_mismatch_names_path_and_window(self, tmp_path):
         path = tmp_path / "dqn.npz"
         DqnAgent(3, small_config(), seed=3).save(path)
@@ -248,6 +272,17 @@ class TestConfig:
     def test_rejects_values_that_fail_in_training(self, overrides, message):
         with pytest.raises(ValueError, match=rf"^{message}$"):
             DqnConfig(**overrides)
+
+    @pytest.mark.parametrize("gamma", [-0.1, 1.0, 1.5])
+    def test_gamma_outside_unit_interval(self, gamma):
+        # bootstrap_target trusts its gamma: each caller's config checks it once
+        message = rf"^gamma must lie in \[0, 1\), got {gamma}$"
+        for config in (DqnConfig, Td3Config):
+            with pytest.raises(ValueError, match=message):
+                config(gamma=gamma)
+        with pytest.raises(ValueError, match=message):
+            q_learning(np.zeros((1, 1), dtype=np.int64), np.zeros((1, 1)), gamma, 0.5, 1,
+                       np.random.default_rng(0))
 
     def test_batch_may_fill_the_buffer(self):
         assert DqnConfig(batch_size=32, buffer_capacity=32).batch_size == 32

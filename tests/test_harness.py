@@ -14,6 +14,7 @@ import pytest
 import tradelab
 import tradelab.agents.dqn as dqn_module
 import tradelab.agents.td3 as td3_module
+import tradelab.harness as harness
 from tradelab.agents import DecaySchedule, train
 from tradelab.baselines import d3_discretize, sign_discretize
 from tradelab.cli import main
@@ -114,6 +115,8 @@ class TestConfig:
         ({"strategies": ["long", "long", "short"]}, "strategies must be unique; 'long' repeats"),
         ({"ttest": {"pairs": [["long", "short"], ["short", "long"], ["long", "short"]]}},
          "t-test pairs must be unique; 'long:short' repeats"),
+        ({"ttest": {"pairs": [["long", "short"], ["long", "long"]]}},
+         "t-test pair ('long', 'long') compares a strategy with itself"),
     ])
     def test_rejects_a_repeated_strategy_or_pair_by_name(self, tmp_path, overrides, message):
         with pytest.raises(ValueError) as err:
@@ -441,6 +444,23 @@ class TestRunExperiment:
             for a, b in zip(reports_seq[strategy], reports_par[strategy]):
                 assert a.equity == b.equity
 
+    def test_readme_library_block_runs_as_written(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+        path, _ = write_dataset(tmp_path, n=400)
+        read = harness.config_from_dict
+
+        def small(raw):  # the block's config on a small series and a short run
+            return read({**raw, "dataset": {"path": str(path)}, "env": {"window": 20},
+                         "episodes": 2, "td3": {"warmup_episodes": 1},
+                         "dqn": {"warmup_episodes": 1}, "output_dir": str(tmp_path / "out")})
+
+        monkeypatch.setattr(harness, "config_from_dict", small)
+        exec(compile(block, "README.md (Library use)", "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in printed] == ["td3", "buy_hold"]
+        assert (tmp_path / "out" / "comparison.csv").exists()
+
     def test_missing_dataset(self, tmp_path):
         cfg = config_from_dict(base_config(tmp_path))
         cfg = type(cfg)(**{**cfg.__dict__, "dataset_path": str(tmp_path / "gone.csv")})
@@ -659,6 +679,13 @@ class TestCli:
         assert main(["compare", "--config", str(self.write_config(tmp_path, raw))]) == 1
         assert capsys.readouterr().err == "error: ma_window must be >= 2 for mrma, got 1\n"
         assert not os.path.exists(raw["output_dir"])
+
+    def test_ttest_pair_of_one_strategy_fails_by_name(self, tmp_path, capsys):
+        raw = base_config(tmp_path, strategies=["long"])
+        cfg_path = self.write_config(tmp_path, raw)
+        assert main(["ttest", "--config", str(cfg_path), "--pairs", "long:long"]) == 1
+        assert capsys.readouterr().err == (
+            "error: t-test pair ('long', 'long') compares a strategy with itself\n")
 
     def test_alpha_flag_is_checked(self, tmp_path, capsys):
         raw = base_config(tmp_path, strategies=["buy_hold"])

@@ -53,11 +53,6 @@ class TestForward:
         with pytest.raises(ValueError, match="input dim"):
             forward(net, [1.0, 2.0])
 
-    def test_non_finite_input(self, rng):
-        net = create_mlp((2, 2), rng)
-        with pytest.raises(ValueError, match="non-finite"):
-            forward(net, [1.0, float("nan")])
-
     def test_batch_matches_vector(self, rng):
         # gemm vs gemv may differ in the final ulp; anything beyond that is a bug
         net = create_mlp((3, 5, 2), rng, hidden_activation="tanh")
@@ -89,9 +84,6 @@ class TestForward:
             forward(net, xs, tape=Tape())
         with pytest.raises(ValueError, match="input dim 2 != network input 3"):
             forward(net, xs[:, :, :2])
-        xs[4, 0, 1] = np.inf
-        with pytest.raises(ValueError, match="non-finite input"):
-            forward(net, xs)
         with pytest.raises(ValueError, match=r"got shape \(1, 5, 1, 3\)"):
             forward(net, xs[None])
 
@@ -207,13 +199,6 @@ class TestAdam:
         opt = AdamState.create(np.ones((2, 3)), eps=1e-6)
         assert (opt.lr, opt.beta1, opt.beta2, opt.eps, opt.step) == (1e-3, 0.9, 0.999, 1e-6, 0)
         assert opt.m.shape == opt.v.shape == (2, 3) and not opt.m.any()
-
-    def test_rejects_non_finite_gradient(self):
-        param = np.array([1.0])
-        opt = AdamState.create(param)
-        with pytest.raises(ValueError, match="non-finite"):
-            adam_step(param, np.array([float("inf")]), opt)
-        assert param.tolist() == [1.0] and opt.step == 0 and not opt.m.any()
 
     def test_rejects_shape_mismatch(self):
         param = np.array([1.0, 2.0])
@@ -400,6 +385,13 @@ class TestFlatParameters:
         payload["w1"] = payload["w1"].T.copy()
         with pytest.raises(ValueError, match="w1 has shape"):
             net_from_payload(payload)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_net_from_payload_rejects_a_non_finite_array(self, rng, value):
+        payload = checkpoint_payload(create_mlp((3, 5, 2), rng), prefix="actor.")
+        payload["actor.b1"][1] = value
+        with pytest.raises(ValueError, match=r"^checkpoint array actor\.b1 is not finite$"):
+            net_from_payload(payload, prefix="actor.")
 
     def test_agent_restore_load_and_target_sync(self, rng, tmp_path):
         td3 = Td3Agent(4, Td3Config(batch_size=8, actor_hidden=(5,), critic_hidden=(5,)), seed=1)

@@ -6,6 +6,7 @@ import pytest
 import tradelab.agents.td3 as td3_module
 from tradelab.agents import (
     DecaySchedule,
+    ReplayBuffer,
     Td3Agent,
     Td3Config,
     actor_gradient,
@@ -174,6 +175,45 @@ class TestUpdate:
         with pytest.raises(ValueError, match="batch size"):
             agent.update(0, np.random.default_rng(0))
 
+    def test_non_finite_reward_fails_by_name_before_any_weight_moves(self, rng):
+        agent = Td3Agent(3, small_config(policy_delay=1), seed=1)
+        fill_buffer(agent, rng)
+        agent.update(0, np.random.default_rng(0))  # moments off zero
+        before = agent.snapshot()
+        opts = (agent.actor_opt, agent.critic1_opt, agent.critic2_opt)
+        moments = [(opt.m.copy(), opt.v.copy(), opt.step) for opt in opts]
+        agent.buffer = ReplayBuffer(agent.config.buffer_capacity)
+        push_pairs(agent.buffer, [(rng.normal(size=3), 0.5, float("nan"), rng.normal(size=3), False)]
+                   * agent.config.batch_size)
+        with pytest.raises(ValueError, match=r"^td3 update 2: non-finite critic1 loss nan$"):
+            agent.update(0, np.random.default_rng(0))
+        assert all(np.array_equal(before[k], x) for k, x in agent.snapshot().items())
+        for opt, (m, v, step) in zip(opts, moments):
+            assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v) and opt.step == step
+        assert agent.updates == 1
+
+    def test_non_finite_critic2_fails_before_critic1_moves(self, rng):
+        agent = Td3Agent(3, small_config(), seed=1)
+        fill_buffer(agent, rng)
+        agent.critic2.theta[0] = np.nan
+        before = agent.critic1.theta.copy()
+        with pytest.raises(ValueError, match=r"^td3 update 1: non-finite critic2 loss nan$"):
+            agent.update(0, np.random.default_rng(0))
+        assert np.array_equal(agent.critic1.theta, before) and agent.critic1_opt.step == 0
+
+    def test_non_finite_actor_fails_by_name_before_its_adam_step(self, rng):
+        agent = Td3Agent(3, small_config(policy_delay=1), seed=1)
+        fill_buffer(agent, rng)
+        agent.actor.theta[0] = np.nan
+        actor, targets = agent.actor.theta.copy(), agent.snapshot()
+        with pytest.raises(ValueError, match=r"^td3 update 1: non-finite actor objective nan$"):
+            agent.update(0, np.random.default_rng(0))
+        assert agent.critic1_opt.step == agent.critic2_opt.step == 1  # the critics stepped
+        assert agent.actor_opt.step == 0 and not agent.actor_opt.m.any()
+        assert np.array_equal(agent.actor.theta, actor, equal_nan=True)
+        for name in ("actor_target", "critic1_target", "critic2_target"):  # no Polyak mix
+            assert np.array_equal(getattr(agent, name).theta, targets[name])
+
     def test_overfits_single_terminal_transition(self, rng):
         agent = Td3Agent(2, small_config(batch_size=4, policy_delay=2), seed=3)
         fixed = (np.array([1.0, -1.0]), 0.5, 0.07, np.array([0.0, 0.0]), True)
@@ -262,6 +302,18 @@ class TestCheckpoint:
         other = Td3Agent(3, small_config(gamma=0.5), seed=7)
         with pytest.raises(ValueError, match="different configuration"):
             other.load(path)
+
+    def test_non_finite_weight_fails_at_load(self, tmp_path):
+        agent = Td3Agent(3, small_config(), seed=7)
+        agent.actor.theta[0] = np.nan
+        path = tmp_path / "agent.npz"
+        agent.save(path)
+        twin = Td3Agent(3, small_config(), seed=8)
+        before = twin.snapshot()
+        with pytest.raises(ValueError) as err:
+            twin.load(path)
+        assert str(err.value) == f"{path}: checkpoint array actor.w0 is not finite"
+        assert all(np.array_equal(before[k], x) for k, x in twin.snapshot().items())
 
     def test_window_mismatch_names_path_and_window(self, tmp_path):
         path = tmp_path / "agent.npz"
