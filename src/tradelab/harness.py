@@ -222,17 +222,19 @@ def load_agents(cfg: ExperimentConfig, seed: int) -> dict:
 
 
 def run_report(strategy: str, seed: int, equity, annualization_days: int, **curves) -> RunReport:
-    """The report of one run from its equity curve; ``curves`` are the other RunReport series.
+    """The report of one run from its equity curve; ``curves`` are the other RunReport fields.
 
     A run whose Sharpe ratio is undefined (constant equity) scores 0.0.
     """
-    daily = tuple((b - a) / a for a, b in zip(equity, equity[1:]))
+    equity = np.asarray(equity, dtype=np.float64)
+    daily = (equity[1:] - equity[:-1]) / equity[:-1]  # the bits of (b - a) / a per step
     try:
         sharpe_val = sharpe(daily, annualization_days)
     except ValueError:
         sharpe_val = 0.0  # degenerate run (constant equity): no risk, no ratio
-    return RunReport(strategy=strategy, seed=seed, equity=tuple(equity), daily_returns=daily,
-                     return_pct=return_pct(equity[0], equity[-1]), sharpe=sharpe_val, **curves)
+    return RunReport(strategy=strategy, seed=seed, equity=equity, daily_returns=daily,
+                     return_pct=return_pct(float(equity[0]), float(equity[-1])),
+                     sharpe=sharpe_val, **curves)
 
 
 def read_reports(cfg: ExperimentConfig, strategies) -> dict[str, list[RunReport]]:
@@ -275,11 +277,9 @@ def evaluate_policy(policy, segment, env_config: EnvConfig, strategy: str, seed:
         equity.append(env.cash)
         if env.terminal:
             break
-    dates = segment.dates()
     return run_report(strategy, seed, equity, env_config.annualization_days,
-                      dates=dates[env.first_t : env.t + 1],
-                      actions=tuple(map(float, actions[: env.t - env.first_t])),
-                      action_dates=dates[env.first_t : env.t])
+                      dates=segment.dates()[env.first_t : env.t + 1],
+                      actions=actions[: env.t - env.first_t])
 
 
 def train_agent_for_seed(cfg: ExperimentConfig, kind: str, seed: int, train_segment, valid_segment):
@@ -437,18 +437,14 @@ def emit_outputs(table: tuple[ComparisonRow, ...], reports: dict[str, list[RunRe
     # format each date once, not once per row of every file
     iso = {d: d.isoformat() for d in {d for runs in reports.values() for r in runs for d in r.dates}}
     for strategy, runs in reports.items():
-        for report in runs:
-            eq = ["date,cash"]
-            eq += [f"{iso[d]},{_fmt(c)}" for d, c in zip(report.dates, report.equity)]
-            path = os.path.join(outdir, f"equity_{strategy}_{report.seed}.csv")
-            _write_atomic(path, "\n".join(eq) + "\n")
-            written.append(path)
-
-            ac = ["date,action"]
-            ac += [f"{iso[d]},{_fmt(a)}" for d, a in zip(report.action_dates, report.actions)]
-            path = os.path.join(outdir, f"actions_{strategy}_{report.seed}.csv")
-            _write_atomic(path, "\n".join(ac) + "\n")
-            written.append(path)
+        for report in runs:  # actions pair with dates[:-1]; zip stops at the shorter series
+            for name, column, series in (("equity", "cash", report.equity),
+                                         ("actions", "action", report.actions)):
+                lines = [f"date,{column}"]
+                lines += [f"{iso[d]},{_fmt(x)}" for d, x in zip(report.dates, series.tolist())]
+                path = os.path.join(outdir, f"{name}_{strategy}_{report.seed}.csv")
+                _write_atomic(path, "\n".join(lines) + "\n")
+                written.append(path)
 
     if ttests:
         written.append(emit_ttests(ttests, outdir))

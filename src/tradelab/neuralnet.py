@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -365,17 +366,17 @@ def save_nets(path, nets: dict, config, episodes: int) -> None:
 def load_nets(path, names, config) -> tuple[dict, int]:
     """The named networks and the episode count of a :func:`save_nets` checkpoint.
 
-    A ValueError naming ``path`` when the version or the configuration
-    differs, or when a network's array is misshapen or not finite.
+    A ValueError naming ``path`` for a file cut short or lacking an array, another
+    version or configuration, or a network array that is misshapen or not finite.
     """
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"])
-        if version != _CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        if str(data["config_hash"]) != config_hash(config):
-            raise ValueError(f"{path}: checkpoint was written with a different configuration")
-        try:
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            version = int(data["version"])
+            if version != _CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version}")
+            if str(data["config_hash"]) != config_hash(config):
+                raise ValueError("checkpoint was written with a different configuration")
             nets = {name: net_from_payload(data, prefix=f"{name}.") for name in names}
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        return nets, int(data["episodes"])
+            return nets, int(data["episodes"])
+    except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:  # KeyError: a missing array
+        raise ValueError(f"{path}: {exc.args[0]}") from None  # args[0]: a KeyError's str is quoted

@@ -9,7 +9,7 @@ used here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,7 +23,7 @@ def return_pct(initial: float, final: float) -> float:
 
 def sharpe(daily_returns, annualization_days: int) -> float:
     """sqrt(days) * mean / sample-std of the daily strategy returns."""
-    r = np.asarray(list(daily_returns), dtype=np.float64)
+    r = np.asarray(daily_returns, dtype=np.float64)
     if r.size < 2:
         raise ValueError(f"need at least 2 returns, got {r.size}")
     if annualization_days < 1:
@@ -115,14 +115,12 @@ class TTestResult:
     """Outcome of the one-sided paired comparison.
 
     The null hypothesis is mean(x) >= mean(y); small p-values are evidence
-    that x underperforms y. ``reject_at`` records the significance level the
-    decision used.
+    that x underperforms y; ``reject`` is p < alpha at the level the test used.
     """
 
     t0: float
     p_value: float
     df: int
-    reject_at: float
     reject: bool
 
 
@@ -153,22 +151,34 @@ def paired_ttest_one_sided(x, y, alpha: float = 0.01) -> TTestResult:
     else:
         t0 = mean / math.sqrt(var / n)
     p = t_upper_tail(-t0, n - 1)  # == P(T <= t0)
-    return TTestResult(t0=t0, p_value=p, df=n - 1, reject_at=alpha, reject=p < alpha)
+    return TTestResult(t0=t0, p_value=p, df=n - 1, reject=p < alpha)
 
 
 # -- per-run record --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunReport:
-    """One evaluation pass of one strategy: the unit fed into the t-tests."""
+    """One evaluation pass of one strategy: the unit fed into the t-tests.
+
+    Its series become read-only float64 arrays; ``actions[i]`` is taken on ``dates[i]``.
+    """
 
     strategy: str
     seed: int
     dates: tuple = ()
-    equity: tuple[float, ...] = ()
-    daily_returns: tuple[float, ...] = ()
-    actions: tuple[float, ...] = ()
+    equity: np.ndarray = ()
+    daily_returns: np.ndarray = ()
+    actions: np.ndarray = ()
     return_pct: float = 0.0
     sharpe: float = 0.0
-    action_dates: tuple = ()
+
+    def __post_init__(self):
+        for name in ("equity", "daily_returns", "actions"):
+            series = np.asarray(getattr(self, name), dtype=np.float64)
+            series.flags.writeable = False
+            object.__setattr__(self, name, series)
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so a copy sent from a worker keeps read-only arrays
+        return (RunReport, tuple(getattr(self, f.name) for f in fields(self)))

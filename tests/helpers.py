@@ -1,11 +1,13 @@
-"""Price-series factories and replay fillers shared by the test modules."""
+"""Price-series factories, replay fillers and report checks shared by the test modules."""
 
 import datetime as dt
+from dataclasses import fields
 
 import numpy as np
 
 from tradelab.data import PriceSeries
 from tradelab.env import EnvConfig, TradingEnv
+from tradelab.stats import RunReport
 
 
 def make_series(closes, start=dt.date(2020, 1, 1)):
@@ -54,3 +56,14 @@ def push_pairs(buffer, steps):
     buffer.bind(np.array([x for s, _, _, s2, _ in steps for x in (s, s2)], dtype=np.float64))
     for i, (_, action, reward, _, terminal) in enumerate(steps):
         buffer.push(2 * i, action, reward, terminal)
+
+
+def assert_same_reports(a, b):
+    """Two RunReports, or two {key: RunReport} maps, agree on every field, series included."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_same_reports(a[key], b[key])
+        return
+    for f in fields(RunReport):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name

@@ -1,10 +1,13 @@
 import ast
+import datetime as dt
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -40,7 +43,7 @@ from tradelab.harness import (
 )
 from tradelab.stats import RunReport, return_pct
 
-from helpers import constant_policy, make_series, random_walk
+from helpers import assert_same_reports, constant_policy, make_series, random_walk
 from oracles import validation_sharpe
 
 
@@ -230,7 +233,7 @@ class TestEvaluatePolicy:
         assert report.return_pct == pytest.approx(
             return_pct(report.equity[0], report.equity[-1]))
         assert report.dates[0] == series.dates()[3]
-        assert report.action_dates[-1] == series.dates()[-2]
+        assert report.dates[len(report.actions) - 1] == series.dates()[-2]
 
     def test_hold_fee_suppression(self):
         series = make_series([50.0] * 7)
@@ -240,6 +243,21 @@ class TestEvaluatePolicy:
         # two fee events versus one per day on a flat price
         assert bh.equity[-1] == pytest.approx(100_000.0 * 0.99 * 0.99, rel=1e-12)
         assert daily.equity[-1] == pytest.approx(100_000.0 * 0.99**5, rel=1e-12)
+
+    def test_series_are_read_only_float64(self, tmp_path, rng):
+        series = random_walk(30, rng)
+        report = evaluate_policy(constant_policy(1), series, EnvConfig(window=3), "long", 0)
+        cfg = config_from_dict(base_config(tmp_path, strategies=["long"], seeds=[0]))
+        run_experiment(cfg)
+        reread = harness.read_reports(cfg, ["long"])["long"][0]
+        unpickled = pickle.loads(pickle.dumps(report))
+        assert_same_reports(unpickled, report)
+        for r in (report, reread, unpickled, RunReport("empty", 0)):
+            for values in (r.equity, r.daily_returns, r.actions):
+                assert values.dtype == np.float64 and not values.flags.writeable
+                if values.size:
+                    with pytest.raises(ValueError, match="read-only"):
+                        values[0] = 0.0
 
     def test_degenerate_run_gets_zero_sharpe(self, rng):
         series = random_walk(20, rng)
@@ -273,13 +291,29 @@ class TestEvaluateStrategies:
         monkeypatch.setattr(td3_module, "forward",
                             lambda net, x, **kw: forward_rows.append(len(x)) or forward(net, x, **kw))
         reports = evaluate_strategies(cfg, {"td3": agent}, segment, 0)
-        assert reports == unshared
+        assert_same_reports(reports, unshared)
         steps = {s: len(r.actions) for s, r in reports.items()}
         assert steps == {"td3": 6, "td3_sign": 6, "td3_d3": 15}
         rows = max(steps.values())  # td3_d3 is never wiped, so it visits every decision row
         assert policies_rows == [rows]  # one call serves all three strategies
         assert len(forward_rows) == math.ceil(rows / agent.config.batch_size) == 2
         assert forward_rows == [8, 7]
+
+    def test_reports_retain_at_most_48_bytes_per_bar(self, tmp_path):
+        """Each report keeps three float64 series and one date tuple: 32 bytes a bar."""
+        baselines = ["random_c", "random_d", "buy_hold", "sell_hold", "long", "short"]
+        cfg = config_from_dict(base_config(tmp_path, strategies=baselines, seeds=[0]))
+        segment = random_walk(4_000, np.random.default_rng(3), scale=0.005)
+        bars = len(segment) - cfg.env.window
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            reports = evaluate_strategies(cfg, {}, segment, 0)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(len(r.equity) == bars for r in reports.values())  # no wipe ends a pass early
+        assert grown <= 48 * bars * len(reports)
 
 
 class TestValidation:
@@ -331,7 +365,7 @@ class TestValidation:
             assert len(agent.buffer) == 0 and len(agent.buffer.items()) == 0
         save_agents(cfg, 0, agents, logs)
         reports = evaluate_strategies(cfg, agents, test_seg, 0)
-        assert evaluate_strategies(cfg, load_agents(cfg, 0), test_seg, 0) == reports
+        assert_same_reports(evaluate_strategies(cfg, load_agents(cfg, 0), test_seg, 0), reports)
 
 
 class TestCompareReport:
@@ -440,9 +474,13 @@ class TestRunExperiment:
         table_seq, reports_seq, _ = run_experiment(cfg_seq)
         table_par, reports_par, _ = run_experiment(cfg_par)
         assert table_seq == table_par
+        assert reports_seq.keys() == reports_par.keys()
         for strategy in reports_seq:
+            assert len(reports_seq[strategy]) == len(reports_par[strategy])
             for a, b in zip(reports_seq[strategy], reports_par[strategy]):
-                assert a.equity == b.equity
+                assert_same_reports(a, b)
+                # a report sent back from a worker keeps its read-only arrays
+                assert not any(s.flags.writeable for s in (b.equity, b.daily_returns, b.actions))
 
     def test_readme_library_block_runs_as_written(self, tmp_path, monkeypatch, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -470,19 +508,11 @@ class TestRunExperiment:
 
 class TestCsvFormat:
     def test_headers_newlines_and_precision(self, tmp_path):
-        report = RunReport(strategy="unit", seed=3, dates=(),
-                           equity=(1.0, 1.1), daily_returns=(0.1,),
-                           actions=(0.123456789012345678,),
-                           return_pct=10.0, sharpe=1.2300000000000002,
-                           action_dates=())
-        import datetime as dt
-
         report = RunReport(strategy="unit", seed=3,
                            dates=(dt.date(2020, 1, 1), dt.date(2020, 1, 2)),
-                           equity=(1.0, 1.1), daily_returns=(0.1,),
-                           actions=(0.123456789012345678,),
-                           return_pct=10.0, sharpe=1.2300000000000002,
-                           action_dates=(dt.date(2020, 1, 1),))
+                           equity=np.array([1.0, 1.1]), daily_returns=np.array([0.1]),
+                           actions=np.array([0.123456789012345678]),
+                           return_pct=10.0, sharpe=1.2300000000000002)
         table = build_table({"unit": [report]}, ["unit"])
         emit_outputs(table, {"unit": [report]}, None, tmp_path / "fmt")
         with open(tmp_path / "fmt" / "comparison.csv", "rb") as fh:
@@ -577,6 +607,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == (f"error: {ckpt}: checkpoint actor has layer dims (6, 8, 1), "
                        "but env.window 8 builds (8, 8, 1)\n")
+
+    @pytest.mark.parametrize("damage,message", [
+        ("drop_array", "critic2.b1 is not a file in the archive"),
+        ("truncate", "File is not a zip file"),
+    ])
+    def test_evaluate_with_a_half_written_checkpoint_fails(self, tmp_path, capsys, damage, message):
+        raw = base_config(tmp_path, strategies=["td3"], seeds=[0])
+        cfg = config_from_dict(raw)
+        ckpt = harness.checkpoint_path(cfg, "td3", 0)
+        os.makedirs(os.path.dirname(ckpt))
+        make_agent(cfg, "td3", 0).save(ckpt)  # where `tradelab train` writes it
+        if damage == "drop_array":
+            with np.load(ckpt) as data:
+                kept = {key: data[key] for key in data.files if key != "critic2.b1"}
+            np.savez(ckpt, **kept)
+        else:
+            with open(ckpt, "r+b") as fh:
+                fh.truncate(200)
+        assert main(["evaluate", "--config", str(self.write_config(tmp_path, raw))]) == 1
+        assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
 
     def test_compare_warns_about_skipped_work(self, tmp_path):
         raw = base_config(tmp_path, strategies=["long"], seeds=[0])
