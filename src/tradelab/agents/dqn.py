@@ -131,7 +131,7 @@ class DqnAgent:
 
         upstream = np.zeros_like(q)
         upstream[rows, idx] = 2.0 * resid / n
-        grad, _ = backward(self.net, s, upstream, dropout_masks=masks, tape=tape, wrt="params")
+        grad = backward(self.net, s, upstream, dropout_masks=masks, tape=tape, wrt="params")
         adam_step(self.net.theta, grad, self.opt)
 
         self.updates += 1

@@ -110,9 +110,9 @@ def actor_gradient(actor: Mlp, critic: Mlp, states: np.ndarray):
     a_pi = forward(actor, states, tape=actor_tape)
     x = np.concatenate([states, a_pi], axis=1)
     q = forward(critic, x, tape=critic_tape)
-    _, dx = backward(critic, x, np.full((n, 1), 1.0 / n), tape=critic_tape, wrt="input")
+    dx = backward(critic, x, np.full((n, 1), 1.0 / n), tape=critic_tape, wrt="input")
     da = dx[:, states.shape[1]:]
-    grad, _ = backward(actor, states, da, tape=actor_tape, wrt="params")
+    grad = backward(actor, states, da, tape=actor_tape, wrt="params")
     return grad, float(np.mean(q))
 
 
@@ -191,7 +191,7 @@ class Td3Agent:
                 raise ValueError(f"td3 update {number}: non-finite {name} loss {loss}")
         for critic, opt, tape, resid in zip((self.critic1, self.critic2),
                                             (self.critic1_opt, self.critic2_opt), tapes, resids):
-            grad, _ = backward(critic, x, (2.0 * resid / n)[:, None], tape=tape, wrt="params")
+            grad = backward(critic, x, (2.0 * resid / n)[:, None], tape=tape, wrt="params")
             adam_step(critic.theta, grad, opt)
 
         diag = {

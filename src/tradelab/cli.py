@@ -18,10 +18,12 @@ from .harness import (
     ExperimentConfig,
     agent_kinds,
     build_table,
+    checkpoint_path,
     collect_reports,
     compare_report,
     config_from_dict,
     emit_outputs,
+    emit_runs,
     emit_ttests,
     evaluate_strategies,
     load_agents,
@@ -30,8 +32,7 @@ from .harness import (
     read_reports,
     resolved_config,
     run_experiment,
-    save_agents,
-    train_agents,
+    train_seed,
 )
 
 
@@ -84,9 +85,8 @@ def cmd_train(cfg: ExperimentConfig) -> int:
         print("no trainable strategies requested; nothing to do", file=sys.stderr)
         return 2
     for seed in cfg.seeds:
-        agents, logs = train_agents(cfg, seed, train_seg, valid_seg)
-        for kind, path in save_agents(cfg, seed, agents, logs).items():
-            print(f"trained {kind} seed {seed} -> {path}")
+        for kind in train_seed(cfg, seed, train_seg, valid_seg):
+            print(f"trained {kind} seed {seed} -> {checkpoint_path(cfg, kind, seed)}")
     return 0
 
 
@@ -99,10 +99,11 @@ def cmd_evaluate(cfg: ExperimentConfig) -> int:
         except FileNotFoundError as exc:
             print(f"missing checkpoint {exc.filename}; run `tradelab train` first", file=sys.stderr)
             return 2
-        per_seed.append(evaluate_strategies(cfg, agents, test_seg, seed))
-    reports = collect_reports(cfg, per_seed)
-    table = build_table(reports, cfg.strategies)
-    emit_outputs(table, reports, None, cfg.output_dir, resolved_config(cfg))
+        reports = evaluate_strategies(cfg, agents, test_seg, seed)
+        emit_runs(reports, cfg.output_dir)
+        per_seed.append(reports)
+    table = build_table(collect_reports(cfg, per_seed), cfg.strategies)
+    emit_outputs(table, None, cfg.output_dir, resolved_config(cfg))
     _print_table(table)
     return 0
 

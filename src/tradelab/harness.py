@@ -1,14 +1,19 @@
 """Batch experiment harness: train, evaluate, compare, test.
 
 One experiment = one dataset, one chronological split, one agent
-configuration, a strategy list, and a seed list. Per seed the harness trains
-the required agents on the train segment, selects the checkpoint with the
-best validation Sharpe, evaluates everything once on the test segment, and
-aggregates the per-seed reports into a comparison table plus paired t-tests.
+configuration, a strategy list, and a seed list. The dataset is loaded and
+split once. :func:`run_seed` is the unit of work: for one seed it trains the
+required agents on the train segment, keeping the checkpoint with the best
+validation Sharpe, and writes each agent's checkpoint and training log
+(:func:`train_seed`); evaluates every strategy once on the test segment;
+writes that seed's equity and action curves (:func:`emit_runs`); and returns
+only its reports. :func:`run_experiment` maps it over the seeds, then
+aggregates the reports into a comparison table plus paired t-tests and
+writes the cross-seed files (:func:`emit_outputs`).
 
-Each stage is one function (load the segments, find the agent kinds, build,
-train, save and load agents, evaluate, rebuild reports, emit); the CLI verbs
-only call them.
+Each seed's files are on disk as soon as the seed finishes, so a run that
+fails keeps the files of every seed that finished; the cross-seed files
+appear only after the last seed. The CLI verbs only call these stages.
 
 All artifacts are plain CSV/JSON written atomically; identical configs
 produce byte-identical numeric outputs.
@@ -197,17 +202,6 @@ def checkpoint_path(cfg: ExperimentConfig, kind: str, seed: int) -> str:
     return os.path.join(cfg.output_dir, "checkpoints", f"{kind}_seed{seed}.npz")
 
 
-def save_agents(cfg: ExperimentConfig, seed: int, agents: dict, logs: dict) -> dict[str, str]:
-    """Write each agent's checkpoint and training log; returns kind -> checkpoint path."""
-    paths = {}
-    for kind, agent in agents.items():
-        paths[kind] = checkpoint_path(cfg, kind, seed)
-        os.makedirs(os.path.dirname(paths[kind]), exist_ok=True)
-        agent.save(paths[kind])
-    emit_training_logs(logs, seed, cfg.output_dir)
-    return paths
-
-
 def load_agents(cfg: ExperimentConfig, seed: int) -> dict:
     """The saved agents the strategy list needs; a missing checkpoint raises
     FileNotFoundError with the checkpoint path as its ``filename``."""
@@ -221,17 +215,20 @@ def load_agents(cfg: ExperimentConfig, seed: int) -> dict:
 # -- evaluation ------------------------------------------------------------
 
 
-def run_report(strategy: str, seed: int, equity, annualization_days: int, **curves) -> RunReport:
+def run_report(strategy: str, seed: int, equity, annualization_days: int,
+               degenerate_sharpe: float = 0.0, **curves) -> RunReport:
     """The report of one run from its equity curve; ``curves`` are the other RunReport fields.
 
-    A run whose Sharpe ratio is undefined (constant equity) scores 0.0.
+    A run whose Sharpe ratio is undefined (constant equity, or fewer than two
+    returns) scores ``degenerate_sharpe``: 0.0 for a reported run, which has
+    no risk and so no ratio.
     """
     equity = np.asarray(equity, dtype=np.float64)
     daily = (equity[1:] - equity[:-1]) / equity[:-1]  # the bits of (b - a) / a per step
     try:
         sharpe_val = sharpe(daily, annualization_days)
     except ValueError:
-        sharpe_val = 0.0  # degenerate run (constant equity): no risk, no ratio
+        sharpe_val = degenerate_sharpe
     return RunReport(strategy=strategy, seed=seed, equity=equity, daily_returns=daily,
                      return_pct=return_pct(float(equity[0]), float(equity[-1])),
                      sharpe=sharpe_val, **curves)
@@ -255,14 +252,15 @@ def read_reports(cfg: ExperimentConfig, strategies) -> dict[str, list[RunReport]
 
 
 def evaluate_policy(policy, segment, env_config: EnvConfig, strategy: str, seed: int,
-                    hold_fees: bool = False) -> RunReport:
+                    hold_fees: bool = False, degenerate_sharpe: float = 0.0) -> RunReport:
     """Run one chronological pass of ``policy`` over ``segment``.
 
     ``policy(rows)`` maps the segment's decision rows (rows ``0 .. last_t -
     first_t`` of the observation table, row i for bar ``first_t + i``) to one
     action per row; the pass stops early at a wipe. With ``hold_fees`` the
     configured transaction cost applies only on the first and final step
-    (single open / single close emulation for the hold strategies).
+    (single open / single close emulation for the hold strategies). A pass
+    whose Sharpe ratio is undefined scores ``degenerate_sharpe``.
     """
     env = TradingEnv(segment, env_config)
     rows = env.observation_table()[: env.last_t - env.first_t + 1]
@@ -277,26 +275,24 @@ def evaluate_policy(policy, segment, env_config: EnvConfig, strategy: str, seed:
         equity.append(env.cash)
         if env.terminal:
             break
-    return run_report(strategy, seed, equity, env_config.annualization_days,
+    return run_report(strategy, seed, equity, env_config.annualization_days, degenerate_sharpe,
                       dates=segment.dates()[env.first_t : env.t + 1],
                       actions=actions[: env.t - env.first_t])
 
 
 def train_agent_for_seed(cfg: ExperimentConfig, kind: str, seed: int, train_segment, valid_segment):
-    """Train one agent, keeping the episode with the best validation Sharpe (-inf when undefined).
+    """Train one agent, keeping the episode with the best validation Sharpe.
 
-    Validation runs the agent's batched ``policies``. The trained agent's
-    replay buffer is emptied: it is training-only state.
+    Validation runs the agent's batched ``policies``; a pass whose Sharpe is
+    undefined scores -inf, so it never displaces a scored episode. The
+    trained agent's replay buffer is emptied: it is training-only state.
     """
     agent = make_agent(cfg, kind, seed)
     best = {"score": -math.inf, "snapshot": None}
 
     def on_episode_end(a, episode):
-        report = evaluate_policy(a.policies, valid_segment, cfg.env, "validation", -1)
-        try:
-            s = sharpe(report.daily_returns, cfg.env.annualization_days)
-        except ValueError:
-            s = -math.inf
+        s = evaluate_policy(a.policies, valid_segment, cfg.env, "validation", -1,
+                            degenerate_sharpe=-math.inf).sharpe
         if s > best["score"]:
             best["score"] = s
             best["snapshot"] = a.snapshot()
@@ -308,13 +304,21 @@ def train_agent_for_seed(cfg: ExperimentConfig, kind: str, seed: int, train_segm
     return agent, log
 
 
-def train_agents(cfg: ExperimentConfig, seed: int, train_segment, valid_segment):
-    """(agents, training logs), each keyed by agent kind, for the strategy list."""
-    agents, logs = {}, {}
+def train_seed(cfg: ExperimentConfig, seed: int, train_segment, valid_segment) -> dict:
+    """Train the agents the strategy list needs for one seed, writing each agent's
+    checkpoint and training log as it finishes; returns the agents by kind."""
+    agents = {}
     for kind in agent_kinds(cfg.strategies):
-        agents[kind], logs[kind] = train_agent_for_seed(cfg, kind, seed, train_segment,
-                                                        valid_segment)
-    return agents, logs
+        agents[kind], records = train_agent_for_seed(cfg, kind, seed, train_segment, valid_segment)
+        path = checkpoint_path(cfg, kind, seed)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        agents[kind].save(path)
+        lines = ["episode,warmup,total_reward,final_cash,mean_loss"]
+        lines += [f"{rec['episode']},{int(rec['warmup'])},{_fmt(rec['total_reward'])},"
+                  f"{_fmt(rec['final_cash'])},{_fmt(rec['mean_loss'])}" for rec in records]
+        _write_atomic(os.path.join(cfg.output_dir, f"training_log_{kind}_{seed}.csv"),
+                      "\n".join(lines) + "\n")
+    return agents
 
 
 _DISCRETIZERS = {"td3_sign": sign_discretize, "td3_d3": d3_discretize}
@@ -344,12 +348,15 @@ def evaluate_strategies(cfg: ExperimentConfig, agents: dict, segment, seed: int)
             for strategy in cfg.strategies}
 
 
-def run_seed(cfg: ExperimentConfig, seed: int) -> dict:
-    """Everything one seed contributes: trained agents evaluated on the test segment."""
-    train_seg, valid_seg, test_seg = load_segments(cfg)
-    agents, logs = train_agents(cfg, seed, train_seg, valid_seg)
+def run_seed(cfg: ExperimentConfig, segments, seed: int) -> dict[str, RunReport]:
+    """One seed end to end on the (train, validation, test) ``segments``: train
+    and save its agents, evaluate every strategy, write its curves; returns
+    its {strategy: RunReport}."""
+    train_seg, valid_seg, test_seg = segments
+    agents = train_seed(cfg, seed, train_seg, valid_seg)
     reports = evaluate_strategies(cfg, agents, test_seg, seed)
-    return {"reports": reports, "agents": agents, "logs": logs}
+    emit_runs(reports, cfg.output_dir)
+    return reports
 
 
 # -- aggregation -------------------------------------------------------------
@@ -421,94 +428,60 @@ def _write_atomic(path, text: str) -> None:
         fh.write(text)
 
 
-def emit_outputs(table: tuple[ComparisonRow, ...], reports: dict[str, list[RunReport]],
-                 ttests: list[TTestRow] | None, outdir, resolved: dict | None = None) -> list[str]:
-    """Write comparison.csv, per-run equity/action CSVs, ttest.csv, config echo."""
+def emit_runs(reports: dict[str, RunReport], outdir) -> None:
+    """Write the equity and action CSVs of one seed's {strategy: RunReport}."""
     os.makedirs(outdir, exist_ok=True)
-    written = []
-
-    lines = ["strategy,return_pct,sharpe"]
-    for row in table:
-        lines.append(f"{row.strategy},{_fmt(row.return_pct)},{_fmt(row.sharpe)}")
-    path = os.path.join(outdir, "comparison.csv")
-    _write_atomic(path, "\n".join(lines) + "\n")
-    written.append(path)
-
     # format each date once, not once per row of every file
-    iso = {d: d.isoformat() for d in {d for runs in reports.values() for r in runs for d in r.dates}}
-    for strategy, runs in reports.items():
-        for report in runs:  # actions pair with dates[:-1]; zip stops at the shorter series
-            for name, column, series in (("equity", "cash", report.equity),
-                                         ("actions", "action", report.actions)):
-                lines = [f"date,{column}"]
-                lines += [f"{iso[d]},{_fmt(x)}" for d, x in zip(report.dates, series.tolist())]
-                path = os.path.join(outdir, f"{name}_{strategy}_{report.seed}.csv")
-                _write_atomic(path, "\n".join(lines) + "\n")
-                written.append(path)
+    iso = {d: d.isoformat() for d in {d for r in reports.values() for d in r.dates}}
+    for strategy, report in reports.items():
+        # actions pair with dates[:-1]; zip stops at the shorter series
+        for name, column, series in (("equity", "cash", report.equity),
+                                     ("actions", "action", report.actions)):
+            lines = [f"date,{column}"]
+            lines += [f"{iso[d]},{_fmt(x)}" for d, x in zip(report.dates, series.tolist())]
+            _write_atomic(os.path.join(outdir, f"{name}_{strategy}_{report.seed}.csv"),
+                          "\n".join(lines) + "\n")
 
+
+def emit_outputs(table: tuple[ComparisonRow, ...], ttests: list[TTestRow] | None, outdir,
+                 resolved: dict | None = None) -> None:
+    """Write the cross-seed files: comparison.csv, ttest.csv and the config echo."""
+    os.makedirs(outdir, exist_ok=True)
+    lines = ["strategy,return_pct,sharpe"]
+    lines += [f"{row.strategy},{_fmt(row.return_pct)},{_fmt(row.sharpe)}" for row in table]
+    _write_atomic(os.path.join(outdir, "comparison.csv"), "\n".join(lines) + "\n")
     if ttests:
-        written.append(emit_ttests(ttests, outdir))
-
+        emit_ttests(ttests, outdir)
     if resolved is not None:
-        path = os.path.join(outdir, "resolved_config.json")
-        _write_atomic(path, json.dumps(resolved, indent=2, sort_keys=True) + "\n")
-        written.append(path)
-    return written
+        _write_atomic(os.path.join(outdir, "resolved_config.json"),
+                      json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
 
-def emit_ttests(ttests: list[TTestRow], outdir) -> str:
-    """Write ttest.csv; returns its path."""
+def emit_ttests(ttests: list[TTestRow], outdir) -> None:
+    """Write ttest.csv."""
     lines = ["pair,metric,t0,df,p_value"]
     for row in ttests:
         r = row.result
         lines.append(f"{row.pair},{row.metric},{_fmt(r.t0)},{r.df},{_fmt(r.p_value)}")
-    path = os.path.join(outdir, "ttest.csv")
-    _write_atomic(path, "\n".join(lines) + "\n")
-    return path
-
-
-def emit_training_logs(logs: dict, seed: int, outdir) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    for kind, records in logs.items():
-        lines = ["episode,warmup,total_reward,final_cash,mean_loss"]
-        for rec in records:
-            lines.append(
-                f"{rec['episode']},{int(rec['warmup'])},{_fmt(rec['total_reward'])},"
-                f"{_fmt(rec['final_cash'])},{_fmt(rec['mean_loss'])}"
-            )
-        _write_atomic(os.path.join(outdir, f"training_log_{kind}_{seed}.csv"),
-                      "\n".join(lines) + "\n")
+    _write_atomic(os.path.join(outdir, "ttest.csv"), "\n".join(lines) + "\n")
 
 
 # -- the full experiment -------------------------------------------------------
 
 
-def _run_seed_task(args):
-    cfg, seed = args
-    return seed, run_seed(cfg, seed)
-
-
 def run_experiment(cfg: ExperimentConfig):
-    """Train, select, evaluate, aggregate, and emit everything.
+    """Run every seed, then aggregate and write the cross-seed files.
 
     Returns (table, reports, ttests): the comparison rows, a map from strategy
     id to its seed-ordered list of RunReports, and the t-test rows.
     """
-    if not os.path.exists(cfg.dataset_path):
-        raise FileNotFoundError(f"no such data file: {cfg.dataset_path}")
-
-    tasks = [(cfg, seed) for seed in cfg.seeds]
+    run = partial(run_seed, cfg, load_segments(cfg))
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = dict(pool.map(_run_seed_task, tasks))
+            per_seed = list(pool.map(run, cfg.seeds))  # in seed order, whatever finishes first
     else:
-        results = dict(map(_run_seed_task, tasks))
-
-    # seed order, regardless of completion order
-    reports = collect_reports(cfg, [results[seed]["reports"] for seed in cfg.seeds])
-    for seed in cfg.seeds:
-        save_agents(cfg, seed, results[seed]["agents"], results[seed]["logs"])
-
+        per_seed = list(map(run, cfg.seeds))
+    reports = collect_reports(cfg, per_seed)
     table = build_table(reports, cfg.strategies)
     requested = set(cfg.strategies)
     pairs = [p for p in cfg.ttest_pairs if set(p) <= requested]
@@ -520,5 +493,5 @@ def run_experiment(cfg: ExperimentConfig):
                     len(cfg.seeds))
         pairs = []
     ttests = compare_report(reports, pairs, cfg.alpha) if pairs else []
-    emit_outputs(table, reports, ttests, cfg.output_dir, resolved_config(cfg))
+    emit_outputs(table, ttests, cfg.output_dir, resolved_config(cfg))
     return table, reports, ttests

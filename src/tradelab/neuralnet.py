@@ -16,10 +16,8 @@ takes the layer dims only to sum the global norm layer by layer.
 Each kernel computes only what its caller reads. :func:`forward` adds the
 bias and applies the activation in place on each layer's product, and can
 record each layer's input and activation on a :class:`Tape`;
-:func:`backward` given that tape uses them instead of running the forward
-pass again (without one it runs the same pass itself, so both give
-bit-identical gradients). ``backward(..., wrt=...)`` computes the parameter
-gradient, the input gradient or both.
+:func:`backward` reads that tape instead of running the forward pass again,
+and computes one gradient, ``wrt`` the parameters or the input.
 
 The kernels check shapes, dims and tapes only. A rate, a step size or a
 finite input is checked once where its value enters: the agent configs,
@@ -159,26 +157,6 @@ class Tape:
         self.posts: list[np.ndarray] = []
 
 
-def _forward_pass(net: Mlp, x: np.ndarray, dropout_masks, tape: Tape | None) -> np.ndarray:
-    if tape is not None:
-        tape.net, tape.dropout_masks = net, dropout_masks
-        tape.inputs, tape.posts = [], []
-    a = x
-    last = len(net.weights) - 1
-    for i, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
-        h = a @ w
-        h += b
-        if act == "relu":
-            np.maximum(h, 0.0, out=h)
-        elif act == "tanh":
-            np.tanh(h, out=h)
-        if tape is not None:
-            tape.inputs.append(a)
-            tape.posts.append(h)
-        a = h if dropout_masks is None or i == last else h * dropout_masks[i]
-    return a
-
-
 def forward(net: Mlp, x, dropout_masks=None, tape: Tape | None = None) -> np.ndarray:
     """Evaluate the network on a vector, a (batch, dim) array or an (n, 1, dim) stack.
 
@@ -193,39 +171,48 @@ def forward(net: Mlp, x, dropout_masks=None, tape: Tape | None = None) -> np.nda
         raise ValueError("a stack of rows is evaluated without a tape")
     if batch.shape[-1] != net.in_dim:
         raise ValueError(f"input dim {batch.shape[-1]} != network input {net.in_dim}")
-    out = _forward_pass(net, batch, dropout_masks, tape)
-    return out[0] if squeeze else out
+    if tape is not None:
+        tape.net, tape.dropout_masks = net, dropout_masks
+        tape.inputs, tape.posts = [], []
+    a = batch
+    last = len(net.weights) - 1
+    for i, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
+        h = a @ w
+        h += b
+        if act == "relu":
+            np.maximum(h, 0.0, out=h)
+        elif act == "tanh":
+            np.tanh(h, out=h)
+        if tape is not None:
+            tape.inputs.append(a)
+            tape.posts.append(h)
+        a = h if dropout_masks is None or i == last else h * dropout_masks[i]
+    return a[0] if squeeze else a
 
 
-def backward(net: Mlp, x, upstream_grad, dropout_masks=None, tape: Tape | None = None,
-             wrt: str = "both"):
-    """Exact gradients of sum(output * upstream_grad) w.r.t. params and input.
+def backward(net: Mlp, x, upstream_grad, dropout_masks=None, *, tape: Tape, wrt: str):
+    """The exact gradient of sum(output * upstream_grad) w.r.t. the params or the input.
 
-    Returns (param_grad, input_grad) with param_grad a fresh vector laid out
-    like ``net.theta``. For a batch, parameter gradients accumulate over
-    rows; the caller folds any 1/N into ``upstream_grad``. ``tape`` is the
-    record of ``forward(net, x, dropout_masks, tape=tape)`` with the current
-    parameters; without one the forward pass runs here. ``wrt`` is
-    ``"both"``, ``"params"`` or ``"input"``; the gradient it leaves out is
-    not computed and comes back as None.
+    ``tape`` is the record of ``forward(net, x, dropout_masks, tape=tape)``
+    with the current parameters. ``wrt="params"`` returns a fresh vector laid
+    out like ``net.theta``, accumulated over a batch's rows (the caller folds
+    any 1/N into ``upstream_grad``); ``wrt="input"`` returns the gradient
+    shaped like ``x``. Both gradients of one pass are two calls on its tape.
     """
-    if wrt not in ("both", "params", "input"):
-        raise ValueError(f"wrt must be one of 'both', 'params' or 'input', got {wrt!r}")
+    if wrt not in ("params", "input"):
+        raise ValueError(f"wrt must be 'params' or 'input', got {wrt!r}")
     batch, squeeze = _as_batch(x)
     up, _ = _as_batch(upstream_grad)
     if batch.shape[1] != net.in_dim:
         raise ValueError(f"input dim {batch.shape[1]} != network input {net.in_dim}")
     if up.shape != (batch.shape[0], net.out_dim):
         raise ValueError(f"upstream grad shape {up.shape} != {(batch.shape[0], net.out_dim)}")
-    if tape is None:
-        tape = Tape()
-        _forward_pass(net, batch, dropout_masks, tape)
-    elif tape.net is not net or tape.dropout_masks is not dropout_masks or tape.inputs[0].shape != batch.shape:
+    if tape.net is not net or tape.dropout_masks is not dropout_masks or tape.inputs[0].shape != batch.shape:
         raise ValueError("tape was recorded for another network, input shape or dropout masks")
-    out = views = None
-    if wrt != "input":
-        out = np.empty_like(net.theta)
-        views = _param_views(net.layer_dims, out)  # where each layer's gradient lands
+    params = wrt == "params"
+    if params:
+        grad = np.empty_like(net.theta)
+        views = _param_views(net.layer_dims, grad)  # where each layer's gradient lands
     last = len(net.weights) - 1
     g = up
     for i in range(last, -1, -1):
@@ -237,12 +224,12 @@ def backward(net: Mlp, x, upstream_grad, dropout_masks=None, tape: Tape | None =
             if dropout_masks is not None and i < last:
                 local = local * dropout_masks[i]
             delta = g * local
-        if views is not None:
+        if params:
             np.matmul(tape.inputs[i].T, delta, out=views[2 * i])
             np.add.reduce(delta, axis=0, out=views[2 * i + 1])
-        if i > 0 or wrt != "params":
+        if i > 0 or not params:
             g = delta @ net.weights[i].T
-    return out, None if wrt == "params" else (g[0] if squeeze else g)
+    return grad if params else (g[0] if squeeze else g)
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Price-series factories, replay fillers and report checks shared by the test modules."""
+"""Price-series factories, replay fillers, taped gradients and report checks shared by
+the test modules."""
 
 import datetime as dt
 from dataclasses import fields
@@ -7,6 +8,7 @@ import numpy as np
 
 from tradelab.data import PriceSeries
 from tradelab.env import EnvConfig, TradingEnv
+from tradelab.neuralnet import Tape, backward, forward
 from tradelab.stats import RunReport
 
 
@@ -18,6 +20,15 @@ def make_series(closes, start=dt.date(2020, 1, 1)):
 def constant_policy(action):
     """A rows-to-actions policy that takes ``action`` on every bar."""
     return lambda rows: [action] * len(rows)
+
+
+def taped_gradients(net, x, up, dropout_masks=None):
+    """(param_grad, input_grad) of one pass: a forward pass recorded on a tape,
+    then one ``backward`` call per gradient on that tape."""
+    tape = Tape()
+    forward(net, x, dropout_masks=dropout_masks, tape=tape)
+    return (backward(net, x, up, dropout_masks, tape=tape, wrt="params"),
+            backward(net, x, up, dropout_masks, tape=tape, wrt="input"))
 
 
 def alternating_series(n, start_price=100.0, pct=1.0):

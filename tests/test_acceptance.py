@@ -24,7 +24,6 @@ from tradelab.data import SplitSpec, chronological_split
 from tradelab.env import EnvConfig, TradingEnv
 from tradelab.harness import config_from_dict, evaluate_policy, run_experiment
 from tradelab.neuralnet import (
-    backward,
     clip_gradients,
     create_mlp,
     forward,
@@ -34,7 +33,7 @@ from tradelab.neuralnet import (
 from tradelab.agents.schedules import schedule_value
 from tradelab.stats import return_pct, sharpe, t_upper_tail
 
-from helpers import alternating_series, constant_policy, random_walk
+from helpers import alternating_series, constant_policy, random_walk, taped_gradients
 from oracles import (
     episode_return,
     finite_difference_grads,
@@ -123,7 +122,7 @@ def test_criterion_03_gradient_checks():
         net = create_mlp(dims, gen, hidden_activation=hidden, output_activation=out_act)
         x = gen.normal(size=dims[0])
         up = gen.normal(size=dims[-1])
-        grad, input_grad = backward(net, x, up)
+        grad, input_grad = taped_gradients(net, x, up)
 
         def objective():
             return float(forward(net, x) @ up)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tradelab.env import EnvConfig
-from tradelab.harness import build_table, emit_outputs, evaluate_policy
+from tradelab.harness import emit_runs, evaluate_policy
 
 from helpers import make_series
 from oracles import resimulate
@@ -82,8 +82,7 @@ def test_emitted_csvs_match_a_list_formatter(run):
     assert report.daily_returns.tobytes() == np.array(daily, dtype=np.float64).tobytes()
     dates = series.dates()[WINDOW : WINDOW + len(curve)]
     with tempfile.TemporaryDirectory() as tmp:
-        emit_outputs(build_table({"generated": [report]}, ["generated"]),
-                     {"generated": [report]}, None, tmp)
+        emit_runs({"generated": report}, tmp)
         out = Path(tmp)
         assert (out / "equity_generated_0.csv").read_bytes() == reference_csv(
             "date,cash", dates, curve)

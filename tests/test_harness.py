@@ -29,6 +29,7 @@ from tradelab.harness import (
     compare_report,
     config_from_dict,
     emit_outputs,
+    emit_runs,
     evaluate_policy,
     evaluate_strategies,
     load_agents,
@@ -37,9 +38,8 @@ from tradelab.harness import (
     make_agent,
     resolved_config,
     run_experiment,
-    save_agents,
     train_agent_for_seed,
-    train_agents,
+    train_seed,
 )
 from tradelab.stats import RunReport, return_pct
 
@@ -56,6 +56,32 @@ def write_dataset(tmp_path, n=100, seed=5, name="prices.csv"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return path, series
+
+
+def output_files(root):
+    """Every file under ``root``, as sorted paths relative to it."""
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, _, names in os.walk(root) for f in names)
+
+
+def assert_same_outputs(root_a, root_b, names):
+    """The files ``names`` under two output directories hold the same results:
+    checkpoints equal array by array, the config echoes differ only in their
+    output_dir and workers, and every other file is byte-identical."""
+    for name in names:
+        a, b = Path(root_a) / name, Path(root_b) / name
+        if name.endswith(".npz"):
+            with np.load(a) as x, np.load(b) as y:
+                assert sorted(x.files) == sorted(y.files)
+                for key in x.files:
+                    assert x[key].dtype == y[key].dtype and np.array_equal(x[key], y[key]), key
+        elif name == "resolved_config.json":
+            x, y = json.loads(a.read_text()), json.loads(b.read_text())
+            assert (x.pop("output_dir"), y.pop("output_dir")) == (str(root_a), str(root_b))
+            x.pop("workers"), y.pop("workers")  # how many processes ran the seeds
+            assert x == y
+        else:
+            assert a.read_bytes() == b.read_bytes(), name
 
 
 def base_config(tmp_path, **overrides):
@@ -357,13 +383,47 @@ class TestValidation:
         selected = agent.snapshot()
         assert all(np.array_equal(selected[name], theta) for name, theta in snapshots[best].items())
 
+    def test_a_degenerate_pass_scores_minus_inf_and_is_never_selected(self, tmp_path, monkeypatch):
+        """Flat equity or a wipe on the first step has no Sharpe ratio; a negative one still wins."""
+        cfg = self.config(tmp_path, strategies=["td3"], seeds=[0], episodes=4)
+        train_seg, _, _ = load_segments(cfg)
+        # window 4: the first step settles 100 -> 200, where a full short is wiped
+        valid_seg = make_series([100.0] * 5 + [200.0, 190.0, 200.0, 180.0, 185.0, 170.0, 172.0])
+        plans = {0: [0.0] * 7, 1: [-1.0] * 7, 2: [0.0] + [0.5] * 6, 3: [0.0] * 7}
+        scores = {}
+        for episode, plan in plans.items():
+            report = evaluate_policy(lambda rows, plan=plan: plan, valid_seg, cfg.env, "validation",
+                                     -1, degenerate_sharpe=-math.inf)
+            scores[episode] = report.sharpe
+            if episode == 1:
+                assert len(report.actions) == 1  # wiped on its first step
+        assert scores[0] == scores[1] == scores[3] == -math.inf < scores[2] < 0.0
+
+        snapshots, make = {}, harness.make_agent
+
+        def scripted(cfg, kind, seed):  # validation passes follow the plans, episode by episode
+            agent = make(cfg, kind, seed)
+
+            def policies(rows):
+                snapshots[agent.episodes_trained - 1] = agent.snapshot()
+                return plans[agent.episodes_trained - 1]
+
+            agent.policies = policies
+            return agent
+
+        monkeypatch.setattr(harness, "make_agent", scripted)
+        agent, _ = train_agent_for_seed(cfg, "td3", 0, train_seg, valid_seg)
+        selected = agent.snapshot()
+        assert sorted(snapshots) == [0, 1, 2, 3]
+        assert all(np.array_equal(selected[name], theta) for name, theta in snapshots[2].items())
+        assert not all(np.array_equal(selected[name], theta) for name, theta in snapshots[3].items())
+
     def test_trained_agents_drop_replay_rows_and_still_save_and_evaluate(self, tmp_path):
         cfg = self.config(tmp_path, strategies=["td3", "td3_sign", "tdqn"], seeds=[0], episodes=2)
         train_seg, valid_seg, test_seg = load_segments(cfg)
-        agents, logs = train_agents(cfg, 0, train_seg, valid_seg)
+        agents = train_seed(cfg, 0, train_seg, valid_seg)
         for agent in agents.values():
             assert len(agent.buffer) == 0 and len(agent.buffer.items()) == 0
-        save_agents(cfg, 0, agents, logs)
         reports = evaluate_strategies(cfg, agents, test_seg, 0)
         assert_same_reports(evaluate_strategies(cfg, load_agents(cfg, 0), test_seg, 0), reports)
 
@@ -468,7 +528,7 @@ class TestRunExperiment:
             assert blob_a == blob_b, name
 
     def test_worker_pool_matches_sequential(self, tmp_path):
-        raw = base_config(tmp_path, strategies=["buy_hold", "random_c"])
+        raw = base_config(tmp_path, strategies=["td3", "buy_hold", "random_c"])
         cfg_seq = config_from_dict({**raw, "output_dir": str(tmp_path / "seq")})
         cfg_par = config_from_dict({**raw, "output_dir": str(tmp_path / "par"), "workers": 2})
         table_seq, reports_seq, _ = run_experiment(cfg_seq)
@@ -481,6 +541,36 @@ class TestRunExperiment:
                 assert_same_reports(a, b)
                 # a report sent back from a worker keeps its read-only arrays
                 assert not any(s.flags.writeable for s in (b.equity, b.daily_returns, b.actions))
+        # the workers write each seed's checkpoints, logs and curves themselves
+        names = output_files(cfg_seq.output_dir)
+        assert names == output_files(cfg_par.output_dir)
+        assert len(names) == 27  # 18 curves, 3 checkpoints, 3 training logs, table, t-tests, config
+        assert_same_outputs(cfg_seq.output_dir, cfg_par.output_dir, names)
+
+    def test_a_failed_seed_keeps_the_files_of_the_seeds_before_it(self, tmp_path, monkeypatch):
+        strategies = ["td3", "tdqn", "buy_hold", "random_c"]
+        raw = base_config(tmp_path, strategies=strategies, seeds=[0, 1], episodes=2)
+        whole = config_from_dict({**raw, "output_dir": str(tmp_path / "whole")})
+        cut = config_from_dict({**raw, "output_dir": str(tmp_path / "cut")})
+        run_experiment(whole)
+        trained = harness.train_agent_for_seed
+
+        def fail_on_seed_1(cfg, kind, seed, *segments):
+            if seed == 1:
+                raise RuntimeError("seed 1 failed")
+            return trained(cfg, kind, seed, *segments)
+
+        monkeypatch.setattr(harness, "train_agent_for_seed", fail_on_seed_1)
+        with pytest.raises(RuntimeError, match="seed 1 failed"):
+            run_experiment(cut)
+        names = output_files(cut.output_dir)
+        assert names == sorted(
+            [f"checkpoints/{kind}_seed0.npz" for kind in ("td3", "tdqn")]
+            + [f"training_log_{kind}_0.csv" for kind in ("td3", "tdqn")]
+            + [f"{name}_{s}_0.csv" for s in strategies for name in ("equity", "actions")])
+        assert_same_outputs(whole.output_dir, cut.output_dir, names)
+        # the cross-seed files come only after the last seed
+        assert not os.path.exists(os.path.join(cut.output_dir, "comparison.csv"))
 
     def test_readme_library_block_runs_as_written(self, tmp_path, monkeypatch, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -502,8 +592,9 @@ class TestRunExperiment:
     def test_missing_dataset(self, tmp_path):
         cfg = config_from_dict(base_config(tmp_path))
         cfg = type(cfg)(**{**cfg.__dict__, "dataset_path": str(tmp_path / "gone.csv")})
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(FileNotFoundError, match=f"^no such data file: {re.escape(cfg.dataset_path)}$"):
             run_experiment(cfg)
+        assert not os.path.exists(cfg.output_dir)
 
 
 class TestCsvFormat:
@@ -513,8 +604,8 @@ class TestCsvFormat:
                            equity=np.array([1.0, 1.1]), daily_returns=np.array([0.1]),
                            actions=np.array([0.123456789012345678]),
                            return_pct=10.0, sharpe=1.2300000000000002)
-        table = build_table({"unit": [report]}, ["unit"])
-        emit_outputs(table, {"unit": [report]}, None, tmp_path / "fmt")
+        emit_outputs(build_table({"unit": [report]}, ["unit"]), None, tmp_path / "fmt")
+        emit_runs({"unit": report}, tmp_path / "fmt")
         with open(tmp_path / "fmt" / "comparison.csv", "rb") as fh:
             blob = fh.read()
         assert b"\r" not in blob
@@ -568,26 +659,10 @@ class TestCli:
         for verb in ("train", "evaluate"):
             assert main([verb, "--config", str(cfg_path), "--output-dir", str(split_dir)]) == 0
 
-        def files(root):
-            return sorted(os.path.relpath(os.path.join(d, f), root)
-                          for d, _, names in os.walk(root) for f in names)
-
-        names = files(compare_dir)
-        assert names == files(split_dir)
+        names = output_files(compare_dir)
+        assert names == output_files(split_dir)
         assert len(names) == 34  # 24 curves, 4 checkpoints, 4 training logs, table, config
-        for name in names:
-            a, b = compare_dir / name, split_dir / name
-            if name.endswith(".npz"):
-                with np.load(a) as x, np.load(b) as y:
-                    assert sorted(x.files) == sorted(y.files)
-                    for key in x.files:
-                        assert x[key].dtype == y[key].dtype and np.array_equal(x[key], y[key]), key
-            elif name == "resolved_config.json":
-                x, y = json.loads(a.read_text()), json.loads(b.read_text())
-                assert (x.pop("output_dir"), y.pop("output_dir")) == (str(compare_dir), str(split_dir))
-                assert x == y
-            else:
-                assert a.read_bytes() == b.read_bytes(), name
+        assert_same_outputs(compare_dir, split_dir, names)
 
     def test_evaluate_without_checkpoint_fails(self, tmp_path, capsys):
         raw = base_config(tmp_path, strategies=["td3"], seeds=[0])

@@ -2,8 +2,8 @@
 
 ``forward``, ``backward``, ``adam_step`` and ``soft_update`` must give the
 bits of the reference kernel in ``oracles`` for every layer shape, batch
-size (a single vector included), activation pair, dropout mask, taped or
-untaped pass and gradient target, and ``backward`` must match central
+size (a single vector included), activation pair, dropout mask and
+gradient target, and ``backward`` must match central
 differences on whole batches. The flat kernels run on the concatenation of
 per-layer arrays that the reference updates one layer at a time.
 """
@@ -25,6 +25,7 @@ from tradelab.neuralnet import (
     soft_update,
 )
 
+from helpers import taped_gradients
 from oracles import (
     ReferenceAdamState,
     ReferenceTape,
@@ -38,7 +39,6 @@ from oracles import (
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
-WRT = ("both", "params", "input")
 
 
 def concat(arrays):
@@ -72,27 +72,24 @@ def param_lists(draw):
 
 
 @SETTINGS
-@given(passes(), st.booleans(), st.sampled_from(WRT))
-def test_forward_and_backward_match_reference(run, taped, wrt):
+@given(passes(), st.booleans())
+def test_forward_and_backward_match_reference(run, input_first):
     net, x, up, masks = run
     single = x.ndim == 1
     batch, up_batch = np.atleast_2d(x), np.atleast_2d(up)
     want_out = reference_forward_pass(net, batch, masks)
     want_grads, want_dx = reference_backward(net, batch, up_batch, masks)
 
-    tape = Tape() if taped else None
+    assert np.array_equal(forward(net, x, dropout_masks=masks), want_out[0] if single else want_out)
+    tape = Tape()
     out = forward(net, x, dropout_masks=masks, tape=tape)
     assert np.array_equal(out, want_out[0] if single else want_out)
-    grad, dx = backward(net, x, up, dropout_masks=masks, tape=tape, wrt=wrt)
-    if wrt == "input":
-        assert grad is None
-    else:
-        assert grad.shape == net.theta.shape
-        assert np.array_equal(grad, concat(want_grads))
-    if wrt == "params":
-        assert dx is None
-    else:
-        assert np.array_equal(dx, want_dx[0] if single else want_dx)
+    # both gradients of one pass, in either order, from two calls on its tape
+    order = ("input", "params") if input_first else ("params", "input")
+    grads = {wrt: backward(net, x, up, masks, tape=tape, wrt=wrt) for wrt in order}
+    assert grads["params"].shape == net.theta.shape
+    assert np.array_equal(grads["params"], concat(want_grads))
+    assert np.array_equal(grads["input"], want_dx[0] if single else want_dx)
 
 
 @SETTINGS
@@ -134,7 +131,7 @@ def test_batch_gradients_match_finite_differences(run):
     # a relu pre-activation within a step's reach of its kink has no central difference
     if net.hidden_activation == "relu":
         assume(all(np.abs(z).min() > 1e-3 for z in tape.pres[:-1]))
-    grad, dx = backward(net, x, up, dropout_masks=masks)
+    grad, dx = taped_gradients(net, x, up, masks)
 
     def objective():
         return float(np.sum(forward(net, x, dropout_masks=masks) * up))

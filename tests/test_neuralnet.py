@@ -21,8 +21,8 @@ from tradelab.neuralnet import (
     soft_update,
 )
 
-from helpers import push_pairs
-from oracles import finite_difference_grads, rel_close
+from helpers import push_pairs, taped_gradients
+from oracles import finite_difference_grads, reference_backward, rel_close
 
 
 def tiny_affine_net(weight=2.0, bias=1.0):
@@ -91,8 +91,8 @@ class TestForward:
         net = create_mlp((4, 6, 2), rng)
         x = rng.normal(size=(5, 4))
         assert np.array_equal(forward(net, x), forward(net, x))
-        g1, i1 = backward(net, x, np.ones((5, 2)))
-        g2, i2 = backward(net, x, np.ones((5, 2)))
+        g1, i1 = taped_gradients(net, x, np.ones((5, 2)))
+        g2, i2 = taped_gradients(net, x, np.ones((5, 2)))
         assert np.array_equal(g1, g2)
         assert np.array_equal(i1, i2)
 
@@ -104,19 +104,21 @@ class TestForward:
 
 class TestBackward:
     def test_input_gradient_of_affine_net(self):
-        _, input_grad = backward(tiny_affine_net(), [3.0], [1.0])
+        _, input_grad = taped_gradients(tiny_affine_net(), [3.0], [1.0])
         assert input_grad.tolist() == [2.0]
 
     def test_zero_upstream_zeroes_everything(self, rng):
         net = create_mlp((3, 4, 2), rng)
-        grad, input_grad = backward(net, rng.normal(size=3), [0.0, 0.0])
+        grad, input_grad = taped_gradients(net, rng.normal(size=3), [0.0, 0.0])
         assert grad.shape == net.theta.shape and np.all(grad == 0)
         assert np.all(input_grad == 0)
 
     def test_unknown_wrt_is_rejected_by_name(self, rng):
-        net = create_mlp((3, 2), rng)
-        with pytest.raises(ValueError, match="wrt must be one of 'both', 'params' or 'input', got 'weights'"):
-            backward(net, np.ones(3), np.ones(2), wrt="weights")
+        net, tape = create_mlp((3, 2), rng), Tape()
+        forward(net, np.ones(3), tape=tape)
+        for wrt in ("weights", "both"):
+            with pytest.raises(ValueError, match=f"^wrt must be 'params' or 'input', got '{wrt}'$"):
+                backward(net, np.ones(3), np.ones(2), tape=tape, wrt=wrt)
 
     @pytest.mark.parametrize("hidden_act,out_act", [("relu", "identity"), ("tanh", "tanh")])
     def test_gradients_match_finite_differences(self, hidden_act, out_act, rng):
@@ -125,7 +127,7 @@ class TestBackward:
             net = create_mlp(dims, rng, hidden_activation=hidden_act, output_activation=out_act)
             x = rng.normal(size=dims[0])
             up = rng.normal(size=dims[-1])
-            grad, input_grad = backward(net, x, up)
+            grad, input_grad = taped_gradients(net, x, up)
 
             def objective():
                 return float(forward(net, x) @ up)
@@ -147,8 +149,8 @@ class TestBackward:
         net = create_mlp((3, 4, 1), rng)
         xs = rng.normal(size=(5, 3))
         ups = rng.normal(size=(5, 1))
-        batch_grad, _ = backward(net, xs, ups)
-        summed = sum(backward(net, x, up)[0] for x, up in zip(xs, ups))
+        batch_grad, _ = taped_gradients(net, xs, ups)
+        summed = sum(taped_gradients(net, x, up)[0] for x, up in zip(xs, ups))
         assert np.allclose(batch_grad, summed, rtol=1e-12, atol=1e-12)
 
 
@@ -163,7 +165,7 @@ class TestDropout:
             masks = make_dropout_masks(net, 0.5, rng)
             x = rng.normal(size=4)
             up = np.array([1.0])
-            grad, _ = backward(net, x, up, dropout_masks=masks)
+            grad, _ = taped_gradients(net, x, up, masks)
 
             def objective():
                 return float(forward(net, x, dropout_masks=masks)[0])
@@ -424,6 +426,7 @@ class TestTape:
     @pytest.mark.parametrize("out_act", ["identity", "tanh"])
     @pytest.mark.parametrize("rate", [0.0, 0.4])
     def test_taped_backward_is_bit_identical(self, hidden_act, out_act, rate, rng):
+        """Gradients read off the tape equal the reference's, which runs its own forward pass."""
         net = create_mlp((5, 7, 6, 3), rng, hidden_activation=hidden_act, output_activation=out_act)
         x = rng.normal(size=(9, 5))
         up = rng.normal(size=(9, 3))
@@ -431,18 +434,19 @@ class TestTape:
         tape = Tape()
         out = forward(net, x, dropout_masks=masks, tape=tape)
         assert np.array_equal(out, forward(net, x, dropout_masks=masks))
-        taped, taped_dx = backward(net, x, up, dropout_masks=masks, tape=tape)
-        plain, plain_dx = backward(net, x, up, dropout_masks=masks)
-        assert taped.shape == plain.shape == net.theta.shape
-        assert np.array_equal(taped, plain)
-        assert np.array_equal(taped_dx, plain_dx)
+        taped = backward(net, x, up, masks, tape=tape, wrt="params")
+        taped_dx = backward(net, x, up, masks, tape=tape, wrt="input")
+        want_grads, want_dx = reference_backward(net, x, up, masks)
+        assert taped.shape == net.theta.shape
+        assert np.array_equal(taped, np.concatenate([g.ravel() for g in want_grads]))
+        assert np.array_equal(taped_dx, want_dx)
 
     def test_gradients_land_in_one_vector_laid_out_like_theta(self, rng):
         net = create_mlp((3, 4, 2), rng)
         x, up = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
         tape = Tape()
         forward(net, x, tape=tape)
-        grad, _ = backward(net, x, up, tape=tape)
+        grad = backward(net, x, up, tape=tape, wrt="params")
         assert grad.shape == net.theta.shape and grad.dtype == np.float64 and grad.flags.c_contiguous
         # the identity output layer: dW1 = h1^T up in W1's slot of theta, db1 = column sums of up
         assert np.array_equal(grad[16:24].reshape(4, 2), tape.posts[0].T @ up)
@@ -454,9 +458,10 @@ class TestTape:
         tape = Tape()
         forward(other, x, tape=tape)
         with pytest.raises(ValueError, match="tape"):
-            backward(net, x, np.ones((5, 2)), tape=tape)
+            backward(net, x, np.ones((5, 2)), tape=tape, wrt="params")
         forward(net, x, tape=tape)
         with pytest.raises(ValueError, match="tape"):
-            backward(net, x[:2], np.ones((2, 2)), tape=tape)
+            backward(net, x[:2], np.ones((2, 2)), tape=tape, wrt="params")
         with pytest.raises(ValueError, match="tape"):
-            backward(net, x, np.ones((5, 2)), dropout_masks=make_dropout_masks(net, 0.5, rng), tape=tape)
+            backward(net, x, np.ones((5, 2)), dropout_masks=make_dropout_masks(net, 0.5, rng), tape=tape,
+                     wrt="input")
