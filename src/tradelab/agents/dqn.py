@@ -12,18 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..neuralnet import (
-    AdamState,
-    Tape,
-    adam_step,
-    backward,
-    clone,
-    create_mlp,
-    forward,
-    load_nets,
-    make_dropout_masks,
-    save_nets,
-)
+from ..neuralnet import (AdamState, Tape, adam_step, backward, clone, create_mlp, forward,
+                         forward_rows, load_nets, make_dropout_masks, restore_nets, save_nets,
+                         snapshot_nets)
 from .replay import ReplayBuffer
 from .schedules import DecaySchedule, schedule_value
 from .targets import bootstrap_target
@@ -67,9 +58,9 @@ class DqnAgent:
         self.config = config or DqnConfig()
         cfg = self.config
         rng = np.random.default_rng([seed, 0xD99])
-        self.net = create_mlp((window, *cfg.hidden, len(cfg.actions)), rng)
-        self.target_net = clone(self.net)
-        self.opt = AdamState.create(self.net.theta, lr=cfg.learning_rate)
+        net = create_mlp((window, *cfg.hidden, len(cfg.actions)), rng)
+        self.nets = {"net": net, "target": clone(net)}
+        self.opt = AdamState.create(net.theta, lr=cfg.learning_rate)
         self._actions = np.asarray(cfg.actions, dtype=np.float64)
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
         self.updates = 0
@@ -83,14 +74,11 @@ class DqnAgent:
 
     def policies(self, rows) -> list[float]:
         """Greedy actions for a (n, window) array of states; np.argmax breaks ties
-        toward the lowest index. The network runs over (k, 1, window) stacks of
-        ``batch_size`` rows, so each row's Q-values have exactly the bits of a
+        toward the lowest index. Each row's Q-values have exactly the bits of a
         single-row forward."""
         cfg = self.config
-        step = cfg.batch_size
-        best = [np.argmax(forward(self.net, rows[i : i + step, None])[:, 0], axis=1)
-                for i in range(0, len(rows), step)]
-        return [cfg.actions[k] for k in np.concatenate(best).tolist()]
+        best = np.argmax(forward_rows(self.nets["net"], rows, cfg.batch_size), axis=1)
+        return [cfg.actions[k] for k in best.tolist()]
 
     def explore_action(self, state, episode: int, rng: np.random.Generator) -> float:
         eps = schedule_value(self.config.epsilon, episode)
@@ -118,11 +106,12 @@ class DqnAgent:
             raise ValueError(f"action {float(actions[~found][0])} not in the discrete action set {cfg.actions}")
         idx = hits.argmax(axis=1)  # the first match, for a set that repeats an action
 
-        y = bootstrap_target(r, term, cfg.gamma, forward(self.target_net, s2).max(axis=-1))
+        net, target = self.nets["net"], self.nets["target"]
+        y = bootstrap_target(r, term, cfg.gamma, forward(target, s2).max(axis=-1))
 
-        masks = make_dropout_masks(self.net, cfg.dropout, rng)
+        masks = make_dropout_masks(net, cfg.dropout, rng)
         tape = Tape()
-        q = forward(self.net, s, dropout_masks=masks, tape=tape)
+        q = forward(net, s, dropout_masks=masks, tape=tape)
         rows = np.arange(n)
         resid = q[rows, idx] - y
         loss = float(np.add.reduce(resid * resid)) / n  # np.mean's sum and divide
@@ -131,31 +120,24 @@ class DqnAgent:
 
         upstream = np.zeros_like(q)
         upstream[rows, idx] = 2.0 * resid / n
-        grad = backward(self.net, s, upstream, dropout_masks=masks, tape=tape, wrt="params")
-        adam_step(self.net.theta, grad, self.opt)
+        grad = backward(net, s, upstream, dropout_masks=masks, tape=tape, wrt="params")
+        adam_step(net.theta, grad, self.opt)
 
         self.updates += 1
         if self.updates % cfg.target_sync == 0:
-            self.target_net.theta[...] = self.net.theta
+            target.theta[...] = net.theta
         return {"loss": loss, "epsilon": schedule_value(cfg.epsilon, episode)}
 
     # -- snapshots ------------------------------------------------------
 
     def snapshot(self) -> dict:
-        return {"net": self.net.theta.copy(), "target": self.target_net.theta.copy()}
+        return snapshot_nets(self.nets)
 
     def restore(self, snap: dict) -> None:
-        self.net.theta[...] = snap["net"]
-        self.target_net.theta[...] = snap["target"]
+        restore_nets(self.nets, snap)
 
     def save(self, path) -> None:
-        save_nets(path, {"net": self.net, "target": self.target_net}, self.config,
-                  self.episodes_trained)
+        save_nets(path, self.nets, self.config, self.episodes_trained)
 
     def load(self, path) -> None:
-        nets, self.episodes_trained = load_nets(path, ("net", "target"), self.config)
-        for name, net in nets.items():
-            if net.layer_dims != self.net.layer_dims:
-                raise ValueError(f"{path}: checkpoint {name} has layer dims {net.layer_dims}, "
-                                 f"but env.window {self.window} builds {self.net.layer_dims}")
-        self.net, self.target_net = nets["net"], nets["target"]
+        self.episodes_trained = load_nets(path, self.nets, self.config, self.window)

@@ -51,7 +51,3 @@ class ReplayBuffer:
         return (self.observations[rows], batch["action"], batch["reward"],
                 self.observations[rows + 1], batch["terminal"])
 
-    def items(self) -> np.ndarray:
-        """Stored rows (fields of ``ROW_DTYPE``) in insertion order, oldest first."""
-        held = np.empty(0, ROW_DTYPE) if self._ring is None else self._ring[: len(self)]
-        return np.roll(held, -self._pushed)  # the oldest row sits at pushed % capacity

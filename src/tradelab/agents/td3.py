@@ -13,20 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..neuralnet import (
-    AdamState,
-    Mlp,
-    Tape,
-    adam_step,
-    backward,
-    clip_gradients,
-    clone,
-    create_mlp,
-    forward,
-    load_nets,
-    save_nets,
-    soft_update,
-)
+from ..neuralnet import (AdamState, Mlp, Tape, adam_step, backward, clip_gradients, clone,
+                         create_mlp, forward, forward_rows, load_nets, restore_nets, save_nets,
+                         snapshot_nets, soft_update)
 from .replay import ReplayBuffer
 from .schedules import DecaySchedule, schedule_value
 from .targets import bootstrap_target
@@ -122,17 +111,15 @@ class Td3Agent:
         self.config = config or Td3Config()
         cfg = self.config
         rng = np.random.default_rng([seed, 0x7D3])
-        self.actor = create_mlp(
-            (window, *cfg.actor_hidden, 1), rng, hidden_activation="relu", output_activation="tanh"
-        )
-        self.critic1 = create_mlp((window + 1, *cfg.critic_hidden, 1), rng)
-        self.critic2 = create_mlp((window + 1, *cfg.critic_hidden, 1), rng)
-        self.actor_target = clone(self.actor)
-        self.critic1_target = clone(self.critic1)
-        self.critic2_target = clone(self.critic2)
-        self.actor_opt = AdamState.create(self.actor.theta, lr=cfg.actor_lr)
-        self.critic1_opt = AdamState.create(self.critic1.theta, lr=cfg.critic_lr)
-        self.critic2_opt = AdamState.create(self.critic2.theta, lr=cfg.critic_lr)
+        actor = create_mlp((window, *cfg.actor_hidden, 1), rng, hidden_activation="relu",
+                           output_activation="tanh")
+        critics = [create_mlp((window + 1, *cfg.critic_hidden, 1), rng) for _ in range(2)]
+        self.nets = {"actor": actor, "critic1": critics[0], "critic2": critics[1],
+                     "actor_target": clone(actor), "critic1_target": clone(critics[0]),
+                     "critic2_target": clone(critics[1])}
+        self.actor_opt = AdamState.create(actor.theta, lr=cfg.actor_lr)
+        self.critic1_opt = AdamState.create(critics[0].theta, lr=cfg.critic_lr)
+        self.critic2_opt = AdamState.create(critics[1].theta, lr=cfg.critic_lr)
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
         self.updates = 0
         self.episodes_trained = 0
@@ -145,17 +132,15 @@ class Td3Agent:
 
     def policies(self, rows) -> list[float]:
         """Deterministic actions for a (n, window) array of states, clamped to the
-        action bounds. The actor runs over (k, 1, window) stacks of ``batch_size``
-        rows, so each action has exactly the bits of a single-row forward."""
+        action bounds; each has exactly the bits of a single-row forward."""
         cfg = self.config
-        step = cfg.batch_size
-        out = [forward(self.actor, rows[i : i + step, None]).ravel() for i in range(0, len(rows), step)]
-        return np.clip(np.concatenate(out), cfg.action_low, cfg.action_high).tolist()
+        actions = forward_rows(self.nets["actor"], rows, cfg.batch_size)[:, 0]
+        return np.clip(actions, cfg.action_low, cfg.action_high).tolist()
 
     def explore_action(self, state, episode: int, rng: np.random.Generator) -> float:
         cfg = self.config
         sigma = schedule_value(cfg.exploration_noise, episode)
-        return td3_select_action(self.actor, state, sigma, cfg.action_low, cfg.action_high, rng)
+        return td3_select_action(self.nets["actor"], state, sigma, cfg.action_low, cfg.action_high, rng)
 
     def random_actions(self, rng: np.random.Generator, n: int) -> list[float]:
         """n uniform actions from one draw, which leaves ``rng`` where n scalar draws would."""
@@ -172,25 +157,25 @@ class Td3Agent:
             raise ValueError(f"buffer holds {len(self.buffer)} < batch size {cfg.batch_size}")
         s, a, r, s2, term = self.buffer.sample(cfg.batch_size, rng)
         n = len(s)
+        nets = self.nets
+        critics = (nets["critic1"], nets["critic2"])
 
-        a2 = td3_target_action(self.actor_target, s2, schedule_value(cfg.policy_noise, episode),
-                               schedule_value(cfg.noise_clip, episode), cfg.action_low,
-                               cfg.action_high, rng)
+        a2 = td3_target_action(nets["actor_target"], s2, schedule_value(cfg.policy_noise, episode),
+                            schedule_value(cfg.noise_clip, episode), cfg.action_low,
+                            cfg.action_high, rng)
         x2 = np.concatenate([s2, a2], axis=1)
-        y = bootstrap_target(r, term, cfg.gamma, np.minimum(forward(self.critic1_target, x2)[:, 0],
-                                                            forward(self.critic2_target, x2)[:, 0]))
+        y = bootstrap_target(r, term, cfg.gamma, np.minimum(forward(nets["critic1_target"], x2)[:, 0],
+                                                         forward(nets["critic2_target"], x2)[:, 0]))
 
         x = np.concatenate([s, a[:, None]], axis=1)
         number = self.updates + 1
         tapes = (Tape(), Tape())
-        resids = [forward(critic, x, tape=tape)[:, 0] - y
-                  for critic, tape in zip((self.critic1, self.critic2), tapes)]
+        resids = [forward(critic, x, tape=tape)[:, 0] - y for critic, tape in zip(critics, tapes)]
         losses = [float(np.add.reduce(r * r)) / n for r in resids]  # np.mean's sum and divide
         for name, loss in zip(("critic1", "critic2"), losses):  # both, before either critic moves
             if not math.isfinite(loss):
                 raise ValueError(f"td3 update {number}: non-finite {name} loss {loss}")
-        for critic, opt, tape, resid in zip((self.critic1, self.critic2),
-                                            (self.critic1_opt, self.critic2_opt), tapes, resids):
+        for critic, opt, tape, resid in zip(critics, (self.critic1_opt, self.critic2_opt), tapes, resids):
             grad = backward(critic, x, (2.0 * resid / n)[:, None], tape=tape, wrt="params")
             adam_step(critic.theta, grad, opt)
 
@@ -204,42 +189,28 @@ class Td3Agent:
         if self.updates % cfg.policy_delay == 0:
             diag["actor_updated"] = True
             # Ascend J = mean(Q1(s, pi(s))): chain dQ/da through the actor.
-            actor_grad, objective = actor_gradient(self.actor, self.critic1, s)
+            actor = nets["actor"]
+            actor_grad, objective = actor_gradient(actor, critics[0], s)
             if not math.isfinite(objective):
                 raise ValueError(f"td3 update {number}: non-finite actor objective {objective}")
-            actor_grad = clip_gradients(actor_grad, self.actor.layer_dims, cfg.grad_clip_norm)
-            adam_step(self.actor.theta, -actor_grad, self.actor_opt)
+            actor_grad = clip_gradients(actor_grad, actor.layer_dims, cfg.grad_clip_norm)
+            adam_step(actor.theta, -actor_grad, self.actor_opt)
 
-            for target, source in (
-                (self.actor_target, self.actor),
-                (self.critic1_target, self.critic1),
-                (self.critic2_target, self.critic2),
-            ):
-                soft_update(target.theta, source.theta, cfg.tau)
+            for name in ("actor", "critic1", "critic2"):
+                soft_update(nets[f"{name}_target"].theta, nets[name].theta, cfg.tau)
         return diag
 
     # -- snapshots ------------------------------------------------------
 
-    _NET_NAMES = ("actor", "critic1", "critic2", "actor_target", "critic1_target", "critic2_target")
-
     def snapshot(self) -> dict:
         """Copies of all learned parameters, for checkpoint selection."""
-        return {name: getattr(self, name).theta.copy() for name in self._NET_NAMES}
+        return snapshot_nets(self.nets)
 
     def restore(self, snap: dict) -> None:
-        for name in self._NET_NAMES:
-            getattr(self, name).theta[...] = snap[name]
+        restore_nets(self.nets, snap)
 
     def save(self, path) -> None:
-        save_nets(path, {name: getattr(self, name) for name in self._NET_NAMES}, self.config,
-                  self.episodes_trained)
+        save_nets(path, self.nets, self.config, self.episodes_trained)
 
     def load(self, path) -> None:
-        nets, self.episodes_trained = load_nets(path, self._NET_NAMES, self.config)
-        for name, net in nets.items():
-            built = getattr(self, name).layer_dims
-            if net.layer_dims != built:
-                raise ValueError(f"{path}: checkpoint {name} has layer dims {net.layer_dims}, "
-                                 f"but env.window {self.window} builds {built}")
-        for name, net in nets.items():
-            setattr(self, name, net)
+        self.episodes_trained = load_nets(path, self.nets, self.config, self.window)

@@ -18,6 +18,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .fileio import reading
+
 log = logging.getLogger(__name__)
 
 DEFAULT_COLUMNS: Mapping[str, str] = {
@@ -122,15 +124,10 @@ def load_csv(path, columns: Mapping[str, str] | None = None) -> PriceSeries:
             raise ValueError(f"unknown column keys: {sorted(unknown)}")
         colmap.update(columns)
 
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise FileNotFoundError(f"no such data file: {path}") from None
-
     rows: list[tuple[dt.date, float]] = []
     seen: dict[dt.date, int] = {}
     dropped = 0
-    with handle:
+    with reading(path, missing="no such data file") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:

@@ -1,4 +1,4 @@
-"""Atomic file replacement for every file the package writes."""
+"""Atomic replacement for every file the package writes, and one way to read its inputs."""
 
 from __future__ import annotations
 
@@ -27,3 +27,19 @@ def atomic_open(path, mode: str = "w", **kwargs):
         except FileNotFoundError:
             pass
         raise
+
+
+@contextmanager
+def reading(path, missing: str | None = None):
+    """``path`` opened as UTF-8 text for reading. A directory, an unreadable file or
+    bytes that are not UTF-8 raise ValueError("<path>: <reason>"); a missing file
+    raises FileNotFoundError, as ``"<missing>: <path>"`` when ``missing`` is given."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except FileNotFoundError:
+        if missing is None:
+            raise
+        raise FileNotFoundError(f"{missing}: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc.strerror if isinstance(exc, OSError) else exc}") from None

@@ -36,7 +36,7 @@ from .agents import DqnAgent, DqnConfig, ReplayBuffer, Td3Agent, Td3Config, trai
 from .baselines import HOLDS, KINDS, RANDOM, TECHNICAL, act, d3_discretize, sign_discretize
 from .data import DEFAULT_COLUMNS, SplitSpec, chronological_split, load_csv
 from .env import EnvConfig, TradingEnv
-from .fileio import atomic_open
+from .fileio import atomic_open, reading
 from .stats import RunReport, TTestResult, paired_ttest_one_sided, return_pct, sharpe
 
 log = logging.getLogger(__name__)
@@ -160,7 +160,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def read_config(path):
     """The JSON value of the config file at ``path``, before any validation."""
-    with open(path, encoding="utf-8") as fh:
+    with reading(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -229,9 +229,32 @@ def run_report(strategy: str, seed: int, equity, annualization_days: int,
         sharpe_val = sharpe(daily, annualization_days)
     except ValueError:
         sharpe_val = degenerate_sharpe
-    return RunReport(strategy=strategy, seed=seed, equity=equity, daily_returns=daily,
+    return RunReport(strategy=strategy, seed=seed, equity=equity,
                      return_pct=return_pct(float(equity[0]), float(equity[-1])),
                      sharpe=sharpe_val, **curves)
+
+
+def _read_equity(path) -> list[float]:
+    """The ``cash`` column of an emitted equity curve: at least 2 rows, each cash a
+    finite number > 0, or a ValueError naming ``<path>:<line>``."""
+    with reading(path) as fh:
+        reader = csv.DictReader(fh)
+        if "cash" not in (reader.fieldnames or ()):
+            raise ValueError(f"{path}:1: no cash column")
+        equity = []
+        for row in reader:
+            try:
+                cash = float(row["cash"])
+            except (TypeError, ValueError):  # TypeError: a short row reads None
+                cash = math.nan
+            if not (math.isfinite(cash) and cash > 0):
+                raise ValueError(f"{path}:{reader.line_num}: cash must be a finite number > 0, "
+                                 f"got {row['cash']!r}")
+            equity.append(cash)
+    if len(equity) < 2:
+        raise ValueError(f"{path}:{reader.line_num}: an equity curve needs at least 2 rows, "
+                         f"got {len(equity)}")
+    return equity
 
 
 def read_reports(cfg: ExperimentConfig, strategies) -> dict[str, list[RunReport]]:
@@ -244,9 +267,7 @@ def read_reports(cfg: ExperimentConfig, strategies) -> dict[str, list[RunReport]
         reports[strategy] = []
         for seed in cfg.seeds:
             path = os.path.join(cfg.output_dir, f"equity_{strategy}_{seed}.csv")
-            with open(path, encoding="utf-8") as fh:
-                equity = [float(row["cash"]) for row in csv.DictReader(fh)]
-            reports[strategy].append(run_report(strategy, seed, equity,
+            reports[strategy].append(run_report(strategy, seed, _read_equity(path),
                                                 cfg.env.annualization_days))
     return reports
 

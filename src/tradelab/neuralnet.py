@@ -2,7 +2,8 @@
 
 Provides exactly what the agents need and nothing more: forward evaluation,
 exact reverse-mode gradients, bias-corrected Adam, global-norm gradient
-clipping, Polyak mixing, and a bit-exact checkpoint format for named networks.
+clipping, Polyak mixing, row-exact inference over many rows, and a bit-exact
+checkpoint format for an agent's table of named networks.
 
 Each network keeps all of its parameters in one contiguous float64 vector,
 ``theta``, laid out W0, b0, W1, b1, ... with every matrix row-major.
@@ -18,6 +19,10 @@ bias and applies the activation in place on each layer's product, and can
 record each layer's input and activation on a :class:`Tape`;
 :func:`backward` reads that tape instead of running the forward pass again,
 and computes one gradient, ``wrt`` the parameters or the input.
+
+An agent keeps its networks in one name -> :class:`Mlp` table under their
+checkpoint names; snapshots, checkpoints and :func:`forward_rows` are
+written once here for every agent's table or network.
 
 The kernels check shapes, dims and tapes only. A rate, a step size or a
 finite input is checked once where its value enters: the agent configs,
@@ -88,14 +93,6 @@ class Mlp:
         views = _param_views(self.layer_dims, theta)
         self.weights, self.biases = views[0::2], views[1::2]
         self.activations = (self.hidden_activation,) * (len(self.weights) - 1) + (self.output_activation,)
-
-    @property
-    def in_dim(self) -> int:
-        return self.layer_dims[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layer_dims[-1]
 
 
 def create_mlp(
@@ -169,8 +166,8 @@ def forward(net: Mlp, x, dropout_masks=None, tape: Tape | None = None) -> np.nda
     batch, squeeze = _as_batch(x, stack=True)
     if batch.ndim == 3 and tape is not None:
         raise ValueError("a stack of rows is evaluated without a tape")
-    if batch.shape[-1] != net.in_dim:
-        raise ValueError(f"input dim {batch.shape[-1]} != network input {net.in_dim}")
+    if batch.shape[-1] != net.layer_dims[0]:
+        raise ValueError(f"input dim {batch.shape[-1]} != network input {net.layer_dims[0]}")
     if tape is not None:
         tape.net, tape.dropout_masks = net, dropout_masks
         tape.inputs, tape.posts = [], []
@@ -190,6 +187,14 @@ def forward(net: Mlp, x, dropout_masks=None, tape: Tape | None = None) -> np.nda
     return a[0] if squeeze else a
 
 
+def forward_rows(net: Mlp, rows, block: int) -> np.ndarray:
+    """``net`` on each row of an (n, dim) array, as an (n, out) array: ceil(n / block)
+    :func:`forward` calls on (k, 1, dim) stacks of ``block`` rows, so each output row
+    has the bits of a single-row forward and the scratch memory is ``block`` rows'."""
+    return np.concatenate([forward(net, rows[i : i + block, None])[:, 0]
+                           for i in range(0, len(rows), block)])
+
+
 def backward(net: Mlp, x, upstream_grad, dropout_masks=None, *, tape: Tape, wrt: str):
     """The exact gradient of sum(output * upstream_grad) w.r.t. the params or the input.
 
@@ -203,10 +208,10 @@ def backward(net: Mlp, x, upstream_grad, dropout_masks=None, *, tape: Tape, wrt:
         raise ValueError(f"wrt must be 'params' or 'input', got {wrt!r}")
     batch, squeeze = _as_batch(x)
     up, _ = _as_batch(upstream_grad)
-    if batch.shape[1] != net.in_dim:
-        raise ValueError(f"input dim {batch.shape[1]} != network input {net.in_dim}")
-    if up.shape != (batch.shape[0], net.out_dim):
-        raise ValueError(f"upstream grad shape {up.shape} != {(batch.shape[0], net.out_dim)}")
+    if batch.shape[1] != net.layer_dims[0]:
+        raise ValueError(f"input dim {batch.shape[1]} != network input {net.layer_dims[0]}")
+    if up.shape != (batch.shape[0], net.layer_dims[-1]):
+        raise ValueError(f"upstream grad shape {up.shape} != {(batch.shape[0], net.layer_dims[-1])}")
     if tape.net is not net or tape.dropout_masks is not dropout_masks or tape.inputs[0].shape != batch.shape:
         raise ValueError("tape was recorded for another network, input shape or dropout masks")
     params = wrt == "params"
@@ -295,49 +300,35 @@ def soft_update(target, source, tau: float) -> None:
     target += tau * source  # the same sum as tau * source + (1 - tau) * target: addition commutes
 
 
-def checkpoint_payload(net: Mlp, prefix: str = "") -> dict:
-    """Flat array dict describing a network: dims, activations, parameters."""
-    payload = {
-        f"{prefix}layer_dims": np.array(net.layer_dims, dtype=np.int64),
-        f"{prefix}hidden_activation": np.array(net.hidden_activation),
-        f"{prefix}output_activation": np.array(net.output_activation),
-    }
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        payload[f"{prefix}w{i}"] = w
-        payload[f"{prefix}b{i}"] = b
-    return payload
-
-
-def net_from_payload(data, prefix: str = "") -> Mlp:
-    dims = tuple(int(d) for d in data[f"{prefix}layer_dims"])
-    theta = np.empty(_param_count(dims))
-    for i, view in enumerate(_param_views(dims, theta)):
-        key = f"{prefix}{'wb'[i % 2]}{i // 2}"
-        arr = data[key]
-        if arr.shape != view.shape:
-            raise ValueError(f"checkpoint array {key} has shape {arr.shape}, expected {view.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"checkpoint array {key} is not finite")
-        view[...] = arr
-    return Mlp(
-        layer_dims=dims,
-        theta=theta,
-        hidden_activation=str(data[f"{prefix}hidden_activation"]),
-        output_activation=str(data[f"{prefix}output_activation"]),
-    )
-
-
 def config_hash(config) -> str:
     """A short digest of a config dataclass, stored in checkpoints to catch a mismatch."""
     blob = json.dumps(asdict(config), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def save_nets(path, nets: dict, config, episodes: int) -> None:
-    """Write a versioned, bit-exact checkpoint of named networks.
+def snapshot_nets(nets: dict) -> dict:
+    """A copy of each table network's ``theta``, by name."""
+    return {name: net.theta.copy() for name, net in nets.items()}
 
-    Keys: ``version``, ``config_hash``, ``episodes`` and, per network, its
-    :func:`checkpoint_payload` under the prefix ``<name>.``.
+
+def restore_nets(nets: dict, snap: dict) -> None:
+    """Write a :func:`snapshot_nets` copy back into the table's networks, in place."""
+    for name, net in nets.items():
+        net.theta[...] = snap[name]
+
+
+def _param_keys(name: str, net: Mlp) -> list[tuple[str, np.ndarray]]:
+    """``(<name>.w<i> or <name>.b<i>, its view into net.theta)`` for each parameter array."""
+    views = _param_views(net.layer_dims, net.theta)
+    return [(f"{name}.{'wb'[i % 2]}{i // 2}", view) for i, view in enumerate(views)]
+
+
+def save_nets(path, nets: dict, config, episodes: int) -> None:
+    """Write a versioned, bit-exact checkpoint of a table of named networks.
+
+    Keys: ``version``, ``config_hash``, ``episodes`` and, per network,
+    ``<name>.layer_dims``, ``<name>.hidden_activation``,
+    ``<name>.output_activation`` and its ``<name>.w<i>``, ``<name>.b<i>`` arrays.
     """
     payload = {
         "version": np.array(_CHECKPOINT_VERSION),
@@ -345,16 +336,21 @@ def save_nets(path, nets: dict, config, episodes: int) -> None:
         "episodes": np.array(episodes),
     }
     for name, net in nets.items():
-        payload.update(checkpoint_payload(net, prefix=f"{name}."))
+        payload[f"{name}.layer_dims"] = np.array(net.layer_dims, dtype=np.int64)
+        payload[f"{name}.hidden_activation"] = np.array(net.hidden_activation)
+        payload[f"{name}.output_activation"] = np.array(net.output_activation)
+        payload.update(_param_keys(name, net))
     with atomic_open(path, "wb") as fh:
         np.savez(fh, **payload)
 
 
-def load_nets(path, names, config) -> tuple[dict, int]:
-    """The named networks and the episode count of a :func:`save_nets` checkpoint.
+def load_nets(path, nets: dict, config, window: int) -> int:
+    """Read a :func:`save_nets` checkpoint into ``nets`` in place; its episode count.
 
-    A ValueError naming ``path`` for a file cut short or lacking an array, another
-    version or configuration, or a network array that is misshapen or not finite.
+    Every check runs before any ``theta`` moves: a ValueError naming ``path`` for
+    a file cut short or lacking an array, another version or configuration, layer
+    dims other than ``window`` builds, another activation, or a network array that
+    is misshapen or not finite.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -363,7 +359,27 @@ def load_nets(path, names, config) -> tuple[dict, int]:
                 raise ValueError(f"unsupported checkpoint version {version}")
             if str(data["config_hash"]) != config_hash(config):
                 raise ValueError("checkpoint was written with a different configuration")
-            nets = {name: net_from_payload(data, prefix=f"{name}.") for name in names}
-            return nets, int(data["episodes"])
+            moves = []
+            for name, net in nets.items():
+                dims = tuple(int(d) for d in data[f"{name}.layer_dims"])
+                if dims != net.layer_dims:
+                    raise ValueError(f"checkpoint {name} has layer dims {dims}, "
+                                     f"but env.window {window} builds {net.layer_dims}")
+                for kind in ("hidden", "output"):
+                    got, built = str(data[f"{name}.{kind}_activation"]), getattr(net, f"{kind}_activation")
+                    if got != built:
+                        raise ValueError(f"checkpoint {name} has {kind} activation {got!r}, "
+                                         f"but the agent builds {built!r}")
+                for key, view in _param_keys(name, net):
+                    arr = data[key]
+                    if arr.shape != view.shape:
+                        raise ValueError(f"checkpoint array {key} has shape {arr.shape}, expected {view.shape}")
+                    if not np.isfinite(arr).all():
+                        raise ValueError(f"checkpoint array {key} is not finite")
+                    moves.append((view, arr))
+            episodes = int(data["episodes"])
     except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:  # KeyError: a missing array
         raise ValueError(f"{path}: {exc.args[0]}") from None  # args[0]: a KeyError's str is quoted
+    for view, arr in moves:
+        view[...] = arr
+    return episodes

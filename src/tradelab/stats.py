@@ -168,13 +168,12 @@ class RunReport:
     seed: int
     dates: tuple = ()
     equity: np.ndarray = ()
-    daily_returns: np.ndarray = ()
     actions: np.ndarray = ()
     return_pct: float = 0.0
     sharpe: float = 0.0
 
     def __post_init__(self):
-        for name in ("equity", "daily_returns", "actions"):
+        for name in ("equity", "actions"):
             series = np.asarray(getattr(self, name), dtype=np.float64)
             series.flags.writeable = False
             object.__setattr__(self, name, series)

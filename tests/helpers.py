@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from tradelab.agents.replay import ROW_DTYPE
 from tradelab.data import PriceSeries
 from tradelab.env import EnvConfig, TradingEnv
 from tradelab.neuralnet import Tape, backward, forward
@@ -54,6 +55,12 @@ def observation_rows(window, n, seed=0, scale=0.3):
     rows = TradingEnv(series, EnvConfig(window=window)).observation_table()[:n]
     assert len(rows) == n
     return rows
+
+
+def held_rows(buffer):
+    """The rows a replay buffer holds (fields of ``ROW_DTYPE``) in insertion order, oldest first."""
+    held = np.empty(0, ROW_DTYPE) if buffer._ring is None else buffer._ring[: len(buffer)]
+    return np.roll(held, -buffer._pushed)  # the oldest row sits at pushed % capacity
 
 
 def push_pairs(buffer, steps):

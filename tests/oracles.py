@@ -418,9 +418,9 @@ class ListTd3Update:
         cfg = agent.config
         self.agent = agent
         self.opts = {
-            "actor": ReferenceAdamState(reference_params(agent.actor), lr=cfg.actor_lr),
-            "critic1": ReferenceAdamState(reference_params(agent.critic1), lr=cfg.critic_lr),
-            "critic2": ReferenceAdamState(reference_params(agent.critic2), lr=cfg.critic_lr),
+            "actor": ReferenceAdamState(reference_params(agent.nets["actor"]), lr=cfg.actor_lr),
+            "critic1": ReferenceAdamState(reference_params(agent.nets["critic1"]), lr=cfg.critic_lr),
+            "critic2": ReferenceAdamState(reference_params(agent.nets["critic2"]), lr=cfg.critic_lr),
         }
         self.updates = 0
         self.actor_grad_norms = []  # before clipping, one per delayed step
@@ -432,36 +432,35 @@ class ListTd3Update:
 
         sigma_t = schedule_value(cfg.policy_noise, episode)
         clip_k = schedule_value(cfg.noise_clip, episode)
-        a2 = reference_forward_pass(ag.actor_target, s2)
+        a2 = reference_forward_pass(ag.nets["actor_target"], s2)
         eps = np.clip(rng.normal(0.0, sigma_t, size=(n, 1)) if sigma_t > 0 else np.zeros((n, 1)),
                       -clip_k, clip_k)
         a2 = np.clip(a2 + eps, cfg.action_low, cfg.action_high)
         x2 = np.hstack([s2, a2])
-        q1_next = reference_forward_pass(ag.critic1_target, x2)[:, 0]
-        q2_next = reference_forward_pass(ag.critic2_target, x2)[:, 0]
+        q1_next = reference_forward_pass(ag.nets["critic1_target"], x2)[:, 0]
+        q2_next = reference_forward_pass(ag.nets["critic2_target"], x2)[:, 0]
         y = r + cfg.gamma * (1.0 - term) * np.minimum(q1_next, q2_next)
 
         x = np.hstack([s, a])
         for name in ("critic1", "critic2"):
-            params = reference_params(getattr(ag, name))
-            resid = reference_forward_pass(getattr(ag, name), x)[:, 0] - y
-            grads, _ = reference_backward(getattr(ag, name), x, (2.0 * resid / n)[:, None])
+            params = reference_params(ag.nets[name])
+            resid = reference_forward_pass(ag.nets[name], x)[:, 0] - y
+            grads, _ = reference_backward(ag.nets[name], x, (2.0 * resid / n)[:, None])
             _assign(params, reference_adam_step(params, grads, self.opts[name]))
 
         self.updates += 1
         if self.updates % cfg.policy_delay == 0:
-            a_pi = reference_forward_pass(ag.actor, s)
+            a_pi = reference_forward_pass(ag.nets["actor"], s)
             xa = np.hstack([s, a_pi])
-            _, dx = reference_backward(ag.critic1, xa, np.full((n, 1), 1.0 / n))
-            grads, _ = reference_backward(ag.actor, s, dx[:, s.shape[1]:])
+            _, dx = reference_backward(ag.nets["critic1"], xa, np.full((n, 1), 1.0 / n))
+            grads, _ = reference_backward(ag.nets["actor"], s, dx[:, s.shape[1]:])
             grads, norm = reference_clip_gradients(grads, cfg.grad_clip_norm)
             self.actor_grad_norms.append(norm)
-            params = reference_params(ag.actor)
+            params = reference_params(ag.nets["actor"])
             _assign(params, reference_adam_step(params, [-g for g in grads], self.opts["actor"]))
-            for target, source in ((ag.actor_target, ag.actor), (ag.critic1_target, ag.critic1),
-                                   (ag.critic2_target, ag.critic2)):
-                params = reference_params(target)
-                _assign(params, reference_soft_update(params, reference_params(source), cfg.tau))
+            for name in ("actor", "critic1", "critic2"):
+                params = reference_params(ag.nets[f"{name}_target"])
+                _assign(params, reference_soft_update(params, reference_params(ag.nets[name]), cfg.tau))
 
 
 class ListDqnUpdate:
@@ -471,7 +470,7 @@ class ListDqnUpdate:
 
     def __init__(self, agent):
         self.agent = agent
-        self.opt = ReferenceAdamState(reference_params(agent.net), lr=agent.config.learning_rate)
+        self.opt = ReferenceAdamState(reference_params(agent.nets["net"]), lr=agent.config.learning_rate)
         self.updates = 0
 
     def __call__(self, episode, rng):
@@ -480,19 +479,19 @@ class ListDqnUpdate:
         n = len(s)
         idx = np.array([next(i for i, x in enumerate(cfg.actions) if x == act) for act in a[:, 0]])
 
-        y = r + cfg.gamma * (1.0 - term) * reference_forward_pass(ag.target_net, s2).max(axis=1)
-        masks = make_dropout_masks(ag.net, cfg.dropout, rng)
-        q = reference_forward_pass(ag.net, s, dropout_masks=masks)
+        y = r + cfg.gamma * (1.0 - term) * reference_forward_pass(ag.nets["target"], s2).max(axis=1)
+        masks = make_dropout_masks(ag.nets["net"], cfg.dropout, rng)
+        q = reference_forward_pass(ag.nets["net"], s, dropout_masks=masks)
         resid = q[np.arange(n), idx] - y
         upstream = np.zeros_like(q)
         upstream[np.arange(n), idx] = 2.0 * resid / n
-        grads, _ = reference_backward(ag.net, s, upstream, dropout_masks=masks)
-        params = reference_params(ag.net)
+        grads, _ = reference_backward(ag.nets["net"], s, upstream, dropout_masks=masks)
+        params = reference_params(ag.nets["net"])
         _assign(params, reference_adam_step(params, grads, self.opt))
 
         self.updates += 1
         if self.updates % cfg.target_sync == 0:
-            ag.target_net = clone(ag.net)
+            ag.nets["target"] = clone(ag.nets["net"])
 
 
 # -- training loop -----------------------------------------------------------

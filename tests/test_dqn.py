@@ -14,7 +14,7 @@ from tradelab.agents import (
     train,
 )
 from tradelab.env import EnvConfig
-from tradelab.neuralnet import clone, forward
+from tradelab.neuralnet import forward
 
 from helpers import alternating_series, observation_rows, push_pairs
 from oracles import value_iteration
@@ -79,13 +79,13 @@ class TestExploration:
     def test_greedy_is_deterministic_argmax(self):
         agent = DqnAgent(2, small_config(epsilon=DecaySchedule(0.0, 0.0, 1.0)), seed=0)
         state = np.array([0.3, -0.7])
-        expected = agent.config.actions[int(np.argmax(forward(agent.net, state)))]
+        expected = agent.config.actions[int(np.argmax(forward(agent.nets["net"], state)))]
         gen = np.random.default_rng(0)
         assert all(agent.explore_action(state, 0, gen) == expected for _ in range(50))
 
     def test_tie_breaks_to_lowest_index(self):
         agent = DqnAgent(2, small_config(), seed=0)
-        agent.net.theta[...] = 0.0
+        agent.nets["net"].theta[...] = 0.0
         assert agent.policy([1.0, 1.0]) == agent.config.actions[0] == -1.0
 
     def test_discrete_action_set(self):
@@ -110,13 +110,13 @@ class TestUpdate:
         agent = DqnAgent(3, small_config(target_sync=5), seed=1)
         self.fill(agent, rng)
         gen = np.random.default_rng(0)
-        frozen = agent.target_net.theta.copy()
+        frozen = agent.nets["target"].theta.copy()
         for k in range(4):
             agent.update(0, gen)
-            assert np.array_equal(frozen, agent.target_net.theta)
+            assert np.array_equal(frozen, agent.nets["target"].theta)
         agent.update(0, gen)  # fifth update syncs
-        assert not np.array_equal(frozen, agent.target_net.theta)
-        assert np.array_equal(agent.net.theta, agent.target_net.theta)
+        assert not np.array_equal(frozen, agent.nets["target"].theta)
+        assert np.array_equal(agent.nets["net"].theta, agent.nets["target"].theta)
 
     def test_underfilled_buffer_rejected(self, rng):
         agent = DqnAgent(3, small_config(batch_size=64), seed=1)
@@ -148,9 +148,9 @@ class TestUpdate:
     def test_repeated_action_trains_its_first_index(self, rng):
         agent = DqnAgent(2, small_config(batch_size=4, hidden=(), actions=(-1.0, 1.0, -1.0)), seed=1)
         push_pairs(agent.buffer, [(rng.normal(size=2), -1.0, 1.0, rng.normal(size=2), False)] * 4)
-        before = agent.net.weights[0].copy()
+        before = agent.nets["net"].weights[0].copy()
         agent.update(0, np.random.default_rng(0))
-        moved = (agent.net.weights[0] != before).any(axis=0)
+        moved = (agent.nets["net"].weights[0] != before).any(axis=0)
         assert moved.tolist() == [True, False, False]
 
     def test_chain_mdp_matches_value_iteration(self):
@@ -164,8 +164,8 @@ class TestUpdate:
                         target_sync=25, buffer_capacity=5000,
                         epsilon=DecaySchedule(1.0, 1.0, 1.0))
         agent = DqnAgent(3, cfg, seed=0)
-        agent.net.theta[...] = 0.0
-        agent.target_net = clone(agent.net)
+        agent.nets["net"].theta[...] = 0.0
+        agent.nets["target"].theta[...] = agent.nets["net"].theta
 
         # one (state, next state) row pair per (s, a): step (s, a) is row 2 * (2s + a)
         agent.buffer.bind(np.array([v for s in range(3) for a in range(2)
@@ -179,7 +179,7 @@ class TestUpdate:
             if len(agent.buffer) >= cfg.batch_size:
                 agent.update(0, gen)
             s = s2
-        learned = np.stack([forward(agent.net, onehot(i)) for i in range(3)])
+        learned = np.stack([forward(agent.nets["net"], onehot(i)) for i in range(3)])
         assert np.abs(learned - q_star).max() < 1e-3
 
     def test_dropout_update_runs(self, rng):
@@ -214,7 +214,7 @@ class TestTraining:
         for _ in range(2):
             agent = DqnAgent(3, cfg, seed=21)
             train(agent, series, EnvConfig(window=3, initial_cash=1000.0), episodes=4, seed=21)
-            params.append(agent.net.theta.copy())
+            params.append(agent.nets["net"].theta.copy())
         assert np.array_equal(*params)
 
     def test_checkpoint_roundtrip(self, tmp_path, rng):
@@ -226,11 +226,11 @@ class TestTraining:
         agent.save(path)
         twin = DqnAgent(3, small_config(), seed=77)
         twin.load(path)
-        assert np.array_equal(agent.net.theta, twin.net.theta)
+        assert np.array_equal(agent.nets["net"].theta, twin.nets["net"].theta)
 
     def test_checkpoint_with_a_non_finite_weight_fails_at_load(self, tmp_path):
         agent = DqnAgent(3, small_config(), seed=3)
-        agent.target_net.theta[-1] = np.nan
+        agent.nets["target"].theta[-1] = np.nan
         path = tmp_path / "dqn.npz"
         agent.save(path)
         twin = DqnAgent(3, small_config(), seed=4)
@@ -244,12 +244,12 @@ class TestTraining:
         path = tmp_path / "dqn.npz"
         DqnAgent(3, small_config(), seed=3).save(path)
         other = DqnAgent(5, small_config(), seed=3)
-        dims = other.net.layer_dims
+        dims = other.nets["net"].layer_dims
         with pytest.raises(ValueError) as err:
             other.load(path)
         assert str(err.value) == (f"{path}: checkpoint net has layer dims {(3, *dims[1:])}, "
                                   f"but env.window 5 builds {dims}")
-        assert other.net.layer_dims == other.target_net.layer_dims == dims
+        assert other.nets["net"].layer_dims == other.nets["target"].layer_dims == dims
 
 
 class TestConfig:
@@ -298,6 +298,6 @@ class TestBatchedPolicies:
             for n in (1, 63, 64, 65, 200):  # around the 64-row block boundary
                 rows = observation_rows(5, n, scale=2.0)
                 batched = agent.policies(rows)
-                vector = [actions[int(np.argmax(forward(agent.net, row)))] for row in rows]
+                vector = [actions[int(np.argmax(forward(agent.nets["net"], row)))] for row in rows]
                 assert batched == [agent.policy(row) for row in rows] == vector
             assert set(batched) == set(actions)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from tradelab.env import EnvConfig
 from tradelab.harness import emit_runs, evaluate_policy
+from tradelab.stats import sharpe
 
 from helpers import make_series
 from oracles import resimulate
@@ -79,7 +80,11 @@ def test_emitted_csvs_match_a_list_formatter(run):
     tcs = [tc if not hold or k in (0, last) else 0.0 for k in range(len(actions))]
     curve, _, _ = resimulate(env_cfg.initial_cash, actions, closes[WINDOW:], tcs)
     daily = [(b - a) / a for a, b in zip(curve, curve[1:])]
-    assert report.daily_returns.tobytes() == np.array(daily, dtype=np.float64).tobytes()
+    try:  # the reported Sharpe ratio is that of these daily returns, bit for bit
+        expected = sharpe(np.array(daily, dtype=np.float64), env_cfg.annualization_days)
+    except ValueError:
+        expected = 0.0  # an undefined ratio scores 0.0
+    assert np.float64(report.sharpe).tobytes() == np.float64(expected).tobytes()
     dates = series.dates()[WINDOW : WINDOW + len(curve)]
     with tempfile.TemporaryDirectory() as tmp:
         emit_runs({"generated": report}, tmp)

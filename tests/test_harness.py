@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 
 import tradelab
 import tradelab.agents.dqn as dqn_module
+import tradelab.neuralnet as neuralnet
 import tradelab.agents.td3 as td3_module
 import tradelab.harness as harness
 from tradelab.agents import DecaySchedule, train
@@ -41,9 +43,9 @@ from tradelab.harness import (
     train_agent_for_seed,
     train_seed,
 )
-from tradelab.stats import RunReport, return_pct
+from tradelab.stats import RunReport, return_pct, sharpe
 
-from helpers import assert_same_reports, constant_policy, make_series, random_walk
+from helpers import assert_same_reports, constant_policy, held_rows, make_series, random_walk
 from oracles import validation_sharpe
 
 
@@ -255,7 +257,9 @@ class TestEvaluatePolicy:
         steps = len(series) - 1 - 3
         assert len(report.actions) == steps
         assert len(report.equity) == steps + 1
-        assert len(report.daily_returns) == steps
+        daily = (report.equity[1:] - report.equity[:-1]) / report.equity[:-1]
+        assert len(daily) == steps
+        assert report.sharpe == sharpe(daily, EnvConfig().annualization_days)
         assert report.return_pct == pytest.approx(
             return_pct(report.equity[0], report.equity[-1]))
         assert report.dates[0] == series.dates()[3]
@@ -279,7 +283,7 @@ class TestEvaluatePolicy:
         unpickled = pickle.loads(pickle.dumps(report))
         assert_same_reports(unpickled, report)
         for r in (report, reread, unpickled, RunReport("empty", 0)):
-            for values in (r.equity, r.daily_returns, r.actions):
+            for values in (r.equity, r.actions):
                 assert values.dtype == np.float64 and not values.flags.writeable
                 if values.size:
                     with pytest.raises(ValueError, match="read-only"):
@@ -297,8 +301,8 @@ class TestEvaluateStrategies:
         raw = base_config(tmp_path, strategies=["td3", "td3_sign", "td3_d3"], seeds=[0])
         cfg = config_from_dict(raw)
         agent = make_agent(cfg, "td3", 0)
-        agent.actor.weights[-1][:] = 0.0
-        agent.actor.biases[-1][:] = -0.3  # tanh(-0.3): short for td3 and td3_sign, flat for td3_d3
+        agent.nets["actor"].weights[-1][:] = 0.0
+        agent.nets["actor"].biases[-1][:] = -0.3  # tanh(-0.3): short for td3 and td3_sign, flat for td3_d3
         # the close doubles on bar 10: both shorts are wiped there, td3_d3 trades on
         segment = make_series([100.0] * 10 + [200.0] * 10)
         unshared = {
@@ -313,8 +317,8 @@ class TestEvaluateStrategies:
         policies = agent.policies
         monkeypatch.setattr(agent, "policies",
                             lambda rows: policies_rows.append(len(rows)) or policies(rows))
-        forward = td3_module.forward
-        monkeypatch.setattr(td3_module, "forward",
+        forward = neuralnet.forward
+        monkeypatch.setattr(neuralnet, "forward",
                             lambda net, x, **kw: forward_rows.append(len(x)) or forward(net, x, **kw))
         reports = evaluate_strategies(cfg, {"td3": agent}, segment, 0)
         assert_same_reports(reports, unshared)
@@ -355,12 +359,15 @@ class TestValidation:
         cfg = self.config(tmp_path)
         _, valid_seg, _ = load_segments(cfg)
         agent = make_agent(cfg, kind, 0)
-        calls = []
-        forward = module.forward
-        monkeypatch.setattr(module, "forward",
+        calls, own = [], []
+        forward = neuralnet.forward
+        monkeypatch.setattr(neuralnet, "forward",
                             lambda net, x, **kw: calls.append(len(x)) or forward(net, x, **kw))
+        # the agent module's own binding is not on this path: neuralnet.forward_rows stacks the rows
+        monkeypatch.setattr(module, "forward", lambda net, x, **kw: own.append(len(x)) or forward(net, x, **kw))
         report = evaluate_policy(agent.policies, valid_seg, cfg.env, "validation", -1)
         rows = len(valid_seg) - cfg.env.window - 1
+        assert own == []
         assert len(report.actions) == rows == 35
         assert len(calls) == math.ceil(rows / agent.config.batch_size) == 5
         assert sum(calls) == rows
@@ -423,7 +430,7 @@ class TestValidation:
         train_seg, valid_seg, test_seg = load_segments(cfg)
         agents = train_seed(cfg, 0, train_seg, valid_seg)
         for agent in agents.values():
-            assert len(agent.buffer) == 0 and len(agent.buffer.items()) == 0
+            assert len(agent.buffer) == 0 and len(held_rows(agent.buffer)) == 0
         reports = evaluate_strategies(cfg, agents, test_seg, 0)
         assert_same_reports(evaluate_strategies(cfg, load_agents(cfg, 0), test_seg, 0), reports)
 
@@ -540,7 +547,7 @@ class TestRunExperiment:
             for a, b in zip(reports_seq[strategy], reports_par[strategy]):
                 assert_same_reports(a, b)
                 # a report sent back from a worker keeps its read-only arrays
-                assert not any(s.flags.writeable for s in (b.equity, b.daily_returns, b.actions))
+                assert not any(s.flags.writeable for s in (b.equity, b.actions))
         # the workers write each seed's checkpoints, logs and curves themselves
         names = output_files(cfg_seq.output_dir)
         assert names == output_files(cfg_par.output_dir)
@@ -601,7 +608,7 @@ class TestCsvFormat:
     def test_headers_newlines_and_precision(self, tmp_path):
         report = RunReport(strategy="unit", seed=3,
                            dates=(dt.date(2020, 1, 1), dt.date(2020, 1, 2)),
-                           equity=np.array([1.0, 1.1]), daily_returns=np.array([0.1]),
+                           equity=np.array([1.0, 1.1]),
                            actions=np.array([0.123456789012345678]),
                            return_pct=10.0, sharpe=1.2300000000000002)
         emit_outputs(build_table({"unit": [report]}, ["unit"]), None, tmp_path / "fmt")
@@ -732,6 +739,50 @@ class TestCli:
         curve = os.path.join(raw["output_dir"], "equity_buy_hold_0.csv")
         assert capsys.readouterr().err == (
             f"missing {curve}; run `tradelab compare` or `evaluate` first\n")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: lines[:1], "1: an equity curve needs at least 2 rows, got 0"),
+        (lambda lines: lines[:2], "2: an equity curve needs at least 2 rows, got 1"),
+        (lambda lines: ["date,value", *lines[1:]], "1: no cash column"),
+        (lambda lines: [*lines[:2], lines[2].split(",")[0] + ",abc", *lines[3:]],
+         "3: cash must be a finite number > 0, got 'abc'"),
+        (lambda lines: [*lines[:3], lines[3].split(",")[0] + ",0", *lines[4:]],
+         "4: cash must be a finite number > 0, got '0'"),
+        (lambda lines: [*lines[:2], lines[2].split(",")[0] + ",nan", *lines[3:]],
+         "3: cash must be a finite number > 0, got 'nan'"),
+        (lambda lines: [*lines[:2], lines[2].split(",")[0], *lines[3:]],
+         "3: cash must be a finite number > 0, got None"),
+    ])
+    def test_ttest_on_a_half_written_curve_names_its_line(self, tmp_path, capsys, edit, message):
+        raw = base_config(tmp_path, strategies=["long", "short"], seeds=[0, 1],
+                          ttest={"pairs": [["long", "short"]]})
+        cfg_path = self.write_config(tmp_path, raw)
+        assert main(["compare", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        curve = Path(raw["output_dir"]) / "equity_long_0.csv"
+        curve.write_text("\n".join(edit(curve.read_text().splitlines())) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way to the message
+            assert main(["ttest", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: {curve}:{message}\n"
+
+    @pytest.mark.parametrize("target", ["config", "dataset", "curve"])
+    def test_unreadable_input_names_its_path(self, tmp_path, capsys, target):
+        raw = base_config(tmp_path, strategies=["long", "short"], seeds=[0, 1],
+                          ttest={"pairs": [["long", "short"]]})
+        cfg_path = self.write_config(tmp_path, raw)
+        assert main(["compare", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        path = {"config": cfg_path, "dataset": Path(raw["dataset"]["path"]),
+                "curve": Path(raw["output_dir"]) / "equity_long_0.csv"}[target]
+        verb = "ttest" if target == "curve" else "compare"
+        path.write_bytes(path.read_bytes() + b"\xff\n")  # not UTF-8
+        assert main([verb, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+        path.unlink()
+        path.mkdir()
+        assert main([verb, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: Is a directory\n"
 
     def test_bad_config_reports_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

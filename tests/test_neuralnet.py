@@ -8,21 +8,28 @@ from tradelab.neuralnet import (
     Tape,
     adam_step,
     backward,
-    checkpoint_payload,
     clip_gradients,
     clone,
     create_mlp,
     forward,
+    forward_rows,
     global_norm,
     load_nets,
     make_dropout_masks,
-    net_from_payload,
     save_nets,
     soft_update,
 )
+from tradelab import neuralnet
 
 from helpers import push_pairs, taped_gradients
 from oracles import finite_difference_grads, reference_backward, rel_close
+
+
+def rewrite_checkpoint(path, changes):
+    """Replace some arrays of a saved checkpoint, keeping the rest."""
+    with np.load(path) as data:
+        payload = {key: data[key] for key in data.files}
+    np.savez(path, **{**payload, **changes})
 
 
 def tiny_affine_net(weight=2.0, bias=1.0):
@@ -282,8 +289,8 @@ class TestCheckpoint:
         net = create_mlp((5, 16, 3), rng, hidden_activation="tanh", output_activation="tanh")
         path = tmp_path / "net.npz"
         save_nets(path, {"main": net}, Td3Config(), 17)
-        nets, episodes = load_nets(path, ("main",), Td3Config())
-        loaded = nets["main"]
+        loaded = create_mlp((5, 16, 3), np.random.default_rng(1), "tanh", "tanh")
+        episodes = load_nets(path, {"main": loaded}, Td3Config(), 5)
         assert loaded.layer_dims == net.layer_dims
         assert loaded.hidden_activation == "tanh"
         assert loaded.output_activation == "tanh"
@@ -310,25 +317,31 @@ class TestCheckpoint:
         path = tmp_path / "net.npz"
         save_nets(path, {"main": create_mlp((2, 1), rng)}, Td3Config(), 0)
         with pytest.raises(ValueError, match="different configuration"):
-            load_nets(path, ("main",), Td3Config(tau=0.5))
-        with np.load(path) as data:
-            payload = {key: data[key] for key in data.files}
-        np.savez(path, **{**payload, "version": np.array(2)})
+            load_nets(path, {"main": create_mlp((2, 1), rng)}, Td3Config(tau=0.5), 2)
+        rewrite_checkpoint(path, {"version": np.array(2)})
         with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
-            load_nets(path, ("main",), Td3Config())
+            load_nets(path, {"main": create_mlp((2, 1), rng)}, Td3Config(), 2)
 
     def test_config_mismatch_names_the_path(self, rng, tmp_path):
         path = tmp_path / "net.npz"
         save_nets(path, {"main": create_mlp((2, 1), rng)}, Td3Config(), 0)
         with pytest.raises(ValueError) as err:
-            load_nets(path, ("main",), Td3Config(tau=0.5))
+            load_nets(path, {"main": create_mlp((2, 1), rng)}, Td3Config(tau=0.5), 2)
         assert str(err.value) == f"{path}: checkpoint was written with a different configuration"
 
-    def test_unknown_activation_fails_at_load(self, rng):
-        payload = checkpoint_payload(create_mlp((2, 3, 1), rng))
-        for key, name in (("hidden_activation", "sigmoid"), ("output_activation", "relu")):
-            with pytest.raises(ValueError, match=key.replace("_", " ") + " must be one of"):
-                net_from_payload({**payload, key: np.array(name)})
+    def test_unknown_activation_fails_at_load(self, rng, tmp_path):
+        path = tmp_path / "net.npz"
+        save_nets(path, {"main": create_mlp((2, 3, 1), rng)}, Td3Config(), 0)
+        for kind, name, built in (("hidden", "sigmoid", "relu"), ("output", "relu", "identity")):
+            rewrite_checkpoint(path, {f"main.{kind}_activation": np.array(name)})
+            net = create_mlp((2, 3, 1), rng)
+            before = net.theta.copy()
+            with pytest.raises(ValueError) as err:
+                load_nets(path, {"main": net}, Td3Config(), 2)
+            assert str(err.value) == (f"{path}: checkpoint main has {kind} activation {name!r}, "
+                                      f"but the agent builds {built!r}")
+            assert np.array_equal(net.theta, before)
+            rewrite_checkpoint(path, {f"main.{kind}_activation": np.array(built)})
 
     def test_clone_is_independent(self, rng):
         net = create_mlp((2, 3, 1), rng)
@@ -376,24 +389,30 @@ class TestFlatParameters:
             with pytest.raises(ValueError, match="contiguous float64 vector of 32 parameters"):
                 Mlp((3, 5, 2), theta)
 
-    def test_net_from_payload(self, rng):
+    def test_load_nets_writes_through_the_views(self, rng, tmp_path):
         net = create_mlp((3, 5, 2), rng, hidden_activation="tanh")
-        loaded = net_from_payload(checkpoint_payload(net))
+        save_nets(tmp_path / "net.npz", {"main": net}, Td3Config(), 0)
+        loaded = create_mlp((3, 5, 2), rng, hidden_activation="tanh")
+        load_nets(tmp_path / "net.npz", {"main": loaded}, Td3Config(), 3)
         assert_views_share_theta(loaded)
         assert np.array_equal(loaded.theta, net.theta)
 
-    def test_net_from_payload_rejects_a_misshapen_array(self, rng):
-        payload = checkpoint_payload(create_mlp((3, 5, 2), rng))
-        payload["w1"] = payload["w1"].T.copy()
+    def test_load_nets_rejects_a_misshapen_array(self, rng, tmp_path):
+        path = tmp_path / "net.npz"
+        net = create_mlp((3, 5, 2), rng)
+        save_nets(path, {"main": net}, Td3Config(), 0)
+        rewrite_checkpoint(path, {"main.w1": net.weights[1].T.copy()})
         with pytest.raises(ValueError, match="w1 has shape"):
-            net_from_payload(payload)
+            load_nets(path, {"main": create_mlp((3, 5, 2), rng)}, Td3Config(), 3)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_net_from_payload_rejects_a_non_finite_array(self, rng, value):
-        payload = checkpoint_payload(create_mlp((3, 5, 2), rng), prefix="actor.")
-        payload["actor.b1"][1] = value
-        with pytest.raises(ValueError, match=r"^checkpoint array actor\.b1 is not finite$"):
-            net_from_payload(payload, prefix="actor.")
+    def test_load_nets_rejects_a_non_finite_array(self, rng, tmp_path, value):
+        path = tmp_path / "net.npz"
+        net = create_mlp((3, 5, 2), rng)
+        net.biases[1][1] = value
+        save_nets(path, {"actor": net}, Td3Config(), 0)
+        with pytest.raises(ValueError, match=r": checkpoint array actor\.b1 is not finite$"):
+            load_nets(path, {"actor": create_mlp((3, 5, 2), rng)}, Td3Config(), 3)
 
     def test_agent_restore_load_and_target_sync(self, rng, tmp_path):
         td3 = Td3Agent(4, Td3Config(batch_size=8, actor_hidden=(5,), critic_hidden=(5,)), seed=1)
@@ -403,22 +422,81 @@ class TestFlatParameters:
         push_pairs(td3.buffer, steps)
         push_pairs(dqn.buffer, steps)
         gen = np.random.default_rng(0)
-        for agent, names in ((td3, Td3Agent._NET_NAMES), (dqn, ("net", "target_net"))):
+        for agent in (td3, dqn):
             snap = agent.snapshot()
             agent.update(0, gen)
             agent.update(0, gen)
             agent.restore(snap)
-            for name in names:
-                assert_views_share_theta(getattr(agent, name))
+            for net in agent.nets.values():
+                assert_views_share_theta(net)
             agent.update(0, gen)
             agent.update(0, gen)
             agent.save(tmp_path / "agent.npz")
             agent.load(tmp_path / "agent.npz")
-            for name in names:
-                assert_views_share_theta(getattr(agent, name))
+            for net in agent.nets.values():
+                assert_views_share_theta(net)
         # two updates with target_sync=2: the target is a copy, not an alias
-        assert np.array_equal(dqn.target_net.theta, dqn.net.theta)
-        assert not np.shares_memory(dqn.target_net.theta, dqn.net.theta)
+        assert np.array_equal(dqn.nets["target"].theta, dqn.nets["net"].theta)
+        assert not np.shares_memory(dqn.nets["target"].theta, dqn.nets["net"].theta)
+
+    @pytest.mark.parametrize("cls,cfg", [
+        (Td3Agent, Td3Config(actor_hidden=(5,), critic_hidden=(5,))),
+        (DqnAgent, DqnConfig(hidden=(5,))),
+    ])
+    def test_load_keeps_the_agents_networks(self, cls, cfg, tmp_path):
+        path = tmp_path / "agent.npz"
+        source = cls(4, cfg, seed=1)
+        source.save(path)
+        agent = cls(4, cfg, seed=2)
+        nets = dict(agent.nets)
+        agent.load(path)
+        assert list(agent.nets) == list(nets)
+        for name, net in agent.nets.items():
+            assert net is nets[name]
+            assert np.array_equal(net.theta, source.nets[name].theta)
+
+    @pytest.mark.parametrize("cls,cfg", [
+        (Td3Agent, Td3Config(actor_hidden=(5,), critic_hidden=(5,))),
+        (DqnAgent, DqnConfig(hidden=(5,))),
+    ])
+    def test_a_wrong_activation_fails_by_name_and_moves_no_weight(self, cls, cfg, tmp_path):
+        path = tmp_path / "agent.npz"
+        cls(4, cfg, seed=1).save(path)
+        name = next(iter(cls(4, cfg).nets))  # the actor, or the Q-network
+        rewrite_checkpoint(path, {f"{name}.hidden_activation": np.array("tanh")})
+        agent = cls(4, cfg, seed=2)
+        before = agent.snapshot()
+        with pytest.raises(ValueError) as err:
+            agent.load(path)
+        assert str(err.value) == (f"{path}: checkpoint {name} has hidden activation 'tanh', "
+                                  "but the agent builds 'relu'")
+        assert all(np.array_equal(before[k], theta) for k, theta in agent.snapshot().items())
+        assert agent.episodes_trained == 0
+
+
+class TestForwardRows:
+    """``forward_rows`` runs ceil(n / block) stacked forwards whose rows carry the bits of
+    single-row forwards, for the network of each agent's ``policies``."""
+
+    @pytest.mark.parametrize("cls,cfg,name", [
+        (Td3Agent, Td3Config(batch_size=16), "actor"),
+        (DqnAgent, DqnConfig(batch_size=16, actions=(-1.0, 0.0, 1.0)), "net"),
+    ])
+    @pytest.mark.parametrize("n", [5, 16, 37])  # below, equal to and not a multiple of the block
+    def test_matches_single_row_forward(self, cls, cfg, name, n, monkeypatch):
+        agent = cls(6, cfg, seed=3)
+        net, block = agent.nets[name], agent.config.batch_size
+        rows = np.random.default_rng(n).normal(scale=0.5, size=(n, 6))
+        single = np.stack([forward(net, row) for row in rows])
+        calls = []
+        kernel = neuralnet.forward
+        monkeypatch.setattr(neuralnet, "forward",
+                            lambda net, x, **kw: calls.append(x.shape) or kernel(net, x, **kw))
+        stacked = forward_rows(net, rows, block)
+        assert stacked.shape == single.shape == (n, net.layer_dims[-1])
+        assert stacked.tobytes() == single.tobytes()
+        assert len(calls) == -(-n // block)
+        assert calls == [(min(block, n - i), 1, 6) for i in range(0, n, block)]
 
 
 class TestTape:

@@ -16,7 +16,7 @@ from tradelab.agents import (
 )
 from tradelab.env import EnvConfig, TradingEnv
 
-from helpers import make_series, random_walk
+from helpers import held_rows, make_series, random_walk
 from oracles import per_step_train
 
 
@@ -67,11 +67,11 @@ class TestReplayBuffer:
     def test_fifo_eviction(self):
         buf = filled(capacity=5, n=8)
         assert len(buf) == 5
-        assert buf.items()["reward"].tolist() == [3.0, 4.0, 5.0, 6.0, 7.0]
+        assert held_rows(buf)["reward"].tolist() == [3.0, 4.0, 5.0, 6.0, 7.0]
 
     def test_exact_capacity(self):
         buf = filled(capacity=3, n=3)
-        assert buf.items()["reward"].tolist() == [0.0, 1.0, 2.0]
+        assert held_rows(buf)["reward"].tolist() == [0.0, 1.0, 2.0]
 
     def test_sample_is_seeded(self):
         a = filled(capacity=10, n=10).sample(6, np.random.default_rng(3))[2].tolist()
@@ -160,7 +160,7 @@ class TestTrainingRows:
         assert env.last_t in terminal_ts  # a final step
         assert any(t < env.last_t for t in terminal_ts)  # a wiped step, mid-episode
 
-        rows = agent.buffer.items()
+        rows = held_rows(agent.buffer)
         assert len(rows) == len(seen)
         table = agent.buffer.observations
         for stored, (t, next_obs, terminal) in zip(rows, seen):
@@ -203,7 +203,7 @@ class TestTrainingRows:
         finally:
             tracemalloc.stop()
         assert len(agent.buffer) == rows
-        assert grown <= agent.buffer.items().nbytes + 64 * 1024
+        assert grown <= held_rows(agent.buffer).nbytes + 64 * 1024
 
 
 class TestWarmupStream:
@@ -224,7 +224,7 @@ class TestWarmupStream:
 
     def episode_lengths(self, agent, series):
         """Steps of each episode in the buffer, and the steps of a full pass."""
-        rows = agent.buffer.items()
+        rows = held_rows(agent.buffer)
         ends = np.flatnonzero(rows["terminal"] == 1.0)
         env = TradingEnv(series, EnvConfig(window=self.WINDOW))
         return np.diff(ends, prepend=-1), env.last_t - env.first_t + 1
@@ -241,7 +241,7 @@ class TestWarmupStream:
         assert len(lengths) == episodes
         assert 0 < np.sum(lengths[: self.WARMUP] < steps) < self.WARMUP  # wipes mid-warmup
         assert all(not math.isnan(r["mean_loss"]) for r in log[self.WARMUP:])  # then it learns
-        assert agent.buffer.items().tobytes() == reference.buffer.items().tobytes()
+        assert held_rows(agent.buffer).tobytes() == held_rows(reference.buffer).tobytes()
         np.testing.assert_equal(log, expected)
         theta = reference.snapshot()
         for name, values in agent.snapshot().items():

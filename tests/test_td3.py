@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tradelab.agents.td3 as td3_module
+from tradelab import neuralnet
 from tradelab.agents import (
     DecaySchedule,
     ReplayBuffer,
@@ -150,24 +151,24 @@ class TestUpdate:
     def test_delayed_actor_and_targets(self, rng):
         agent = Td3Agent(3, small_config(policy_delay=3), seed=1)
         fill_buffer(agent, rng)
-        before_actor = agent.actor.theta.copy()
-        before_targets = agent.critic1_target.theta.copy()
+        before_actor = agent.nets["actor"].theta.copy()
+        before_targets = agent.nets["critic1_target"].theta.copy()
         gen = np.random.default_rng(0)
         d1 = agent.update(0, gen)
         d2 = agent.update(0, gen)
         assert not d1["actor_updated"] and not d2["actor_updated"]
-        assert np.array_equal(before_actor, agent.actor.theta)
-        assert np.array_equal(before_targets, agent.critic1_target.theta)
+        assert np.array_equal(before_actor, agent.nets["actor"].theta)
+        assert np.array_equal(before_targets, agent.nets["critic1_target"].theta)
         d3 = agent.update(0, gen)
         assert d3["actor_updated"]
-        assert not np.array_equal(before_actor, agent.actor.theta)
+        assert not np.array_equal(before_actor, agent.nets["actor"].theta)
 
     def test_critics_move_every_update(self, rng):
         agent = Td3Agent(3, small_config(), seed=2)
         fill_buffer(agent, rng)
-        before = agent.critic1.theta.copy()
+        before = agent.nets["critic1"].theta.copy()
         agent.update(0, np.random.default_rng(0))
-        assert not np.array_equal(before, agent.critic1.theta)
+        assert not np.array_equal(before, agent.nets["critic1"].theta)
 
     def test_underfilled_buffer_rejected(self, rng):
         agent = Td3Agent(3, small_config(batch_size=16), seed=0)
@@ -195,24 +196,24 @@ class TestUpdate:
     def test_non_finite_critic2_fails_before_critic1_moves(self, rng):
         agent = Td3Agent(3, small_config(), seed=1)
         fill_buffer(agent, rng)
-        agent.critic2.theta[0] = np.nan
-        before = agent.critic1.theta.copy()
+        agent.nets["critic2"].theta[0] = np.nan
+        before = agent.nets["critic1"].theta.copy()
         with pytest.raises(ValueError, match=r"^td3 update 1: non-finite critic2 loss nan$"):
             agent.update(0, np.random.default_rng(0))
-        assert np.array_equal(agent.critic1.theta, before) and agent.critic1_opt.step == 0
+        assert np.array_equal(agent.nets["critic1"].theta, before) and agent.critic1_opt.step == 0
 
     def test_non_finite_actor_fails_by_name_before_its_adam_step(self, rng):
         agent = Td3Agent(3, small_config(policy_delay=1), seed=1)
         fill_buffer(agent, rng)
-        agent.actor.theta[0] = np.nan
-        actor, targets = agent.actor.theta.copy(), agent.snapshot()
+        agent.nets["actor"].theta[0] = np.nan
+        actor, targets = agent.nets["actor"].theta.copy(), agent.snapshot()
         with pytest.raises(ValueError, match=r"^td3 update 1: non-finite actor objective nan$"):
             agent.update(0, np.random.default_rng(0))
         assert agent.critic1_opt.step == agent.critic2_opt.step == 1  # the critics stepped
         assert agent.actor_opt.step == 0 and not agent.actor_opt.m.any()
-        assert np.array_equal(agent.actor.theta, actor, equal_nan=True)
+        assert np.array_equal(agent.nets["actor"].theta, actor, equal_nan=True)
         for name in ("actor_target", "critic1_target", "critic2_target"):  # no Polyak mix
-            assert np.array_equal(getattr(agent, name).theta, targets[name])
+            assert np.array_equal(agent.nets[name].theta, targets[name])
 
     def test_overfits_single_terminal_transition(self, rng):
         agent = Td3Agent(2, small_config(batch_size=4, policy_delay=2), seed=3)
@@ -249,17 +250,17 @@ class TestTraining:
         for _ in range(2):
             agent = Td3Agent(3, cfg, seed=11)
             train(agent, series, env_cfg, episodes=4, seed=11)
-            params.append(agent.actor.theta.copy())
+            params.append(agent.nets["actor"].theta.copy())
         assert np.array_equal(*params)
 
     def test_warmup_only_leaves_params_untouched(self):
         series = alternating_series(40)
         cfg = small_config(warmup_episodes=3)
         agent = Td3Agent(3, cfg, seed=5)
-        before = agent.actor.theta.copy()
+        before = agent.nets["actor"].theta.copy()
         log = train(agent, series, EnvConfig(window=3), episodes=3, seed=5)
         assert all(rec["warmup"] for rec in log)
-        assert np.array_equal(before, agent.actor.theta)
+        assert np.array_equal(before, agent.nets["actor"].theta)
         assert len(agent.buffer) > 0
 
     def test_learns_alternating_pattern_single_seed(self):
@@ -292,8 +293,8 @@ class TestCheckpoint:
         twin = Td3Agent(3, small_config(), seed=99)
         twin.load(path)
         assert twin.episodes_trained == 9
-        assert np.array_equal(agent.actor.theta, twin.actor.theta)
-        assert np.array_equal(agent.critic2_target.theta, twin.critic2_target.theta)
+        assert np.array_equal(agent.nets["actor"].theta, twin.nets["actor"].theta)
+        assert np.array_equal(agent.nets["critic2_target"].theta, twin.nets["critic2_target"].theta)
 
     def test_config_mismatch_rejected(self, tmp_path):
         agent = Td3Agent(3, small_config(), seed=7)
@@ -305,7 +306,7 @@ class TestCheckpoint:
 
     def test_non_finite_weight_fails_at_load(self, tmp_path):
         agent = Td3Agent(3, small_config(), seed=7)
-        agent.actor.theta[0] = np.nan
+        agent.nets["actor"].theta[0] = np.nan
         path = tmp_path / "agent.npz"
         agent.save(path)
         twin = Td3Agent(3, small_config(), seed=8)
@@ -323,7 +324,7 @@ class TestCheckpoint:
             other.load(path)
         assert str(err.value) == (f"{path}: checkpoint actor has layer dims (3, 8, 1), "
                                   "but env.window 4 builds (4, 8, 1)")
-        assert other.actor.layer_dims == (4, 8, 1)  # nothing was replaced
+        assert other.nets["actor"].layer_dims == (4, 8, 1)  # nothing was replaced
 
 
 class TestConfig:
@@ -359,7 +360,7 @@ class TestConfig:
 class TestActionBounds:
     def bounded_agent(self):
         agent = Td3Agent(3, small_config(action_low=-0.2, action_high=0.2), seed=0)
-        agent.actor.biases[-1][:] = 2.0  # raw actor output near 0.96
+        agent.nets["actor"].biases[-1][:] = 2.0  # raw actor output near 0.96
         return agent
 
     def test_policy_is_clamped(self):
@@ -397,10 +398,12 @@ class TestScalarActions:
         raws = (low - 0.5, low - eps, low, low + eps, 0.5 * (low + high), -0.0,
                 high - eps, high, high + eps, high + 0.5)
         for raw in raws:
-            monkeypatch.setattr(td3_module, "forward", lambda net, state, raw=raw: np.array([raw]))
+            fake = lambda net, x, raw=raw: np.full(np.shape(x)[:-1] + (1,), raw)  # noqa: E731
+            monkeypatch.setattr(neuralnet, "forward", fake)  # the stacks of ``policy``
+            monkeypatch.setattr(td3_module, "forward", fake)  # td3_select_action's own binding
             expected = float(np.clip(raw, low, high))
             for got in (agent.policy(np.zeros(3)),
-                        td3_select_action(agent.actor, np.zeros(3), 0.0, low, high, rng)):
+                        td3_select_action(agent.nets["actor"], np.zeros(3), 0.0, low, high, rng)):
                 assert type(got) is float
                 assert got == expected
                 assert np.signbit(got) == np.signbit(expected)
@@ -421,7 +424,7 @@ class TestBatchedPolicies:
         for n in (1, 63, 64, 65, 200):  # around the 64-row block boundary
             rows = observation_rows(5, n)
             batched = agent.policies(rows)
-            vector = [float(np.clip(forward(agent.actor, row)[0], low, high)) for row in rows]
+            vector = [float(np.clip(forward(agent.nets["actor"], row)[0], low, high)) for row in rows]
             assert all(type(a) is float for a in batched)
             assert batched == [agent.policy(row) for row in rows] == vector
             assert all(low <= a <= high for a in batched)

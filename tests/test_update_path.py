@@ -13,8 +13,6 @@ from tradelab.agents import DqnAgent, DqnConfig, Td3Agent, Td3Config
 from helpers import push_pairs
 from oracles import ListDqnUpdate, ListTd3Update
 
-TD3_NETS = ("actor", "critic1", "critic2", "actor_target", "critic1_target", "critic2_target")
-
 
 def transitions(window, n, seed, actions=None):
     """(state, action, reward, next_state, terminal) steps."""
@@ -50,8 +48,10 @@ def test_td3_update_matches_list_oracle(window, hidden, clip_norm, clipped):
     for step in range(8):
         delayed += agent.update(step, gen_flat)["actor_updated"]
         oracle(step, gen_list)
-        for name in TD3_NETS:
-            assert_same_params(getattr(agent, name), getattr(twin, name))
+        assert list(agent.nets) == ["actor", "critic1", "critic2",
+                                    "actor_target", "critic1_target", "critic2_target"]
+        for name, net in agent.nets.items():
+            assert_same_params(net, twin.nets[name])
     assert delayed == 4
     assert len(oracle.actor_grad_norms) == 4
     assert all((norm > clip_norm) == clipped for norm in oracle.actor_grad_norms)
@@ -67,9 +67,9 @@ def test_dqn_update_matches_list_oracle(dropout):
     for step in range(10):  # three target syncs
         agent.update(step, gen_flat)
         oracle(step, gen_list)
-        assert_same_params(agent.net, twin.net)
-        assert_same_params(agent.target_net, twin.target_net)
-    assert not np.array_equal(agent.target_net.theta, agent.net.theta)
+        assert_same_params(agent.nets["net"], twin.nets["net"])
+        assert_same_params(agent.nets["target"], twin.nets["target"])
+    assert not np.array_equal(agent.nets["target"].theta, agent.nets["net"].theta)
 
 
 @pytest.fixture
