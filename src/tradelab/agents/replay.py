@@ -8,26 +8,31 @@ from __future__ import annotations
 
 import numpy as np
 
-ROW_DTYPE = np.dtype([("row", np.intp), ("action", np.float64), ("reward", np.float64),
-                      ("terminal", np.float64)])
-
 
 class ReplayBuffer:
-    """Ring buffer; once full, the oldest row is evicted first."""
+    """Ring of four columns, 21 bytes a row; once full, the oldest row is evicted first."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.observations: np.ndarray | None = None
-        self._ring: np.ndarray | None = None  # allocated on the first push
         self._pushed = 0
+        self._allocate(0)  # the first push allocates the ring
+
+    def _allocate(self, n: int) -> None:
+        self._row = np.empty(n, np.int32)
+        self._action = np.empty(n, np.float64)
+        self._reward = np.empty(n, np.float64)
+        self._terminal = np.empty(n, np.bool_)
 
     def __len__(self) -> int:
         return min(self._pushed, self.capacity)
 
     def bind(self, observations: np.ndarray) -> None:
         """Index future rows into ``observations``; rows already held need an equal table."""
+        if len(observations) > 2**31:  # row + 1 must stay an int32
+            raise ValueError(f"a {len(observations)}-row table is past int32 replay rows (at most 2**31)")
         if self._pushed and not np.array_equal(observations, self.observations):
             raise ValueError("cannot bind a different observation table while the buffer holds rows")
         self.observations = observations
@@ -37,17 +42,17 @@ class ReplayBuffer:
             raise ValueError("bind an observation table before pushing")
         if not 0 <= row < len(self.observations) - 1:
             raise ValueError(f"row {row} needs a next row inside the {len(self.observations)}-row table")
-        if self._ring is None:
-            self._ring = np.empty(self.capacity, dtype=ROW_DTYPE)
-        self._ring[self._pushed % self.capacity] = (row, action, reward, terminal)
+        if not self._pushed:
+            self._allocate(self.capacity)
+        i = self._pushed % self.capacity
+        self._row[i], self._action[i], self._reward[i], self._terminal[i] = row, action, reward, terminal
         self._pushed += 1
 
     def sample(self, batch_size: int, rng: np.random.Generator):
         """(states, actions, rewards, next_states, terminals) of a uniform draw, one row each."""
         if not self._pushed:
             raise ValueError("cannot sample from an empty buffer")
-        batch = self._ring[rng.integers(0, len(self), size=batch_size)]
-        rows = batch["row"]
-        return (self.observations[rows], batch["action"], batch["reward"],
-                self.observations[rows + 1], batch["terminal"])
-
+        slots = rng.integers(0, len(self), size=batch_size)
+        rows = self._row[slots]
+        return (self.observations[rows], self._action[slots], self._reward[slots],
+                self.observations[rows + 1], self._terminal[slots].astype(np.float64))

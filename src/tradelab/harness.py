@@ -26,7 +26,6 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 
@@ -498,6 +497,7 @@ def run_experiment(cfg: ExperimentConfig):
     """
     run = partial(run_seed, cfg, load_segments(cfg))
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only for a pool
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             per_seed = list(pool.map(run, cfg.seeds))  # in seed order, whatever finishes first
     else:

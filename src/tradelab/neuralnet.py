@@ -348,9 +348,9 @@ def load_nets(path, nets: dict, config, window: int) -> int:
     """Read a :func:`save_nets` checkpoint into ``nets`` in place; its episode count.
 
     Every check runs before any ``theta`` moves: a ValueError naming ``path`` for
-    a file cut short or lacking an array, another version or configuration, layer
-    dims other than ``window`` builds, another activation, or a network array that
-    is misshapen or not finite.
+    a directory, a file cut short or lacking an array, another version or
+    configuration, layer dims other than ``window`` builds, another activation,
+    or a network array that is misshapen or not finite.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -378,6 +378,10 @@ def load_nets(path, nets: dict, config, window: int) -> int:
                         raise ValueError(f"checkpoint array {key} is not finite")
                     moves.append((view, arr))
             episodes = int(data["episodes"])
+    except FileNotFoundError:
+        raise
+    except OSError as exc:  # a directory, or a file it may not read
+        raise ValueError(f"{path}: {exc.strerror}") from None
     except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:  # KeyError: a missing array
         raise ValueError(f"{path}: {exc.args[0]}") from None  # args[0]: a KeyError's str is quoted
     for view, arr in moves:

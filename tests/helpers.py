@@ -6,7 +6,6 @@ from dataclasses import fields
 
 import numpy as np
 
-from tradelab.agents.replay import ROW_DTYPE
 from tradelab.data import PriceSeries
 from tradelab.env import EnvConfig, TradingEnv
 from tradelab.neuralnet import Tape, backward, forward
@@ -57,9 +56,16 @@ def observation_rows(window, n, seed=0, scale=0.3):
     return rows
 
 
+# one packed record per held row: the replay buffer's four columns, 21 bytes
+HELD_ROW = np.dtype([("row", np.int32), ("action", np.float64), ("reward", np.float64),
+                     ("terminal", np.bool_)])
+
+
 def held_rows(buffer):
-    """The rows a replay buffer holds (fields of ``ROW_DTYPE``) in insertion order, oldest first."""
-    held = np.empty(0, ROW_DTYPE) if buffer._ring is None else buffer._ring[: len(buffer)]
+    """The rows a replay buffer holds (records of ``HELD_ROW``) in insertion order, oldest first."""
+    held = np.empty(len(buffer), HELD_ROW)
+    for name in HELD_ROW.names:
+        held[name] = getattr(buffer, f"_{name}")[: len(buffer)]
     return np.roll(held, -buffer._pushed)  # the oldest row sits at pushed % capacity
 
 

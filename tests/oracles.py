@@ -394,13 +394,14 @@ def _gather_batch(buffer, batch_size, rng):
     """The replay batch, drawn as ``ReplayBuffer.sample`` draws it and gathered
     one stored row at a time: state = table row, next state = the row after."""
     slots = rng.integers(0, len(buffer), size=batch_size)
-    stored = [buffer._ring[i] for i in slots]
+    stored = [(int(buffer._row[i]), float(buffer._action[i]), float(buffer._reward[i]),
+               float(buffer._terminal[i])) for i in slots]
     table = buffer.observations
-    s = np.stack([table[int(row["row"])] for row in stored])
-    a = np.array([[float(row["action"])] for row in stored])
-    r = np.array([float(row["reward"]) for row in stored])
-    s2 = np.stack([table[int(row["row"]) + 1] for row in stored])
-    term = np.array([float(row["terminal"]) for row in stored])
+    s = np.stack([table[row] for row, _, _, _ in stored])
+    a = np.array([[action] for _, action, _, _ in stored])
+    r = np.array([reward for _, _, reward, _ in stored])
+    s2 = np.stack([table[row + 1] for row, _, _, _ in stored])
+    term = np.array([terminal for _, _, _, terminal in stored])
     return s, a, r, s2, term
 
 

@@ -554,6 +554,17 @@ class TestRunExperiment:
         assert len(names) == 27  # 18 curves, 3 checkpoints, 3 training logs, table, t-tests, config
         assert_same_outputs(cfg_seq.output_dir, cfg_par.output_dir, names)
 
+    def test_importing_the_package_loads_no_worker_pool(self):
+        """Only ``workers > 1`` pays for multiprocessing; a plain run never imports it."""
+        src = os.path.dirname(os.path.dirname(tradelab.__file__))
+        code = ("import sys, tradelab, tradelab.cli, tradelab.harness; "
+                "print(*sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "\n"
+
     def test_a_failed_seed_keeps_the_files_of_the_seeds_before_it(self, tmp_path, monkeypatch):
         strategies = ["td3", "tdqn", "buy_hold", "random_c"]
         raw = base_config(tmp_path, strategies=strategies, seeds=[0, 1], episodes=2)
@@ -677,6 +688,13 @@ class TestCli:
         assert main(["evaluate", "--config", str(cfg_path)]) == 2
         ckpt = os.path.join(raw["output_dir"], "checkpoints", "td3_seed0.npz")
         assert capsys.readouterr().err == f"missing checkpoint {ckpt}; run `tradelab train` first\n"
+
+    def test_evaluate_with_a_directory_for_a_checkpoint_fails(self, tmp_path, capsys):
+        raw = base_config(tmp_path, strategies=["td3"], seeds=[0])
+        ckpt = os.path.join(raw["output_dir"], "checkpoints", "td3_seed0.npz")
+        os.makedirs(ckpt)
+        assert main(["evaluate", "--config", str(self.write_config(tmp_path, raw))]) == 1
+        assert capsys.readouterr().err == f"error: {ckpt}: Is a directory\n"
 
     def test_evaluate_with_another_window_fails(self, tmp_path, capsys):
         raw = base_config(tmp_path, strategies=["td3", "tdqn"], seeds=[0], episodes=1)

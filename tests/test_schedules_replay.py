@@ -89,6 +89,18 @@ class TestReplayBuffer:
         assert set(r.tolist()) <= {3.0, 4.0, 5.0, 6.0, 7.0}
         assert np.array_equal(s[:, 0], r) and np.array_equal(s2[:, 0], r + 1.0)
         assert s.shape == s2.shape == (50, 1) and a.shape == term.shape == (50,)
+        assert all(x.dtype == np.float64 for x in (s, a, r, s2, term))
+
+    def test_bind_rejects_a_table_past_int32_rows(self):
+        buf = ReplayBuffer(capacity=2)
+        too_long = np.broadcast_to(np.zeros(3), (2**31 + 2, 3))  # no memory behind the rows
+        message = r"^a 2147483650-row table is past int32 replay rows \(at most 2\*\*31\)$"
+        with pytest.raises(ValueError, match=message):
+            buf.bind(too_long)
+        assert buf.observations is None
+        buf.bind(np.broadcast_to(np.zeros(3), (2**31, 3)))  # the largest table: its last row is 2**31 - 1
+        buf.push(2**31 - 2, 0.0, 0.0, True)
+        assert held_rows(buf)["row"].tolist() == [2**31 - 2]
 
     def test_empty_sample_raises(self):
         with pytest.raises(ValueError, match="empty"):
@@ -191,7 +203,7 @@ class TestTrainingRows:
             train(agent, random_walk(30, np.random.default_rng(2)), env_cfg, episodes=1, seed=0)
 
     def test_rows_cost_only_the_ring(self):
-        """Training rows are indices: 20,000 of them retain only the ring's bytes."""
+        """Training rows are indices: 20,000 of them retain only the ring's 21 bytes a row."""
         rows = 20_000
         agent = Td3Agent(self.WINDOW, small_td3(warmup_episodes=10, buffer_capacity=rows), seed=0)
         series = random_walk(self.WINDOW + rows // 10 + 1, np.random.default_rng(5))
@@ -203,7 +215,7 @@ class TestTrainingRows:
         finally:
             tracemalloc.stop()
         assert len(agent.buffer) == rows
-        assert grown <= held_rows(agent.buffer).nbytes + 64 * 1024
+        assert grown <= 21 * rows + 64 * 1024
 
 
 class TestWarmupStream:
