@@ -40,7 +40,8 @@ def act(kind: str, t: int, prices: PriceSeries, rng: np.random.Generator | None 
     if kind in RANDOM:
         if rng is None:
             raise ValueError(f"strategy {kind!r} needs an rng")
-        return float(rng.uniform(-1.0, 1.0) if kind == "random_c" else rng.choice((-1.0, 1.0)))
+        # the doubles of rng.uniform(-1.0, 1.0) and the draw of rng.choice((-1.0, 1.0))
+        return -1.0 + 2.0 * rng.random() if kind == "random_c" else (-1.0, 1.0)[rng.integers(2)]
     if kind not in TECHNICAL:
         raise ValueError(f"unknown strategy kind {kind!r}; expected one of {KINDS}")
     # technical rules: compare today's close with its moving average

@@ -23,7 +23,6 @@ from .harness import (
     compare_report,
     config_from_dict,
     emit_outputs,
-    emit_runs,
     emit_ttests,
     evaluate_strategies,
     load_agents,
@@ -99,9 +98,8 @@ def cmd_evaluate(cfg: ExperimentConfig) -> int:
         except FileNotFoundError as exc:
             print(f"missing checkpoint {exc.filename}; run `tradelab train` first", file=sys.stderr)
             return 2
-        reports = evaluate_strategies(cfg, agents, test_seg, seed)
-        emit_runs(reports, cfg.output_dir)
-        per_seed.append(reports)
+        per_seed.append(evaluate_strategies(cfg, agents, test_seg, seed))
+        del agents  # freed before the next seed's load
     table = build_table(collect_reports(cfg, per_seed), cfg.strategies)
     emit_outputs(table, None, cfg.output_dir, resolved_config(cfg))
     _print_table(table)

@@ -5,11 +5,12 @@ configuration, a strategy list, and a seed list. The dataset is loaded and
 split once. :func:`run_seed` is the unit of work: for one seed it trains the
 required agents on the train segment, keeping the checkpoint with the best
 validation Sharpe, and writes each agent's checkpoint and training log
-(:func:`train_seed`); evaluates every strategy once on the test segment;
-writes that seed's equity and action curves (:func:`emit_runs`); and returns
-only its reports. :func:`run_experiment` maps it over the seeds, then
-aggregates the reports into a comparison table plus paired t-tests and
-writes the cross-seed files (:func:`emit_outputs`).
+(:func:`train_seed`); evaluates every strategy once on the test segment,
+writing each pass's equity and action curves as soon as it ends
+(:func:`emit_run`); and returns only its scores, curve-less RunReports, so
+memory does not grow with the seed count. :func:`run_experiment` maps it over
+the seeds, then aggregates the scores into a comparison table plus paired
+t-tests and writes the cross-seed files (:func:`emit_outputs`).
 
 Each seed's files are on disk as soon as the seed finishes, so a run that
 fails keeps the files of every seed that finished; the cross-seed files
@@ -345,7 +346,8 @@ _DISCRETIZERS = {"td3_sign": sign_discretize, "td3_d3": d3_discretize}
 
 
 def evaluate_strategies(cfg: ExperimentConfig, agents: dict, segment, seed: int) -> dict[str, RunReport]:
-    """One test-segment pass per requested strategy for one seed.
+    """One test-segment pass per requested strategy for one seed, its curves written
+    as soon as it ends; returns the {strategy: RunReport} scores, which hold no curves.
 
     An agent's actions come from one ``policies`` call, made on the first pass
     that needs them and shared by all of its strategies; they carry the bits
@@ -363,20 +365,23 @@ def evaluate_strategies(cfg: ExperimentConfig, agents: dict, segment, seed: int)
         return [act(strategy, cfg.env.window + i, segment, rng, cfg.ma_window)
                 for i in range(len(rows))]
 
-    return {strategy: evaluate_policy(partial(actions, strategy), segment, cfg.env, strategy, seed,
-                                      hold_fees=strategy in HOLDS)
-            for strategy in cfg.strategies}
+    iso = {d: d.isoformat() for d in segment.dates()}  # each date formatted once per seed
+
+    def score(strategy):
+        report = evaluate_policy(partial(actions, strategy), segment, cfg.env, strategy, seed,
+                                 hold_fees=strategy in HOLDS)
+        emit_run(report, cfg.output_dir, iso)
+        return RunReport(strategy, seed, return_pct=report.return_pct, sharpe=report.sharpe)
+
+    return {strategy: score(strategy) for strategy in cfg.strategies}
 
 
 def run_seed(cfg: ExperimentConfig, segments, seed: int) -> dict[str, RunReport]:
     """One seed end to end on the (train, validation, test) ``segments``: train
-    and save its agents, evaluate every strategy, write its curves; returns
-    its {strategy: RunReport}."""
+    and save its agents, evaluate every strategy and write its curves; returns
+    its {strategy: RunReport} scores."""
     train_seg, valid_seg, test_seg = segments
-    agents = train_seed(cfg, seed, train_seg, valid_seg)
-    reports = evaluate_strategies(cfg, agents, test_seg, seed)
-    emit_runs(reports, cfg.output_dir)
-    return reports
+    return evaluate_strategies(cfg, train_seed(cfg, seed, train_seg, valid_seg), test_seg, seed)
 
 
 # -- aggregation -------------------------------------------------------------
@@ -448,19 +453,18 @@ def _write_atomic(path, text: str) -> None:
         fh.write(text)
 
 
-def emit_runs(reports: dict[str, RunReport], outdir) -> None:
-    """Write the equity and action CSVs of one seed's {strategy: RunReport}."""
+def emit_run(report: RunReport, outdir, iso: dict) -> None:
+    """Write the equity and action CSVs of one report; ``iso`` maps each of its
+    dates to its ISO text."""
     os.makedirs(outdir, exist_ok=True)
-    # format each date once, not once per row of every file
-    iso = {d: d.isoformat() for d in {d for r in reports.values() for d in r.dates}}
-    for strategy, report in reports.items():
-        # actions pair with dates[:-1]; zip stops at the shorter series
-        for name, column, series in (("equity", "cash", report.equity),
-                                     ("actions", "action", report.actions)):
-            lines = [f"date,{column}"]
-            lines += [f"{iso[d]},{_fmt(x)}" for d, x in zip(report.dates, series.tolist())]
-            _write_atomic(os.path.join(outdir, f"{name}_{strategy}_{report.seed}.csv"),
-                          "\n".join(lines) + "\n")
+    dates = list(map(iso.__getitem__, report.dates))
+    for name, column, series in (("equity", "cash", report.equity),
+                                 ("actions", "action", report.actions)):
+        cells = [None] * (2 * len(series))  # actions pair with dates[:-1]
+        cells[::2], cells[1::2] = dates[: len(series)], series.tolist()
+        # one template for the file: "%.17g" is _fmt's conversion, bit for bit
+        _write_atomic(os.path.join(outdir, f"{name}_{report.strategy}_{report.seed}.csv"),
+                      f"date,{column}\n" + "%s,%.17g\n" * len(series) % tuple(cells))
 
 
 def emit_outputs(table: tuple[ComparisonRow, ...], ttests: list[TTestRow] | None, outdir,
@@ -493,7 +497,8 @@ def run_experiment(cfg: ExperimentConfig):
     """Run every seed, then aggregate and write the cross-seed files.
 
     Returns (table, reports, ttests): the comparison rows, a map from strategy
-    id to its seed-ordered list of RunReports, and the t-test rows.
+    id to its seed-ordered list of curve-less RunReports (:func:`read_reports`
+    rebuilds the curves), and the t-test rows.
     """
     run = partial(run_seed, cfg, load_segments(cfg))
     if cfg.workers > 1:

@@ -99,6 +99,21 @@ class TestRandomStrategies:
         b = [act("random_c", 0, series, np.random.default_rng(3)) for _ in range(5)]
         assert a == b
 
+    @pytest.mark.parametrize("kind,draw", [
+        ("random_c", lambda gen: float(gen.uniform(-1.0, 1.0))),
+        ("random_d", lambda gen: float(gen.choice((-1.0, 1.0)))),
+    ])
+    def test_draws_the_bits_of_uniform_and_choice(self, rng, kind, draw):
+        """Each action is the float numpy's uniform or choice gives, and the
+        generator ends where those calls leave it."""
+        series = random_walk(5, rng)
+        gen, reference = np.random.default_rng([13, 1]), np.random.default_rng([13, 1])
+        got = [act(kind, 0, series, gen) for _ in range(10_000)]
+        want = [draw(reference) for _ in range(10_000)]
+        assert all(type(a) is float for a in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert gen.bit_generator.state == reference.bit_generator.state
+
     def test_rng_required(self, rng):
         series = random_walk(5, rng)
         with pytest.raises(ValueError, match="needs an rng"):

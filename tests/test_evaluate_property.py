@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tradelab.env import EnvConfig
-from tradelab.harness import emit_runs, evaluate_policy
+from tradelab.harness import emit_run, evaluate_policy
 from tradelab.stats import sharpe
 
 from helpers import make_series
@@ -87,7 +87,7 @@ def test_emitted_csvs_match_a_list_formatter(run):
     assert np.float64(report.sharpe).tobytes() == np.float64(expected).tobytes()
     dates = series.dates()[WINDOW : WINDOW + len(curve)]
     with tempfile.TemporaryDirectory() as tmp:
-        emit_runs({"generated": report}, tmp)
+        emit_run(report, tmp, {d: d.isoformat() for d in series.dates()})
         out = Path(tmp)
         assert (out / "equity_generated_0.csv").read_bytes() == reference_csv(
             "date,cash", dates, curve)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import pytest
 
 import tradelab
 import tradelab.agents.dqn as dqn_module
+import tradelab.cli as cli
 import tradelab.neuralnet as neuralnet
 import tradelab.agents.td3 as td3_module
 import tradelab.harness as harness
@@ -31,7 +33,7 @@ from tradelab.harness import (
     compare_report,
     config_from_dict,
     emit_outputs,
-    emit_runs,
+    emit_run,
     evaluate_policy,
     evaluate_strategies,
     load_agents,
@@ -84,6 +86,18 @@ def assert_same_outputs(root_a, root_b, names):
             assert x == y
         else:
             assert a.read_bytes() == b.read_bytes(), name
+
+
+def read_curve(outdir, name, strategy, seed):
+    """The value column of an emitted ``equity`` or ``actions`` CSV, as floats."""
+    with open(os.path.join(outdir, f"{name}_{strategy}_{seed}.csv"), encoding="utf-8") as fh:
+        return [float(line.split(",")[1]) for line in fh.read().splitlines()[1:]]
+
+
+def curve_names(strategies, seeds):
+    """The equity and action CSVs of every strategy and seed."""
+    return sorted(f"{name}_{s}_{seed}.csv" for s in strategies for seed in seeds
+                  for name in ("equity", "actions"))
 
 
 def base_config(tmp_path, **overrides):
@@ -321,16 +335,25 @@ class TestEvaluateStrategies:
         monkeypatch.setattr(neuralnet, "forward",
                             lambda net, x, **kw: forward_rows.append(len(x)) or forward(net, x, **kw))
         reports = evaluate_strategies(cfg, {"td3": agent}, segment, 0)
-        assert_same_reports(reports, unshared)
-        steps = {s: len(r.actions) for s, r in reports.items()}
+        # the scores and the emitted curves are those of the unshared passes
+        assert_same_reports(reports, {s: RunReport(s, 0, return_pct=r.return_pct, sharpe=r.sharpe)
+                                      for s, r in unshared.items()})
+        iso = {d: d.isoformat() for d in segment.dates()}
+        for report in unshared.values():
+            emit_run(report, tmp_path / "unshared", iso)
+        names = curve_names(unshared, [0])
+        assert output_files(cfg.output_dir) == names
+        assert_same_outputs(cfg.output_dir, tmp_path / "unshared", names)
+        steps = {s: len(read_curve(cfg.output_dir, "actions", s, 0)) for s in reports}
         assert steps == {"td3": 6, "td3_sign": 6, "td3_d3": 15}
         rows = max(steps.values())  # td3_d3 is never wiped, so it visits every decision row
         assert policies_rows == [rows]  # one call serves all three strategies
         assert len(forward_rows) == math.ceil(rows / agent.config.batch_size) == 2
         assert forward_rows == [8, 7]
 
-    def test_reports_retain_at_most_48_bytes_per_bar(self, tmp_path):
-        """Each report keeps three float64 series and one date tuple: 32 bytes a bar."""
+    def test_reports_retain_no_curve(self, tmp_path):
+        """The curves go to disk as each pass ends; each returned report keeps its two
+        scores in a constant size, whatever the number of bars."""
         baselines = ["random_c", "random_d", "buy_hold", "sell_hold", "long", "short"]
         cfg = config_from_dict(base_config(tmp_path, strategies=baselines, seeds=[0]))
         segment = random_walk(4_000, np.random.default_rng(3), scale=0.005)
@@ -342,8 +365,10 @@ class TestEvaluateStrategies:
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert all(len(r.equity) == bars for r in reports.values())  # no wipe ends a pass early
-        assert grown <= 48 * bars * len(reports)
+        assert grown <= 4096 * len(reports)  # the curves take 24 bytes or more a bar
+        for strategy, report in reports.items():
+            assert report.dates == () and report.equity.size == report.actions.size == 0
+            assert len(read_curve(cfg.output_dir, "equity", strategy, 0)) == bars  # no wipe
 
 
 class TestValidation:
@@ -432,7 +457,11 @@ class TestValidation:
         for agent in agents.values():
             assert len(agent.buffer) == 0 and len(held_rows(agent.buffer)) == 0
         reports = evaluate_strategies(cfg, agents, test_seg, 0)
-        assert_same_reports(evaluate_strategies(cfg, load_agents(cfg, 0), test_seg, 0), reports)
+        reloaded = replace(cfg, output_dir=str(tmp_path / "reloaded"))
+        assert_same_reports(evaluate_strategies(reloaded, load_agents(cfg, 0), test_seg, 0), reports)
+        names = curve_names(cfg.strategies, [0])
+        assert output_files(reloaded.output_dir) == names
+        assert_same_outputs(cfg.output_dir, reloaded.output_dir, names)
 
 
 class TestCompareReport:
@@ -508,10 +537,11 @@ class TestRunExperiment:
 
     def test_actions_stay_in_bounds(self, tmp_path):
         cfg = config_from_dict(base_config(tmp_path))
-        _, reports, _ = run_experiment(cfg)
-        for runs in reports.values():
-            for report in runs:
-                assert all(-1.0 <= a <= 1.0 for a in report.actions)
+        run_experiment(cfg)
+        for strategy in cfg.strategies:
+            for seed in cfg.seeds:
+                actions = read_curve(cfg.output_dir, "actions", strategy, seed)
+                assert actions and all(-1.0 <= a <= 1.0 for a in actions)
 
     def test_byte_identical_reruns(self, tmp_path):
         raw = base_config(tmp_path)
@@ -546,7 +576,8 @@ class TestRunExperiment:
             assert len(reports_seq[strategy]) == len(reports_par[strategy])
             for a, b in zip(reports_seq[strategy], reports_par[strategy]):
                 assert_same_reports(a, b)
-                # a report sent back from a worker keeps its read-only arrays
+                # a worker sends back scores alone; its curves are in the files compared below
+                assert b.dates == () and b.equity.size == b.actions.size == 0
                 assert not any(s.flags.writeable for s in (b.equity, b.actions))
         # the workers write each seed's checkpoints, logs and curves themselves
         names = output_files(cfg_seq.output_dir)
@@ -623,7 +654,7 @@ class TestCsvFormat:
                            actions=np.array([0.123456789012345678]),
                            return_pct=10.0, sharpe=1.2300000000000002)
         emit_outputs(build_table({"unit": [report]}, ["unit"]), None, tmp_path / "fmt")
-        emit_runs({"unit": report}, tmp_path / "fmt")
+        emit_run(report, tmp_path / "fmt", {d: d.isoformat() for d in report.dates})
         with open(tmp_path / "fmt" / "comparison.csv", "rb") as fh:
             blob = fh.read()
         assert b"\r" not in blob
@@ -633,6 +664,18 @@ class TestCsvFormat:
         with open(tmp_path / "fmt" / "actions_unit_3.csv") as fh:
             action_line = fh.read().splitlines()[1]
         assert float(action_line.split(",")[1]) == 0.123456789012345678
+
+    def test_each_value_has_the_bytes_of_format_17g(self, tmp_path):
+        """One file-wide "%.17g" template writes what format(x, ".17g") gives, row by row."""
+        values = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                  0.1, 1 / 3, -1e300, 123456789.0]
+        values += np.random.default_rng(4).standard_normal(200).tolist()
+        dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(len(values) + 1))
+        report = RunReport(strategy="unit", seed=0, dates=dates, equity=values + [1.0],
+                           actions=values)
+        emit_run(report, tmp_path, {d: d.isoformat() for d in dates})
+        lines = [f"{d.isoformat()},{format(x, '.17g')}" for d, x in zip(dates, values)]
+        assert (tmp_path / "actions_unit_0.csv").read_text() == "\n".join(["date,action"] + lines) + "\n"
 
 
 class TestCli:
@@ -681,6 +724,57 @@ class TestCli:
         assert names == output_files(split_dir)
         assert len(names) == 34  # 24 curves, 4 checkpoints, 4 training logs, table, config
         assert_same_outputs(compare_dir, split_dir, names)
+
+    def test_evaluate_memory_is_flat_in_the_seed_count(self, tmp_path, capsys):
+        """Six seeds peak where two do: a seed leaves only its scores behind."""
+        baselines = ["random_c", "buy_hold", "sell_hold", "short"]
+        raw = base_config(tmp_path, strategies=baselines,
+                          split={"train_frac": 0.1, "valid_frac": 0.1, "test_frac": 0.8})
+        raw["dataset"]["path"] = str(write_dataset(tmp_path, n=2000, name="long.csv")[0])
+        cfg_path = self.write_config(tmp_path, raw)
+        bars = len(load_segments(config_from_dict(raw))[2]) - 4
+
+        def peak(seeds):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(["evaluate", "--config", str(cfg_path), "--seeds", seeds]) == 0
+            return tracemalloc.get_traced_memory()[1] - before
+
+        tracemalloc.start()
+        try:
+            peak("0,1")  # one-time allocations come before the measured calls
+            two, six = peak("0,1"), peak("0,1,2,3,4,5")
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        curves = 4 * len(baselines) * 24 * bars  # four more seeds' equity, actions and dates
+        slack = 64 * 1024
+        assert slack < curves / 8
+        assert six - two <= slack, (two, six)
+
+    def test_evaluate_writes_and_frees_each_seed_before_the_next_loads(self, tmp_path, monkeypatch):
+        raw = base_config(tmp_path, strategies=["td3", "tdqn", "buy_hold"], episodes=1)
+        cfg = config_from_dict(raw)
+        for seed in cfg.seeds:
+            for kind in ("td3", "tdqn"):
+                os.makedirs(os.path.dirname(harness.checkpoint_path(cfg, kind, seed)), exist_ok=True)
+                make_agent(cfg, kind, seed).save(harness.checkpoint_path(cfg, kind, seed))
+        seen, loaded, load = {}, [], cli.load_agents
+
+        def watched(cfg, seed):
+            seen[seed] = ([name for name in output_files(cfg.output_dir) if name.endswith(".csv")],
+                          [ref() for ref in loaded])
+            agents = load(cfg, seed)
+            loaded.extend(weakref.ref(agent) for agent in agents.values())
+            return agents
+
+        monkeypatch.setattr(cli, "load_agents", watched)
+        assert main(["evaluate", "--config", str(self.write_config(tmp_path, raw))]) == 0
+        assert sorted(seen) == list(cfg.seeds)
+        for seed, (curves, agents) in seen.items():
+            # the earlier seeds' two CSVs per strategy are on disk, and their agents are gone
+            assert curves == curve_names(cfg.strategies, cfg.seeds[: cfg.seeds.index(seed)])
+            assert agents == [None] * 2 * seed
 
     def test_evaluate_without_checkpoint_fails(self, tmp_path, capsys):
         raw = base_config(tmp_path, strategies=["td3"], seeds=[0])
