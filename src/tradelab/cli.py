@@ -2,11 +2,12 @@
 
 Verbs:
   train      train the agents required by the strategy list, save checkpoints
-  evaluate   evaluate strategies on the test segment using saved checkpoints
+  evaluate   compare's pipeline on the agents saved by train, instead of training
   compare    full pipeline: train, evaluate, aggregate, t-test, emit outputs
   ttest      recompute metrics from emitted equity CSVs and run the t-tests
 
-Each verb parses its arguments, calls the harness stages and prints.
+Each verb parses its arguments, calls the harness stages and prints;
+``compare`` and ``evaluate`` both run ``harness.run_experiment``.
 """
 
 from __future__ import annotations
@@ -17,19 +18,13 @@ import sys
 from .harness import (
     ExperimentConfig,
     agent_kinds,
-    build_table,
     checkpoint_path,
-    collect_reports,
     compare_report,
     config_from_dict,
-    emit_outputs,
     emit_ttests,
-    evaluate_strategies,
-    load_agents,
     load_segments,
     read_config,
     read_reports,
-    resolved_config,
     run_experiment,
     train_seed,
 )
@@ -90,24 +85,17 @@ def cmd_train(cfg: ExperimentConfig) -> int:
 
 
 def cmd_evaluate(cfg: ExperimentConfig) -> int:
-    _, _, test_seg = load_segments(cfg)
-    per_seed = []
-    for seed in cfg.seeds:
-        try:
-            agents = load_agents(cfg, seed)
-        except FileNotFoundError as exc:
-            print(f"missing checkpoint {exc.filename}; run `tradelab train` first", file=sys.stderr)
-            return 2
-        per_seed.append(evaluate_strategies(cfg, agents, test_seg, seed))
-        del agents  # freed before the next seed's load
-    table = build_table(collect_reports(cfg, per_seed), cfg.strategies)
-    emit_outputs(table, None, cfg.output_dir, resolved_config(cfg))
-    _print_table(table)
-    return 0
+    try:
+        return cmd_compare(cfg, from_checkpoints=True)
+    except FileNotFoundError as exc:
+        if exc.filename is None:  # the dataset's "no such data file", an exit-1 error
+            raise
+        print(f"missing checkpoint {exc.filename}; run `tradelab train` first", file=sys.stderr)
+        return 2
 
 
-def cmd_compare(cfg: ExperimentConfig) -> int:
-    table, _, ttests = run_experiment(cfg)
+def cmd_compare(cfg: ExperimentConfig, from_checkpoints: bool = False) -> int:
+    table, _, ttests = run_experiment(cfg, from_checkpoints)
     _print_table(table)
     _print_ttests(ttests)
     return 0

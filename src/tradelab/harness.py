@@ -3,14 +3,14 @@
 One experiment = one dataset, one chronological split, one agent
 configuration, a strategy list, and a seed list. The dataset is loaded and
 split once. :func:`run_seed` is the unit of work: for one seed it trains the
-required agents on the train segment, keeping the checkpoint with the best
-validation Sharpe, and writes each agent's checkpoint and training log
-(:func:`train_seed`); evaluates every strategy once on the test segment,
-writing each pass's equity and action curves as soon as it ends
-(:func:`emit_run`); and returns only its scores, curve-less RunReports, so
-memory does not grow with the seed count. :func:`run_experiment` maps it over
-the seeds, then aggregates the scores into a comparison table plus paired
-t-tests and writes the cross-seed files (:func:`emit_outputs`).
+required agents, keeping the checkpoint with the best validation Sharpe, and
+writes their checkpoints and training logs (:func:`train_seed`), or loads the
+saved ones (:func:`load_agents`); evaluates every strategy once on the test
+segment, writing each pass's curves as soon as it ends (:func:`emit_run`);
+and returns only its Scores, so memory does not grow with the seed count.
+:func:`run_experiment`, the one loop over the seeds for ``compare`` and
+``evaluate`` alike, then aggregates the scores into a comparison table plus
+paired t-tests and writes the cross-seed files (:func:`emit_outputs`).
 
 Each seed's files are on disk as soon as the seed finishes, so a run that
 fails keeps the files of every seed that finished; the cross-seed files
@@ -37,7 +37,7 @@ from .baselines import HOLDS, KINDS, RANDOM, TECHNICAL, act, d3_discretize, sign
 from .data import DEFAULT_COLUMNS, SplitSpec, chronological_split, load_csv
 from .env import EnvConfig, TradingEnv
 from .fileio import atomic_open, reading
-from .stats import RunReport, TTestResult, paired_ttest_one_sided, return_pct, sharpe
+from .stats import RunReport, Score, TTestResult, paired_ttest_one_sided, return_pct, sharpe
 
 log = logging.getLogger(__name__)
 
@@ -258,7 +258,7 @@ def _read_equity(path) -> list[float]:
 
 
 def read_reports(cfg: ExperimentConfig, strategies) -> dict[str, list[RunReport]]:
-    """Reports rebuilt from the emitted equity curves of ``strategies``, one per seed.
+    """Reports (``equity`` only) rebuilt from the emitted curves of ``strategies``, one per seed.
 
     A missing curve raises FileNotFoundError with its path as ``filename``.
     """
@@ -268,7 +268,7 @@ def read_reports(cfg: ExperimentConfig, strategies) -> dict[str, list[RunReport]
         for seed in cfg.seeds:
             path = os.path.join(cfg.output_dir, f"equity_{strategy}_{seed}.csv")
             reports[strategy].append(run_report(strategy, seed, _read_equity(path),
-                                                cfg.env.annualization_days))
+                                                cfg.env.annualization_days, dates=(), actions=()))
     return reports
 
 
@@ -345,9 +345,9 @@ def train_seed(cfg: ExperimentConfig, seed: int, train_segment, valid_segment) -
 _DISCRETIZERS = {"td3_sign": sign_discretize, "td3_d3": d3_discretize}
 
 
-def evaluate_strategies(cfg: ExperimentConfig, agents: dict, segment, seed: int) -> dict[str, RunReport]:
+def evaluate_strategies(cfg: ExperimentConfig, agents: dict, segment, seed: int) -> dict[str, Score]:
     """One test-segment pass per requested strategy for one seed, its curves written
-    as soon as it ends; returns the {strategy: RunReport} scores, which hold no curves.
+    as soon as it ends; returns the {strategy: Score} scores.
 
     An agent's actions come from one ``policies`` call, made on the first pass
     that needs them and shared by all of its strategies; they carry the bits
@@ -371,17 +371,20 @@ def evaluate_strategies(cfg: ExperimentConfig, agents: dict, segment, seed: int)
         report = evaluate_policy(partial(actions, strategy), segment, cfg.env, strategy, seed,
                                  hold_fees=strategy in HOLDS)
         emit_run(report, cfg.output_dir, iso)
-        return RunReport(strategy, seed, return_pct=report.return_pct, sharpe=report.sharpe)
+        return Score(strategy, seed, report.return_pct, report.sharpe)
 
     return {strategy: score(strategy) for strategy in cfg.strategies}
 
 
-def run_seed(cfg: ExperimentConfig, segments, seed: int) -> dict[str, RunReport]:
-    """One seed end to end on the (train, validation, test) ``segments``: train
-    and save its agents, evaluate every strategy and write its curves; returns
-    its {strategy: RunReport} scores."""
+def run_seed(cfg: ExperimentConfig, segments, seed: int,
+             from_checkpoints: bool = False) -> dict[str, Score]:
+    """One seed end to end on the (train, validation, test) ``segments``: train and
+    save its agents, or with ``from_checkpoints`` load the saved ones; evaluate every
+    strategy and write its curves; returns its {strategy: Score} scores."""
     train_seg, valid_seg, test_seg = segments
-    return evaluate_strategies(cfg, train_seed(cfg, seed, train_seg, valid_seg), test_seg, seed)
+    agents = (load_agents(cfg, seed) if from_checkpoints
+              else train_seed(cfg, seed, train_seg, valid_seg))
+    return evaluate_strategies(cfg, agents, test_seg, seed)
 
 
 # -- aggregation -------------------------------------------------------------
@@ -394,12 +397,7 @@ class ComparisonRow:
     sharpe: float
 
 
-def collect_reports(cfg: ExperimentConfig, per_seed: list[dict]) -> dict[str, list[RunReport]]:
-    """Seed-ordered report lists per strategy, from one {strategy: report} dict per seed."""
-    return {strategy: [reports[strategy] for reports in per_seed] for strategy in cfg.strategies}
-
-
-def build_table(reports: dict[str, list[RunReport]], order) -> tuple[ComparisonRow, ...]:
+def build_table(reports: dict[str, list[Score | RunReport]], order) -> tuple[ComparisonRow, ...]:
     """The comparison table: one row of mean metrics per strategy, in ``order``."""
     rows = []
     for strategy in order:
@@ -419,7 +417,8 @@ class TTestRow:
     result: TTestResult
 
 
-def compare_report(reports: dict[str, list[RunReport]], pairs, alpha: float) -> list[TTestRow]:
+def compare_report(reports: dict[str, list[Score | RunReport]], pairs,
+                   alpha: float) -> list[TTestRow]:
     """Paired one-sided tests per (pair, metric); x is the first id of each pair."""
     rows = []
     for x_id, y_id in pairs:
@@ -467,18 +466,18 @@ def emit_run(report: RunReport, outdir, iso: dict) -> None:
                       f"date,{column}\n" + "%s,%.17g\n" * len(series) % tuple(cells))
 
 
-def emit_outputs(table: tuple[ComparisonRow, ...], ttests: list[TTestRow] | None, outdir,
-                 resolved: dict | None = None) -> None:
-    """Write the cross-seed files: comparison.csv, ttest.csv and the config echo."""
+def emit_outputs(table: tuple[ComparisonRow, ...], ttests: list[TTestRow], outdir,
+                 resolved: dict) -> None:
+    """Write the cross-seed files: comparison.csv, ttest.csv when there are
+    t-tests, and the config echo."""
     os.makedirs(outdir, exist_ok=True)
     lines = ["strategy,return_pct,sharpe"]
     lines += [f"{row.strategy},{_fmt(row.return_pct)},{_fmt(row.sharpe)}" for row in table]
     _write_atomic(os.path.join(outdir, "comparison.csv"), "\n".join(lines) + "\n")
     if ttests:
         emit_ttests(ttests, outdir)
-    if resolved is not None:
-        _write_atomic(os.path.join(outdir, "resolved_config.json"),
-                      json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+    _write_atomic(os.path.join(outdir, "resolved_config.json"),
+                  json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
 
 def emit_ttests(ttests: list[TTestRow], outdir) -> None:
@@ -493,21 +492,22 @@ def emit_ttests(ttests: list[TTestRow], outdir) -> None:
 # -- the full experiment -------------------------------------------------------
 
 
-def run_experiment(cfg: ExperimentConfig):
-    """Run every seed, then aggregate and write the cross-seed files.
+def run_experiment(cfg: ExperimentConfig, from_checkpoints: bool = False):
+    """Run every seed, training its agents or loading them ``from_checkpoints``, then
+    aggregate and write the cross-seed files.
 
     Returns (table, reports, ttests): the comparison rows, a map from strategy
-    id to its seed-ordered list of curve-less RunReports (:func:`read_reports`
-    rebuilds the curves), and the t-test rows.
+    id to its seed-ordered list of Scores (:func:`read_reports` rebuilds the
+    curves), and the t-test rows.
     """
-    run = partial(run_seed, cfg, load_segments(cfg))
+    run = partial(run_seed, cfg, load_segments(cfg), from_checkpoints=from_checkpoints)
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only for a pool
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             per_seed = list(pool.map(run, cfg.seeds))  # in seed order, whatever finishes first
     else:
         per_seed = list(map(run, cfg.seeds))
-    reports = collect_reports(cfg, per_seed)
+    reports = {strategy: [scores[strategy] for scores in per_seed] for strategy in cfg.strategies}
     table = build_table(reports, cfg.strategies)
     requested = set(cfg.strategies)
     pairs = [p for p in cfg.ttest_pairs if set(p) <= requested]

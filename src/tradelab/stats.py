@@ -154,23 +154,33 @@ def paired_ttest_one_sided(x, y, alpha: float = 0.01) -> TTestResult:
     return TTestResult(t0=t0, p_value=p, df=n - 1, reject=p < alpha)
 
 
-# -- per-run record --------------------------------------------------------
+# -- per-run records -------------------------------------------------------
+
+
+@dataclass(slots=True, eq=False)
+class Score:
+    """One pass's scores, the unit fed into the t-tests: four scalars, no ``__dict__``."""
+
+    strategy: str
+    seed: int
+    return_pct: float
+    sharpe: float
 
 
 @dataclass(frozen=True, eq=False)
 class RunReport:
-    """One evaluation pass of one strategy: the unit fed into the t-tests.
+    """One evaluation pass of one strategy with its curves.
 
     Its series become read-only float64 arrays; ``actions[i]`` is taken on ``dates[i]``.
     """
 
     strategy: str
     seed: int
-    dates: tuple = ()
-    equity: np.ndarray = ()
-    actions: np.ndarray = ()
-    return_pct: float = 0.0
-    sharpe: float = 0.0
+    dates: tuple
+    equity: np.ndarray
+    actions: np.ndarray
+    return_pct: float
+    sharpe: float
 
     def __post_init__(self):
         for name in ("equity", "actions"):
@@ -179,5 +189,5 @@ class RunReport:
             object.__setattr__(self, name, series)
 
     def __reduce__(self):
-        # rebuilt through the constructor, so a copy sent from a worker keeps read-only arrays
+        # rebuilt through the constructor, so an unpickled copy keeps read-only arrays
         return (RunReport, tuple(getattr(self, f.name) for f in fields(self)))

@@ -9,7 +9,6 @@ import numpy as np
 from tradelab.data import PriceSeries
 from tradelab.env import EnvConfig, TradingEnv
 from tradelab.neuralnet import Tape, backward, forward
-from tradelab.stats import RunReport
 
 
 def make_series(closes, start=dt.date(2020, 1, 1)):
@@ -83,11 +82,13 @@ def push_pairs(buffer, steps):
 
 
 def assert_same_reports(a, b):
-    """Two RunReports, or two {key: RunReport} maps, agree on every field, series included."""
+    """Two records of one type (RunReports or Scores), or two {key: record} maps, agree
+    on every field, series included."""
     if isinstance(a, dict):
         assert a.keys() == b.keys()
         for key in a:
             assert_same_reports(a[key], b[key])
         return
-    for f in fields(RunReport):
+    assert type(a) is type(b)
+    for f in fields(a):
         assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name

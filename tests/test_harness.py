@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +19,6 @@ import pytest
 
 import tradelab
 import tradelab.agents.dqn as dqn_module
-import tradelab.cli as cli
 import tradelab.neuralnet as neuralnet
 import tradelab.agents.td3 as td3_module
 import tradelab.harness as harness
@@ -45,7 +45,7 @@ from tradelab.harness import (
     train_agent_for_seed,
     train_seed,
 )
-from tradelab.stats import RunReport, return_pct, sharpe
+from tradelab.stats import RunReport, Score, return_pct, sharpe
 
 from helpers import assert_same_reports, constant_policy, held_rows, make_series, random_walk
 from oracles import validation_sharpe
@@ -296,7 +296,7 @@ class TestEvaluatePolicy:
         reread = harness.read_reports(cfg, ["long"])["long"][0]
         unpickled = pickle.loads(pickle.dumps(report))
         assert_same_reports(unpickled, report)
-        for r in (report, reread, unpickled, RunReport("empty", 0)):
+        for r in (report, reread, unpickled):
             for values in (r.equity, r.actions):
                 assert values.dtype == np.float64 and not values.flags.writeable
                 if values.size:
@@ -336,7 +336,7 @@ class TestEvaluateStrategies:
                             lambda net, x, **kw: forward_rows.append(len(x)) or forward(net, x, **kw))
         reports = evaluate_strategies(cfg, {"td3": agent}, segment, 0)
         # the scores and the emitted curves are those of the unshared passes
-        assert_same_reports(reports, {s: RunReport(s, 0, return_pct=r.return_pct, sharpe=r.sharpe)
+        assert_same_reports(reports, {s: Score(s, 0, r.return_pct, r.sharpe)
                                       for s, r in unshared.items()})
         iso = {d: d.isoformat() for d in segment.dates()}
         for report in unshared.values():
@@ -352,7 +352,7 @@ class TestEvaluateStrategies:
         assert forward_rows == [8, 7]
 
     def test_reports_retain_no_curve(self, tmp_path):
-        """The curves go to disk as each pass ends; each returned report keeps its two
+        """The curves go to disk as each pass ends; each returned Score keeps its two
         scores in a constant size, whatever the number of bars."""
         baselines = ["random_c", "random_d", "buy_hold", "sell_hold", "long", "short"]
         cfg = config_from_dict(base_config(tmp_path, strategies=baselines, seeds=[0]))
@@ -366,8 +366,12 @@ class TestEvaluateStrategies:
         finally:
             tracemalloc.stop()
         assert grown <= 4096 * len(reports)  # the curves take 24 bytes or more a bar
-        for strategy, report in reports.items():
-            assert report.dates == () and report.equity.size == report.actions.size == 0
+        for strategy, score in reports.items():
+            # a slotted record of four scalars: no __dict__, no array
+            assert type(score) is Score and not hasattr(score, "__dict__")
+            values = [getattr(score, name) for name in score.__slots__]
+            assert values[:2] == [strategy, 0]
+            assert not any(isinstance(value, np.ndarray) for value in values)
             assert len(read_curve(cfg.output_dir, "equity", strategy, 0)) == bars  # no wipe
 
 
@@ -466,7 +470,7 @@ class TestValidation:
 
 class TestCompareReport:
     def reports(self, values, strategy):
-        return [RunReport(strategy=strategy, seed=i, return_pct=v, sharpe=v / 2.0)
+        return [Score(strategy=strategy, seed=i, return_pct=v, sharpe=v / 2.0)
                 for i, v in enumerate(values)]
 
     def test_identical_metrics_keep_null(self):
@@ -577,8 +581,7 @@ class TestRunExperiment:
             for a, b in zip(reports_seq[strategy], reports_par[strategy]):
                 assert_same_reports(a, b)
                 # a worker sends back scores alone; its curves are in the files compared below
-                assert b.dates == () and b.equity.size == b.actions.size == 0
-                assert not any(s.flags.writeable for s in (b.equity, b.actions))
+                assert type(b) is Score and not hasattr(b, "__dict__")
         # the workers write each seed's checkpoints, logs and curves themselves
         names = output_files(cfg_seq.output_dir)
         assert names == output_files(cfg_par.output_dir)
@@ -653,7 +656,7 @@ class TestCsvFormat:
                            equity=np.array([1.0, 1.1]),
                            actions=np.array([0.123456789012345678]),
                            return_pct=10.0, sharpe=1.2300000000000002)
-        emit_outputs(build_table({"unit": [report]}, ["unit"]), None, tmp_path / "fmt")
+        emit_outputs(build_table({"unit": [report]}, ["unit"]), [], tmp_path / "fmt", {})
         emit_run(report, tmp_path / "fmt", {d: d.isoformat() for d in report.dates})
         with open(tmp_path / "fmt" / "comparison.csv", "rb") as fh:
             blob = fh.read()
@@ -672,7 +675,7 @@ class TestCsvFormat:
         values += np.random.default_rng(4).standard_normal(200).tolist()
         dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(len(values) + 1))
         report = RunReport(strategy="unit", seed=0, dates=dates, equity=values + [1.0],
-                           actions=values)
+                           actions=values, return_pct=0.0, sharpe=0.0)
         emit_run(report, tmp_path, {d: d.isoformat() for d in dates})
         lines = [f"{d.isoformat()},{format(x, '.17g')}" for d, x in zip(dates, values)]
         assert (tmp_path / "actions_unit_0.csv").read_text() == "\n".join(["date,action"] + lines) + "\n"
@@ -712,7 +715,8 @@ class TestCli:
         assert os.path.exists(os.path.join(raw["output_dir"], "equity_td3_0.csv"))
 
     def test_compare_equals_train_then_evaluate(self, tmp_path):
-        raw = base_config(tmp_path, seeds=[0, 1], episodes=2, ttest={"pairs": []},
+        raw = base_config(tmp_path, seeds=[0, 1], episodes=2,
+                          ttest={"pairs": [["td3_sign", "td3"]]},
                           strategies=["td3", "td3_sign", "td3_d3", "tdqn", "buy_hold", "random_c"])
         compare_dir, split_dir = tmp_path / "compare", tmp_path / "split"
         cfg_path = self.write_config(tmp_path, raw)
@@ -722,7 +726,7 @@ class TestCli:
 
         names = output_files(compare_dir)
         assert names == output_files(split_dir)
-        assert len(names) == 34  # 24 curves, 4 checkpoints, 4 training logs, table, config
+        assert len(names) == 35  # 24 curves, 4 checkpoints, 4 training logs, table, t-tests, config
         assert_same_outputs(compare_dir, split_dir, names)
 
     def test_evaluate_memory_is_flat_in_the_seed_count(self, tmp_path, capsys):
@@ -759,7 +763,7 @@ class TestCli:
             for kind in ("td3", "tdqn"):
                 os.makedirs(os.path.dirname(harness.checkpoint_path(cfg, kind, seed)), exist_ok=True)
                 make_agent(cfg, kind, seed).save(harness.checkpoint_path(cfg, kind, seed))
-        seen, loaded, load = {}, [], cli.load_agents
+        seen, loaded, load = {}, [], harness.load_agents
 
         def watched(cfg, seed):
             seen[seed] = ([name for name in output_files(cfg.output_dir) if name.endswith(".csv")],
@@ -768,13 +772,48 @@ class TestCli:
             loaded.extend(weakref.ref(agent) for agent in agents.values())
             return agents
 
-        monkeypatch.setattr(cli, "load_agents", watched)
+        monkeypatch.setattr(harness, "load_agents", watched)
         assert main(["evaluate", "--config", str(self.write_config(tmp_path, raw))]) == 0
         assert sorted(seen) == list(cfg.seeds)
         for seed, (curves, agents) in seen.items():
             # the earlier seeds' two CSVs per strategy are on disk, and their agents are gone
             assert curves == curve_names(cfg.strategies, cfg.seeds[: cfg.seeds.index(seed)])
             assert agents == [None] * 2 * seed
+
+    def test_evaluate_over_workers_matches_sequential_and_splits_missing_files(self, tmp_path,
+                                                                                capsys):
+        """``workers`` runs evaluate's seeds in a pool with the same bytes; a worker's missing
+        checkpoint keeps its path across the process boundary (exit 2), while a missing
+        dataset stays an exit-1 error."""
+        raw = base_config(tmp_path, strategies=["td3", "tdqn", "buy_hold", "random_c"],
+                          seeds=[0, 1], episodes=1)
+        seq_dir, par_dir = tmp_path / "seq", tmp_path / "par"
+        seq_path = self.write_config(tmp_path, {**raw, "output_dir": str(seq_dir)})
+        par_path = tmp_path / "par.json"
+        par_path.write_text(json.dumps({**raw, "output_dir": str(par_dir), "workers": 2}))
+        assert main(["train", "--config", str(seq_path)]) == 0
+        shutil.copytree(seq_dir, par_dir)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(seq_path)]) == 0
+        seq_out = capsys.readouterr()
+        assert main(["evaluate", "--config", str(par_path)]) == 0
+        par_out = capsys.readouterr()
+        assert par_out.out == seq_out.out and par_out.err == seq_out.err == ""
+        names = output_files(seq_dir)
+        assert names == output_files(par_dir)
+        assert len(names) == 27  # 16 curves, 4 checkpoints, 4 training logs, table, t-tests, config
+        assert_same_outputs(seq_dir, par_dir, names)
+
+        ckpt = par_dir / "checkpoints" / "tdqn_seed1.npz"
+        ckpt.unlink()
+        assert main(["evaluate", "--config", str(par_path)]) == 2
+        assert capsys.readouterr().err == f"missing checkpoint {ckpt}; run `tradelab train` first\n"
+
+        data = tmp_path / "gone.csv"
+        par_path.write_text(json.dumps({**raw, "dataset": {"path": str(data)},
+                                        "output_dir": str(par_dir), "workers": 2}))
+        assert main(["evaluate", "--config", str(par_path)]) == 1
+        assert capsys.readouterr().err == f"error: no such data file: {data}\n"
 
     def test_evaluate_without_checkpoint_fails(self, tmp_path, capsys):
         raw = base_config(tmp_path, strategies=["td3"], seeds=[0])
