@@ -50,34 +50,6 @@ class EnvConfig:
             raise ValueError(f"annualization days must be >= 1, got {self.annualization_days}")
 
 
-def settle(cash: float, action: float, p_t: float, p_next: float, tc: float):
-    """One cash update. Returns (new_cash, held_shares, committed, fee, wiped).
-
-    ``wiped`` is True when the max(., 0) clause binds: the position's
-    settlement value hit zero, the committed cash is lost, and the episode
-    must terminate.
-    """
-    if not -1.0 <= action <= 1.0:
-        raise ValueError(f"action {action} outside [-1, 1]")
-    if not (p_t > 0 and p_next > 0):
-        raise ValueError(f"prices must be positive, got {p_t}, {p_next}")
-    if cash < 0:
-        raise ValueError(f"cash must be non-negative, got {cash}")
-
-    if action == 0:
-        return cash, 0.0, 0.0, 0.0, False
-
-    committed = abs(action) * cash
-    shares = committed / p_t
-    fee = shares * tc * p_t / 100.0
-    delta = p_next - p_t if action > 0 else p_t - p_next
-    settlement = shares * delta + committed - fee
-    if settlement <= 0.0:
-        # Limited liability: the loss is capped at the committed amount.
-        return max(cash - committed, CASH_FLOOR), shares, committed, fee, True
-    return cash - committed + settlement, shares, committed, fee, False
-
-
 class TradingEnv:
     """One chronological pass over a price segment.
 
@@ -95,7 +67,7 @@ class TradingEnv:
                 f"segment too short: {len(segment)} prices, window {w} needs at least {w + 2}"
             )
         self.config = config
-        self._closes = segment.closes().tolist()  # settle on Python floats
+        self._closes = segment.closes().tolist()  # step on Python floats
         self._returns = pct_change(segment)
         self.first_t = w
         self.last_t = len(segment) - 2  # the last bar a position can still open at
@@ -114,13 +86,29 @@ class TradingEnv:
         self.terminal = False
 
     def step(self, action: float, tc: float | None = None) -> tuple[float, bool]:
-        """Advance one day; returns (reward, terminal). ``tc`` overrides the configured cost."""
+        """Advance one day by the module docstring's update; returns (reward, terminal).
+
+        ``tc`` overrides the configured cost. The step is terminal after the last bar,
+        or when the max(., 0) clause binds: the position's settlement value hit zero,
+        the committed cash is lost (limited liability) and the episode ends.
+        """
         if self.terminal:
             raise ValueError("environment not reset" if self.cash is None
                              else "cannot step a terminal state")
+        if not -1.0 <= action <= 1.0:
+            raise ValueError(f"action {action} outside [-1, 1]")
         t, cash = self.t, self.cash
-        cost = self.config.transaction_cost if tc is None else tc
-        self.cash, _, _, _, wiped = settle(cash, action, self._closes[t], self._closes[t + 1], cost)
+        wiped = False
+        if action != 0:
+            p_t, p_next = self._closes[t], self._closes[t + 1]
+            committed = abs(action) * cash
+            shares = committed / p_t
+            cost = self.config.transaction_cost if tc is None else tc
+            fee = shares * cost * p_t / 100.0
+            delta = p_next - p_t if action > 0 else p_t - p_next
+            settlement = shares * delta + committed - fee
+            wiped = settlement <= 0.0
+            self.cash = max(cash - committed, CASH_FLOOR) if wiped else cash - committed + settlement
         self.t = t + 1
         self.terminal = wiped or self.t > self.last_t
         return math.log(self.cash / cash), self.terminal

@@ -49,6 +49,9 @@ ALL_STRATEGIES = AGENT_STRATEGIES + KINDS
 # stable per-strategy stream tags so evaluation rngs never collide
 EVAL_STREAM = {kind: i for i, kind in enumerate(ALL_STRATEGIES)}
 
+# why compare and evaluate skip their t-tests, and why ttest fails
+TOO_FEW_SEEDS = "a paired t-test needs at least 2 seeds, got {}"
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -70,6 +73,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if min(self.seeds) < 0:  # a seed keys numpy's generators, which take none below 0
+            raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
         if not self.strategies:
             raise ValueError("strategies must name at least one strategy")
         unknown = [s for s in self.strategies if s not in ALL_STRATEGIES]
@@ -429,6 +434,8 @@ def compare_report(reports: dict[str, list[Score | RunReport]], pairs,
             raise ValueError(f"misaligned report lists for ({x_id}, {y_id}): {len(xs)} vs {len(ys)}")
         if [r.seed for r in xs] != [r.seed for r in ys]:
             raise ValueError(f"report lists for ({x_id}, {y_id}) are not seed-aligned")
+        if len(xs) < 2:
+            raise ValueError(TOO_FEW_SEEDS.format(len(xs)))
         for metric in ("return_pct", "sharpe"):
             x = [getattr(r, metric) for r in xs]
             y = [getattr(r, metric) for r in ys]
@@ -515,8 +522,7 @@ def run_experiment(cfg: ExperimentConfig, from_checkpoints: bool = False):
     if dropped:
         log.warning("skipping t-test pair(s) %s: strategies not requested", ", ".join(dropped))
     if cfg.ttest_pairs and len(cfg.seeds) < 2:
-        log.warning("skipping all t-tests: a paired t-test needs at least 2 seeds, got %d",
-                    len(cfg.seeds))
+        log.warning("skipping all t-tests: %s", TOO_FEW_SEEDS.format(len(cfg.seeds)))
         pairs = []
     ttests = compare_report(reports, pairs, cfg.alpha) if pairs else []
     emit_outputs(table, ttests, cfg.output_dir, resolved_config(cfg))

@@ -36,7 +36,9 @@ def resimulate(initial_cash, actions, prices, tcs):
     ``prices`` has one more entry than ``actions``; ``tcs`` gives the percent
     fee for each step. Returns (cash_curve, rewards, wiped) where the curve
     starts at initial_cash. Stops early when a position's settlement value
-    hits zero (cash floored at one currency unit if fully committed).
+    hits zero (cash floored at one currency unit if fully committed). Its
+    floating-point operations and their order are those of
+    ``TradingEnv.step``, so the two agree bit for bit on the same closes.
     """
     cash = initial_cash
     curve = [cash]

@@ -3,61 +3,66 @@ import math
 import numpy as np
 import pytest
 
-from tradelab.env import CASH_FLOOR, EnvConfig, TradingEnv, settle
+from tradelab.env import CASH_FLOOR, EnvConfig, TradingEnv
 
 from helpers import make_series, random_walk
 from oracles import episode_return, resimulate
 
 
+def one_step_env(p_t, p_next, window=1, extra_days=0, **config):
+    """An env reset at bar ``window``, whose first step trades from p_t into p_next.
+    ``extra_days`` more bars at p_next keep it open after that step, so the step is
+    then terminal only when it wipes."""
+    prices = [p_t] * window + [p_t, p_next] + [p_next] * extra_days
+    env = TradingEnv(make_series(prices), EnvConfig(window=window, **config))
+    env.reset()
+    return env
+
+
+def step_once(cash, action, p_t, p_next, tc):
+    """(cash, wiped) after one step from ``cash`` that trades p_t into p_next."""
+    env = one_step_env(p_t, p_next, extra_days=1, transaction_cost=tc, initial_cash=cash)
+    _, wiped = env.step(action)
+    return env.cash, wiped
+
+
 class TestSettle:
+    """One day's cash update through ``TradingEnv.step``."""
+
     def test_half_long_no_fee(self):
-        cash, shares, committed, fee, wiped = settle(100_000, 0.5, 100, 110, 0.0)
-        assert committed == 50_000
-        assert shares == 500
-        assert fee == 0.0
+        # 50_000 committed buys 500 shares, which gain 10 each
+        cash, wiped = step_once(100_000, 0.5, 100, 110, 0.0)
         assert cash == pytest.approx(105_000, rel=1e-12)
         assert not wiped
 
     def test_hold_action(self):
-        cash, shares, committed, fee, wiped = settle(100_000, 0.0, 100, 37, 5.0)
-        assert (cash, shares, committed, fee, wiped) == (100_000, 0.0, 0.0, 0.0, False)
+        assert step_once(100_000, 0.0, 100, 37, 5.0) == (100_000, False)
 
     def test_full_short_with_fee(self):
-        cash, shares, committed, fee, wiped = settle(100_000, -1.0, 100, 90, 0.1)
-        assert committed == 100_000
-        assert shares == 1000
-        assert fee == pytest.approx(100.0)
+        # 1000 shares short gain 10 each; the fee is 0.1% of the 100_000 opening notional
+        cash, wiped = step_once(100_000, -1.0, 100, 90, 0.1)
         assert cash == pytest.approx(109_900, rel=1e-12)
         assert not wiped
+        assert step_once(100_000, -1.0, 100, 90, 0.0)[0] - cash == pytest.approx(100.0)
 
     def test_short_wipeout_floors_cash(self):
         # short loss of 110000 exceeds the committed 100000
-        cash, shares, committed, fee, wiped = settle(100_000, -1.0, 100, 210, 0.0)
+        cash, wiped = step_once(100_000, -1.0, 100, 210, 0.0)
         assert wiped
         assert cash == CASH_FLOOR
 
     def test_partial_wipeout_keeps_uncommitted_cash(self):
-        cash, _, committed, _, wiped = settle(100_000, -0.5, 100, 250, 0.0)
+        cash, wiped = step_once(100_000, -0.5, 100, 250, 0.0)
         assert wiped
-        assert committed == 50_000
         assert cash == 50_000  # the uncommitted half survives
 
     def test_action_out_of_range(self):
+        env = one_step_env(10, 11, initial_cash=100.0)
+        with pytest.raises(ValueError, match=r"^action 1\.5 outside \[-1, 1\]$"):
+            env.step(1.5)
         with pytest.raises(ValueError, match="outside"):
-            settle(100.0, 1.5, 10, 11, 0.0)
-        with pytest.raises(ValueError, match="outside"):
-            settle(100.0, float("nan"), 10, 11, 0.0)
-
-    def test_non_positive_price(self):
-        with pytest.raises(ValueError, match="positive"):
-            settle(100.0, 0.5, 0.0, 11, 0.0)
-
-
-def one_step_env(p_t, p_next, window=1, **config):
-    """An env reset at bar ``window``, whose one step trades from p_t into p_next."""
-    env = TradingEnv(make_series([p_t] * window + [p_t, p_next]), EnvConfig(window=window, **config))
-    env.reset()
-    return env
+            env.step(float("nan"))
+        assert (env.t, env.cash, env.terminal) == (1, 100.0, False)  # a rejected action moves nothing
 
 
 class TestStepFunction:
@@ -197,12 +202,12 @@ class TestTradingEnv:
 
     def test_long_short_symmetry_without_fees(self):
         for amount in (0.25, 0.6, 1.0):
-            long_cash, *_ = settle(1000.0, amount, 50.0, 53.0, 0.0)
-            short_cash, *_ = settle(1000.0, -amount, 50.0, 53.0, 0.0)
+            long_cash, _ = step_once(1000.0, amount, 50.0, 53.0, 0.0)
+            short_cash, _ = step_once(1000.0, -amount, 50.0, 53.0, 0.0)
             assert (long_cash - 1000.0) == pytest.approx(-(short_cash - 1000.0), abs=1e-9)
 
     def test_fee_monotonicity(self):
-        cashes = [settle(1000.0, 0.8, 50.0, 51.0, tc)[0] for tc in (0.0, 0.1, 0.5, 1.0, 5.0)]
+        cashes = [step_once(1000.0, 0.8, 50.0, 51.0, tc)[0] for tc in (0.0, 0.1, 0.5, 1.0, 5.0)]
         assert all(a >= b for a, b in zip(cashes, cashes[1:]))
 
     def test_matches_independent_resimulation(self, rng):
@@ -229,24 +234,8 @@ class TestTradingEnv:
 
 
 class TestScalarSettle:
-    """The env settles on Python floats. Its cash curve and rewards must equal, bit for
-    bit, those of ``settle`` fed the np.float64 closes of ``PriceSeries.closes()``."""
-
-    @staticmethod
-    def float64_pass(series, config, actions, tcs):
-        closes = series.closes()
-        assert type(closes[0]) is np.float64
-        cash, t = config.initial_cash, config.window
-        curve, rewards = [cash], []
-        for action, tc in zip(actions, tcs):
-            cost = config.transaction_cost if tc is None else tc
-            new_cash, _, _, _, wiped = settle(cash, action, closes[t], closes[t + 1], cost)
-            rewards.append(math.log(new_cash / cash))
-            curve.append(new_cash)
-            cash, t = new_cash, t + 1
-            if wiped:
-                break
-        return curve, rewards
+    """The env steps on Python floats. Its cash curve and rewards must equal, bit for
+    bit, those of ``resimulate`` fed the np.float64 closes of ``PriceSeries.closes()``."""
 
     def test_bit_identical_to_float64_settle(self, rng):
         kinds = {"zero": 0, "wipe": 0, "override": 0}
@@ -273,7 +262,11 @@ class TestScalarSettle:
                 rewards.append(reward)
                 if terminal:
                     break
-            expected_curve, expected_rewards = self.float64_pass(series, config, actions, tcs)
+            closes = series.closes()
+            assert type(closes[0]) is np.float64
+            costs = [config.transaction_cost if tc is None else tc for tc in tcs]
+            expected_curve, expected_rewards, _ = resimulate(config.initial_cash, actions,
+                                                             closes[w:], costs)
             assert curve == expected_curve
             assert rewards == expected_rewards
             kinds["zero"] += 0.0 in actions[: len(rewards)]

@@ -156,6 +156,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="^seeds must be unique; 3 repeats$"):
             config_from_dict(base_config(tmp_path, seeds=[3, 1, 3]))
 
+    def test_rejects_negative_seeds(self, tmp_path):
+        with pytest.raises(ValueError, match="^seeds must be >= 0, got -1$"):
+            config_from_dict(base_config(tmp_path, seeds=[0, -1]))
+
     @pytest.mark.parametrize("overrides,message", [
         ({"strategies": ["long", "long", "short"]}, "strategies must be unique; 'long' repeats"),
         ({"ttest": {"pairs": [["long", "short"], ["short", "long"], ["long", "short"]]}},
@@ -891,6 +895,15 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"missing {curve}; run `tradelab compare` or `evaluate` first\n")
 
+    def test_ttest_on_one_seed_names_the_seed_shortfall(self, tmp_path, capsys):
+        raw = base_config(tmp_path, strategies=["long", "short"], seeds=[0],
+                          ttest={"pairs": [["long", "short"]]})
+        cfg_path = self.write_config(tmp_path, raw)
+        assert main(["compare", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["ttest", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "error: a paired t-test needs at least 2 seeds, got 1\n"
+
     @pytest.mark.parametrize("edit,message", [
         (lambda lines: lines[:1], "1: an equity curve needs at least 2 rows, got 0"),
         (lambda lines: lines[:2], "2: an equity curve needs at least 2 rows, got 1"),
@@ -1019,6 +1032,15 @@ class TestCli:
         cfg_path = self.write_config(tmp_path, raw)
         assert main(["ttest", "--config", str(cfg_path), "--alpha", "5"]) == 1
         assert capsys.readouterr().err == "error: ttest.alpha must lie in (0, 1), got 5.0\n"
+
+    @pytest.mark.parametrize("strategy", ["long", "random_c"])
+    def test_negative_seed_fails_before_the_data_load(self, tmp_path, capsys, strategy):
+        raw = base_config(tmp_path, strategies=[strategy])
+        raw["dataset"]["path"] = str(tmp_path / "absent.csv")
+        cfg_path = self.write_config(tmp_path, raw)
+        assert main(["compare", "--config", str(cfg_path), "--seeds", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seeds must be >= 0, got -1\n"
+        assert not os.path.exists(raw["output_dir"])
 
     def test_bad_seed_names_the_flag(self, tmp_path, capsys):
         raw = base_config(tmp_path, strategies=["buy_hold"])
