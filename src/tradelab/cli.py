@@ -7,13 +7,15 @@ Verbs:
   ttest      recompute metrics from emitted equity CSVs and run the t-tests
 
 Each verb parses its arguments, calls the harness stages and prints;
-``compare`` and ``evaluate`` both run ``harness.run_experiment``.
+``compare`` and ``evaluate`` both run ``harness.run_experiment``, and
+``train`` runs its seeds through the same ``harness.map_seeds``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from .harness import (
     ExperimentConfig,
@@ -23,8 +25,9 @@ from .harness import (
     config_from_dict,
     emit_ttests,
     load_segments,
+    map_seeds,
     read_config,
-    read_reports,
+    read_scores,
     run_experiment,
     train_seed,
 )
@@ -73,13 +76,20 @@ def _apply_overrides(raw, args):
     return {**raw, **updates}
 
 
+def _train_kinds(cfg: ExperimentConfig, segments, seed: int) -> list[str]:
+    """Train and save one seed's agents; returns their kinds. The agents stay in
+    the worker: an unpickled network's layer views no longer share its ``theta``."""
+    return list(train_seed(cfg, seed, *segments))
+
+
 def cmd_train(cfg: ExperimentConfig) -> int:
     train_seg, valid_seg, _ = load_segments(cfg)
     if not agent_kinds(cfg.strategies):
         print("no trainable strategies requested; nothing to do", file=sys.stderr)
         return 2
-    for seed in cfg.seeds:
-        for kind in train_seed(cfg, seed, train_seg, valid_seg):
+    trained = map_seeds(cfg, partial(_train_kinds, cfg, (train_seg, valid_seg)))
+    for seed, kinds in zip(cfg.seeds, trained):
+        for kind in kinds:
             print(f"trained {kind} seed {seed} -> {checkpoint_path(cfg, kind, seed)}")
     return 0
 
@@ -103,11 +113,11 @@ def cmd_compare(cfg: ExperimentConfig, from_checkpoints: bool = False) -> int:
 
 def cmd_ttest(cfg: ExperimentConfig) -> int:
     try:
-        reports = read_reports(cfg, sorted({s for pair in cfg.ttest_pairs for s in pair}))
+        scores = read_scores(cfg, sorted({s for pair in cfg.ttest_pairs for s in pair}))
     except FileNotFoundError as exc:
         print(f"missing {exc.filename}; run `tradelab compare` or `evaluate` first", file=sys.stderr)
         return 2
-    ttests = compare_report(reports, cfg.ttest_pairs, cfg.alpha)
+    ttests = compare_report(scores, cfg.ttest_pairs, cfg.alpha)
     _print_ttests(ttests)
     emit_ttests(ttests, cfg.output_dir)
     return 0

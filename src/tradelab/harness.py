@@ -9,8 +9,9 @@ saved ones (:func:`load_agents`); evaluates every strategy once on the test
 segment, writing each pass's curves as soon as it ends (:func:`emit_run`);
 and returns only its Scores, so memory does not grow with the seed count.
 :func:`run_experiment`, the one loop over the seeds for ``compare`` and
-``evaluate`` alike, then aggregates the scores into a comparison table plus
-paired t-tests and writes the cross-seed files (:func:`emit_outputs`).
+``evaluate`` alike (through :func:`map_seeds`, which ``train`` uses too),
+then aggregates the scores into a comparison table plus paired t-tests and
+writes the cross-seed files (:func:`emit_outputs`).
 
 Each seed's files are on disk as soon as the seed finishes, so a run that
 fails keeps the files of every seed that finished; the cross-seed files
@@ -37,7 +38,7 @@ from .baselines import HOLDS, KINDS, RANDOM, TECHNICAL, act, d3_discretize, sign
 from .data import DEFAULT_COLUMNS, SplitSpec, chronological_split, load_csv
 from .env import EnvConfig, TradingEnv
 from .fileio import atomic_open, reading
-from .stats import RunReport, Score, TTestResult, paired_ttest_one_sided, return_pct, sharpe
+from .stats import Score, TTestResult, paired_ttest_one_sided, return_pct, sharpe
 
 log = logging.getLogger(__name__)
 
@@ -220,9 +221,9 @@ def load_agents(cfg: ExperimentConfig, seed: int) -> dict:
 # -- evaluation ------------------------------------------------------------
 
 
-def run_report(strategy: str, seed: int, equity, annualization_days: int,
-               degenerate_sharpe: float = 0.0, **curves) -> RunReport:
-    """The report of one run from its equity curve; ``curves`` are the other RunReport fields.
+def score_curve(strategy: str, seed: int, equity, annualization_days: int,
+                degenerate_sharpe: float = 0.0) -> Score:
+    """The Score of one run from its equity curve.
 
     A run whose Sharpe ratio is undefined (constant equity, or fewer than two
     returns) scores ``degenerate_sharpe``: 0.0 for a reported run, which has
@@ -234,9 +235,7 @@ def run_report(strategy: str, seed: int, equity, annualization_days: int,
         sharpe_val = sharpe(daily, annualization_days)
     except ValueError:
         sharpe_val = degenerate_sharpe
-    return RunReport(strategy=strategy, seed=seed, equity=equity,
-                     return_pct=return_pct(float(equity[0]), float(equity[-1])),
-                     sharpe=sharpe_val, **curves)
+    return Score(strategy, seed, return_pct(float(equity[0]), float(equity[-1])), sharpe_val)
 
 
 def _read_equity(path) -> list[float]:
@@ -262,31 +261,30 @@ def _read_equity(path) -> list[float]:
     return equity
 
 
-def read_reports(cfg: ExperimentConfig, strategies) -> dict[str, list[RunReport]]:
-    """Reports (``equity`` only) rebuilt from the emitted curves of ``strategies``, one per seed.
+def read_scores(cfg: ExperimentConfig, strategies) -> dict[str, list[Score]]:
+    """The Scores of ``strategies`` rebuilt from their emitted equity curves, one per seed.
 
     A missing curve raises FileNotFoundError with its path as ``filename``.
     """
-    reports = {}
-    for strategy in strategies:
-        reports[strategy] = []
-        for seed in cfg.seeds:
-            path = os.path.join(cfg.output_dir, f"equity_{strategy}_{seed}.csv")
-            reports[strategy].append(run_report(strategy, seed, _read_equity(path),
-                                                cfg.env.annualization_days, dates=(), actions=()))
-    return reports
+    def score(strategy, seed):
+        path = os.path.join(cfg.output_dir, f"equity_{strategy}_{seed}.csv")
+        return score_curve(strategy, seed, _read_equity(path), cfg.env.annualization_days)
+
+    return {strategy: [score(strategy, seed) for seed in cfg.seeds] for strategy in strategies}
 
 
 def evaluate_policy(policy, segment, env_config: EnvConfig, strategy: str, seed: int,
-                    hold_fees: bool = False, degenerate_sharpe: float = 0.0) -> RunReport:
-    """Run one chronological pass of ``policy`` over ``segment``.
+                    hold_fees: bool = False, degenerate_sharpe: float = 0.0):
+    """Run one chronological pass of ``policy`` over ``segment``; returns its
+    ``(score, equity, actions)``, the last two read-only float64 arrays.
 
     ``policy(rows)`` maps the segment's decision rows (rows ``0 .. last_t -
     first_t`` of the observation table, row i for bar ``first_t + i``) to one
-    action per row; the pass stops early at a wipe. With ``hold_fees`` the
-    configured transaction cost applies only on the first and final step
-    (single open / single close emulation for the hold strategies). A pass
-    whose Sharpe ratio is undefined scores ``degenerate_sharpe``.
+    action per row; the pass stops early at a wipe, and ``actions[i]`` is the
+    one taken on bar ``first_t + i``. With ``hold_fees`` the configured
+    transaction cost applies only on the first and final step (single open /
+    single close emulation for the hold strategies). A pass whose Sharpe
+    ratio is undefined scores ``degenerate_sharpe``.
     """
     env = TradingEnv(segment, env_config)
     rows = env.observation_table()[: env.last_t - env.first_t + 1]
@@ -301,9 +299,11 @@ def evaluate_policy(policy, segment, env_config: EnvConfig, strategy: str, seed:
         equity.append(env.cash)
         if env.terminal:
             break
-    return run_report(strategy, seed, equity, env_config.annualization_days, degenerate_sharpe,
-                      dates=segment.dates()[env.first_t : env.t + 1],
-                      actions=actions[: env.t - env.first_t])
+    equity = np.asarray(equity, dtype=np.float64)
+    actions = np.asarray(actions[: env.t - env.first_t], dtype=np.float64)
+    equity.flags.writeable = actions.flags.writeable = False
+    return (score_curve(strategy, seed, equity, env_config.annualization_days, degenerate_sharpe),
+            equity, actions)
 
 
 def train_agent_for_seed(cfg: ExperimentConfig, kind: str, seed: int, train_segment, valid_segment):
@@ -318,7 +318,7 @@ def train_agent_for_seed(cfg: ExperimentConfig, kind: str, seed: int, train_segm
 
     def on_episode_end(a, episode):
         s = evaluate_policy(a.policies, valid_segment, cfg.env, "validation", -1,
-                            degenerate_sharpe=-math.inf).sharpe
+                            degenerate_sharpe=-math.inf)[0].sharpe
         if s > best["score"]:
             best["score"] = s
             best["snapshot"] = a.snapshot()
@@ -370,15 +370,16 @@ def evaluate_strategies(cfg: ExperimentConfig, agents: dict, segment, seed: int)
         return [act(strategy, cfg.env.window + i, segment, rng, cfg.ma_window)
                 for i in range(len(rows))]
 
-    iso = {d: d.isoformat() for d in segment.dates()}  # each date formatted once per seed
+    # each date of the pass formatted once per seed
+    dates = [d.isoformat() for d in segment.dates()[cfg.env.window :]]
 
-    def score(strategy):
-        report = evaluate_policy(partial(actions, strategy), segment, cfg.env, strategy, seed,
-                                 hold_fees=strategy in HOLDS)
-        emit_run(report, cfg.output_dir, iso)
-        return Score(strategy, seed, report.return_pct, report.sharpe)
+    def one_pass(strategy):
+        score, equity, taken = evaluate_policy(partial(actions, strategy), segment, cfg.env,
+                                               strategy, seed, hold_fees=strategy in HOLDS)
+        emit_run(score, dates, equity, taken, cfg.output_dir)
+        return score
 
-    return {strategy: score(strategy) for strategy in cfg.strategies}
+    return {strategy: one_pass(strategy) for strategy in cfg.strategies}
 
 
 def run_seed(cfg: ExperimentConfig, segments, seed: int,
@@ -402,7 +403,7 @@ class ComparisonRow:
     sharpe: float
 
 
-def build_table(reports: dict[str, list[Score | RunReport]], order) -> tuple[ComparisonRow, ...]:
+def build_table(reports: dict[str, list[Score]], order) -> tuple[ComparisonRow, ...]:
     """The comparison table: one row of mean metrics per strategy, in ``order``."""
     rows = []
     for strategy in order:
@@ -422,7 +423,7 @@ class TTestRow:
     result: TTestResult
 
 
-def compare_report(reports: dict[str, list[Score | RunReport]], pairs,
+def compare_report(reports: dict[str, list[Score]], pairs,
                    alpha: float) -> list[TTestRow]:
     """Paired one-sided tests per (pair, metric); x is the first id of each pair."""
     rows = []
@@ -459,17 +460,15 @@ def _write_atomic(path, text: str) -> None:
         fh.write(text)
 
 
-def emit_run(report: RunReport, outdir, iso: dict) -> None:
-    """Write the equity and action CSVs of one report; ``iso`` maps each of its
-    dates to its ISO text."""
+def emit_run(score: Score, dates, equity, actions, outdir) -> None:
+    """Write the equity and action CSVs of one pass from its float64 arrays;
+    ``dates`` are the ISO texts of its bars from the first decision bar on."""
     os.makedirs(outdir, exist_ok=True)
-    dates = list(map(iso.__getitem__, report.dates))
-    for name, column, series in (("equity", "cash", report.equity),
-                                 ("actions", "action", report.actions)):
+    for name, column, series in (("equity", "cash", equity), ("actions", "action", actions)):
         cells = [None] * (2 * len(series))  # actions pair with dates[:-1]
         cells[::2], cells[1::2] = dates[: len(series)], series.tolist()
         # one template for the file: "%.17g" is _fmt's conversion, bit for bit
-        _write_atomic(os.path.join(outdir, f"{name}_{report.strategy}_{report.seed}.csv"),
+        _write_atomic(os.path.join(outdir, f"{name}_{score.strategy}_{score.seed}.csv"),
                       f"date,{column}\n" + "%s,%.17g\n" * len(series) % tuple(cells))
 
 
@@ -499,21 +498,28 @@ def emit_ttests(ttests: list[TTestRow], outdir) -> None:
 # -- the full experiment -------------------------------------------------------
 
 
+def map_seeds(cfg: ExperimentConfig, fn):
+    """Yield ``fn(seed)`` for each configured seed, in seed order, each as soon as it
+    and the seeds before it are done; with ``workers`` > 1 the seeds run in that many
+    processes, so ``fn`` and its results must pickle."""
+    if cfg.workers == 1:
+        yield from map(fn, cfg.seeds)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only for a pool
+    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        yield from pool.map(fn, cfg.seeds)  # in seed order, whatever finishes first
+
+
 def run_experiment(cfg: ExperimentConfig, from_checkpoints: bool = False):
     """Run every seed, training its agents or loading them ``from_checkpoints``, then
     aggregate and write the cross-seed files.
 
     Returns (table, reports, ttests): the comparison rows, a map from strategy
-    id to its seed-ordered list of Scores (:func:`read_reports` rebuilds the
-    curves), and the t-test rows.
+    id to its seed-ordered list of Scores (:func:`read_scores` rebuilds them
+    from the emitted curves), and the t-test rows.
     """
-    run = partial(run_seed, cfg, load_segments(cfg), from_checkpoints=from_checkpoints)
-    if cfg.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only for a pool
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            per_seed = list(pool.map(run, cfg.seeds))  # in seed order, whatever finishes first
-    else:
-        per_seed = list(map(run, cfg.seeds))
+    per_seed = list(map_seeds(cfg, partial(run_seed, cfg, load_segments(cfg),
+                                           from_checkpoints=from_checkpoints)))
     reports = {strategy: [scores[strategy] for scores in per_seed] for strategy in cfg.strategies}
     table = build_table(reports, cfg.strategies)
     requested = set(cfg.strategies)

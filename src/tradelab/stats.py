@@ -9,7 +9,7 @@ used here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,40 +154,15 @@ def paired_ttest_one_sided(x, y, alpha: float = 0.01) -> TTestResult:
     return TTestResult(t0=t0, p_value=p, df=n - 1, reject=p < alpha)
 
 
-# -- per-run records -------------------------------------------------------
+# -- the per-pass record ----------------------------------------------------
 
 
 @dataclass(slots=True, eq=False)
 class Score:
-    """One pass's scores, the unit fed into the t-tests: four scalars, no ``__dict__``."""
+    """One pass's scores, the one record of a pass that the table and the t-tests
+    read: four scalars, no ``__dict__``; its curves go to disk."""
 
     strategy: str
     seed: int
     return_pct: float
     sharpe: float
-
-
-@dataclass(frozen=True, eq=False)
-class RunReport:
-    """One evaluation pass of one strategy with its curves.
-
-    Its series become read-only float64 arrays; ``actions[i]`` is taken on ``dates[i]``.
-    """
-
-    strategy: str
-    seed: int
-    dates: tuple
-    equity: np.ndarray
-    actions: np.ndarray
-    return_pct: float
-    sharpe: float
-
-    def __post_init__(self):
-        for name in ("equity", "actions"):
-            series = np.asarray(getattr(self, name), dtype=np.float64)
-            series.flags.writeable = False
-            object.__setattr__(self, name, series)
-
-    def __reduce__(self):
-        # rebuilt through the constructor, so an unpickled copy keeps read-only arrays
-        return (RunReport, tuple(getattr(self, f.name) for f in fields(self)))

@@ -82,8 +82,8 @@ def push_pairs(buffer, steps):
 
 
 def assert_same_reports(a, b):
-    """Two records of one type (RunReports or Scores), or two {key: record} maps, agree
-    on every field, series included."""
+    """Two records of one type (such as Scores), or two {key: record} maps, agree
+    on every field."""
     if isinstance(a, dict):
         assert a.keys() == b.keys()
         for key in a:

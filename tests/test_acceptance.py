@@ -238,9 +238,10 @@ def test_criterion_07_metric_exactness():
     gen = np.random.default_rng(3)
     series = random_walk(60, gen)
     env_cfg = EnvConfig(window=5, transaction_cost=0.0, initial_cash=1e5)
-    report = evaluate_policy(constant_policy(1.0), series, env_cfg, "buy_hold", 0, hold_fees=True)
+    _, equity, _ = evaluate_policy(constant_policy(1.0), series, env_cfg, "buy_hold", 0,
+                                   hold_fees=True)
     expected_final = 1e5 * series.closes()[-1] / series.closes()[5]
-    bh_rel = abs(report.equity[-1] - expected_final) / expected_final
+    bh_rel = abs(equity[-1] - expected_final) / expected_final
     ok = (abs(r1 - 9.3) < 1e-9 and abs(r2 + 35.3) < 1e-9
           and abs(s1 - 10.513) < 1e-3 and bh_rel < 1e-9)
     announce(7, ok, f"returns ({r1}, {r2}), sharpe {s1:.6f}, BH compounding gap {bh_rel:.1e}")
@@ -290,11 +291,11 @@ def test_criterion_09_learnability_benchmark():
     for seed in range(10):
         agent = Td3Agent(4, cfg, seed=seed)
         train(agent, train_seg, env_cfg, episodes=18, seed=seed)
-        raw = evaluate_policy(lambda rows: [agent.policy(r) for r in rows],
-                              test_seg, env_cfg, "td3", seed)
-        signd = evaluate_policy(lambda rows: [sign_discretize(agent.policy(r)) for r in rows],
-                                test_seg, env_cfg, "td3_sign", seed)
-        if math.log(raw.equity[-1] / raw.equity[0]) > 0:
+        raw, equity, _ = evaluate_policy(lambda rows: [agent.policy(r) for r in rows],
+                                         test_seg, env_cfg, "td3", seed)
+        signd, _, _ = evaluate_policy(lambda rows: [sign_discretize(agent.policy(r)) for r in rows],
+                                      test_seg, env_cfg, "td3_sign", seed)
+        if math.log(equity[-1] / equity[0]) > 0:
             wins += 1
         td3_sharpes.append(raw.sharpe)
         sign_sharpes.append(signd.sharpe)

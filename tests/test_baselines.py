@@ -178,8 +178,9 @@ class TestBuyHoldCompounding:
     def test_final_cash_tracks_price_ratio(self, rng):
         series = random_walk(50, rng)
         env_cfg = EnvConfig(window=4, transaction_cost=0.0, initial_cash=1e5)
-        report = evaluate_policy(lambda rows: [act("buy_hold", 4 + i, series) for i in range(len(rows))],
-                                 series, env_cfg, "buy_hold", seed=0, hold_fees=True)
+        _, equity, _ = evaluate_policy(
+            lambda rows: [act("buy_hold", 4 + i, series) for i in range(len(rows))],
+            series, env_cfg, "buy_hold", seed=0, hold_fees=True)
         first_open = series.closes()[4]
         expected = 1e5 * series.closes()[-1] / first_open
-        assert report.equity[-1] == pytest.approx(expected, rel=1e-9)
+        assert equity[-1] == pytest.approx(expected, rel=1e-9)

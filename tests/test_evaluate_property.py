@@ -1,7 +1,7 @@
 """Property checks: ``evaluate_policy`` reproduces the literal day-by-day
 re-simulation over generated closes and actions, wipes and hold fees included,
-and the CSVs emitted from its array-backed report carry the bytes a plain
-list-of-floats formatter writes for that re-simulation."""
+and the CSVs emitted from its arrays carry the bytes a plain list-of-floats
+formatter writes for that re-simulation."""
 
 import tempfile
 from pathlib import Path
@@ -45,15 +45,14 @@ def passes(draw):
 def test_matches_resimulation(run):
     closes, actions, tc, hold = run
     env_cfg = EnvConfig(window=WINDOW, transaction_cost=tc)
-    report = evaluate_policy(lambda rows: actions, make_series(closes), env_cfg, "generated", 0,
-                             hold_fees=hold)
+    _, equity, taken = evaluate_policy(lambda rows: actions, make_series(closes), env_cfg,
+                                       "generated", 0, hold_fees=hold)
     last = len(actions) - 1
     tcs = [tc if not hold or k in (0, last) else 0.0 for k in range(len(actions))]
     curve, _, wiped = resimulate(env_cfg.initial_cash, actions, closes[WINDOW:], tcs)
-    assert list(report.equity) == curve
-    assert list(report.actions) == actions[: len(curve) - 1]
-    assert len(report.dates) == len(curve)
-    assert wiped or len(report.actions) == len(actions)  # only a wipe ends a pass early
+    assert list(equity) == curve
+    assert list(taken) == actions[: len(curve) - 1]
+    assert wiped or len(taken) == len(actions)  # only a wipe ends a pass early
 
 
 def reference_csv(header, dates, values):
@@ -74,8 +73,8 @@ def test_emitted_csvs_match_a_list_formatter(run):
     closes, actions, tc, hold = run
     env_cfg = EnvConfig(window=WINDOW, transaction_cost=tc)
     series = make_series(closes)
-    report = evaluate_policy(lambda rows: actions, series, env_cfg, "generated", 0,
-                             hold_fees=hold)
+    score, equity, taken = evaluate_policy(lambda rows: actions, series, env_cfg, "generated", 0,
+                                           hold_fees=hold)
     last = len(actions) - 1
     tcs = [tc if not hold or k in (0, last) else 0.0 for k in range(len(actions))]
     curve, _, _ = resimulate(env_cfg.initial_cash, actions, closes[WINDOW:], tcs)
@@ -84,10 +83,10 @@ def test_emitted_csvs_match_a_list_formatter(run):
         expected = sharpe(np.array(daily, dtype=np.float64), env_cfg.annualization_days)
     except ValueError:
         expected = 0.0  # an undefined ratio scores 0.0
-    assert np.float64(report.sharpe).tobytes() == np.float64(expected).tobytes()
+    assert np.float64(score.sharpe).tobytes() == np.float64(expected).tobytes()
     dates = series.dates()[WINDOW : WINDOW + len(curve)]
     with tempfile.TemporaryDirectory() as tmp:
-        emit_run(report, tmp, {d: d.isoformat() for d in series.dates()})
+        emit_run(score, [d.isoformat() for d in series.dates()[WINDOW:]], equity, taken, tmp)
         out = Path(tmp)
         assert (out / "equity_generated_0.csv").read_bytes() == reference_csv(
             "date,cash", dates, curve)

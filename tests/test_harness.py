@@ -3,7 +3,6 @@ import datetime as dt
 import json
 import math
 import os
-import pickle
 import re
 import shutil
 import subprocess
@@ -19,6 +18,7 @@ import pytest
 
 import tradelab
 import tradelab.agents.dqn as dqn_module
+import tradelab.cli as cli
 import tradelab.neuralnet as neuralnet
 import tradelab.agents.td3 as td3_module
 import tradelab.harness as harness
@@ -45,7 +45,7 @@ from tradelab.harness import (
     train_agent_for_seed,
     train_seed,
 )
-from tradelab.stats import RunReport, Score, return_pct, sharpe
+from tradelab.stats import Score, return_pct, sharpe
 
 from helpers import assert_same_reports, constant_policy, held_rows, make_series, random_walk
 from oracles import validation_sharpe
@@ -248,6 +248,18 @@ class TestConfig:
         raw["dataset"]["columns"] = dict(DEFAULT_COLUMNS)
         assert config_from_dict(raw).columns == DEFAULT_COLUMNS
 
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="the echo names ExperimentConfig's fields (dataset_path), which "
+                              "config_from_dict rejects; mending it moves the echo's bytes")
+    def test_the_config_echo_reads_back(self, tmp_path):
+        """resolved_config.json, read as a config, gives the run's config back."""
+        every_group = base_config(tmp_path, split={"train_frac": 0.7, "valid_frac": 0.1,
+                                                   "test_frac": 0.2})
+        every_group["dataset"]["columns"] = {"close": "Close"}
+        for raw in ({"dataset": {"path": "prices.csv"}}, every_group):
+            cfg = config_from_dict(raw)
+            assert config_from_dict(json.loads(json.dumps(resolved_config(cfg)))) == cfg
+
     def test_readme_configs_are_read(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         block = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
@@ -268,50 +280,50 @@ class TestConfig:
 
 
 class TestEvaluatePolicy:
-    def test_equity_and_actions_align(self, rng):
+    def test_equity_and_actions_align(self, rng, tmp_path):
         series = random_walk(30, rng)
-        report = evaluate_policy(constant_policy(0.5), series, EnvConfig(window=3),
-                                 "half_long", seed=0)
+        score, equity, actions = evaluate_policy(constant_policy(0.5), series,
+                                                 EnvConfig(window=3), "half_long", seed=0)
         steps = len(series) - 1 - 3
-        assert len(report.actions) == steps
-        assert len(report.equity) == steps + 1
-        daily = (report.equity[1:] - report.equity[:-1]) / report.equity[:-1]
+        assert len(actions) == steps
+        assert len(equity) == steps + 1
+        daily = (equity[1:] - equity[:-1]) / equity[:-1]
         assert len(daily) == steps
-        assert report.sharpe == sharpe(daily, EnvConfig().annualization_days)
-        assert report.return_pct == pytest.approx(
-            return_pct(report.equity[0], report.equity[-1]))
-        assert report.dates[0] == series.dates()[3]
-        assert report.dates[len(report.actions) - 1] == series.dates()[-2]
+        assert score.sharpe == sharpe(daily, EnvConfig().annualization_days)
+        assert score.return_pct == pytest.approx(return_pct(equity[0], equity[-1]))
+        # the dates evaluate_strategies passes start at the first decision bar
+        emit_run(score, [d.isoformat() for d in series.dates()[3:]], equity, actions, tmp_path)
+        dates = [line.split(",")[0] for line in
+                 (tmp_path / "actions_half_long_0.csv").read_text().splitlines()[1:]]
+        assert dates[0] == series.dates()[3].isoformat()
+        assert dates[len(actions) - 1] == series.dates()[-2].isoformat()
 
     def test_hold_fee_suppression(self):
         series = make_series([50.0] * 7)
         env_cfg = EnvConfig(window=1, transaction_cost=1.0, initial_cash=100_000.0)
-        bh = evaluate_policy(constant_policy(1.0), series, env_cfg, "buy_hold", 0, hold_fees=True)
-        daily = evaluate_policy(constant_policy(1.0), series, env_cfg, "long", 0, hold_fees=False)
+        _, bh, _ = evaluate_policy(constant_policy(1.0), series, env_cfg, "buy_hold", 0,
+                                   hold_fees=True)
+        _, daily, _ = evaluate_policy(constant_policy(1.0), series, env_cfg, "long", 0,
+                                      hold_fees=False)
         # two fee events versus one per day on a flat price
-        assert bh.equity[-1] == pytest.approx(100_000.0 * 0.99 * 0.99, rel=1e-12)
-        assert daily.equity[-1] == pytest.approx(100_000.0 * 0.99**5, rel=1e-12)
+        assert bh[-1] == pytest.approx(100_000.0 * 0.99 * 0.99, rel=1e-12)
+        assert daily[-1] == pytest.approx(100_000.0 * 0.99**5, rel=1e-12)
 
-    def test_series_are_read_only_float64(self, tmp_path, rng):
+    def test_series_are_read_only_float64(self, rng):
         series = random_walk(30, rng)
-        report = evaluate_policy(constant_policy(1), series, EnvConfig(window=3), "long", 0)
-        cfg = config_from_dict(base_config(tmp_path, strategies=["long"], seeds=[0]))
-        run_experiment(cfg)
-        reread = harness.read_reports(cfg, ["long"])["long"][0]
-        unpickled = pickle.loads(pickle.dumps(report))
-        assert_same_reports(unpickled, report)
-        for r in (report, reread, unpickled):
-            for values in (r.equity, r.actions):
-                assert values.dtype == np.float64 and not values.flags.writeable
-                if values.size:
-                    with pytest.raises(ValueError, match="read-only"):
-                        values[0] = 0.0
+        _, equity, actions = evaluate_policy(constant_policy(1), series, EnvConfig(window=3),
+                                             "long", 0)
+        for values in (equity, actions):
+            assert values.dtype == np.float64 and not values.flags.writeable
+            if values.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    values[0] = 0.0
 
     def test_degenerate_run_gets_zero_sharpe(self, rng):
         series = random_walk(20, rng)
-        report = evaluate_policy(constant_policy(0.0), series, EnvConfig(window=2), "idle", 0)
-        assert report.sharpe == 0.0
-        assert report.return_pct == 0.0
+        score, _, _ = evaluate_policy(constant_policy(0.0), series, EnvConfig(window=2), "idle", 0)
+        assert score.sharpe == 0.0
+        assert score.return_pct == 0.0
 
 
 class TestEvaluateStrategies:
@@ -340,11 +352,10 @@ class TestEvaluateStrategies:
                             lambda net, x, **kw: forward_rows.append(len(x)) or forward(net, x, **kw))
         reports = evaluate_strategies(cfg, {"td3": agent}, segment, 0)
         # the scores and the emitted curves are those of the unshared passes
-        assert_same_reports(reports, {s: Score(s, 0, r.return_pct, r.sharpe)
-                                      for s, r in unshared.items()})
-        iso = {d: d.isoformat() for d in segment.dates()}
-        for report in unshared.values():
-            emit_run(report, tmp_path / "unshared", iso)
+        assert_same_reports(reports, {s: run[0] for s, run in unshared.items()})
+        dates = [d.isoformat() for d in segment.dates()[cfg.env.window :]]
+        for score, equity, actions in unshared.values():
+            emit_run(score, dates, equity, actions, tmp_path / "unshared")
         names = curve_names(unshared, [0])
         assert output_files(cfg.output_dir) == names
         assert_same_outputs(cfg.output_dir, tmp_path / "unshared", names)
@@ -398,10 +409,10 @@ class TestValidation:
                             lambda net, x, **kw: calls.append(len(x)) or forward(net, x, **kw))
         # the agent module's own binding is not on this path: neuralnet.forward_rows stacks the rows
         monkeypatch.setattr(module, "forward", lambda net, x, **kw: own.append(len(x)) or forward(net, x, **kw))
-        report = evaluate_policy(agent.policies, valid_seg, cfg.env, "validation", -1)
+        _, _, actions = evaluate_policy(agent.policies, valid_seg, cfg.env, "validation", -1)
         rows = len(valid_seg) - cfg.env.window - 1
         assert own == []
-        assert len(report.actions) == rows == 35
+        assert len(actions) == rows == 35
         assert len(calls) == math.ceil(rows / agent.config.batch_size) == 5
         assert sum(calls) == rows
 
@@ -432,11 +443,11 @@ class TestValidation:
         plans = {0: [0.0] * 7, 1: [-1.0] * 7, 2: [0.0] + [0.5] * 6, 3: [0.0] * 7}
         scores = {}
         for episode, plan in plans.items():
-            report = evaluate_policy(lambda rows, plan=plan: plan, valid_seg, cfg.env, "validation",
-                                     -1, degenerate_sharpe=-math.inf)
-            scores[episode] = report.sharpe
+            score, _, actions = evaluate_policy(lambda rows, plan=plan: plan, valid_seg, cfg.env,
+                                                "validation", -1, degenerate_sharpe=-math.inf)
+            scores[episode] = score.sharpe
             if episode == 1:
-                assert len(report.actions) == 1  # wiped on its first step
+                assert len(actions) == 1  # wiped on its first step
         assert scores[0] == scores[1] == scores[3] == -math.inf < scores[2] < 0.0
 
         snapshots, make = {}, harness.make_agent
@@ -524,7 +535,7 @@ class TestRunExperiment:
 
     def test_outputs_exist_and_roundtrip(self, tmp_path):
         cfg = config_from_dict(base_config(tmp_path))
-        table, reports, ttests = run_experiment(cfg)
+        _, reports, _ = run_experiment(cfg)
         for strategy in cfg.strategies:
             assert len(reports[strategy]) == len(cfg.seeds)
         out = cfg.output_dir
@@ -536,12 +547,13 @@ class TestRunExperiment:
                 assert os.path.exists(os.path.join(out, f"equity_{strategy}_{seed}.csv"))
                 assert os.path.exists(os.path.join(out, f"actions_{strategy}_{seed}.csv"))
 
-        # re-reading an equity file reproduces the tabled return exactly
-        with open(os.path.join(out, "equity_buy_hold_0.csv")) as fh:
-            rows = fh.read().strip().splitlines()[1:]
-        cash = [float(r.split(",")[1]) for r in rows]
-        assert return_pct(cash[0], cash[-1]) == pytest.approx(
-            [r for r in table if r.strategy == "buy_hold"][0].return_pct, abs=1e-9)
+        # re-reading the equity files reproduces every fresh score bit for bit
+        reread = harness.read_scores(cfg, cfg.strategies)
+        for strategy in cfg.strategies:
+            for fresh, again in zip(reports[strategy], reread[strategy], strict=True):
+                assert (again.strategy, again.seed) == (fresh.strategy, fresh.seed)
+                assert again.return_pct == fresh.return_pct
+                assert again.sharpe == fresh.sharpe
 
     def test_actions_stay_in_bounds(self, tmp_path):
         cfg = config_from_dict(base_config(tmp_path))
@@ -655,13 +667,10 @@ class TestRunExperiment:
 
 class TestCsvFormat:
     def test_headers_newlines_and_precision(self, tmp_path):
-        report = RunReport(strategy="unit", seed=3,
-                           dates=(dt.date(2020, 1, 1), dt.date(2020, 1, 2)),
-                           equity=np.array([1.0, 1.1]),
-                           actions=np.array([0.123456789012345678]),
-                           return_pct=10.0, sharpe=1.2300000000000002)
-        emit_outputs(build_table({"unit": [report]}, ["unit"]), [], tmp_path / "fmt", {})
-        emit_run(report, tmp_path / "fmt", {d: d.isoformat() for d in report.dates})
+        score = Score(strategy="unit", seed=3, return_pct=10.0, sharpe=1.2300000000000002)
+        emit_outputs(build_table({"unit": [score]}, ["unit"]), [], tmp_path / "fmt", {})
+        emit_run(score, ["2020-01-01", "2020-01-02"], np.array([1.0, 1.1]),
+                 np.array([0.123456789012345678]), tmp_path / "fmt")
         with open(tmp_path / "fmt" / "comparison.csv", "rb") as fh:
             blob = fh.read()
         assert b"\r" not in blob
@@ -678,9 +687,9 @@ class TestCsvFormat:
                   0.1, 1 / 3, -1e300, 123456789.0]
         values += np.random.default_rng(4).standard_normal(200).tolist()
         dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(len(values) + 1))
-        report = RunReport(strategy="unit", seed=0, dates=dates, equity=values + [1.0],
-                           actions=values, return_pct=0.0, sharpe=0.0)
-        emit_run(report, tmp_path, {d: d.isoformat() for d in dates})
+        emit_run(Score(strategy="unit", seed=0, return_pct=0.0, sharpe=0.0),
+                 [d.isoformat() for d in dates], np.array(values + [1.0]), np.array(values),
+                 tmp_path)
         lines = [f"{d.isoformat()},{format(x, '.17g')}" for d, x in zip(dates, values)]
         assert (tmp_path / "actions_unit_0.csv").read_text() == "\n".join(["date,action"] + lines) + "\n"
 
@@ -717,6 +726,33 @@ class TestCli:
         assert os.path.exists(os.path.join(raw["output_dir"], "training_log_td3_0.csv"))
         assert main(["evaluate", "--config", str(cfg_path)]) == 0
         assert os.path.exists(os.path.join(raw["output_dir"], "equity_td3_0.csv"))
+
+    def test_train_over_workers_matches_sequential(self, tmp_path, capsys, monkeypatch):
+        """``train`` runs its seeds in ``workers`` processes, with the training logs,
+        checkpoint arrays and stdout of a sequential run."""
+        raw = base_config(tmp_path, strategies=["td3", "tdqn", "buy_hold"], seeds=[0, 1],
+                          episodes=2)
+        seq_path = self.write_config(tmp_path, raw)
+        par_path = tmp_path / "par.json"
+        par_path.write_text(json.dumps({**raw, "workers": 2}))
+        trained, train_seed = [], cli.train_seed  # seeds trained in this process
+        monkeypatch.setattr(cli, "train_seed", lambda cfg, seed, *segments:
+                            trained.append(seed) or train_seed(cfg, seed, *segments))
+        out, seq_dir = Path(raw["output_dir"]), tmp_path / "seq"
+        capsys.readouterr()
+        assert main(["train", "--config", str(seq_path)]) == 0
+        seq_out = capsys.readouterr()
+        assert trained == [0, 1]
+        out.rename(seq_dir)
+        assert main(["train", "--config", str(par_path)]) == 0
+        par_out = capsys.readouterr()
+        assert trained == [0, 1]  # the workers trained both seeds
+        assert par_out.out == seq_out.out and par_out.err == seq_out.err == ""
+        assert len(seq_out.out.splitlines()) == 4
+        names = output_files(seq_dir)
+        assert names == output_files(out)
+        assert len(names) == 8  # 4 checkpoints, 4 training logs
+        assert_same_outputs(seq_dir, out, names)
 
     def test_compare_equals_train_then_evaluate(self, tmp_path):
         raw = base_config(tmp_path, seeds=[0, 1], episodes=2,
