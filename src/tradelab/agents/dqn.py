@@ -15,7 +15,6 @@ import numpy as np
 from ..neuralnet import (AdamState, Tape, adam_step, backward, clone, create_mlp, forward,
                          forward_rows, load_nets, make_dropout_masks, restore_nets, save_nets,
                          snapshot_nets)
-from .replay import ReplayBuffer
 from .schedules import DecaySchedule, schedule_value
 from .targets import bootstrap_target
 
@@ -62,7 +61,6 @@ class DqnAgent:
         self.nets = {"net": net, "target": clone(net)}
         self.opt = AdamState.create(net.theta, lr=cfg.learning_rate)
         self._actions = np.asarray(cfg.actions, dtype=np.float64)
-        self.buffer = ReplayBuffer(cfg.buffer_capacity)
         self.updates = 0
         self.episodes_trained = 0
 
@@ -92,13 +90,13 @@ class DqnAgent:
 
     # -- learning -------------------------------------------------------
 
-    def update(self, episode: int, rng: np.random.Generator) -> dict:
-        """One MSE step on the taken-action Q-values; periodic hard target sync.
-        A non-finite loss raises before the Adam step."""
+    def update(self, buffer, episode: int, rng: np.random.Generator) -> dict:
+        """One MSE step on the taken-action Q-values of a batch of ``buffer``; periodic
+        hard target sync. A non-finite loss raises before the Adam step."""
         cfg = self.config
-        if len(self.buffer) < cfg.batch_size:
-            raise ValueError(f"buffer holds {len(self.buffer)} < batch size {cfg.batch_size}")
-        s, actions, r, s2, term = self.buffer.sample(cfg.batch_size, rng)
+        if len(buffer) < cfg.batch_size:
+            raise ValueError(f"buffer holds {len(buffer)} < batch size {cfg.batch_size}")
+        s, actions, r, s2, term = buffer.sample(cfg.batch_size, rng)
         n = len(s)
         hits = actions[:, None] == self._actions
         found = hits.any(axis=1)

@@ -16,7 +16,6 @@ import numpy as np
 from ..neuralnet import (AdamState, Mlp, Tape, adam_step, backward, clip_gradients, clone,
                          create_mlp, forward, forward_rows, load_nets, restore_nets, save_nets,
                          snapshot_nets, soft_update)
-from .replay import ReplayBuffer
 from .schedules import DecaySchedule, schedule_value
 from .targets import bootstrap_target
 
@@ -120,7 +119,6 @@ class Td3Agent:
         self.actor_opt = AdamState.create(actor.theta, lr=cfg.actor_lr)
         self.critic1_opt = AdamState.create(critics[0].theta, lr=cfg.critic_lr)
         self.critic2_opt = AdamState.create(critics[1].theta, lr=cfg.critic_lr)
-        self.buffer = ReplayBuffer(cfg.buffer_capacity)
         self.updates = 0
         self.episodes_trained = 0
 
@@ -149,13 +147,13 @@ class Td3Agent:
 
     # -- learning -------------------------------------------------------
 
-    def update(self, episode: int, rng: np.random.Generator) -> dict:
-        """One gradient step on both critics, delayed actor/target step; a non-finite
-        critic loss or actor objective raises before the Adam step that would use it."""
+    def update(self, buffer, episode: int, rng: np.random.Generator) -> dict:
+        """One gradient step on both critics from a ``buffer`` batch, delayed actor/target step;
+        a non-finite critic loss or actor objective raises before the Adam step that would use it."""
         cfg = self.config
-        if len(self.buffer) < cfg.batch_size:
-            raise ValueError(f"buffer holds {len(self.buffer)} < batch size {cfg.batch_size}")
-        s, a, r, s2, term = self.buffer.sample(cfg.batch_size, rng)
+        if len(buffer) < cfg.batch_size:
+            raise ValueError(f"buffer holds {len(buffer)} < batch size {cfg.batch_size}")
+        s, a, r, s2, term = buffer.sample(cfg.batch_size, rng)
         n = len(s)
         nets = self.nets
         critics = (nets["critic1"], nets["critic2"])

@@ -1,9 +1,10 @@
 """Shared episodic training loop for the network agents.
 
-Warmup episodes act uniformly at random and only fill the replay buffer.
-Every later episode is one full chronological pass over the training segment
-with one gradient update per environment step (once the buffer can serve a
-batch). The decay schedules run on the post-warmup episode index.
+Each call fills its own replay buffer, built on the segment's observation
+table and dropped on return. Warmup episodes act uniformly at random and only
+fill the buffer. Every later episode is one full chronological pass over the
+training segment with one gradient update per environment step (once the
+buffer can serve a batch). The decay schedules run on the post-warmup episode index.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 
 from ..data import PriceSeries
 from ..env import EnvConfig, TradingEnv
+from .replay import ReplayBuffer
 
 
 def train(agent, segment: PriceSeries, env_config: EnvConfig, episodes: int, seed: int,
@@ -25,7 +27,7 @@ def train(agent, segment: PriceSeries, env_config: EnvConfig, episodes: int, see
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     env = TradingEnv(segment, env_config)
     table = env.observation_table()
-    agent.buffer.bind(table)
+    buffer = ReplayBuffer(agent.config.buffer_capacity, table)
     rng = np.random.default_rng([seed, 0x7E4])
     warmup = agent.config.warmup_episodes
     log: list[dict] = []
@@ -43,9 +45,9 @@ def train(agent, segment: PriceSeries, env_config: EnvConfig, episodes: int, see
             row = env.t - env.first_t
             action = actions[row] if warming else agent.explore_action(table[row], learn_episode, rng)
             reward, terminal = env.step(action)
-            agent.buffer.push(row, action, reward, terminal)
-            if not warming and len(agent.buffer) >= agent.config.batch_size:
-                diag = agent.update(learn_episode, rng)
+            buffer.push(row, action, reward, terminal)
+            if not warming and len(buffer) >= agent.config.batch_size:
+                diag = agent.update(buffer, learn_episode, rng)
                 losses.append(diag["loss"])
             total_reward += reward
         taken = env.t - env.first_t

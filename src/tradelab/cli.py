@@ -77,8 +77,8 @@ def _apply_overrides(raw, args):
 
 
 def _train_kinds(cfg: ExperimentConfig, segments, seed: int) -> list[str]:
-    """Train and save one seed's agents; returns their kinds. The agents stay in
-    the worker: an unpickled network's layer views no longer share its ``theta``."""
+    """Train and save one seed's agents; returns their kinds, which are all the
+    parent prints, so the agents stay in the worker."""
     return list(train_seed(cfg, seed, *segments))
 
 

@@ -33,7 +33,7 @@ from functools import partial
 
 import numpy as np
 
-from .agents import DqnAgent, DqnConfig, ReplayBuffer, Td3Agent, Td3Config, train
+from .agents import DqnAgent, DqnConfig, Td3Agent, Td3Config, train
 from .baselines import HOLDS, KINDS, RANDOM, TECHNICAL, act, d3_discretize, sign_discretize
 from .data import DEFAULT_COLUMNS, SplitSpec, chronological_split, load_csv
 from .env import EnvConfig, TradingEnv
@@ -310,8 +310,7 @@ def train_agent_for_seed(cfg: ExperimentConfig, kind: str, seed: int, train_segm
     """Train one agent, keeping the episode with the best validation Sharpe.
 
     Validation runs the agent's batched ``policies``; a pass whose Sharpe is
-    undefined scores -inf, so it never displaces a scored episode. The
-    trained agent's replay buffer is emptied: it is training-only state.
+    undefined scores -inf, so it never displaces a scored episode.
     """
     agent = make_agent(cfg, kind, seed)
     best = {"score": -math.inf, "snapshot": None}
@@ -326,7 +325,6 @@ def train_agent_for_seed(cfg: ExperimentConfig, kind: str, seed: int, train_segm
     log = train(agent, train_segment, cfg.env, cfg.episodes, seed, on_episode_end=on_episode_end)
     if best["snapshot"] is not None:
         agent.restore(best["snapshot"])
-    agent.buffer = ReplayBuffer(agent.buffer.capacity)
     return agent, log
 
 

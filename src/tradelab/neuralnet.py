@@ -94,6 +94,10 @@ class Mlp:
         self.weights, self.biases = views[0::2], views[1::2]
         self.activations = (self.hidden_activation,) * (len(self.weights) - 1) + (self.output_activation,)
 
+    def __reduce__(self):
+        # rebuilt through the constructor, so an unpickled network's views share its theta
+        return (Mlp, (self.layer_dims, self.theta, self.hidden_activation, self.output_activation))
+
 
 def create_mlp(
     layer_dims,

@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from tradelab.agents import ReplayBuffer
 from tradelab.data import PriceSeries
 from tradelab.env import EnvConfig, TradingEnv
 from tradelab.neuralnet import Tape, backward, forward
@@ -68,17 +69,20 @@ def held_rows(buffer):
     return np.roll(held, -buffer._pushed)  # the oldest row sits at pushed % capacity
 
 
-def push_pairs(buffer, steps):
-    """Store arbitrary ``(state, action, reward, next_state, terminal)`` steps.
+def push_pairs(steps, capacity):
+    """A replay buffer of ``capacity`` rows that stores arbitrary
+    ``(state, action, reward, next_state, terminal)`` steps.
 
     Replay rows index one observation table and a row's next state is the
     next row, so the table interleaves the pairs, [s0, s0', s1, s1', ...],
     and step i is row 2i.
     """
     steps = list(steps)
-    buffer.bind(np.array([x for s, _, _, s2, _ in steps for x in (s, s2)], dtype=np.float64))
+    buffer = ReplayBuffer(capacity, np.array([x for s, _, _, s2, _ in steps for x in (s, s2)],
+                                             dtype=np.float64))
     for i, (_, action, reward, _, terminal) in enumerate(steps):
         buffer.push(2 * i, action, reward, terminal)
+    return buffer
 
 
 def assert_same_reports(a, b):

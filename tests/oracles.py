@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tradelab.agents import schedule_value
+from tradelab.agents import ReplayBuffer, schedule_value
 from tradelab.env import TradingEnv
 from tradelab.neuralnet import clone, make_dropout_masks
 
@@ -428,9 +428,9 @@ class ListTd3Update:
         self.updates = 0
         self.actor_grad_norms = []  # before clipping, one per delayed step
 
-    def __call__(self, episode, rng):
+    def __call__(self, buffer, episode, rng):
         ag, cfg = self.agent, self.agent.config
-        s, a, r, s2, term = _gather_batch(ag.buffer, cfg.batch_size, rng)
+        s, a, r, s2, term = _gather_batch(buffer, cfg.batch_size, rng)
         n = len(s)
 
         sigma_t = schedule_value(cfg.policy_noise, episode)
@@ -476,9 +476,9 @@ class ListDqnUpdate:
         self.opt = ReferenceAdamState(reference_params(agent.nets["net"]), lr=agent.config.learning_rate)
         self.updates = 0
 
-    def __call__(self, episode, rng):
+    def __call__(self, buffer, episode, rng):
         ag, cfg = self.agent, self.agent.config
-        s, a, r, s2, term = _gather_batch(ag.buffer, cfg.batch_size, rng)
+        s, a, r, s2, term = _gather_batch(buffer, cfg.batch_size, rng)
         n = len(s)
         idx = np.array([next(i for i, x in enumerate(cfg.actions) if x == act) for act in a[:, 0]])
 
@@ -511,10 +511,10 @@ def scalar_random_action(agent, rng):
 
 def per_step_train(agent, segment, env_config, episodes, seed):
     """``agents.training.train`` with one scalar random-action draw per warmup
-    step; returns the same per-episode log records."""
+    step; returns the same per-episode log records and the replay buffer it filled."""
     env = TradingEnv(segment, env_config)
     table = env.observation_table()
-    agent.buffer.bind(table)
+    buffer = ReplayBuffer(agent.config.buffer_capacity, table)
     rng = np.random.default_rng([seed, 0x7E4])
     warmup = agent.config.warmup_episodes
     log = []
@@ -531,9 +531,9 @@ def per_step_train(agent, segment, env_config, episodes, seed):
             else:
                 action = agent.explore_action(table[row], learn_episode, rng)
             reward, terminal = env.step(action)
-            agent.buffer.push(row, action, reward, terminal)
-            if not warming and len(agent.buffer) >= agent.config.batch_size:
-                losses.append(agent.update(learn_episode, rng)["loss"])
+            buffer.push(row, action, reward, terminal)
+            if not warming and len(buffer) >= agent.config.batch_size:
+                losses.append(agent.update(buffer, learn_episode, rng)["loss"])
             total_reward += reward
         agent.episodes_trained += 1
         log.append({
@@ -543,4 +543,4 @@ def per_step_train(agent, segment, env_config, episodes, seed):
             "final_cash": env.cash,
             "mean_loss": float(np.mean(losses)) if losses else float("nan"),
         })
-    return log
+    return log, buffer

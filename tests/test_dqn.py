@@ -100,56 +100,56 @@ class TestExploration:
 
 class TestUpdate:
     def fill(self, agent, gen, n=32):
-        push_pairs(agent.buffer, [
+        return push_pairs([
             (gen.normal(size=agent.window), float(gen.choice(agent.config.actions)),
              float(gen.normal(scale=0.01)), gen.normal(size=agent.window), False)
             for _ in range(n)
-        ])
+        ], agent.config.buffer_capacity)
 
     def test_target_lag(self, rng):
         agent = DqnAgent(3, small_config(target_sync=5), seed=1)
-        self.fill(agent, rng)
+        buffer = self.fill(agent, rng)
         gen = np.random.default_rng(0)
         frozen = agent.nets["target"].theta.copy()
         for k in range(4):
-            agent.update(0, gen)
+            agent.update(buffer, 0, gen)
             assert np.array_equal(frozen, agent.nets["target"].theta)
-        agent.update(0, gen)  # fifth update syncs
+        agent.update(buffer, 0, gen)  # fifth update syncs
         assert not np.array_equal(frozen, agent.nets["target"].theta)
         assert np.array_equal(agent.nets["net"].theta, agent.nets["target"].theta)
 
     def test_underfilled_buffer_rejected(self, rng):
         agent = DqnAgent(3, small_config(batch_size=64), seed=1)
-        self.fill(agent, rng, n=3)
+        buffer = self.fill(agent, rng, n=3)
         with pytest.raises(ValueError, match="batch size"):
-            agent.update(0, np.random.default_rng(0))
+            agent.update(buffer, 0, np.random.default_rng(0))
 
     def test_non_finite_reward_fails_by_name_before_the_weights_move(self, rng):
         agent = DqnAgent(3, small_config(target_sync=1), seed=1)
-        self.fill(agent, rng)
-        agent.update(0, np.random.default_rng(0))  # moments off zero
+        buffer = self.fill(agent, rng)
+        agent.update(buffer, 0, np.random.default_rng(0))  # moments off zero
         before = agent.snapshot()
         m, v, step = agent.opt.m.copy(), agent.opt.v.copy(), agent.opt.step
-        agent.buffer = ReplayBuffer(agent.config.buffer_capacity)
-        push_pairs(agent.buffer, [(rng.normal(size=3), 1.0, float("nan"), rng.normal(size=3), False)]
-                   * agent.config.batch_size)
+        nan_buffer = push_pairs([(rng.normal(size=3), 1.0, float("nan"), rng.normal(size=3), False)]
+                                * agent.config.batch_size, agent.config.buffer_capacity)
         with pytest.raises(ValueError, match=r"^tdqn update 2: non-finite loss nan$"):
-            agent.update(0, np.random.default_rng(0))
+            agent.update(nan_buffer, 0, np.random.default_rng(0))
         assert all(np.array_equal(before[k], x) for k, x in agent.snapshot().items())
         assert np.array_equal(agent.opt.m, m) and np.array_equal(agent.opt.v, v)
         assert agent.opt.step == step and agent.updates == 1
 
     def test_foreign_action_rejected(self, rng):
         agent = DqnAgent(2, small_config(batch_size=1), seed=1)
-        push_pairs(agent.buffer, [(np.zeros(2), 0.37, 0.0, np.zeros(2), False)])
+        buffer = push_pairs([(np.zeros(2), 0.37, 0.0, np.zeros(2), False)], agent.config.buffer_capacity)
         with pytest.raises(ValueError, match="not in the discrete action set"):
-            agent.update(0, np.random.default_rng(0))
+            agent.update(buffer, 0, np.random.default_rng(0))
 
     def test_repeated_action_trains_its_first_index(self, rng):
         agent = DqnAgent(2, small_config(batch_size=4, hidden=(), actions=(-1.0, 1.0, -1.0)), seed=1)
-        push_pairs(agent.buffer, [(rng.normal(size=2), -1.0, 1.0, rng.normal(size=2), False)] * 4)
+        buffer = push_pairs([(rng.normal(size=2), -1.0, 1.0, rng.normal(size=2), False)] * 4,
+                            agent.config.buffer_capacity)
         before = agent.nets["net"].weights[0].copy()
-        agent.update(0, np.random.default_rng(0))
+        agent.update(buffer, 0, np.random.default_rng(0))
         moved = (agent.nets["net"].weights[0] != before).any(axis=0)
         assert moved.tolist() == [True, False, False]
 
@@ -168,24 +168,25 @@ class TestUpdate:
         agent.nets["target"].theta[...] = agent.nets["net"].theta
 
         # one (state, next state) row pair per (s, a): step (s, a) is row 2 * (2s + a)
-        agent.buffer.bind(np.array([v for s in range(3) for a in range(2)
-                                    for v in (onehot(s), onehot(next_state[s, a]))]))
+        table = np.array([v for s in range(3) for a in range(2)
+                          for v in (onehot(s), onehot(next_state[s, a]))])
+        buffer = ReplayBuffer(cfg.buffer_capacity, table)
         gen = np.random.default_rng(0)
         s = 0
         for _ in range(6000):
             a_idx = int(gen.integers(2))
             s2 = int(next_state[s, a_idx])
-            agent.buffer.push(2 * (2 * s + a_idx), cfg.actions[a_idx], float(reward[s, a_idx]), False)
-            if len(agent.buffer) >= cfg.batch_size:
-                agent.update(0, gen)
+            buffer.push(2 * (2 * s + a_idx), cfg.actions[a_idx], float(reward[s, a_idx]), False)
+            if len(buffer) >= cfg.batch_size:
+                agent.update(buffer, 0, gen)
             s = s2
         learned = np.stack([forward(agent.nets["net"], onehot(i)) for i in range(3)])
         assert np.abs(learned - q_star).max() < 1e-3
 
     def test_dropout_update_runs(self, rng):
         agent = DqnAgent(3, small_config(dropout=0.25), seed=2)
-        self.fill(agent, rng)
-        diag = agent.update(0, np.random.default_rng(0))
+        buffer = self.fill(agent, rng)
+        diag = agent.update(buffer, 0, np.random.default_rng(0))
         assert np.isfinite(diag["loss"])
 
 
@@ -219,9 +220,9 @@ class TestTraining:
 
     def test_checkpoint_roundtrip(self, tmp_path, rng):
         agent = DqnAgent(3, small_config(), seed=3)
-        push_pairs(agent.buffer, [(rng.normal(size=3), -1.0, 0.0, rng.normal(size=3), False)
-                                  for _ in range(16)])
-        agent.update(0, np.random.default_rng(0))
+        buffer = push_pairs([(rng.normal(size=3), -1.0, 0.0, rng.normal(size=3), False)
+                             for _ in range(16)], agent.config.buffer_capacity)
+        agent.update(buffer, 0, np.random.default_rng(0))
         path = tmp_path / "dqn.npz"
         agent.save(path)
         twin = DqnAgent(3, small_config(), seed=77)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from tradelab.neuralnet import (
 )
 from tradelab import neuralnet
 
-from helpers import push_pairs, taped_gradients
+from helpers import observation_rows, push_pairs, taped_gradients
 from oracles import finite_difference_grads, reference_backward, rel_close
 
 
@@ -419,18 +421,17 @@ class TestFlatParameters:
         dqn = DqnAgent(4, DqnConfig(batch_size=8, hidden=(5,), target_sync=2), seed=1)
         steps = [(rng.normal(size=4), float(rng.choice((-1.0, 1.0))), 0.01, rng.normal(size=4), False)
                  for _ in range(20)]
-        push_pairs(td3.buffer, steps)
-        push_pairs(dqn.buffer, steps)
+        buffer = push_pairs(steps, 20)
         gen = np.random.default_rng(0)
         for agent in (td3, dqn):
             snap = agent.snapshot()
-            agent.update(0, gen)
-            agent.update(0, gen)
+            agent.update(buffer, 0, gen)
+            agent.update(buffer, 0, gen)
             agent.restore(snap)
             for net in agent.nets.values():
                 assert_views_share_theta(net)
-            agent.update(0, gen)
-            agent.update(0, gen)
+            agent.update(buffer, 0, gen)
+            agent.update(buffer, 0, gen)
             agent.save(tmp_path / "agent.npz")
             agent.load(tmp_path / "agent.npz")
             for net in agent.nets.values():
@@ -472,6 +473,28 @@ class TestFlatParameters:
                                   "but the agent builds 'relu'")
         assert all(np.array_equal(before[k], theta) for k, theta in agent.snapshot().items())
         assert agent.episodes_trained == 0
+
+
+    def test_an_unpickled_network_keeps_its_views_on_theta(self, rng):
+        net = pickle.loads(pickle.dumps(create_mlp((3, 4, 2), rng, output_activation="tanh")))
+        assert_views_share_theta(net)
+        x = rng.normal(size=(5, 3))
+        before = forward(net, x).copy()
+        net.theta *= 0.5  # the layer views see every write to theta
+        assert not np.array_equal(forward(net, x), before)
+        assert np.array_equal(forward(net, x), forward(clone(net), x))
+
+    def test_an_unpickled_agent_acts_and_loads_as_the_original(self, tmp_path):
+        cfg = Td3Config(actor_hidden=(5,), critic_hidden=(5,))
+        source, original, rows = Td3Agent(4, cfg, seed=1), Td3Agent(4, cfg, seed=2), observation_rows(4, 12)
+        agent = pickle.loads(pickle.dumps(original))
+        for net in agent.nets.values():
+            assert_views_share_theta(net)
+        assert agent.policies(rows) == original.policies(rows)
+        assert agent.policies(rows) != source.policies(rows)
+        source.save(tmp_path / "agent.npz")
+        agent.load(tmp_path / "agent.npz")
+        assert agent.policies(rows) == source.policies(rows)
 
 
 class TestForwardRows:

@@ -22,8 +22,7 @@ from oracles import per_step_train
 
 def filled(capacity: int, n: int) -> ReplayBuffer:
     """Rows 0..n-1 of a table whose row i holds [i]; row i's reward is i."""
-    buf = ReplayBuffer(capacity=capacity)
-    buf.bind(np.arange(n + 1.0)[:, None])
+    buf = ReplayBuffer(capacity, np.arange(n + 1.0)[:, None])
     for i in range(n):
         buf.push(i, 0.0, float(i), False)
     return buf
@@ -91,47 +90,31 @@ class TestReplayBuffer:
         assert s.shape == s2.shape == (50, 1) and a.shape == term.shape == (50,)
         assert all(x.dtype == np.float64 for x in (s, a, r, s2, term))
 
-    def test_bind_rejects_a_table_past_int32_rows(self):
-        buf = ReplayBuffer(capacity=2)
+    def test_constructor_rejects_a_table_past_int32_rows(self):
         too_long = np.broadcast_to(np.zeros(3), (2**31 + 2, 3))  # no memory behind the rows
         message = r"^a 2147483650-row table is past int32 replay rows \(at most 2\*\*31\)$"
         with pytest.raises(ValueError, match=message):
-            buf.bind(too_long)
-        assert buf.observations is None
-        buf.bind(np.broadcast_to(np.zeros(3), (2**31, 3)))  # the largest table: its last row is 2**31 - 1
+            ReplayBuffer(2, too_long)
+        # the largest table: its last row is 2**31 - 1
+        buf = ReplayBuffer(2, np.broadcast_to(np.zeros(3), (2**31, 3)))
         buf.push(2**31 - 2, 0.0, 0.0, True)
         assert held_rows(buf)["row"].tolist() == [2**31 - 2]
 
     def test_empty_sample_raises(self):
         with pytest.raises(ValueError, match="empty"):
-            ReplayBuffer(capacity=2).sample(1, np.random.default_rng(0))
+            ReplayBuffer(2, np.zeros((3, 2))).sample(1, np.random.default_rng(0))
 
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(capacity=0)
+            ReplayBuffer(0, np.zeros((3, 2)))
 
     def test_push_needs_a_next_row_in_the_table(self):
-        buf = ReplayBuffer(capacity=4)
-        with pytest.raises(ValueError, match="bind"):
-            buf.push(0, 0.0, 0.0, False)
-        buf.bind(np.zeros((3, 2)))
+        buf = ReplayBuffer(4, np.zeros((3, 2)))
         buf.push(1, 0.0, 0.0, False)  # its next state is the last row
         for row in (2, 3, -1):
             with pytest.raises(ValueError, match="next row"):
                 buf.push(row, 0.0, 0.0, False)
         assert len(buf) == 1
-
-    def test_rebinding_needs_an_equal_table(self):
-        buf = ReplayBuffer(capacity=4)
-        table = np.arange(8.0).reshape(4, 2)
-        buf.bind(np.ones((4, 2)))
-        buf.bind(table)  # nothing held yet, so any table will do
-        buf.push(0, 0.0, 0.0, False)
-        buf.bind(table.copy())
-        for other in (table + 1.0, table[:3], np.arange(12.0).reshape(4, 3)):
-            with pytest.raises(ValueError, match="different observation table"):
-                buf.bind(other)
-        assert buf.observations is not None and np.array_equal(buf.observations, table)
 
 
 def spiked_series(n=40, spike_at=20, seed=4):
@@ -152,7 +135,7 @@ def small_dqn(**overrides):
 class TestTrainingRows:
     WINDOW = 3
 
-    def test_rows_gather_the_observations_the_env_returned(self, monkeypatch):
+    def test_rows_gather_the_observations_the_env_returned(self, monkeypatch, train_buffers):
         series, env_cfg = spiked_series(), EnvConfig(window=self.WINDOW)
         seen = []  # (t, next observation, terminal) of every step, in order
         original_step = TradingEnv.step
@@ -172,9 +155,10 @@ class TestTrainingRows:
         assert env.last_t in terminal_ts  # a final step
         assert any(t < env.last_t for t in terminal_ts)  # a wiped step, mid-episode
 
-        rows = held_rows(agent.buffer)
+        [buffer] = train_buffers
+        rows = held_rows(buffer)
         assert len(rows) == len(seen)
-        table = agent.buffer.observations
+        table = buffer.observations
         for stored, (t, next_obs, terminal) in zip(rows, seen):
             assert stored["row"] == t - self.WINDOW
             assert np.array_equal(table[stored["row"]], observations[t - self.WINDOW])
@@ -184,25 +168,29 @@ class TestTrainingRows:
 
         # the buffer never wrapped, so slot i holds step i
         slots = np.random.default_rng(9).integers(0, len(seen), size=400)
-        s, _, _, s2, term = agent.buffer.sample(400, np.random.default_rng(9))
+        s, _, _, s2, term = buffer.sample(400, np.random.default_rng(9))
         for i, slot in enumerate(slots):
             t, next_obs, terminal = seen[slot]
             assert np.array_equal(s[i], observations[t - self.WINDOW])
             assert np.array_equal(s2[i], next_obs)
             assert term[i] == terminal
 
-    def test_retraining_needs_the_same_segment(self):
+    def test_retraining_on_another_segment_starts_an_empty_buffer(self, train_buffers):
         env_cfg = EnvConfig(window=self.WINDOW)
-        series = random_walk(30, np.random.default_rng(1))
+        first, second = (random_walk(n, np.random.default_rng(n)) for n in (30, 24))
         agent = Td3Agent(self.WINDOW, small_td3(warmup_episodes=2), seed=0)
-        train(agent, series, env_cfg, episodes=1, seed=0)
-        held = len(agent.buffer)
-        train(agent, series, env_cfg, episodes=1, seed=1)
-        assert len(agent.buffer) == 2 * held
-        with pytest.raises(ValueError, match="different observation table"):
-            train(agent, random_walk(30, np.random.default_rng(2)), env_cfg, episodes=1, seed=0)
+        train(agent, first, env_cfg, episodes=1, seed=0)
+        train(agent, second, env_cfg, episodes=2, seed=1)
+        assert agent.episodes_trained == 3
+        assert [len(b) for b in train_buffers] == [30 - self.WINDOW - 1, 2 * (24 - self.WINDOW - 1)]
+        buffer = train_buffers[1]
+        table = TradingEnv(second, env_cfg).observation_table()
+        assert np.array_equal(buffer.observations, table)
+        # two full passes over the second segment, and no row of the first
+        rows = held_rows(buffer)["row"]
+        assert rows.tolist() == 2 * list(range(len(table) - 1))
 
-    def test_rows_cost_only_the_ring(self):
+    def test_rows_cost_only_the_ring(self, train_buffers):
         """Training rows are indices: 20,000 of them retain only the ring's 21 bytes a row."""
         rows = 20_000
         agent = Td3Agent(self.WINDOW, small_td3(warmup_episodes=10, buffer_capacity=rows), seed=0)
@@ -214,7 +202,7 @@ class TestTrainingRows:
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(agent.buffer) == rows
+        assert len(train_buffers[0]) == rows
         assert grown <= 21 * rows + 64 * 1024
 
 
@@ -234,33 +222,34 @@ class TestWarmupStream:
         cls, cfg = self.AGENTS[kind]
         return cls(self.WINDOW, cfg, seed=2)
 
-    def episode_lengths(self, agent, series):
+    def episode_lengths(self, buffer, series):
         """Steps of each episode in the buffer, and the steps of a full pass."""
-        rows = held_rows(agent.buffer)
+        rows = held_rows(buffer)
         ends = np.flatnonzero(rows["terminal"] == 1.0)
         env = TradingEnv(series, EnvConfig(window=self.WINDOW))
         return np.diff(ends, prepend=-1), env.last_t - env.first_t + 1
 
     @pytest.mark.parametrize("kind", AGENTS)
-    def test_matches_per_step_draws(self, kind):
+    def test_matches_per_step_draws(self, kind, train_buffers):
         series, env_cfg = spiked_series(), EnvConfig(window=self.WINDOW)
         agent, reference = self.make(kind), self.make(kind)
         episodes = self.WARMUP + 3
         log = train(agent, series, env_cfg, episodes, seed=5)
-        expected = per_step_train(reference, series, env_cfg, episodes, seed=5)
+        expected, reference_buffer = per_step_train(reference, series, env_cfg, episodes, seed=5)
 
-        lengths, steps = self.episode_lengths(agent, series)
+        [buffer] = train_buffers
+        lengths, steps = self.episode_lengths(buffer, series)
         assert len(lengths) == episodes
         assert 0 < np.sum(lengths[: self.WARMUP] < steps) < self.WARMUP  # wipes mid-warmup
         assert all(not math.isnan(r["mean_loss"]) for r in log[self.WARMUP:])  # then it learns
-        assert held_rows(agent.buffer).tobytes() == held_rows(reference.buffer).tobytes()
+        assert held_rows(buffer).tobytes() == held_rows(reference_buffer).tobytes()
         np.testing.assert_equal(log, expected)
         theta = reference.snapshot()
         for name, values in agent.snapshot().items():
             assert np.array_equal(values, theta[name]), name
 
     @pytest.mark.parametrize("kind", AGENTS)
-    def test_one_draw_per_warmup_episode(self, kind, monkeypatch):
+    def test_one_draw_per_warmup_episode(self, kind, monkeypatch, train_buffers):
         series = spiked_series()
         agent = self.make(kind)
         sizes = []
@@ -272,7 +261,7 @@ class TestWarmupStream:
 
         monkeypatch.setattr(agent, "random_actions", counted)
         train(agent, series, EnvConfig(window=self.WINDOW), self.WARMUP, seed=5)
-        lengths, steps = self.episode_lengths(agent, series)
+        lengths, steps = self.episode_lengths(train_buffers[0], series)
         assert 0 < np.sum(lengths < steps) < self.WARMUP
         # each episode draws a full pass; a wiped one then redraws the steps it took
         assert sizes == [n for k in lengths.tolist() for n in ([steps] if k == steps else [steps, k])]

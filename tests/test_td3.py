@@ -7,7 +7,6 @@ import tradelab.agents.td3 as td3_module
 from tradelab import neuralnet
 from tradelab.agents import (
     DecaySchedule,
-    ReplayBuffer,
     Td3Agent,
     Td3Config,
     actor_gradient,
@@ -140,54 +139,53 @@ class TestCriticTarget:
 
 
 def fill_buffer(agent, rng, n=32, window=3):
-    push_pairs(agent.buffer, [
+    return push_pairs([
         (rng.normal(size=window), float(rng.uniform(-1, 1)), float(rng.normal(scale=0.01)),
          rng.normal(size=window), False)
         for _ in range(n)
-    ])
+    ], agent.config.buffer_capacity)
 
 
 class TestUpdate:
     def test_delayed_actor_and_targets(self, rng):
         agent = Td3Agent(3, small_config(policy_delay=3), seed=1)
-        fill_buffer(agent, rng)
+        buffer = fill_buffer(agent, rng)
         before_actor = agent.nets["actor"].theta.copy()
         before_targets = agent.nets["critic1_target"].theta.copy()
         gen = np.random.default_rng(0)
-        d1 = agent.update(0, gen)
-        d2 = agent.update(0, gen)
+        d1 = agent.update(buffer, 0, gen)
+        d2 = agent.update(buffer, 0, gen)
         assert not d1["actor_updated"] and not d2["actor_updated"]
         assert np.array_equal(before_actor, agent.nets["actor"].theta)
         assert np.array_equal(before_targets, agent.nets["critic1_target"].theta)
-        d3 = agent.update(0, gen)
+        d3 = agent.update(buffer, 0, gen)
         assert d3["actor_updated"]
         assert not np.array_equal(before_actor, agent.nets["actor"].theta)
 
     def test_critics_move_every_update(self, rng):
         agent = Td3Agent(3, small_config(), seed=2)
-        fill_buffer(agent, rng)
+        buffer = fill_buffer(agent, rng)
         before = agent.nets["critic1"].theta.copy()
-        agent.update(0, np.random.default_rng(0))
+        agent.update(buffer, 0, np.random.default_rng(0))
         assert not np.array_equal(before, agent.nets["critic1"].theta)
 
     def test_underfilled_buffer_rejected(self, rng):
         agent = Td3Agent(3, small_config(batch_size=16), seed=0)
-        fill_buffer(agent, rng, n=4)
+        buffer = fill_buffer(agent, rng, n=4)
         with pytest.raises(ValueError, match="batch size"):
-            agent.update(0, np.random.default_rng(0))
+            agent.update(buffer, 0, np.random.default_rng(0))
 
     def test_non_finite_reward_fails_by_name_before_any_weight_moves(self, rng):
         agent = Td3Agent(3, small_config(policy_delay=1), seed=1)
-        fill_buffer(agent, rng)
-        agent.update(0, np.random.default_rng(0))  # moments off zero
+        buffer = fill_buffer(agent, rng)
+        agent.update(buffer, 0, np.random.default_rng(0))  # moments off zero
         before = agent.snapshot()
         opts = (agent.actor_opt, agent.critic1_opt, agent.critic2_opt)
         moments = [(opt.m.copy(), opt.v.copy(), opt.step) for opt in opts]
-        agent.buffer = ReplayBuffer(agent.config.buffer_capacity)
-        push_pairs(agent.buffer, [(rng.normal(size=3), 0.5, float("nan"), rng.normal(size=3), False)]
-                   * agent.config.batch_size)
+        nan_buffer = push_pairs([(rng.normal(size=3), 0.5, float("nan"), rng.normal(size=3), False)]
+                                * agent.config.batch_size, agent.config.buffer_capacity)
         with pytest.raises(ValueError, match=r"^td3 update 2: non-finite critic1 loss nan$"):
-            agent.update(0, np.random.default_rng(0))
+            agent.update(nan_buffer, 0, np.random.default_rng(0))
         assert all(np.array_equal(before[k], x) for k, x in agent.snapshot().items())
         for opt, (m, v, step) in zip(opts, moments):
             assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v) and opt.step == step
@@ -195,20 +193,20 @@ class TestUpdate:
 
     def test_non_finite_critic2_fails_before_critic1_moves(self, rng):
         agent = Td3Agent(3, small_config(), seed=1)
-        fill_buffer(agent, rng)
+        buffer = fill_buffer(agent, rng)
         agent.nets["critic2"].theta[0] = np.nan
         before = agent.nets["critic1"].theta.copy()
         with pytest.raises(ValueError, match=r"^td3 update 1: non-finite critic2 loss nan$"):
-            agent.update(0, np.random.default_rng(0))
+            agent.update(buffer, 0, np.random.default_rng(0))
         assert np.array_equal(agent.nets["critic1"].theta, before) and agent.critic1_opt.step == 0
 
     def test_non_finite_actor_fails_by_name_before_its_adam_step(self, rng):
         agent = Td3Agent(3, small_config(policy_delay=1), seed=1)
-        fill_buffer(agent, rng)
+        buffer = fill_buffer(agent, rng)
         agent.nets["actor"].theta[0] = np.nan
         actor, targets = agent.nets["actor"].theta.copy(), agent.snapshot()
         with pytest.raises(ValueError, match=r"^td3 update 1: non-finite actor objective nan$"):
-            agent.update(0, np.random.default_rng(0))
+            agent.update(buffer, 0, np.random.default_rng(0))
         assert agent.critic1_opt.step == agent.critic2_opt.step == 1  # the critics stepped
         assert agent.actor_opt.step == 0 and not agent.actor_opt.m.any()
         assert np.array_equal(agent.nets["actor"].theta, actor, equal_nan=True)
@@ -218,11 +216,11 @@ class TestUpdate:
     def test_overfits_single_terminal_transition(self, rng):
         agent = Td3Agent(2, small_config(batch_size=4, policy_delay=2), seed=3)
         fixed = (np.array([1.0, -1.0]), 0.5, 0.07, np.array([0.0, 0.0]), True)
-        push_pairs(agent.buffer, [fixed] * agent.config.batch_size)
+        buffer = push_pairs([fixed] * agent.config.batch_size, agent.config.buffer_capacity)
         gen = np.random.default_rng(1)
         loss = None
         for _ in range(3000):
-            loss = agent.update(0, gen)["critic1_loss"]
+            loss = agent.update(buffer, 0, gen)["critic1_loss"]
         assert loss < 1e-6
 
     def test_actor_gradient_matches_finite_differences(self, rng):
@@ -253,7 +251,7 @@ class TestTraining:
             params.append(agent.nets["actor"].theta.copy())
         assert np.array_equal(*params)
 
-    def test_warmup_only_leaves_params_untouched(self):
+    def test_warmup_only_leaves_params_untouched(self, train_buffers):
         series = alternating_series(40)
         cfg = small_config(warmup_episodes=3)
         agent = Td3Agent(3, cfg, seed=5)
@@ -261,7 +259,7 @@ class TestTraining:
         log = train(agent, series, EnvConfig(window=3), episodes=3, seed=5)
         assert all(rec["warmup"] for rec in log)
         assert np.array_equal(before, agent.nets["actor"].theta)
-        assert len(agent.buffer) > 0
+        assert len(train_buffers[0]) > 0
 
     def test_learns_alternating_pattern_single_seed(self):
         series = alternating_series(160)
@@ -285,8 +283,8 @@ class TestTraining:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path, rng):
         agent = Td3Agent(3, small_config(), seed=7)
-        fill_buffer(agent, rng)
-        agent.update(0, np.random.default_rng(0))
+        buffer = fill_buffer(agent, rng)
+        agent.update(buffer, 0, np.random.default_rng(0))
         agent.episodes_trained = 9
         path = tmp_path / "agent.npz"
         agent.save(path)

@@ -26,11 +26,9 @@ def transitions(window, n, seed, actions=None):
 
 
 def twin_agents(cls, window, cfg, actions=None):
-    agents = (cls(window, cfg, seed=4), cls(window, cfg, seed=4))
+    """Two equal agents and one buffer of 200 steps; sampling leaves a buffer as it was."""
     steps = transitions(window, 200, seed=8, actions=actions)
-    for agent in agents:
-        push_pairs(agent.buffer, steps)
-    return agents
+    return cls(window, cfg, seed=4), cls(window, cfg, seed=4), push_pairs(steps, cfg.buffer_capacity)
 
 
 def assert_same_params(flat_net, list_net):
@@ -41,13 +39,13 @@ def assert_same_params(flat_net, list_net):
 @pytest.mark.parametrize("clip_norm,clipped", [(1e-6, True), (1e6, False)])
 def test_td3_update_matches_list_oracle(window, hidden, clip_norm, clipped):
     cfg = Td3Config(batch_size=16, grad_clip_norm=clip_norm, actor_hidden=hidden, critic_hidden=hidden)
-    agent, twin = twin_agents(Td3Agent, window, cfg)
+    agent, twin, buffer = twin_agents(Td3Agent, window, cfg)
     oracle = ListTd3Update(twin)
     gen_flat, gen_list = np.random.default_rng(21), np.random.default_rng(21)
     delayed = 0
     for step in range(8):
-        delayed += agent.update(step, gen_flat)["actor_updated"]
-        oracle(step, gen_list)
+        delayed += agent.update(buffer, step, gen_flat)["actor_updated"]
+        oracle(buffer, step, gen_list)
         assert list(agent.nets) == ["actor", "critic1", "critic2",
                                     "actor_target", "critic1_target", "critic2_target"]
         for name, net in agent.nets.items():
@@ -61,12 +59,12 @@ def test_td3_update_matches_list_oracle(window, hidden, clip_norm, clipped):
 def test_dqn_update_matches_list_oracle(dropout):
     cfg = DqnConfig(batch_size=16, target_sync=3, hidden=(8, 6), dropout=dropout,
                     actions=(-1.0, 0.0, 1.0))
-    agent, twin = twin_agents(DqnAgent, 5, cfg, actions=cfg.actions)
+    agent, twin, buffer = twin_agents(DqnAgent, 5, cfg, actions=cfg.actions)
     oracle = ListDqnUpdate(twin)
     gen_flat, gen_list = np.random.default_rng(5), np.random.default_rng(5)
     for step in range(10):  # three target syncs
-        agent.update(step, gen_flat)
-        oracle(step, gen_list)
+        agent.update(buffer, step, gen_flat)
+        oracle(buffer, step, gen_list)
         assert_same_params(agent.nets["net"], twin.nets["net"])
         assert_same_params(agent.nets["target"], twin.nets["target"])
     assert not np.array_equal(agent.nets["target"].theta, agent.nets["net"].theta)
@@ -91,16 +89,18 @@ def kernel_calls(monkeypatch):
 
 
 def test_td3_kernel_calls_per_update(kernel_calls):
-    agent, _ = twin_agents(Td3Agent, 5, Td3Config(batch_size=16, actor_hidden=(8,), critic_hidden=(8,)))
+    agent, _, buffer = twin_agents(Td3Agent, 5, Td3Config(batch_size=16, actor_hidden=(8,),
+                                                          critic_hidden=(8,)))
     gen = np.random.default_rng(0)
-    assert not agent.update(0, gen)["actor_updated"]
+    assert not agent.update(buffer, 0, gen)["actor_updated"]
     assert kernel_calls == Counter(forward=5, backward=2, adam_step=2)
     kernel_calls.clear()
-    assert agent.update(0, gen)["actor_updated"]
+    assert agent.update(buffer, 0, gen)["actor_updated"]
     assert kernel_calls == Counter(forward=7, backward=4, adam_step=3, clip_gradients=1, soft_update=3)
 
 
 def test_dqn_kernel_calls_per_update(kernel_calls):
-    agent, _ = twin_agents(DqnAgent, 5, DqnConfig(batch_size=16, hidden=(8,)), actions=(-1.0, 1.0))
-    agent.update(0, np.random.default_rng(0))
+    agent, _, buffer = twin_agents(DqnAgent, 5, DqnConfig(batch_size=16, hidden=(8,)),
+                                   actions=(-1.0, 1.0))
+    agent.update(buffer, 0, np.random.default_rng(0))
     assert kernel_calls == Counter(forward=2, backward=1, adam_step=1)
