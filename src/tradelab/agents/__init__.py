@@ -3,7 +3,6 @@
 from .dqn import DqnAgent, DqnConfig
 from .replay import ReplayBuffer
 from .schedules import DecaySchedule, schedule_value
-from .tabular import q_learning, q_learning_update
 from .targets import bootstrap_target
 from .td3 import (
     Td3Agent,
@@ -23,8 +22,6 @@ __all__ = [
     "Td3Config",
     "actor_gradient",
     "bootstrap_target",
-    "q_learning",
-    "q_learning_update",
     "schedule_value",
     "td3_select_action",
     "td3_target_action",

@@ -14,12 +14,14 @@ Each verb parses its arguments, calls the harness stages and prints;
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 
 from .harness import (
     ExperimentConfig,
     agent_kinds,
+    checkpoint_dir,
     checkpoint_path,
     compare_report,
     config_from_dict,
@@ -33,18 +35,21 @@ from .harness import (
 )
 
 
+def _parse_names(text: str) -> tuple[str, ...]:
+    """The items of a comma-separated list flag, stripped; blank items are skipped."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
 def _parse_seeds(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(s) for s in text.split(",") if s.strip())
+        return tuple(map(int, _parse_names(text)))
     except ValueError as exc:  # int() names the bad item
         raise ValueError(f"--seeds: {exc}") from None
 
 
 def _parse_pairs(text: str) -> tuple[tuple[str, str], ...]:
     pairs = []
-    for chunk in text.split(","):
-        if not chunk.strip():
-            continue
+    for chunk in _parse_names(text):
         parts = chunk.split(":")
         if len(parts) != 2:
             raise ValueError(f"pair {chunk!r} must look like x:y")
@@ -52,28 +57,8 @@ def _parse_pairs(text: str) -> tuple[tuple[str, str], ...]:
     return tuple(pairs)
 
 
-def _apply_overrides(raw, args):
-    """The raw config with the command-line flags applied, so that one
-    ``config_from_dict`` validates the result."""
-    updates, ttest = {}, {}
-    if getattr(args, "seeds", None):
-        updates["seeds"] = _parse_seeds(args.seeds)
-    if getattr(args, "output_dir", None):
-        updates["output_dir"] = args.output_dir
-    if getattr(args, "strategies", None):
-        updates["strategies"] = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
-    if getattr(args, "workers", None) is not None:
-        updates["workers"] = args.workers
-    if getattr(args, "pairs", None):
-        ttest["pairs"] = _parse_pairs(args.pairs)
-    if getattr(args, "alpha", None) is not None:
-        ttest["alpha"] = args.alpha
-    if not isinstance(raw, dict):
-        return raw  # config_from_dict rejects it
-    if ttest:
-        base = raw.get("ttest", {})
-        updates["ttest"] = {**base, **ttest} if isinstance(base, dict) else base
-    return {**raw, **updates}
+# the parser of each flag whose text is a list, by the field it sets
+_LIST_PARSERS = {"seeds": _parse_seeds, "strategies": _parse_names, "ttest_pairs": _parse_pairs}
 
 
 def _train_kinds(cfg: ExperimentConfig, segments, seed: int) -> list[str]:
@@ -87,6 +72,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     if not agent_kinds(cfg.strategies):
         print("no trainable strategies requested; nothing to do", file=sys.stderr)
         return 2
+    os.makedirs(checkpoint_dir(cfg), exist_ok=True)
     trained = map_seeds(cfg, partial(_train_kinds, cfg, (train_seg, valid_seg)))
     for seed, kinds in zip(cfg.seeds, trained):
         for kind in kinds:
@@ -148,6 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
+        # each other flag's dest is the ExperimentConfig field it sets
         p.add_argument("--seeds", help="comma-separated seed list override")
         p.add_argument("--output-dir", help="output directory override")
         if name in ("train", "evaluate", "compare"):
@@ -155,23 +142,29 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "compare":
             p.add_argument("--workers", type=int, help="parallel seed workers")
         if name == "ttest":
-            p.add_argument("--pairs", help="comma-separated x:y strategy pairs")
+            p.add_argument("--pairs", dest="ttest_pairs", help="comma-separated x:y strategy pairs")
             p.add_argument("--alpha", type=float, help="significance level")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one verb and return its exit code. Each flag given sets the config field
+    of its dest, validated with the file; bad input, a missing dataset and an output
+    directory that cannot be made print ``error: ...`` and return 1."""
+    flags = vars(build_parser().parse_args(argv))
+    command, path = flags.pop("command"), flags.pop("config")
     try:
-        cfg = config_from_dict(_apply_overrides(read_config(args.config), args))
+        fields = {name: _LIST_PARSERS[name](value) if name in _LIST_PARSERS else value
+                  for name, value in flags.items() if value is not None}
+        cfg = config_from_dict(read_config(path), fields)
         handler = {
             "train": cmd_train,
             "evaluate": cmd_evaluate,
             "compare": cmd_compare,
             "ttest": cmd_ttest,
-        }[args.command]
+        }[command]
         return handler(cfg)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -160,6 +160,8 @@ def load_csv(path, columns: Mapping[str, str] | None = None) -> PriceSeries:
                 raise ValueError(f"{path}:{line}: negative volume on {date}")
             if low > min(open_, close, high):
                 raise ValueError(f"{path}:{line}: low exceeds open/close/high on {date}")
+            if high < max(open_, close):
+                raise ValueError(f"{path}:{line}: high below open/close on {date}")
             rows.append((date, close))
 
     if dropped:

@@ -17,8 +17,10 @@ Each seed's files are on disk as soon as the seed finishes, so a run that
 fails keeps the files of every seed that finished; the cross-seed files
 appear only after the last seed. The CLI verbs only call these stages.
 
-All artifacts are plain CSV/JSON written atomically; identical configs
-produce byte-identical numeric outputs.
+All artifacts are plain CSV/JSON written atomically, every CSV by
+:func:`_write_csv`, into the output directory that :func:`run_experiment`
+makes once, before the first seed; identical configs produce byte-identical
+numeric outputs.
 """
 
 from __future__ import annotations
@@ -91,6 +93,8 @@ class ExperimentConfig:
             repeated = next((x for i, x in enumerate(items) if x in items[:i]), None)
             if repeated is not None:
                 raise ValueError(f"{name} must be unique; {repeated!r} repeats")
+        if not self.output_dir:
+            raise ValueError("output_dir must name a directory, got ''")
         if self.episodes < 1:
             raise ValueError("episodes must be >= 1")
         if self.workers < 1:
@@ -145,11 +149,13 @@ _GROUPS = {"dataset": {"path": "dataset_path", "columns": "columns"},
            "ttest": {"pairs": "ttest_pairs", "alpha": "alpha"}}
 
 
-def config_from_dict(raw: dict) -> ExperimentConfig:
+def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Build an ExperimentConfig from a plain (JSON-shaped) dict.
 
     Every default comes from the config dataclasses. An unknown key or a
     value of the wrong JSON type is a ValueError naming the dotted key.
+    ``overrides`` (the CLI's flags) maps field names to values that replace
+    the file's for those fields alone, before the one validation.
     """
     defaults = ExperimentConfig(dataset_path="")  # the path itself is required below
     shape = {f.name: getattr(defaults, f.name) for f in fields(defaults)}
@@ -159,6 +165,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     changes = _read(shape, raw)
     for group, names in _GROUPS.items():
         changes.update((names[key], value) for key, value in changes.pop(group, {}).items())
+    changes.update(overrides or {})
     if "dataset_path" not in changes:
         raise ValueError("config must name a dataset path under dataset.path")
     return ExperimentConfig(**changes)
@@ -204,8 +211,12 @@ def make_agent(cfg: ExperimentConfig, kind: str, seed: int):
     raise ValueError(f"not a trainable strategy: {kind!r}")
 
 
+def checkpoint_dir(cfg: ExperimentConfig) -> str:
+    return os.path.join(cfg.output_dir, "checkpoints")
+
+
 def checkpoint_path(cfg: ExperimentConfig, kind: str, seed: int) -> str:
-    return os.path.join(cfg.output_dir, "checkpoints", f"{kind}_seed{seed}.npz")
+    return os.path.join(checkpoint_dir(cfg), f"{kind}_seed{seed}.npz")
 
 
 def load_agents(cfg: ExperimentConfig, seed: int) -> dict:
@@ -334,14 +345,10 @@ def train_seed(cfg: ExperimentConfig, seed: int, train_segment, valid_segment) -
     agents = {}
     for kind in agent_kinds(cfg.strategies):
         agents[kind], records = train_agent_for_seed(cfg, kind, seed, train_segment, valid_segment)
-        path = checkpoint_path(cfg, kind, seed)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        agents[kind].save(path)
-        lines = ["episode,warmup,total_reward,final_cash,mean_loss"]
-        lines += [f"{rec['episode']},{int(rec['warmup'])},{_fmt(rec['total_reward'])},"
-                  f"{_fmt(rec['final_cash'])},{_fmt(rec['mean_loss'])}" for rec in records]
-        _write_atomic(os.path.join(cfg.output_dir, f"training_log_{kind}_{seed}.csv"),
-                      "\n".join(lines) + "\n")
+        agents[kind].save(checkpoint_path(cfg, kind, seed))
+        keys = ("episode", "warmup", "total_reward", "final_cash", "mean_loss")  # one column each
+        _write_csv(os.path.join(cfg.output_dir, f"training_log_{kind}_{seed}.csv"), ",".join(keys),
+                   "%d,%d,%.17g,%.17g,%.17g", [[record[key] for record in records] for key in keys])
     return agents
 
 
@@ -449,48 +456,45 @@ def compare_report(reports: dict[str, list[Score]], pairs,
 # -- emission ----------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _write_atomic(path, text: str) -> None:
+def _write_csv(path, header: str, row_format: str, columns) -> None:
+    """Write a CSV file atomically: the ``header`` line, then each row through the
+    template ``row_format`` ("%.17g" reads a float back bit for bit), in one ``%`` step
+    for the whole file; ``columns`` holds one sequence per header name, of one length."""
+    width, rows = len(columns), len(columns[0])
+    cells = [None] * (width * rows)
+    for i, column in enumerate(columns):
+        cells[i::width] = column
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.write(f"{header}\n" + f"{row_format}\n" * rows % tuple(cells))
 
 
 def emit_run(score: Score, dates, equity, actions, outdir) -> None:
     """Write the equity and action CSVs of one pass from its float64 arrays;
     ``dates`` are the ISO texts of its bars from the first decision bar on."""
-    os.makedirs(outdir, exist_ok=True)
     for name, column, series in (("equity", "cash", equity), ("actions", "action", actions)):
-        cells = [None] * (2 * len(series))  # actions pair with dates[:-1]
-        cells[::2], cells[1::2] = dates[: len(series)], series.tolist()
-        # one template for the file: "%.17g" is _fmt's conversion, bit for bit
-        _write_atomic(os.path.join(outdir, f"{name}_{score.strategy}_{score.seed}.csv"),
-                      f"date,{column}\n" + "%s,%.17g\n" * len(series) % tuple(cells))
+        _write_csv(os.path.join(outdir, f"{name}_{score.strategy}_{score.seed}.csv"),
+                   f"date,{column}", "%s,%.17g", (dates[: len(series)], series.tolist()))
 
 
 def emit_outputs(table: tuple[ComparisonRow, ...], ttests: list[TTestRow], outdir,
                  resolved: dict) -> None:
     """Write the cross-seed files: comparison.csv, ttest.csv when there are
     t-tests, and the config echo."""
-    os.makedirs(outdir, exist_ok=True)
-    lines = ["strategy,return_pct,sharpe"]
-    lines += [f"{row.strategy},{_fmt(row.return_pct)},{_fmt(row.sharpe)}" for row in table]
-    _write_atomic(os.path.join(outdir, "comparison.csv"), "\n".join(lines) + "\n")
+    _write_csv(os.path.join(outdir, "comparison.csv"), "strategy,return_pct,sharpe",
+               "%s,%.17g,%.17g", ([row.strategy for row in table],
+                                  [row.return_pct for row in table], [row.sharpe for row in table]))
     if ttests:
         emit_ttests(ttests, outdir)
-    _write_atomic(os.path.join(outdir, "resolved_config.json"),
-                  json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+    with atomic_open(os.path.join(outdir, "resolved_config.json"), "w", encoding="utf-8",
+                     newline="\n") as fh:
+        fh.write(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
 
 def emit_ttests(ttests: list[TTestRow], outdir) -> None:
-    """Write ttest.csv."""
-    lines = ["pair,metric,t0,df,p_value"]
-    for row in ttests:
-        r = row.result
-        lines.append(f"{row.pair},{row.metric},{_fmt(r.t0)},{r.df},{_fmt(r.p_value)}")
-    _write_atomic(os.path.join(outdir, "ttest.csv"), "\n".join(lines) + "\n")
+    """Write ttest.csv; with no t-tests, its header alone."""
+    _write_csv(os.path.join(outdir, "ttest.csv"), "pair,metric,t0,df,p_value", "%s,%s,%.17g,%d,%.17g",
+               [[row.pair for row in ttests], [row.metric for row in ttests]]
+               + [[getattr(row.result, name) for row in ttests] for name in ("t0", "df", "p_value")])
 
 
 # -- the full experiment -------------------------------------------------------
@@ -512,11 +516,15 @@ def run_experiment(cfg: ExperimentConfig, from_checkpoints: bool = False):
     """Run every seed, training its agents or loading them ``from_checkpoints``, then
     aggregate and write the cross-seed files.
 
+    The output directory (with ``checkpoints`` when training) is made before the first seed.
+
     Returns (table, reports, ttests): the comparison rows, a map from strategy
     id to its seed-ordered list of Scores (:func:`read_scores` rebuilds them
     from the emitted curves), and the t-test rows.
     """
-    per_seed = list(map_seeds(cfg, partial(run_seed, cfg, load_segments(cfg),
+    segments = load_segments(cfg)
+    os.makedirs(cfg.output_dir if from_checkpoints else checkpoint_dir(cfg), exist_ok=True)
+    per_seed = list(map_seeds(cfg, partial(run_seed, cfg, segments,
                                            from_checkpoints=from_checkpoints)))
     reports = {strategy: [scores[strategy] for scores in per_seed] for strategy in cfg.strategies}
     table = build_table(reports, cfg.strategies)

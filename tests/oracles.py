@@ -12,9 +12,10 @@ updates at the end run that reference kernel layer by layer on per-layer
 parameter lists, the way the agents did before parameters became one flat
 vector, and gather each replay batch one stored row at a time from the
 buffer's ring and table, so the flat update and ``ReplayBuffer.sample`` can
-be checked against them bit for bit. The exception is the per-step
+be checked against them bit for bit. The exceptions are the per-step
 training loop, which drives the package's env, buffer and agent updates but
-draws each warmup action on its own.
+draws each warmup action on its own, and tabular Q-learning, which calls the
+package's ``bootstrap_target`` so that value iteration checks its arithmetic.
 """
 
 import csv
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tradelab.agents import ReplayBuffer, schedule_value
+from tradelab.agents import ReplayBuffer, bootstrap_target, schedule_value
 from tradelab.env import TradingEnv
 from tradelab.neuralnet import clone, make_dropout_masks
 
@@ -144,6 +145,43 @@ def value_iteration(next_state, reward, gamma, tol=1e-12, max_iter=100_000):
     raise RuntimeError("value iteration did not converge")
 
 
+# -- tabular Q-learning --------------------------------------------------------
+#
+# Unlike the rest of this module, it shares one function with the package on
+# purpose: the network agents' bootstrap_target, whose arithmetic the tabular
+# learner checks against exact value iteration on toy MDPs.
+
+
+def q_learning_update(q, s, a, r, s_next, terminal, alpha, gamma):
+    """Temporal-difference update of one (state, action) cell, in place."""
+    target = bootstrap_target(r, terminal, gamma, q[s_next].max())
+    q[s, a] += alpha * (target - q[s, a])
+
+
+def q_learning(next_state, reward, gamma, alpha, steps, rng, epsilon=1.0, start_state=0):
+    """Run epsilon-greedy Q-learning on a deterministic MDP given as arrays.
+
+    ``next_state[s, a]`` and ``reward[s, a]`` define the dynamics; the MDP is
+    continuing (no terminal states). Returns the learned Q-table.
+    """
+    n_states, n_actions = next_state.shape
+    if reward.shape != next_state.shape:
+        raise ValueError("next_state and reward tables must have matching shapes")
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+    q = np.zeros((n_states, n_actions))
+    s = start_state
+    for _ in range(steps):
+        if rng.random() < epsilon:
+            a = int(rng.integers(n_actions))
+        else:
+            a = int(np.argmax(q[s]))
+        s2 = int(next_state[s, a])
+        q_learning_update(q, s, a, float(reward[s, a]), s2, False, alpha, gamma)
+        s = s2
+    return q
+
+
 def t_density(x, df):
     log_norm = (
         math.lgamma((df + 1) / 2.0)
@@ -196,6 +234,8 @@ class OhlcvRecord:
             raise ValueError(f"negative volume on {self.date}")
         if self.low > min(self.open, self.close, self.high):
             raise ValueError(f"low exceeds open/close/high on {self.date}")
+        if self.high < max(self.open, self.close):
+            raise ValueError(f"high below open/close on {self.date}")
 
 
 def reference_load_csv(path, columns=None, warnings=None):

@@ -16,7 +16,6 @@ from tradelab.agents import (
     Td3Agent,
     Td3Config,
     actor_gradient,
-    q_learning,
     train,
 )
 from tradelab.baselines import d3_discretize, sign_discretize
@@ -38,6 +37,7 @@ from oracles import (
     episode_return,
     finite_difference_grads,
     printed_unit,
+    q_learning,
     rel_close,
     resimulate,
     t_tail_by_quadrature,

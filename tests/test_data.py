@@ -2,6 +2,7 @@ import contextlib
 import datetime as dt
 import logging
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,8 @@ class TestLoaderMatchesReference:
     @example(case=(CSV_HEADER + "2020-01-01,1,2,1.5,2,1\n", None))  # low above open
     @example(case=(CSV_HEADER + "2020-01-01,2,2,1.5,1,1\n", None))  # low above close
     @example(case=(CSV_HEADER + "2020-01-01,2,1,1.5,2,1\n", None))  # low above high
+    @example(case=(CSV_HEADER + "2020-01-01,5,3,1,2,1\n", None))  # high below open
+    @example(case=(CSV_HEADER + "2020-01-01,2,3,1,5,1\n", None))  # high below close
     @example(case=("v,c,d,h,l,o\n1,3,2020-01-01,3,3,3\n", {"date": "d", "open": "o", "high": "h",
                                                              "low": "l", "close": "c",
                                                              "volume": "v"}))  # remapped header
@@ -237,6 +240,12 @@ class TestBarInvariants:
     def test_low_bounds_other_fields(self, tmp_path):
         path = write_csv(tmp_path, ["2020-01-01,1.0,2.0,1.5,1.0,0.0\n"])
         with pytest.raises(ValueError, match="low exceeds"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("bar", ["2020-01-02,5,3,1,2,1\n", "2020-01-02,2,3,1,5,1\n"])
+    def test_high_bounds_open_and_close(self, tmp_path, bar):
+        path = write_csv(tmp_path, ["2020-01-01,1,1,1,1,1\n", bar])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: high below open/close on 2020-01-02$"):
             load_csv(path)
 
     def test_dates_strictly_increasing(self):

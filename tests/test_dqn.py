@@ -9,15 +9,13 @@ from tradelab.agents import (
     ReplayBuffer,
     Td3Config,
     bootstrap_target,
-    q_learning,
-    q_learning_update,
     train,
 )
 from tradelab.env import EnvConfig
 from tradelab.neuralnet import forward
 
 from helpers import alternating_series, observation_rows, push_pairs
-from oracles import value_iteration
+from oracles import q_learning, q_learning_update, value_iteration
 
 
 def small_config(**overrides):

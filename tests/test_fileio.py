@@ -6,7 +6,7 @@ from tradelab.agents import DqnAgent, DqnConfig, Td3Agent, Td3Config
 from tradelab.agents import dqn as dqn_module
 from tradelab.agents import td3 as td3_module
 from tradelab.fileio import atomic_open
-from tradelab.harness import _write_atomic
+from tradelab.harness import _write_csv
 
 
 class Boom(Exception):
@@ -16,8 +16,8 @@ class Boom(Exception):
 def test_write_replaces_the_whole_file(tmp_path):
     path = tmp_path / "out.csv"
     path.write_text("old\n")
-    _write_atomic(path, "new\n")
-    assert path.read_text() == "new\n"
+    _write_csv(path, "new", "%s", [["row"]])
+    assert path.read_text() == "new\nrow\n"
     assert os.listdir(tmp_path) == ["out.csv"]
 
 

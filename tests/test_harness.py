@@ -28,7 +28,9 @@ from tradelab.cli import main
 from tradelab.data import DEFAULT_COLUMNS, SplitSpec
 from tradelab.env import EnvConfig
 from tradelab.harness import (
+    ComparisonRow,
     ExperimentConfig,
+    TTestRow,
     build_table,
     compare_report,
     config_from_dict,
@@ -45,7 +47,7 @@ from tradelab.harness import (
     train_agent_for_seed,
     train_seed,
 )
-from tradelab.stats import Score, return_pct, sharpe
+from tradelab.stats import Score, TTestResult, return_pct, sharpe
 
 from helpers import assert_same_reports, constant_policy, make_series, random_walk
 from oracles import validation_sharpe
@@ -350,10 +352,12 @@ class TestEvaluateStrategies:
         forward = neuralnet.forward
         monkeypatch.setattr(neuralnet, "forward",
                             lambda net, x, **kw: forward_rows.append(len(x)) or forward(net, x, **kw))
+        os.makedirs(cfg.output_dir)  # where run_experiment makes it
         reports = evaluate_strategies(cfg, {"td3": agent}, segment, 0)
         # the scores and the emitted curves are those of the unshared passes
         assert_same_reports(reports, {s: run[0] for s, run in unshared.items()})
         dates = [d.isoformat() for d in segment.dates()[cfg.env.window :]]
+        os.makedirs(tmp_path / "unshared")
         for score, equity, actions in unshared.values():
             emit_run(score, dates, equity, actions, tmp_path / "unshared")
         names = curve_names(unshared, [0])
@@ -373,6 +377,7 @@ class TestEvaluateStrategies:
         cfg = config_from_dict(base_config(tmp_path, strategies=baselines, seeds=[0]))
         segment = random_walk(4_000, np.random.default_rng(3), scale=0.005)
         bars = len(segment) - cfg.env.window
+        os.makedirs(cfg.output_dir)  # where run_experiment makes it
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -472,11 +477,13 @@ class TestValidation:
     def test_trained_agents_drop_replay_rows_and_still_save_and_evaluate(self, tmp_path):
         cfg = self.config(tmp_path, strategies=["td3", "td3_sign", "tdqn"], seeds=[0], episodes=2)
         train_seg, valid_seg, test_seg = load_segments(cfg)
+        os.makedirs(harness.checkpoint_dir(cfg))  # where run_experiment makes it
         agents = train_seed(cfg, 0, train_seg, valid_seg)
         for agent in agents.values():
             assert not hasattr(agent, "buffer")
         reports = evaluate_strategies(cfg, agents, test_seg, 0)
         reloaded = replace(cfg, output_dir=str(tmp_path / "reloaded"))
+        os.makedirs(reloaded.output_dir)
         assert_same_reports(evaluate_strategies(reloaded, load_agents(cfg, 0), test_seg, 0), reports)
         names = curve_names(cfg.strategies, [0])
         assert output_files(reloaded.output_dir) == names
@@ -668,6 +675,7 @@ class TestRunExperiment:
 class TestCsvFormat:
     def test_headers_newlines_and_precision(self, tmp_path):
         score = Score(strategy="unit", seed=3, return_pct=10.0, sharpe=1.2300000000000002)
+        os.makedirs(tmp_path / "fmt")
         emit_outputs(build_table({"unit": [score]}, ["unit"]), [], tmp_path / "fmt", {})
         emit_run(score, ["2020-01-01", "2020-01-02"], np.array([1.0, 1.1]),
                  np.array([0.123456789012345678]), tmp_path / "fmt")
@@ -681,8 +689,9 @@ class TestCsvFormat:
             action_line = fh.read().splitlines()[1]
         assert float(action_line.split(",")[1]) == 0.123456789012345678
 
-    def test_each_value_has_the_bytes_of_format_17g(self, tmp_path):
-        """One file-wide "%.17g" template writes what format(x, ".17g") gives, row by row."""
+    def test_each_value_has_the_bytes_of_format_17g(self, tmp_path, monkeypatch):
+        """Each file-wide "%.17g" template writes what format(x, ".17g") gives, row by row:
+        a curve, the comparison table, the t-tests and a training log."""
         values = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -2.2250738585072014e-308,
                   0.1, 1 / 3, -1e300, 123456789.0]
         values += np.random.default_rng(4).standard_normal(200).tolist()
@@ -692,6 +701,30 @@ class TestCsvFormat:
                  tmp_path)
         lines = [f"{d.isoformat()},{format(x, '.17g')}" for d, x in zip(dates, values)]
         assert (tmp_path / "actions_unit_0.csv").read_text() == "\n".join(["date,action"] + lines) + "\n"
+
+        def read_lines(name):
+            return (tmp_path / name).read_text().splitlines()
+
+        pairs = list(zip(values, values[::-1]))
+        g = [(format(x, ".17g"), format(y, ".17g")) for x, y in pairs]
+        emit_outputs(tuple(ComparisonRow(f"s{i}", x, y) for i, (x, y) in enumerate(pairs)),
+                     [TTestRow(f"s{i}_vs_s0", "sharpe", TTestResult(x, y, df=i, reject=False))
+                      for i, (x, y) in enumerate(pairs)], tmp_path, {})
+        assert read_lines("comparison.csv") == ["strategy,return_pct,sharpe"] + [
+            f"s{i},{x},{y}" for i, (x, y) in enumerate(g)]
+        assert read_lines("ttest.csv") == ["pair,metric,t0,df,p_value"] + [
+            f"s{i}_vs_s0,sharpe,{x},{i},{y}" for i, (x, y) in enumerate(g)]
+
+        records = [{"episode": i, "warmup": i < 3, "total_reward": x, "final_cash": y, "mean_loss": x}
+                   for i, (x, y) in enumerate(pairs)]
+        cfg = config_from_dict(base_config(tmp_path, strategies=["tdqn"], output_dir=str(tmp_path)))
+        monkeypatch.setattr(harness, "train_agent_for_seed",
+                            lambda cfg, kind, seed, *segments: (make_agent(cfg, kind, seed), records))
+        os.makedirs(harness.checkpoint_dir(cfg))
+        train_seed(cfg, 0, None, None)
+        assert read_lines("training_log_tdqn_0.csv") == [
+            "episode,warmup,total_reward,final_cash,mean_loss",
+            *(f"{i},{int(i < 3)},{x},{y},{x}" for i, (x, y) in enumerate(g))]
 
 
 class TestCli:
@@ -1076,6 +1109,57 @@ class TestCli:
         cfg_path = self.write_config(tmp_path, raw)
         assert main(["compare", "--config", str(cfg_path), "--seeds", "-1"]) == 1
         assert capsys.readouterr().err == "error: seeds must be >= 0, got -1\n"
+        assert not os.path.exists(raw["output_dir"])
+
+    @pytest.mark.parametrize("overrides,flags", [({"output_dir": ""}, []), ({}, ["--output-dir", ""])])
+    def test_empty_output_dir_fails_before_the_data_load(self, tmp_path, capsys, monkeypatch,
+                                                         overrides, flags):
+        raw = base_config(tmp_path, strategies=["td3"], **overrides)
+        raw["dataset"]["path"] = str(tmp_path / "absent.csv")
+        cfg_path = self.write_config(tmp_path, raw)
+        monkeypatch.chdir(tmp_path)  # where an empty output_dir would write
+        assert main(["compare", "--config", str(cfg_path), *flags]) == 1
+        assert capsys.readouterr().err == "error: output_dir must name a directory, got ''\n"
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "prices.csv"]
+
+    @pytest.mark.parametrize("verb", ["compare", "train"])
+    def test_output_dir_that_cannot_be_made_fails_before_training(self, tmp_path, capsys,
+                                                                  monkeypatch, verb):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        monkeypatch.setattr(harness, "train_agent_for_seed", lambda *args: pytest.fail("trained"))
+        raw = base_config(tmp_path, strategies=["td3", "buy_hold"], output_dir=str(afile))
+        assert main([verb, "--config", str(self.write_config(tmp_path, raw))]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{afile}/checkpoints'\n"
+        assert sorted(os.listdir(tmp_path)) == ["afile", "config.json", "prices.csv"]
+
+    def test_ttest_of_no_pairs_writes_the_header_alone(self, tmp_path):
+        raw = base_config(tmp_path, ttest={"pairs": []})
+        os.makedirs(raw["output_dir"])
+        assert main(["ttest", "--config", str(self.write_config(tmp_path, raw))]) == 0
+        assert (tmp_path / "out" / "ttest.csv").read_bytes() == b"pair,metric,t0,df,p_value\n"
+
+    def test_flags_replace_only_their_fields(self, tmp_path, monkeypatch):
+        """``--pairs`` keeps the file's ``ttest.alpha``, and ``--alpha`` its pairs."""
+        raw = base_config(tmp_path, ttest={"pairs": [["long", "short"]], "alpha": 0.3})
+        cfg_path = self.write_config(tmp_path, raw)
+        seen = []
+        monkeypatch.setattr(cli, "cmd_ttest", lambda cfg: seen.append(cfg) or 0)
+        assert main(["ttest", "--config", str(cfg_path), "--pairs", "random_c:buy_hold"]) == 0
+        assert main(["ttest", "--config", str(cfg_path), "--alpha", "0.2"]) == 0
+        assert [(cfg.ttest_pairs, cfg.alpha) for cfg in seen] == [
+            ((("random_c", "buy_hold"),), 0.3), ((("long", "short"),), 0.2)]
+
+    @pytest.mark.parametrize("verb,overrides,flag,message", [
+        ("compare", {"seeds": "x"}, ["--seeds", "1"], "config key seeds: expected a list, got 'x'"),
+        ("ttest", {"ttest": {"alpha": "high"}}, ["--alpha", "0.05"],
+         "config key ttest.alpha: expected float, got 'high'"),
+    ])
+    def test_a_flag_does_not_hide_a_mistyped_key(self, tmp_path, capsys, verb, overrides, flag,
+                                                 message):
+        raw = base_config(tmp_path, **overrides)
+        assert main([verb, "--config", str(self.write_config(tmp_path, raw)), *flag]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not os.path.exists(raw["output_dir"])
 
     def test_bad_seed_names_the_flag(self, tmp_path, capsys):
