@@ -1,17 +1,9 @@
-"""Learning agents: continuous-action TD3, discrete DQN, replay, schedules."""
+"""Learning agents: TD3, DQN, their replay buffer, and ``training``, what both share."""
 
 from .dqn import DqnAgent, DqnConfig
 from .replay import ReplayBuffer
-from .schedules import DecaySchedule, schedule_value
-from .targets import bootstrap_target
-from .td3 import (
-    Td3Agent,
-    Td3Config,
-    actor_gradient,
-    td3_select_action,
-    td3_target_action,
-)
-from .training import train
+from .td3 import Td3Agent, Td3Config
+from .training import DecaySchedule, bootstrap_target, schedule_value, train
 
 __all__ = [
     "DecaySchedule",
@@ -20,10 +12,7 @@ __all__ = [
     "ReplayBuffer",
     "Td3Agent",
     "Td3Config",
-    "actor_gradient",
     "bootstrap_target",
     "schedule_value",
-    "td3_select_action",
-    "td3_target_action",
     "train",
 ]

@@ -15,8 +15,7 @@ import numpy as np
 from ..neuralnet import (AdamState, Tape, adam_step, backward, clone, create_mlp, forward,
                          forward_rows, load_nets, make_dropout_masks, restore_nets, save_nets,
                          snapshot_nets)
-from .schedules import DecaySchedule, schedule_value
-from .targets import bootstrap_target
+from .training import DecaySchedule, bootstrap_target, schedule_value
 
 
 @dataclass(frozen=True)
@@ -66,10 +65,6 @@ class DqnAgent:
 
     # -- acting ---------------------------------------------------------
 
-    def policy(self, state) -> float:
-        """Greedy action: ``policies`` of a one-row stack."""
-        return self.policies(np.asarray(state, dtype=np.float64)[None])[0]
-
     def policies(self, rows) -> list[float]:
         """Greedy actions for a (n, window) array of states; np.argmax breaks ties
         toward the lowest index. Each row's Q-values have exactly the bits of a
@@ -82,7 +77,7 @@ class DqnAgent:
         eps = schedule_value(self.config.epsilon, episode)
         if rng.random() < eps:
             return self.random_actions(rng, 1)[0]
-        return self.policy(state)
+        return self.policies(np.asarray(state, dtype=np.float64)[None])[0]
 
     def random_actions(self, rng: np.random.Generator, n: int) -> list[float]:
         """n uniform picks from the action set in one draw, which leaves ``rng`` where n scalar draws would."""

@@ -16,8 +16,7 @@ import numpy as np
 from ..neuralnet import (AdamState, Mlp, Tape, adam_step, backward, clip_gradients, clone,
                          create_mlp, forward, forward_rows, load_nets, restore_nets, save_nets,
                          snapshot_nets, soft_update)
-from .schedules import DecaySchedule, schedule_value
-from .targets import bootstrap_target
+from .training import DecaySchedule, bootstrap_target, schedule_value
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ class Td3Agent:
     # -- acting ---------------------------------------------------------
 
     def policy(self, state) -> float:
-        """Deterministic (evaluation) action: ``policies`` of a one-row stack."""
+        """``policies`` of a one-row stack; only perfbench's tracer test calls it."""
         return self.policies(np.asarray(state, dtype=np.float64)[None])[0]
 
     def policies(self, rows) -> list[float]:

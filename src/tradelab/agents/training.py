@@ -1,19 +1,55 @@
-"""Shared episodic training loop for the network agents.
+"""What both network agents share: the episodic loop, the temporal-difference
+target and the decay schedules.
 
-Each call fills its own replay buffer, built on the segment's observation
-table and dropped on return. Warmup episodes act uniformly at random and only
-fill the buffer. Every later episode is one full chronological pass over the
-training segment with one gradient update per environment step (once the
-buffer can serve a batch). The decay schedules run on the post-warmup episode index.
+Each ``train`` call fills its own replay buffer, built on the segment's
+observation table and dropped on return. Warmup episodes act uniformly at random
+and only fill the buffer. Every later episode is one chronological pass over the
+training segment with one gradient update per environment step (once the buffer
+can serve a batch). The schedules run on the post-warmup episode index.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..data import PriceSeries
 from ..env import EnvConfig, TradingEnv
 from .replay import ReplayBuffer
+
+
+@dataclass(frozen=True)
+class DecaySchedule:
+    initial: float
+    final: float
+    decay: float
+
+    def __post_init__(self):
+        if self.initial < 0 or self.final < 0:
+            raise ValueError("schedule endpoints must be non-negative")
+        if self.final > self.initial:
+            raise ValueError(f"final {self.final} exceeds initial {self.initial}")
+        if not self.decay > 0:
+            raise ValueError(f"decay must be positive, got {self.decay}")
+
+
+def schedule_value(sched: DecaySchedule, episode: int) -> float:
+    """final + (initial - final) * exp(-episode / decay); non-increasing in episode."""
+    if episode < 0:
+        raise ValueError(f"episode must be >= 0, got {episode}")
+    return sched.final + (sched.initial - sched.final) * math.exp(-episode / sched.decay)
+
+
+def bootstrap_target(r, terminal, gamma: float, next_value) -> np.ndarray:
+    """y = r + gamma * (1 - terminal) * next_value, elementwise: r alone on terminal rows.
+
+    ``next_value`` is the caller's estimate of the next state's value: TD3's
+    min(q1', q2'), DQN's max over the target net's action values, or a
+    Q-table row's max.
+    """
+    return r + gamma * (1.0 - terminal) * next_value
 
 
 def train(agent, segment: PriceSeries, env_config: EnvConfig, episodes: int, seed: int,

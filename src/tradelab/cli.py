@@ -139,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", help="output directory override")
         if name in ("train", "evaluate", "compare"):
             p.add_argument("--strategies", help="comma-separated strategy list override")
-        if name == "compare":
             p.add_argument("--workers", type=int, help="parallel seed workers")
         if name == "ttest":
             p.add_argument("--pairs", dest="ttest_pairs", help="comma-separated x:y strategy pairs")

@@ -12,13 +12,18 @@ def atomic_open(path, mode: str = "w", **kwargs):
 
     The temporary name is unique per call, so concurrent writers of the same
     path never share one. If the body raises, the temporary file is removed
-    and ``path`` keeps its previous content. ``mode`` is "w" or "wb";
-    ``kwargs`` go to :func:`open`.
+    and ``path`` keeps its previous content. A temporary file that cannot be
+    made (a missing directory, no permission) raises ValueError("<path>: <reason>").
+    ``mode`` is "w" or "wb"; ``kwargs`` go to :func:`open`.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.{os.urandom(8).hex()}.tmp"
     try:
-        with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
+        fh = open(tmp, mode.replace("w", "x"), **kwargs)
+    except OSError as exc:  # name the file asked for, not its temporary
+        raise ValueError(f"{path}: {exc.strerror}") from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

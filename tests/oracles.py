@@ -28,7 +28,7 @@ import numpy as np
 
 from tradelab.agents import ReplayBuffer, bootstrap_target, schedule_value
 from tradelab.env import TradingEnv
-from tradelab.neuralnet import clone, make_dropout_masks
+from tradelab.neuralnet import clone, forward, make_dropout_masks
 
 
 def resimulate(initial_cash, actions, prices, tcs):
@@ -83,19 +83,29 @@ def episode_return(cash_curve) -> float:
     return math.log(curve[-1] / curve[0])
 
 
+def greedy_action(agent, state) -> float:
+    """The deterministic action of a TD3 or DQN ``agent`` on one state, from one
+    single-row forward: the actor's output clamped to the action bounds, or the
+    first action of the highest Q-value."""
+    cfg = agent.config
+    if "actor" in agent.nets:
+        return float(np.clip(forward(agent.nets["actor"], state)[0], cfg.action_low, cfg.action_high))
+    return cfg.actions[int(np.argmax(forward(agent.nets["net"], state)))]
+
+
 def validation_sharpe(agent, segment, env_config):
     """Row-by-row validation score of ``agent``: the annualized Sharpe of one
     greedy pass over ``segment``, or -inf when it is undefined.
 
     Each observation is rebuilt from the closes and scored with one
-    ``agent.policy`` call; the pass is re-simulated day by day.
+    ``greedy_action`` call; the pass is re-simulated day by day.
     """
     closes = segment.closes().tolist()
     w = env_config.window
     actions = []
     for t in range(w, len(closes) - 1):
         obs = [100.0 * (closes[k + 1] - closes[k]) / closes[k] for k in range(t - w, t)]
-        actions.append(agent.policy(np.array(obs)))
+        actions.append(greedy_action(agent, np.array(obs)))
     tcs = [env_config.transaction_cost] * len(actions)
     curve, _, _ = resimulate(env_config.initial_cash, actions, closes[w:], tcs)
     daily = [(b - a) / a for a, b in zip(curve, curve[1:])]

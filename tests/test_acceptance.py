@@ -15,9 +15,10 @@ from tradelab.agents import (
     DecaySchedule,
     Td3Agent,
     Td3Config,
-    actor_gradient,
+    schedule_value,
     train,
 )
+from tradelab.agents.td3 import actor_gradient
 from tradelab.baselines import d3_discretize, sign_discretize
 from tradelab.data import SplitSpec, chronological_split
 from tradelab.env import EnvConfig, TradingEnv
@@ -29,13 +30,13 @@ from tradelab.neuralnet import (
     global_norm,
     soft_update,
 )
-from tradelab.agents.schedules import schedule_value
 from tradelab.stats import return_pct, sharpe, t_upper_tail
 
 from helpers import alternating_series, constant_policy, random_walk, taped_gradients
 from oracles import (
     episode_return,
     finite_difference_grads,
+    greedy_action,
     printed_unit,
     q_learning,
     rel_close,
@@ -291,9 +292,9 @@ def test_criterion_09_learnability_benchmark():
     for seed in range(10):
         agent = Td3Agent(4, cfg, seed=seed)
         train(agent, train_seg, env_cfg, episodes=18, seed=seed)
-        raw, equity, _ = evaluate_policy(lambda rows: [agent.policy(r) for r in rows],
+        raw, equity, _ = evaluate_policy(lambda rows: [greedy_action(agent, r) for r in rows],
                                          test_seg, env_cfg, "td3", seed)
-        signd, _, _ = evaluate_policy(lambda rows: [sign_discretize(agent.policy(r)) for r in rows],
+        signd, _, _ = evaluate_policy(lambda rows: [sign_discretize(greedy_action(agent, r)) for r in rows],
                                       test_seg, env_cfg, "td3_sign", seed)
         if math.log(equity[-1] / equity[0]) > 0:
             wins += 1

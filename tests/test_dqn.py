@@ -84,7 +84,7 @@ class TestExploration:
     def test_tie_breaks_to_lowest_index(self):
         agent = DqnAgent(2, small_config(), seed=0)
         agent.nets["net"].theta[...] = 0.0
-        assert agent.policy([1.0, 1.0]) == agent.config.actions[0] == -1.0
+        assert agent.policies(np.array([[1.0, 1.0]]))[0] == agent.config.actions[0] == -1.0
 
     def test_discrete_action_set(self):
         agent = DqnAgent(2, small_config(actions=(-1.0, 0.0, 1.0)), seed=0)
@@ -298,5 +298,5 @@ class TestBatchedPolicies:
                 rows = observation_rows(5, n, scale=2.0)
                 batched = agent.policies(rows)
                 vector = [actions[int(np.argmax(forward(agent.nets["net"], row)))] for row in rows]
-                assert batched == [agent.policy(row) for row in rows] == vector
+                assert batched == [agent.policies(row[None])[0] for row in rows] == vector
             assert set(batched) == set(actions)

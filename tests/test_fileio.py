@@ -45,6 +45,19 @@ def test_concurrent_writers_never_share_a_temporary(tmp_path):
     assert os.listdir(tmp_path) == ["out.csv"]
 
 
+@pytest.mark.parametrize("mode", ["w", "wb"])
+def test_a_temporary_that_cannot_be_made_names_the_file_asked_for(tmp_path, mode):
+    """Not the random temporary name, and not a FileNotFoundError, which the evaluate
+    verb would report as a missing checkpoint."""
+    path = tmp_path / "gone" / "out.csv"
+    with pytest.raises(ValueError) as failed:
+        with atomic_open(path, mode):
+            pytest.fail("opened a file in a missing directory")
+    assert str(failed.value) == f"{path}: No such file or directory"
+    assert not isinstance(failed.value, OSError)
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("make,module", [
     (lambda: Td3Agent(3, Td3Config(actor_hidden=(4,), critic_hidden=(4,)), seed=0), td3_module),
     (lambda: DqnAgent(3, DqnConfig(hidden=(4,)), seed=0), dqn_module),

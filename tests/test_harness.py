@@ -50,7 +50,7 @@ from tradelab.harness import (
 from tradelab.stats import Score, TTestResult, return_pct, sharpe
 
 from helpers import assert_same_reports, constant_policy, make_series, random_walk
-from oracles import validation_sharpe
+from oracles import greedy_action, validation_sharpe
 
 
 def write_dataset(tmp_path, n=100, seed=5, name="prices.csv"):
@@ -338,11 +338,11 @@ class TestEvaluateStrategies:
         # the close doubles on bar 10: both shorts are wiped there, td3_d3 trades on
         segment = make_series([100.0] * 10 + [200.0] * 10)
         unshared = {
-            "td3": evaluate_policy(lambda rows: [agent.policy(r) for r in rows],
+            "td3": evaluate_policy(lambda rows: [greedy_action(agent, r) for r in rows],
                                    segment, cfg.env, "td3", 0),
-            "td3_sign": evaluate_policy(lambda rows: [sign_discretize(agent.policy(r)) for r in rows],
+            "td3_sign": evaluate_policy(lambda rows: [sign_discretize(greedy_action(agent, r)) for r in rows],
                                         segment, cfg.env, "td3_sign", 0),
-            "td3_d3": evaluate_policy(lambda rows: [d3_discretize(agent.policy(r)) for r in rows],
+            "td3_d3": evaluate_policy(lambda rows: [d3_discretize(greedy_action(agent, r)) for r in rows],
                                       segment, cfg.env, "td3_d3", 0),
         }
         policies_rows, forward_rows = [], []
@@ -888,6 +888,35 @@ class TestCli:
         assert main(["evaluate", "--config", str(par_path)]) == 1
         assert capsys.readouterr().err == f"error: no such data file: {data}\n"
 
+    def test_workers_flag_on_train_and_evaluate(self, tmp_path, capsys, monkeypatch):
+        """``--workers`` sets ``workers`` for train and evaluate as for compare: both run
+        their seeds in worker processes, and evaluate writes the curves, table and
+        t-tests of a sequential evaluate."""
+        raw = base_config(tmp_path, strategies=["td3", "tdqn", "buy_hold", "random_c"],
+                          seeds=[0, 1], episodes=1)
+        cfg_path = self.write_config(tmp_path, raw)
+        out, seq_dir = Path(raw["output_dir"]), tmp_path / "seq"
+        ran, train_seed, load_agents = [], cli.train_seed, harness.load_agents  # seeds run in this process
+        monkeypatch.setattr(cli, "train_seed", lambda cfg, seed, *segments:
+                            ran.append(seed) or train_seed(cfg, seed, *segments))
+        monkeypatch.setattr(harness, "load_agents", lambda cfg, seed:
+                            ran.append(seed) or load_agents(cfg, seed))
+        assert main(["train", "--config", str(cfg_path), "--workers", "2"]) == 0
+        assert ran == []  # the workers trained both seeds
+        shutil.copytree(out, seq_dir)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg_path), "--output-dir", str(seq_dir)]) == 0
+        seq_out = capsys.readouterr()
+        assert ran == [0, 1]
+        assert main(["evaluate", "--config", str(cfg_path), "--workers", "2"]) == 0
+        par_out = capsys.readouterr()
+        assert ran == [0, 1]  # the workers loaded both seeds' agents
+        assert par_out.out == seq_out.out and par_out.err == seq_out.err == ""
+        names = output_files(seq_dir)
+        assert names == output_files(out)
+        assert len(names) == 27  # 16 curves, 4 checkpoints, 4 training logs, table, t-tests, config
+        assert_same_outputs(seq_dir, out, names)
+
     def test_evaluate_without_checkpoint_fails(self, tmp_path, capsys):
         raw = base_config(tmp_path, strategies=["td3"], seeds=[0])
         cfg_path = self.write_config(tmp_path, raw)
@@ -1138,6 +1167,15 @@ class TestCli:
         os.makedirs(raw["output_dir"])
         assert main(["ttest", "--config", str(self.write_config(tmp_path, raw))]) == 0
         assert (tmp_path / "out" / "ttest.csv").read_bytes() == b"pair,metric,t0,df,p_value\n"
+
+    def test_ttest_into_a_missing_output_dir_names_the_file(self, tmp_path, capsys):
+        gone = tmp_path / "gone"
+        raw = base_config(tmp_path, ttest={"pairs": []}, output_dir=str(gone))
+        assert main(["ttest", "--config", str(self.write_config(tmp_path, raw))]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {gone / 'ttest.csv'}: No such file or directory\n"
+        assert ".tmp" not in err
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "prices.csv"]
 
     def test_flags_replace_only_their_fields(self, tmp_path, monkeypatch):
         """``--pairs`` keeps the file's ``ttest.alpha``, and ``--alpha`` its pairs."""

@@ -9,12 +9,10 @@ from tradelab.agents import (
     DecaySchedule,
     Td3Agent,
     Td3Config,
-    actor_gradient,
     bootstrap_target,
-    td3_select_action,
-    td3_target_action,
     train,
 )
+from tradelab.agents.td3 import actor_gradient, td3_select_action, td3_target_action
 from tradelab.env import EnvConfig
 from tradelab.neuralnet import config_hash, create_mlp, forward
 
@@ -276,8 +274,9 @@ class TestTraining:
         # the learned policy should long after a down day and short after an up day
         up_state = np.array([-1.0, 1.0])   # newest move was +1%
         down_state = np.array([1.0, -1.0])
-        assert agent.policy(up_state) < 0
-        assert agent.policy(down_state) > 0
+        up, down = agent.policies(np.array([up_state, down_state]))
+        assert up < 0
+        assert down > 0
 
 
 class TestCheckpoint:
@@ -362,7 +361,7 @@ class TestActionBounds:
         return agent
 
     def test_policy_is_clamped(self):
-        assert self.bounded_agent().policy(np.zeros(3)) == 0.2
+        assert self.bounded_agent().policies(np.zeros((1, 3))) == [0.2]
 
     def test_explore_action_is_clamped(self):
         agent = self.bounded_agent()
@@ -397,10 +396,10 @@ class TestScalarActions:
                 high - eps, high, high + eps, high + 0.5)
         for raw in raws:
             fake = lambda net, x, raw=raw: np.full(np.shape(x)[:-1] + (1,), raw)  # noqa: E731
-            monkeypatch.setattr(neuralnet, "forward", fake)  # the stacks of ``policy``
+            monkeypatch.setattr(neuralnet, "forward", fake)  # the stacks of ``policies``
             monkeypatch.setattr(td3_module, "forward", fake)  # td3_select_action's own binding
             expected = float(np.clip(raw, low, high))
-            for got in (agent.policy(np.zeros(3)),
+            for got in (agent.policies(np.zeros((1, 3)))[0],
                         td3_select_action(agent.nets["actor"], np.zeros(3), 0.0, low, high, rng)):
                 assert type(got) is float
                 assert got == expected
@@ -424,7 +423,7 @@ class TestBatchedPolicies:
             batched = agent.policies(rows)
             vector = [float(np.clip(forward(agent.nets["actor"], row)[0], low, high)) for row in rows]
             assert all(type(a) is float for a in batched)
-            assert batched == [agent.policy(row) for row in rows] == vector
+            assert batched == [agent.policies(row[None])[0] for row in rows] == vector
             assert all(low <= a <= high for a in batched)
         if high < 1:  # the bounds bind on some rows
             assert high in batched and low in batched
