@@ -113,7 +113,7 @@ class DqnAgent:
 
         upstream = np.zeros_like(q)
         upstream[rows, idx] = 2.0 * resid / n
-        grad = backward(net, s, upstream, dropout_masks=masks, tape=tape, wrt="params")
+        grad = backward(net, upstream, tape=tape, wrt="params")
         adam_step(net.theta, grad, self.opt)
 
         self.updates += 1

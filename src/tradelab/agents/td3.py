@@ -56,10 +56,10 @@ class Td3Config:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
-def td3_select_action(actor: Mlp, state, sigma: float, a_low: float, a_high: float,
+def td3_select_action(actor: Mlp, state: np.ndarray, sigma: float, a_low: float, a_high: float,
                       rng: np.random.Generator) -> float:
     """Actor output plus N(0, sigma) exploration noise, clamped to [a_low, a_high]."""
-    a = float(forward(actor, state)[0])
+    a = float(forward(actor, state[None])[0, 0])
     if sigma > 0:
         a += float(rng.normal(0.0, sigma))
     return float(min(max(a, a_low), a_high))  # a bound read from JSON may be an int
@@ -97,9 +97,9 @@ def actor_gradient(actor: Mlp, critic: Mlp, states: np.ndarray):
     a_pi = forward(actor, states, tape=actor_tape)
     x = np.concatenate([states, a_pi], axis=1)
     q = forward(critic, x, tape=critic_tape)
-    dx = backward(critic, x, np.full((n, 1), 1.0 / n), tape=critic_tape, wrt="input")
+    dx = backward(critic, np.full((n, 1), 1.0 / n), tape=critic_tape, wrt="input")
     da = dx[:, states.shape[1]:]
-    grad = backward(actor, states, da, tape=actor_tape, wrt="params")
+    grad = backward(actor, da, tape=actor_tape, wrt="params")
     return grad, float(np.mean(q))
 
 
@@ -173,7 +173,7 @@ class Td3Agent:
             if not math.isfinite(loss):
                 raise ValueError(f"td3 update {number}: non-finite {name} loss {loss}")
         for critic, opt, tape, resid in zip(critics, (self.critic1_opt, self.critic2_opt), tapes, resids):
-            grad = backward(critic, x, (2.0 * resid / n)[:, None], tape=tape, wrt="params")
+            grad = backward(critic, (2.0 * resid / n)[:, None], tape=tape, wrt="params")
             adam_step(critic.theta, grad, opt)
 
         diag = {

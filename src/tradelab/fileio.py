@@ -13,7 +13,8 @@ def atomic_open(path, mode: str = "w", **kwargs):
     The temporary name is unique per call, so concurrent writers of the same
     path never share one. If the body raises, the temporary file is removed
     and ``path`` keeps its previous content. A temporary file that cannot be
-    made (a missing directory, no permission) raises ValueError("<path>: <reason>").
+    made (a missing directory, no permission) or moved onto ``path`` (a
+    directory there) raises ValueError("<path>: <reason>").
     ``mode`` is "w" or "wb"; ``kwargs`` go to :func:`open`.
     """
     path = os.fspath(path)
@@ -25,7 +26,10 @@ def atomic_open(path, mode: str = "w", **kwargs):
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ValueError(f"{path}: {exc.strerror}") from None
     except BaseException:
         try:
             os.unlink(tmp)

@@ -502,13 +502,14 @@ def emit_ttests(ttests: list[TTestRow], outdir) -> None:
 
 def map_seeds(cfg: ExperimentConfig, fn):
     """Yield ``fn(seed)`` for each configured seed, in seed order, each as soon as it
-    and the seeds before it are done; with ``workers`` > 1 the seeds run in that many
-    processes, so ``fn`` and its results must pickle."""
-    if cfg.workers == 1:
+    and the seeds before it are done. The seeds run in min(``workers``, seeds)
+    processes, so ``fn`` and its results must pickle; with one, they run in this one."""
+    workers = min(cfg.workers, len(cfg.seeds))
+    if workers <= 1:
         yield from map(fn, cfg.seeds)
         return
     from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only for a pool
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, cfg.seeds)  # in seed order, whatever finishes first
 
 

@@ -14,11 +14,11 @@ out like ``theta``, so every optimiser kernel works on one array:
 shape and move their first argument in place, and :func:`clip_gradients`
 takes the layer dims only to sum the global norm layer by layer.
 
-Each kernel computes only what its caller reads. :func:`forward` adds the
-bias and applies the activation in place on each layer's product, and can
-record each layer's input and activation on a :class:`Tape`;
-:func:`backward` reads that tape instead of running the forward pass again,
-and computes one gradient, ``wrt`` the parameters or the input.
+Each kernel computes only what its caller reads. :func:`forward` runs a
+batch (or an untaped stack of rows), adds the bias and applies the activation
+in place on each layer's product, and can record the pass on a :class:`Tape`,
+its only record: :func:`backward` reads the pass's input, dropout masks and
+activations there, and computes one gradient, ``wrt`` the params or the input.
 
 An agent keeps its networks in one name -> :class:`Mlp` table under their
 checkpoint names; snapshots, checkpoints and :func:`forward_rows` are
@@ -42,6 +42,7 @@ from .fileio import atomic_open
 
 HIDDEN_ACTIVATIONS = ("relu", "tanh")
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 _CHECKPOINT_VERSION = 1
 
@@ -121,16 +122,6 @@ def clone(net: Mlp) -> Mlp:
     return Mlp(net.layer_dims, net.theta.copy(), net.hidden_activation, net.output_activation)
 
 
-def _as_batch(x, stack: bool = False) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim == 2 or stack and arr.ndim == 3 and arr.shape[1] == 1:
-        return arr, False
-    kinds = "a vector, a batch or an (n, 1, dim) stack" if stack else "a vector or a batch of vectors"
-    raise ValueError(f"input must be {kinds}, got shape {arr.shape}")
-
-
 def make_dropout_masks(net: Mlp, rate: float, rng: np.random.Generator):
     """Inverted-dropout masks for the hidden layers; None means no dropout."""
     if rate == 0.0:
@@ -159,15 +150,17 @@ class Tape:
 
 
 def forward(net: Mlp, x, dropout_masks=None, tape: Tape | None = None) -> np.ndarray:
-    """Evaluate the network on a vector, a (batch, dim) array or an (n, 1, dim) stack.
+    """Evaluate the network on a (batch, dim) array or an (n, 1, dim) stack.
 
     A stack's outputs, shaped (n, 1, out), carry exactly the bits of n
-    single-vector calls: numpy's matmul runs one gemv (or dot) per item of a
+    one-row calls: numpy's matmul runs one gemv (or dot) per item of a
     stack, the routine a single row gets, while a (batch, dim) product runs
     a gemm that may round differently. With a ``tape``, the values of every
     layer are recorded on it for :func:`backward`; a stack takes no tape.
     """
-    batch, squeeze = _as_batch(x, stack=True)
+    batch = np.asarray(x, dtype=np.float64)
+    if batch.ndim != 2 and not (batch.ndim == 3 and batch.shape[1] == 1):
+        raise ValueError(f"input must be a batch or an (n, 1, dim) stack, got shape {batch.shape}")
     if batch.ndim == 3 and tape is not None:
         raise ValueError("a stack of rows is evaluated without a tape")
     if batch.shape[-1] != net.layer_dims[0]:
@@ -188,7 +181,7 @@ def forward(net: Mlp, x, dropout_masks=None, tape: Tape | None = None) -> np.nda
             tape.inputs.append(a)
             tape.posts.append(h)
         a = h if dropout_masks is None or i == last else h * dropout_masks[i]
-    return a[0] if squeeze else a
+    return a
 
 
 def forward_rows(net: Mlp, rows, block: int) -> np.ndarray:
@@ -199,25 +192,23 @@ def forward_rows(net: Mlp, rows, block: int) -> np.ndarray:
                            for i in range(0, len(rows), block)])
 
 
-def backward(net: Mlp, x, upstream_grad, dropout_masks=None, *, tape: Tape, wrt: str):
+def backward(net: Mlp, upstream_grad, *, tape: Tape, wrt: str):
     """The exact gradient of sum(output * upstream_grad) w.r.t. the params or the input.
 
-    ``tape`` is the record of ``forward(net, x, dropout_masks, tape=tape)``
-    with the current parameters. ``wrt="params"`` returns a fresh vector laid
-    out like ``net.theta``, accumulated over a batch's rows (the caller folds
-    any 1/N into ``upstream_grad``); ``wrt="input"`` returns the gradient
+    ``tape`` records ``forward(net, x, dropout_masks, tape=tape)`` with the current
+    parameters, and ``x`` and the masks are read from it. ``wrt="params"`` returns a
+    fresh vector laid out like ``net.theta``, accumulated over the rows of ``x`` (the
+    caller folds any 1/N into ``upstream_grad``); ``wrt="input"`` returns the gradient
     shaped like ``x``. Both gradients of one pass are two calls on its tape.
     """
     if wrt not in ("params", "input"):
         raise ValueError(f"wrt must be 'params' or 'input', got {wrt!r}")
-    batch, squeeze = _as_batch(x)
-    up, _ = _as_batch(upstream_grad)
-    if batch.shape[1] != net.layer_dims[0]:
-        raise ValueError(f"input dim {batch.shape[1]} != network input {net.layer_dims[0]}")
-    if up.shape != (batch.shape[0], net.layer_dims[-1]):
-        raise ValueError(f"upstream grad shape {up.shape} != {(batch.shape[0], net.layer_dims[-1])}")
-    if tape.net is not net or tape.dropout_masks is not dropout_masks or tape.inputs[0].shape != batch.shape:
-        raise ValueError("tape was recorded for another network, input shape or dropout masks")
+    if tape.net is not net:
+        raise ValueError("tape was recorded for another network")
+    up = np.asarray(upstream_grad, dtype=np.float64)
+    want = (len(tape.inputs[0]), net.layer_dims[-1])
+    if up.shape != want:
+        raise ValueError(f"upstream grad shape {up.shape} != {want}")
     params = wrt == "params"
     if params:
         grad = np.empty_like(net.theta)
@@ -230,33 +221,30 @@ def backward(net: Mlp, x, upstream_grad, dropout_masks=None, *, tape: Tape, wrt:
             delta = g  # g * 1.0, exactly
         else:
             local = _grad(act, tape.posts[i])
-            if dropout_masks is not None and i < last:
-                local = local * dropout_masks[i]
+            if tape.dropout_masks is not None and i < last:
+                local = local * tape.dropout_masks[i]
             delta = g * local
         if params:
             np.matmul(tape.inputs[i].T, delta, out=views[2 * i])
             np.add.reduce(delta, axis=0, out=views[2 * i + 1])
         if i > 0 or not params:
             g = delta @ net.weights[i].T
-    return grad if params else (g[0] if squeeze else g)
+    return grad if params else g
 
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam accumulators for one parameter array."""
+    """Bias-corrected Adam accumulators for one parameter array; the betas and eps are module constants."""
 
     m: np.ndarray
     v: np.ndarray
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
     step: int = 0
 
     @classmethod
-    def create(cls, param, **hyper):
-        """Zeroed moments shaped like ``param``; ``hyper`` overrides lr, beta1, beta2 or eps."""
-        return cls(np.zeros_like(param), np.zeros_like(param), **hyper)
+    def create(cls, param, lr: float = 1e-3):
+        """Zeroed moments shaped like ``param``."""
+        return cls(np.zeros_like(param), np.zeros_like(param), lr)
 
 
 def adam_step(param, grad, opt: AdamState) -> None:
@@ -266,17 +254,17 @@ def adam_step(param, grad, opt: AdamState) -> None:
                          f"(moments {opt.m.shape})")
     opt.step += 1
     t = opt.step
-    bc1 = 1.0 - opt.beta1**t
-    bc2 = 1.0 - opt.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     m, v = opt.m, opt.v
     # m <- beta1 * m + (1 - beta1) * g and v <- beta2 * v + (1 - beta2) * g^2
-    m *= opt.beta1
-    m += (1.0 - opt.beta1) * grad
-    v *= opt.beta2
-    v += (1.0 - opt.beta2) * (grad * grad)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (grad * grad)
     # p - lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / bc1, v_hat = v / bc2
     denom = np.sqrt(v / bc2)
-    denom += opt.eps
+    denom += ADAM_EPS
     step = m / bc1
     step *= opt.lr
     step /= denom

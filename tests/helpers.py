@@ -27,8 +27,7 @@ def taped_gradients(net, x, up, dropout_masks=None):
     then one ``backward`` call per gradient on that tape."""
     tape = Tape()
     forward(net, x, dropout_masks=dropout_masks, tape=tape)
-    return (backward(net, x, up, dropout_masks, tape=tape, wrt="params"),
-            backward(net, x, up, dropout_masks, tape=tape, wrt="input"))
+    return backward(net, up, tape=tape, wrt="params"), backward(net, up, tape=tape, wrt="input")
 
 
 def alternating_series(n, start_price=100.0, pct=1.0):

@@ -87,10 +87,10 @@ def greedy_action(agent, state) -> float:
     """The deterministic action of a TD3 or DQN ``agent`` on one state, from one
     single-row forward: the actor's output clamped to the action bounds, or the
     first action of the highest Q-value."""
-    cfg = agent.config
+    cfg, row = agent.config, np.asarray(state, dtype=np.float64)[None]
     if "actor" in agent.nets:
-        return float(np.clip(forward(agent.nets["actor"], state)[0], cfg.action_low, cfg.action_high))
-    return cfg.actions[int(np.argmax(forward(agent.nets["net"], state)))]
+        return float(np.clip(forward(agent.nets["actor"], row)[0, 0], cfg.action_low, cfg.action_high))
+    return cfg.actions[int(np.argmax(forward(agent.nets["net"], row)[0]))]
 
 
 def validation_sharpe(agent, segment, env_config):

@@ -123,20 +123,20 @@ def test_criterion_03_gradient_checks():
         net = create_mlp(dims, gen, hidden_activation=hidden, output_activation=out_act)
         x = gen.normal(size=dims[0])
         up = gen.normal(size=dims[-1])
-        grad, input_grad = taped_gradients(net, x, up)
+        grad, input_grad = taped_gradients(net, x[None], up[None])
 
         def objective():
-            return float(forward(net, x) @ up)
+            return float(forward(net, x[None])[0] @ up)
 
         fd = finite_difference_grads(objective, [net.theta])[0]
         assert all(rel_close(g, w) for g, w in zip(grad, fd))
         xs = x.copy()
 
         def objective_x():
-            return float(forward(net, xs) @ up)
+            return float(forward(net, xs[None])[0] @ up)
 
         fd_x = finite_difference_grads(objective_x, [xs])[0]
-        assert all(rel_close(g, w) for g, w in zip(input_grad, fd_x))
+        assert all(rel_close(g, w) for g, w in zip(input_grad[0], fd_x))
         checked += 1
 
     composite_checked = 0

@@ -77,7 +77,7 @@ class TestExploration:
     def test_greedy_is_deterministic_argmax(self):
         agent = DqnAgent(2, small_config(epsilon=DecaySchedule(0.0, 0.0, 1.0)), seed=0)
         state = np.array([0.3, -0.7])
-        expected = agent.config.actions[int(np.argmax(forward(agent.nets["net"], state)))]
+        expected = agent.config.actions[int(np.argmax(forward(agent.nets["net"], state[None])[0]))]
         gen = np.random.default_rng(0)
         assert all(agent.explore_action(state, 0, gen) == expected for _ in range(50))
 
@@ -178,7 +178,7 @@ class TestUpdate:
             if len(buffer) >= cfg.batch_size:
                 agent.update(buffer, 0, gen)
             s = s2
-        learned = np.stack([forward(agent.nets["net"], onehot(i)) for i in range(3)])
+        learned = np.concatenate([forward(agent.nets["net"], onehot(i)[None]) for i in range(3)])
         assert np.abs(learned - q_star).max() < 1e-3
 
     def test_dropout_update_runs(self, rng):
@@ -297,6 +297,6 @@ class TestBatchedPolicies:
             for n in (1, 63, 64, 65, 200):  # around the 64-row block boundary
                 rows = observation_rows(5, n, scale=2.0)
                 batched = agent.policies(rows)
-                vector = [actions[int(np.argmax(forward(agent.nets["net"], row)))] for row in rows]
+                vector = [actions[int(np.argmax(forward(agent.nets["net"], row[None])[0]))] for row in rows]
                 assert batched == [agent.policies(row[None])[0] for row in rows] == vector
             assert set(batched) == set(actions)

@@ -58,6 +58,21 @@ def test_a_temporary_that_cannot_be_made_names_the_file_asked_for(tmp_path, mode
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("mode", ["w", "wb"])
+def test_a_directory_in_the_way_names_the_file_asked_for(tmp_path, mode):
+    """A directory at ``path`` fails the final move: a ValueError naming ``path``, not an
+    OSError naming the temporary, and the directory and its folder stay as they were."""
+    path = tmp_path / "ttest.csv"
+    (path / "inner").mkdir(parents=True)
+    with pytest.raises(ValueError) as failed:
+        with atomic_open(path, mode) as fh:
+            fh.write("row\n" if mode == "w" else b"row\n")
+    assert str(failed.value) == f"{path}: Is a directory"
+    assert not isinstance(failed.value, OSError)
+    assert os.listdir(tmp_path) == ["ttest.csv"]
+    assert os.listdir(path) == ["inner"]
+
+
 @pytest.mark.parametrize("make,module", [
     (lambda: Td3Agent(3, Td3Config(actor_hidden=(4,), critic_hidden=(4,)), seed=0), td3_module),
     (lambda: DqnAgent(3, DqnConfig(hidden=(4,)), seed=0), dqn_module),

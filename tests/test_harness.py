@@ -42,6 +42,7 @@ from tradelab.harness import (
     load_config,
     load_segments,
     make_agent,
+    map_seeds,
     resolved_config,
     run_experiment,
     train_agent_for_seed,
@@ -621,6 +622,33 @@ class TestRunExperiment:
                               env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "\n"
+
+    def test_the_pool_has_no_more_processes_than_seeds(self, tmp_path, monkeypatch):
+        """``map_seeds`` asks for min(workers, seeds) processes, and runs a lone seed in
+        this process; a recording stand-in takes the pool's place, so nothing forks."""
+        import concurrent.futures
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, seeds):
+                return map(fn, seeds)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        raw = base_config(tmp_path)
+        for workers, seeds, want in ((8, [0, 1], [2]), (4, [0], []), (2, [0, 1, 2], [2]), (3, [5, 6, 7], [3])):
+            pools.clear()
+            cfg = config_from_dict({**raw, "workers": workers, "seeds": seeds})
+            assert list(map_seeds(cfg, lambda seed: -seed)) == [-seed for seed in seeds]
+            assert pools == want, (workers, seeds)
 
     def test_a_failed_seed_keeps_the_files_of_the_seeds_before_it(self, tmp_path, monkeypatch):
         strategies = ["td3", "tdqn", "buy_hold", "random_c"]

@@ -2,7 +2,7 @@
 
 ``forward``, ``backward``, ``adam_step`` and ``soft_update`` must give the
 bits of the reference kernel in ``oracles`` for every layer shape, batch
-size (a single vector included), activation pair, dropout mask and
+size (a one-row batch included), activation pair, dropout mask and
 gradient target, and ``backward`` must match central
 differences on whole batches. The flat kernels run on the concatenation of
 per-layer arrays that the reference updates one layer at a time.
@@ -48,16 +48,15 @@ def concat(arrays):
 
 @st.composite
 def passes(draw, max_batch=70):
-    """(net, x, upstream, dropout masks) of one pass; x is a single vector or a batch."""
+    """(net, x, upstream, dropout masks) of one pass; x is a batch of one row or more."""
     dims = draw(st.lists(st.integers(1, 9), min_size=2, max_size=4))
     net_gen = np.random.default_rng(draw(SEEDS))
     net = create_mlp(dims, net_gen, draw(st.sampled_from(HIDDEN_ACTIVATIONS)),
                      draw(st.sampled_from(OUTPUT_ACTIVATIONS)))
-    batch = draw(st.one_of(st.none(), st.integers(1, max_batch)))
-    rows = () if batch is None else (batch,)
+    batch = draw(st.integers(1, max_batch))
     gen = np.random.default_rng(draw(SEEDS))
-    x = gen.normal(scale=draw(st.sampled_from([0.1, 1.0, 10.0])), size=rows + (dims[0],))
-    up = gen.normal(size=rows + (dims[-1],))
+    x = gen.normal(scale=draw(st.sampled_from([0.1, 1.0, 10.0])), size=(batch, dims[0]))
+    up = gen.normal(size=(batch, dims[-1]))
     masks = make_dropout_masks(net, draw(st.sampled_from([0.0, 0.3, 0.7])), gen)
     return net, x, up, masks
 
@@ -75,21 +74,19 @@ def param_lists(draw):
 @given(passes(), st.booleans())
 def test_forward_and_backward_match_reference(run, input_first):
     net, x, up, masks = run
-    single = x.ndim == 1
-    batch, up_batch = np.atleast_2d(x), np.atleast_2d(up)
-    want_out = reference_forward_pass(net, batch, masks)
-    want_grads, want_dx = reference_backward(net, batch, up_batch, masks)
+    want_out = reference_forward_pass(net, x, masks)
+    want_grads, want_dx = reference_backward(net, x, up, masks)
 
-    assert np.array_equal(forward(net, x, dropout_masks=masks), want_out[0] if single else want_out)
+    assert np.array_equal(forward(net, x, dropout_masks=masks), want_out)
     tape = Tape()
     out = forward(net, x, dropout_masks=masks, tape=tape)
-    assert np.array_equal(out, want_out[0] if single else want_out)
+    assert np.array_equal(out, want_out)
     # both gradients of one pass, in either order, from two calls on its tape
     order = ("input", "params") if input_first else ("params", "input")
-    grads = {wrt: backward(net, x, up, masks, tape=tape, wrt=wrt) for wrt in order}
+    grads = {wrt: backward(net, up, tape=tape, wrt=wrt) for wrt in order}
     assert grads["params"].shape == net.theta.shape
     assert np.array_equal(grads["params"], concat(want_grads))
-    assert np.array_equal(grads["input"], want_dx[0] if single else want_dx)
+    assert np.array_equal(grads["input"], want_dx)
 
 
 @SETTINGS
@@ -125,9 +122,8 @@ def test_soft_update_matches_reference(params_gen, tau):
 @given(passes(max_batch=8))
 def test_batch_gradients_match_finite_differences(run):
     net, x, up, masks = run
-    batch = np.atleast_2d(x)
     tape = ReferenceTape()
-    reference_forward_pass(net, batch, masks, tape)
+    reference_forward_pass(net, x, masks, tape)
     # a relu pre-activation within a step's reach of its kink has no central difference
     if net.hidden_activation == "relu":
         assume(all(np.abs(z).min() > 1e-3 for z in tape.pres[:-1]))

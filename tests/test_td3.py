@@ -55,22 +55,22 @@ class TestSelectAction:
     def test_noiseless_is_policy_output(self, rng):
         actor = create_mlp((3, 4, 1), rng, output_activation="tanh")
         state = rng.normal(size=3)
-        expected = float(forward(actor, state)[0])
+        expected = float(forward(actor, state[None])[0, 0])
         assert td3_select_action(actor, state, 0.0, -1.0, 1.0, rng) == expected
 
     def test_zero_network_acts_zero(self, rng):
-        assert td3_select_action(zero_actor(3), [1.0, 2.0, 3.0], 0.0, -1.0, 1.0, rng) == 0.0
+        assert td3_select_action(zero_actor(3), np.array([1.0, 2.0, 3.0]), 0.0, -1.0, 1.0, rng) == 0.0
 
     def test_noise_is_centered(self):
         actor = zero_actor(2)
         gen = np.random.default_rng(99)
-        draws = [td3_select_action(actor, [0.0, 0.0], 0.2, -1.0, 1.0, gen) for _ in range(10_000)]
+        draws = [td3_select_action(actor, np.zeros(2), 0.2, -1.0, 1.0, gen) for _ in range(10_000)]
         assert abs(float(np.mean(draws))) < 0.01
 
     def test_clamped_to_unit_interval(self):
         actor = zero_actor(1)
         gen = np.random.default_rng(5)
-        draws = [td3_select_action(actor, [0.0], 5.0, -1.0, 1.0, gen) for _ in range(500)]
+        draws = [td3_select_action(actor, np.zeros(1), 5.0, -1.0, 1.0, gen) for _ in range(500)]
         assert all(-1.0 <= a <= 1.0 for a in draws)
         assert any(abs(a) == 1.0 for a in draws)
 
@@ -421,7 +421,7 @@ class TestBatchedPolicies:
         for n in (1, 63, 64, 65, 200):  # around the 64-row block boundary
             rows = observation_rows(5, n)
             batched = agent.policies(rows)
-            vector = [float(np.clip(forward(agent.nets["actor"], row)[0], low, high)) for row in rows]
+            vector = [float(np.clip(forward(agent.nets["actor"], row[None])[0, 0], low, high)) for row in rows]
             assert all(type(a) is float for a in batched)
             assert batched == [agent.policies(row[None])[0] for row in rows] == vector
             assert all(low <= a <= high for a in batched)
