@@ -59,11 +59,6 @@ class PriceSeries:
         # rebuilt through the constructor, so a copy sent to a worker keeps a read-only array
         return (PriceSeries, (self._dates, self._closes))
 
-    def __eq__(self, other):
-        if not isinstance(other, PriceSeries):
-            return NotImplemented
-        return self._dates == other._dates and np.array_equal(self._closes, other._closes)
-
     def __len__(self) -> int:
         return len(self._dates)
 

@@ -40,11 +40,12 @@ def atomic_open(path, mode: str = "w", **kwargs):
 
 @contextmanager
 def reading(path, missing: str | None = None):
-    """``path`` opened as UTF-8 text for reading. A directory, an unreadable file or
-    bytes that are not UTF-8 raise ValueError("<path>: <reason>"); a missing file
-    raises FileNotFoundError, as ``"<missing>: <path>"`` when ``missing`` is given."""
+    """``path`` opened as UTF-8 text for reading, less any leading byte-order mark.
+    A directory, an unreadable file or bytes that are not UTF-8 raise
+    ValueError("<path>: <reason>"); a missing file raises FileNotFoundError, as
+    ``"<missing>: <path>"`` when ``missing`` is given."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except FileNotFoundError:
         if missing is None:

@@ -118,8 +118,8 @@ def _read(default, value, key: str = ""):
     ``replace(default, **changes)``; a dict default takes an object of its keys
     and gives the changes alone; a tuple default takes a list whose items are
     read against ``default[0]``; a leaf takes a value of its default's type (an
-    int for a float, a bool for neither). A mismatch is a ValueError naming the
-    dotted ``key`` ("" at the top).
+    int for a float, a bool for neither), and a float leaf a finite one. A
+    mismatch is a ValueError naming the dotted ``key`` ("" at the top).
     """
     if is_dataclass(default) or isinstance(default, dict):
         if not isinstance(value, dict):
@@ -141,6 +141,8 @@ def _read(default, value, key: str = ""):
     allowed = (int, float) if isinstance(default, float) else type(default)
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise ValueError(f"config key {key}: expected {type(default).__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):  # json reads NaN and Infinity
+        raise ValueError(f"config key {key}: expected a finite number, got {value!r}")
     return value
 
 

@@ -1,9 +1,9 @@
 """Performance metrics and the paired one-sided t-test.
 
-The Student-t tail probability is self-contained (regularized incomplete
-beta via a Lentz continued fraction), so the package carries no statistics
-dependency. Accuracy is near machine precision for the degrees of freedom
-used here.
+The Student-t tail probability is self-contained (the regularized incomplete
+beta summed as its hypergeometric series), so the package carries no
+statistics dependency. Its relative error is about 1e-13 near t = 0, where
+forming x = df / (df + t^2) loses digits, and smaller in the tails.
 """
 
 from __future__ import annotations
@@ -36,62 +36,32 @@ def sharpe(daily_returns, annualization_days: int) -> float:
 
 # -- Student-t tail ------------------------------------------------------
 
-_MAX_CF_ITER = 300
-_CF_EPS = 1e-15
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_CF_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise RuntimeError(f"incomplete beta continued fraction failed to converge for a={a}, b={b}, x={x}")
-
 
 def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
+    """Regularized incomplete beta I_x(a, b), summed as its hypergeometric series.
+
+    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * sum_n (a+b)_n / (a+1)_n x^n
+    (DLMF 8.17.8), taken on the side of I_x(a, b) = 1 - I_{1-x}(b, a) where
+    x <= (a+1)/(a+b+2). There every term ratio is below 1, so the terms fall
+    monotonically and the sum stops once a term no longer moves it.
+    """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    swap = x > (a + 1.0) / (a + b + 2.0)
+    if swap:
+        a, b, x = b, a, 1.0 - x
+    total = 0.0
+    if x > 0.0:
+        term = math.exp(
+            math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+            + a * math.log(x) + b * math.log1p(-x)
+        ) / a
+        n = 0
+        while term > 1e-17 * total:
+            total += term
+            term *= (a + b + n) / (a + 1.0 + n) * x
+            n += 1
+    return 1.0 - total if swap else total
 
 
 def t_upper_tail(t0: float, df: int) -> float:

@@ -228,6 +228,26 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"config key {key}: expected"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("overrides,key", [
+        ({"env": {"window": 4, "transaction_cost": "@"}}, "env.transaction_cost"),
+        ({"td3": {"action_low": "@"}}, "td3.action_low"),
+        ({"td3": {"exploration_noise": {"initial": "@"}}}, "td3.exploration_noise.initial"),
+        ({"dqn": {"actions": ["@", 1.0]}}, "dqn.actions[0]"),
+    ])
+    def test_rejects_non_finite_numbers_by_key(self, tmp_path, constant, overrides, key):
+        """json reads NaN, Infinity and -Infinity as floats; the reader names the key."""
+        text = json.dumps(base_config(tmp_path, **overrides)).replace('"@"', constant)
+        with pytest.raises(ValueError) as err:
+            config_from_dict(json.loads(text))
+        assert str(err.value) == f"config key {key}: expected a finite number, got {float(constant)!r}"
+
+    def test_reads_a_config_with_a_byte_order_mark(self, tmp_path):
+        raw = base_config(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(raw).encode())
+        assert harness.read_config(path) == raw
+
     def test_accepts_integers_for_floats_and_partial_schedules(self, tmp_path):
         raw = base_config(tmp_path, env={"window": 4, "transaction_cost": 1},
                           td3={"exploration_noise": {"decay": 20}, "grad_clip_norm": 2})

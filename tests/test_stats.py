@@ -64,6 +64,9 @@ class TestTUpperTail:
         assert t_upper_tail(math.inf, 5) == 0.0
         assert t_upper_tail(-math.inf, 5) == 1.0
         assert t_upper_tail(60.0, 39) < 1e-12
+        for df in (1, 2, 39, 1000):  # t0 * t0 overflows, so x = df / (df + t0^2) is 0
+            assert t_upper_tail(1e200, df) == 0.0
+            assert t_upper_tail(-1e200, df) == 1.0
 
     def test_antisymmetry(self, rng):
         for _ in range(100):
@@ -78,8 +81,22 @@ class TestTUpperTail:
 
     def test_matches_quadrature_oracle(self):
         for t in (-4.41, -3.95, -2.84, -1.66, -0.5, 0.25, 1.0, 2.84, 5.5):
-            for df in (1, 2, 5, 39, 60):
+            for df in (1, 2, 5, 39, 60, 199, 1000):
                 assert abs(t_upper_tail(t, df) - t_tail_by_quadrature(t, df)) < 1e-8
+
+    def test_relative_error_against_closed_forms(self):
+        """Relative error sees the deep tails, where an absolute tolerance passes any small value."""
+        def df1(t):
+            return math.atan2(1.0, t) / math.pi
+
+        def df2(t):  # (s - t) / (2s) with s = sqrt(t^2 + 2), which is 1 / (s (s + t))
+            s = math.sqrt(t * t + 2.0)
+            return 1.0 / (s * (s + t)) if t > 0 else (s - t) / (2.0 * s)
+
+        for magnitude in np.logspace(-3, 8, 221):
+            for t in (float(magnitude), -float(magnitude)):
+                for df, exact in ((1, df1), (2, df2)):
+                    assert abs(t_upper_tail(t, df) - exact(t)) <= 1e-12 * exact(t), (t, df)
 
     def test_df_must_be_positive(self):
         with pytest.raises(ValueError):
