@@ -48,6 +48,10 @@ class DqnConfig:
             raise ValueError(f"batch_size {self.batch_size} exceeds buffer_capacity {self.buffer_capacity}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.warmup_episodes < 0:
+            raise ValueError(f"warmup_episodes must be >= 0, got {self.warmup_episodes}")
+        if any(size < 1 for size in self.hidden):
+            raise ValueError(f"hidden sizes must be >= 1, got {self.hidden}")
 
 
 class DqnAgent:

@@ -54,6 +54,11 @@ class Td3Config:
         for name in ("actor_lr", "critic_lr", "grad_clip_norm"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.warmup_episodes < 0:
+            raise ValueError(f"warmup_episodes must be >= 0, got {self.warmup_episodes}")
+        for name in ("actor_hidden", "critic_hidden"):
+            if any(size < 1 for size in getattr(self, name)):
+                raise ValueError(f"{name} sizes must be >= 1, got {getattr(self, name)}")
 
 
 def td3_select_action(actor: Mlp, state: np.ndarray, sigma: float, a_low: float, a_high: float,

@@ -68,10 +68,10 @@ def _train_kinds(cfg: ExperimentConfig, segments, seed: int) -> list[str]:
 
 
 def cmd_train(cfg: ExperimentConfig) -> int:
-    train_seg, valid_seg, _ = load_segments(cfg)
     if not agent_kinds(cfg.strategies):
         print("no trainable strategies requested; nothing to do", file=sys.stderr)
         return 2
+    train_seg, valid_seg, _ = load_segments(cfg)
     os.makedirs(checkpoint_dir(cfg), exist_ok=True)
     trained = map_seeds(cfg, partial(_train_kinds, cfg, (train_seg, valid_seg)))
     for seed, kinds in zip(cfg.seeds, trained):

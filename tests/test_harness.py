@@ -190,6 +190,11 @@ class TestConfig:
         ({"ttest": {"alpha": -3}}, "ttest.alpha must lie in (0, 1), got -3"),
         ({"ttest": {"alpha": 0}}, "ttest.alpha must lie in (0, 1), got 0"),
         ({"ttest": {"alpha": 1.0}}, "ttest.alpha must lie in (0, 1), got 1.0"),
+        ({"td3": {"warmup_episodes": -1}}, "warmup_episodes must be >= 0, got -1"),
+        ({"dqn": {"warmup_episodes": -2}}, "warmup_episodes must be >= 0, got -2"),
+        ({"td3": {"actor_hidden": [0]}}, "actor_hidden sizes must be >= 1, got (0,)"),
+        ({"td3": {"critic_hidden": [8, -1]}}, "critic_hidden sizes must be >= 1, got (8, -1)"),
+        ({"dqn": {"hidden": [-3]}}, "hidden sizes must be >= 1, got (-3,)"),
     ])
     def test_rejects_values_that_would_fail_after_training(self, tmp_path, overrides, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -994,6 +999,7 @@ class TestCli:
     @pytest.mark.parametrize("damage,message", [
         ("drop_array", "critic2.b1 is not a file in the archive"),
         ("truncate", "File is not a zip file"),
+        ("nan_weight", "checkpoint array actor.w0 is not finite"),
     ])
     def test_evaluate_with_a_half_written_checkpoint_fails(self, tmp_path, capsys, damage, message):
         raw = base_config(tmp_path, strategies=["td3"], seeds=[0])
@@ -1001,13 +1007,17 @@ class TestCli:
         ckpt = harness.checkpoint_path(cfg, "td3", 0)
         os.makedirs(os.path.dirname(ckpt))
         make_agent(cfg, "td3", 0).save(ckpt)  # where `tradelab train` writes it
-        if damage == "drop_array":
-            with np.load(ckpt) as data:
-                kept = {key: data[key] for key in data.files if key != "critic2.b1"}
-            np.savez(ckpt, **kept)
-        else:
+        if damage == "truncate":
             with open(ckpt, "r+b") as fh:
                 fh.truncate(200)
+        else:
+            with np.load(ckpt) as data:
+                arrays = {key: data[key] for key in data.files}
+            if damage == "drop_array":
+                del arrays["critic2.b1"]
+            else:
+                arrays["actor.w0"][0, 0] = np.nan  # the actor's first weight
+            np.savez(ckpt, **arrays)
         assert main(["evaluate", "--config", str(self.write_config(tmp_path, raw))]) == 1
         assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
 
@@ -1030,9 +1040,11 @@ class TestCli:
         ]
 
     def test_train_without_trainable_strategy_fails(self, tmp_path, capsys):
-        cfg_path = self.write_config(tmp_path, base_config(tmp_path, strategies=["buy_hold"]))
-        assert main(["train", "--config", str(cfg_path)]) == 2
+        raw = base_config(tmp_path, strategies=["buy_hold"])
+        raw["dataset"]["path"] = str(tmp_path / "absent.csv")  # the check runs before the load
+        assert main(["train", "--config", str(self.write_config(tmp_path, raw))]) == 2
         assert capsys.readouterr().err == "no trainable strategies requested; nothing to do\n"
+        assert not os.path.exists(raw["output_dir"])
 
     def test_ttest_without_equity_curves_fails(self, tmp_path, capsys):
         raw = base_config(tmp_path)
@@ -1089,6 +1101,12 @@ class TestCli:
         path.write_bytes(path.read_bytes() + b"\xff\n")  # not UTF-8
         assert main([verb, "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+        if target == "dataset":  # a bar whose low exceeds its high is named by its line
+            path.write_text("Date,Open,High,Low,Close,Volume\n2020-01-01,1,1,1,1,1\n"
+                            "2020-01-02,1,1,1,1,1\n2020-01-03,1,1,2,1,1\n")
+            assert main([verb, "--config", str(cfg_path)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {path}:4: low exceeds open/close/high on 2020-01-03\n")
         path.unlink()
         path.mkdir()
         assert main([verb, "--config", str(cfg_path)]) == 1
@@ -1103,9 +1121,13 @@ class TestCli:
     @pytest.mark.parametrize("overrides,message", [
         ({"env": {"window": 4, "transacton_cost": 5}}, "unknown config key env.transacton_cost"),
         ({"episodes": "50"}, "config key episodes: expected int, got '50'"),
+        ({"env": {"window": 4, "transaction_cost": float("nan")}},
+         "config key env.transaction_cost: expected a finite number, got nan"),
+        ({"td3": {"actor_hidden": [0]}}, "actor_hidden sizes must be >= 1, got (0,)"),
     ])
     def test_invalid_config_reports_the_key(self, tmp_path, capsys, overrides, message):
         raw = base_config(tmp_path, **overrides)
+        raw["dataset"]["path"] = str(tmp_path / "absent.csv")  # each check runs before the load
         assert main(["compare", "--config", str(self.write_config(tmp_path, raw))]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not os.path.exists(raw["output_dir"])
@@ -1219,11 +1241,18 @@ class TestCli:
     def test_ttest_into_a_missing_output_dir_names_the_file(self, tmp_path, capsys):
         gone = tmp_path / "gone"
         raw = base_config(tmp_path, ttest={"pairs": []}, output_dir=str(gone))
-        assert main(["ttest", "--config", str(self.write_config(tmp_path, raw))]) == 1
+        cfg_path = self.write_config(tmp_path, raw)
+        assert main(["ttest", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {gone / 'ttest.csv'}: No such file or directory\n"
         assert ".tmp" not in err
         assert sorted(os.listdir(tmp_path)) == ["config.json", "prices.csv"]
+        (gone / "ttest.csv").mkdir(parents=True)  # a directory fails the final move
+        assert main(["ttest", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {gone / 'ttest.csv'}: Is a directory\n"
+        assert ".tmp" not in err
+        assert output_files(tmp_path) == ["config.json", "prices.csv"]
 
     def test_flags_replace_only_their_fields(self, tmp_path, monkeypatch):
         """``--pairs`` keeps the file's ``ttest.alpha``, and ``--alpha`` its pairs."""

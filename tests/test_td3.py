@@ -347,7 +347,7 @@ class TestConfig:
 
     def test_accepts_the_boundary_values(self):
         Td3Config(batch_size=32, buffer_capacity=32, tau=0.0)
-        Td3Config(tau=1.0)
+        Td3Config(tau=1.0, warmup_episodes=0, actor_hidden=(), critic_hidden=())
 
     def test_hash_is_stable_and_sensitive(self):
         assert config_hash(Td3Config()) == config_hash(Td3Config()) == "086e70cfa5a75711"
