@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..neuralnet import (AdamState, Tape, adam_step, backward, clone, create_mlp, forward,
-                         forward_rows, load_nets, make_dropout_masks, restore_nets, save_nets,
-                         snapshot_nets)
-from .training import DecaySchedule, bootstrap_target, schedule_value
+from ..neuralnet import (AdamState, adam_step, backward, clone, create_mlp, forward,
+                         forward_rows, make_dropout_masks)
+from .training import DecaySchedule, NetAgent, bootstrap_target, check_agent_config, schedule_value
 
 
 @dataclass(frozen=True)
@@ -32,8 +31,9 @@ class DqnConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
+        check_agent_config(self, ("learning_rate",), ("hidden",))
+        if not self.epsilon.initial <= 1.0:  # final <= initial, so this bounds both endpoints
+            raise ValueError(f"epsilon.initial must lie in [0, 1], got {self.epsilon.initial}")
         if self.target_sync < 1:
             raise ValueError(f"target_sync must be >= 1, got {self.target_sync}")
         if len(self.actions) < 2:
@@ -42,32 +42,19 @@ class DqnConfig:
             raise ValueError("discrete actions must lie in [-1, 1]")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.batch_size > self.buffer_capacity:
-            raise ValueError(f"batch_size {self.batch_size} exceeds buffer_capacity {self.buffer_capacity}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.warmup_episodes < 0:
-            raise ValueError(f"warmup_episodes must be >= 0, got {self.warmup_episodes}")
-        if any(size < 1 for size in self.hidden):
-            raise ValueError(f"hidden sizes must be >= 1, got {self.hidden}")
 
 
-class DqnAgent:
+class DqnAgent(NetAgent):
+    # perfbench's tracer wraps only the methods in vars(cls)
+    snapshot, save, load = NetAgent.snapshot, NetAgent.save, NetAgent.load
+
     def __init__(self, window: int, config: DqnConfig | None = None, seed: int = 0):
-        self.window = window
-        self.config = config or DqnConfig()
-        cfg = self.config
+        cfg = config or DqnConfig()
         rng = np.random.default_rng([seed, 0xD99])
         net = create_mlp((window, *cfg.hidden, len(cfg.actions)), rng)
-        self.nets = {"net": net, "target": clone(net)}
+        super().__init__(window, cfg, {"net": net, "target": clone(net)})
         self.opt = AdamState.create(net.theta, lr=cfg.learning_rate)
         self._actions = np.asarray(cfg.actions, dtype=np.float64)
-        self.updates = 0
-        self.episodes_trained = 0
-
-    # -- acting ---------------------------------------------------------
 
     def policies(self, rows) -> list[float]:
         """Greedy actions for a (n, window) array of states; np.argmax breaks ties
@@ -81,21 +68,17 @@ class DqnAgent:
         eps = schedule_value(self.config.epsilon, episode)
         if rng.random() < eps:
             return self.random_actions(rng, 1)[0]
-        return self.policies(np.asarray(state, dtype=np.float64)[None])[0]
+        return self.policy(state)
 
     def random_actions(self, rng: np.random.Generator, n: int) -> list[float]:
         """n uniform picks from the action set in one draw, which leaves ``rng`` where n scalar draws would."""
         return self._actions[rng.integers(len(self._actions), size=n)].tolist()
 
-    # -- learning -------------------------------------------------------
-
     def update(self, buffer, episode: int, rng: np.random.Generator) -> dict:
         """One MSE step on the taken-action Q-values of a batch of ``buffer``; periodic
         hard target sync. A non-finite loss raises before the Adam step."""
         cfg = self.config
-        if len(buffer) < cfg.batch_size:
-            raise ValueError(f"buffer holds {len(buffer)} < batch size {cfg.batch_size}")
-        s, actions, r, s2, term = buffer.sample(cfg.batch_size, rng)
+        s, actions, r, s2, term = self._batch(buffer, rng)
         n = len(s)
         hits = actions[:, None] == self._actions
         found = hits.any(axis=1)
@@ -104,10 +87,10 @@ class DqnAgent:
         idx = hits.argmax(axis=1)  # the first match, for a set that repeats an action
 
         net, target = self.nets["net"], self.nets["target"]
-        y = bootstrap_target(r, term, cfg.gamma, forward(target, s2).max(axis=-1))
+        y = bootstrap_target(r, term, cfg.gamma, forward(target, s2, tape=self.tapes["net"]).max(axis=-1))
 
         masks = make_dropout_masks(net, cfg.dropout, rng)
-        tape = Tape()
+        tape = self.tapes["net"]
         q = forward(net, s, dropout_masks=masks, tape=tape)
         rows = np.arange(n)
         resid = q[rows, idx] - y
@@ -124,17 +107,3 @@ class DqnAgent:
         if self.updates % cfg.target_sync == 0:
             target.theta[...] = net.theta
         return {"loss": loss, "epsilon": schedule_value(cfg.epsilon, episode)}
-
-    # -- snapshots ------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return snapshot_nets(self.nets)
-
-    def restore(self, snap: dict) -> None:
-        restore_nets(self.nets, snap)
-
-    def save(self, path) -> None:
-        save_nets(path, self.nets, self.config, self.episodes_trained)
-
-    def load(self, path) -> None:
-        self.episodes_trained = load_nets(path, self.nets, self.config, self.window)

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..neuralnet import (AdamState, Mlp, Tape, adam_step, backward, clip_gradients, clone,
-                         create_mlp, forward, forward_rows, load_nets, restore_nets, save_nets,
-                         snapshot_nets, soft_update)
-from .training import DecaySchedule, bootstrap_target, schedule_value
+                         create_mlp, forward, forward_rows, soft_update)
+from .training import DecaySchedule, NetAgent, bootstrap_target, check_agent_config, schedule_value
 
 
 @dataclass(frozen=True)
@@ -39,26 +38,16 @@ class Td3Config:
     critic_hidden: tuple[int, ...] = (64, 32)
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if self.action_low >= self.action_high:
+        check_agent_config(self, ("actor_lr", "critic_lr", "grad_clip_norm"),
+                           ("actor_hidden", "critic_hidden"))
+        if not self.action_low < self.action_high:  # written so that NaN fails each comparison
             raise ValueError("action_low must be below action_high")
-        if self.action_low < -1.0 or self.action_high > 1.0:
+        if not (-1.0 <= self.action_low and self.action_high <= 1.0):
             raise ValueError("action bounds must stay within [-1, 1]")
-        if self.batch_size < 1 or self.policy_delay < 1:
-            raise ValueError("batch_size and policy_delay must be >= 1")
-        if self.batch_size > self.buffer_capacity:
-            raise ValueError(f"batch_size {self.batch_size} exceeds buffer_capacity {self.buffer_capacity}")
+        if self.policy_delay < 1:
+            raise ValueError(f"policy_delay must be >= 1, got {self.policy_delay}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
-        for name in ("actor_lr", "critic_lr", "grad_clip_norm"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.warmup_episodes < 0:
-            raise ValueError(f"warmup_episodes must be >= 0, got {self.warmup_episodes}")
-        for name in ("actor_hidden", "critic_hidden"):
-            if any(size < 1 for size in getattr(self, name)):
-                raise ValueError(f"{name} sizes must be >= 1, got {getattr(self, name)}")
 
 
 def td3_select_action(actor: Mlp, state: np.ndarray, sigma: float, a_low: float, a_high: float,
@@ -78,29 +67,31 @@ def td3_target_action(
     a_low: float,
     a_high: float,
     rng,
+    tape: Tape | None = None,
 ) -> np.ndarray:
     """Smoothed target actions, one row per next state:
     clip(pi'(s') + clip(N(0, sigma~), -K, K), a1, a2).
 
     The noise is one ``(n, 1)`` normal draw, made only when sigma~ > 0.
     """
-    a = forward(actor_target, next_states)
+    a = forward(actor_target, next_states, tape=tape)
     n = len(a)
     eps = rng.normal(0.0, sigma_tilde, size=(n, 1)) if sigma_tilde > 0 else np.zeros((n, 1))
     return np.clip(a + np.clip(eps, -noise_clip, noise_clip), a_low, a_high)
 
 
-def actor_gradient(actor: Mlp, critic: Mlp, states: np.ndarray):
+def actor_gradient(actor: Mlp, critic: Mlp, states: np.ndarray, tapes=None):
     """Gradient of J = mean_i Q(s_i, pi(s_i)) w.r.t. the actor parameters.
 
     dQ/da is taken from the critic's input gradient at the action slot and
     chained through the actor; the critic's own parameter gradients are
-    never computed. Returns (grad, J), the gradient laid out like ``actor.theta``.
+    never computed. Returns (grad, J), the gradient laid out like ``actor.theta``,
+    from the (actor, critic) pair of ``tapes`` the passes record on (fresh if None).
     """
     n = states.shape[0]
-    actor_tape, critic_tape = Tape(), Tape()
+    actor_tape, critic_tape = tapes or (Tape(), Tape())
     a_pi = forward(actor, states, tape=actor_tape)
-    x = np.concatenate([states, a_pi], axis=1)
+    x = np.concatenate([states, a_pi], axis=1, out=critic_tape.array("x", (n, critic.layer_dims[0])))
     q = forward(critic, x, tape=critic_tape)
     dx = backward(critic, np.full((n, 1), 1.0 / n), tape=critic_tape, wrt="input")
     da = dx[:, states.shape[1]:]
@@ -108,29 +99,23 @@ def actor_gradient(actor: Mlp, critic: Mlp, states: np.ndarray):
     return grad, float(np.mean(q))
 
 
-class Td3Agent:
+class Td3Agent(NetAgent):
+    # perfbench's tracer wraps only the methods in vars(cls), and its own test calls policy
+    snapshot, save, load, policy = NetAgent.snapshot, NetAgent.save, NetAgent.load, NetAgent.policy
+
     def __init__(self, window: int, config: Td3Config | None = None, seed: int = 0):
-        self.window = window
-        self.config = config or Td3Config()
-        cfg = self.config
+        cfg = config or Td3Config()
         rng = np.random.default_rng([seed, 0x7D3])
         actor = create_mlp((window, *cfg.actor_hidden, 1), rng, hidden_activation="relu",
                            output_activation="tanh")
         critics = [create_mlp((window + 1, *cfg.critic_hidden, 1), rng) for _ in range(2)]
-        self.nets = {"actor": actor, "critic1": critics[0], "critic2": critics[1],
-                     "actor_target": clone(actor), "critic1_target": clone(critics[0]),
-                     "critic2_target": clone(critics[1])}
+        super().__init__(window, cfg, {
+            "actor": actor, "critic1": critics[0], "critic2": critics[1],
+            "actor_target": clone(actor), "critic1_target": clone(critics[0]),
+            "critic2_target": clone(critics[1])})
         self.actor_opt = AdamState.create(actor.theta, lr=cfg.actor_lr)
         self.critic1_opt = AdamState.create(critics[0].theta, lr=cfg.critic_lr)
         self.critic2_opt = AdamState.create(critics[1].theta, lr=cfg.critic_lr)
-        self.updates = 0
-        self.episodes_trained = 0
-
-    # -- acting ---------------------------------------------------------
-
-    def policy(self, state) -> float:
-        """``policies`` of a one-row stack; only perfbench's tracer test calls it."""
-        return self.policies(np.asarray(state, dtype=np.float64)[None])[0]
 
     def policies(self, rows) -> list[float]:
         """Deterministic actions for a (n, window) array of states, clamped to the
@@ -149,36 +134,33 @@ class Td3Agent:
         low, high = self.config.action_low, self.config.action_high
         return (low + (high - low) * rng.random(n)).tolist()  # the doubles of rng.uniform(low, high)
 
-    # -- learning -------------------------------------------------------
-
     def update(self, buffer, episode: int, rng: np.random.Generator) -> dict:
         """One gradient step on both critics from a ``buffer`` batch, delayed actor/target step;
         a non-finite critic loss or actor objective raises before the Adam step that would use it."""
         cfg = self.config
-        if len(buffer) < cfg.batch_size:
-            raise ValueError(f"buffer holds {len(buffer)} < batch size {cfg.batch_size}")
-        s, a, r, s2, term = buffer.sample(cfg.batch_size, rng)
+        s, a, r, s2, term = self._batch(buffer, rng)
         n = len(s)
-        nets = self.nets
+        nets, tapes = self.nets, self.tapes  # a shape's passes follow one another on its tape
         critics = (nets["critic1"], nets["critic2"])
 
         a2 = td3_target_action(nets["actor_target"], s2, schedule_value(cfg.policy_noise, episode),
-                            schedule_value(cfg.noise_clip, episode), cfg.action_low,
-                            cfg.action_high, rng)
-        x2 = np.concatenate([s2, a2], axis=1)
-        y = bootstrap_target(r, term, cfg.gamma, np.minimum(forward(nets["critic1_target"], x2)[:, 0],
-                                                         forward(nets["critic2_target"], x2)[:, 0]))
+                               schedule_value(cfg.noise_clip, episode), cfg.action_low,
+                               cfg.action_high, rng, tapes["actor"])
+        x2 = np.concatenate([s2, a2], axis=1, out=tapes["critic1"].array("x", (n, self.window + 1)))
+        q2 = [forward(nets[f"{name}_target"], x2, tape=tapes[name])[:, 0] for name in ("critic1", "critic2")]
+        y = bootstrap_target(r, term, cfg.gamma, np.minimum(*q2))
 
-        x = np.concatenate([s, a[:, None]], axis=1)
+        x = np.concatenate([s, a[:, None]], axis=1, out=tapes["critic1"].array("x", (n, self.window + 1)))
         number = self.updates + 1
-        tapes = (Tape(), Tape())
-        resids = [forward(critic, x, tape=tape)[:, 0] - y for critic, tape in zip(critics, tapes)]
+        resids = [forward(critic, x, tape=tapes[name])[:, 0] - y
+                  for name, critic in zip(("critic1", "critic2"), critics)]
         losses = [float(np.add.reduce(r * r)) / n for r in resids]  # np.mean's sum and divide
         for name, loss in zip(("critic1", "critic2"), losses):  # both, before either critic moves
             if not math.isfinite(loss):
                 raise ValueError(f"td3 update {number}: non-finite {name} loss {loss}")
-        for critic, opt, tape, resid in zip(critics, (self.critic1_opt, self.critic2_opt), tapes, resids):
-            grad = backward(critic, (2.0 * resid / n)[:, None], tape=tape, wrt="params")
+        for critic, opt, name, resid in zip(critics, (self.critic1_opt, self.critic2_opt),
+                                            ("critic1", "critic2"), resids):
+            grad = backward(critic, (2.0 * resid / n)[:, None], tape=tapes[name], wrt="params")
             adam_step(critic.theta, grad, opt)
 
         diag = {
@@ -192,27 +174,12 @@ class Td3Agent:
             diag["actor_updated"] = True
             # Ascend J = mean(Q1(s, pi(s))): chain dQ/da through the actor.
             actor = nets["actor"]
-            actor_grad, objective = actor_gradient(actor, critics[0], s)
+            actor_grad, objective = actor_gradient(actor, critics[0], s, (tapes["actor"], tapes["critic1"]))
             if not math.isfinite(objective):
                 raise ValueError(f"td3 update {number}: non-finite actor objective {objective}")
             actor_grad = clip_gradients(actor_grad, actor.layer_dims, cfg.grad_clip_norm)
-            adam_step(actor.theta, -actor_grad, self.actor_opt)
+            adam_step(actor.theta, np.negative(actor_grad, out=actor_grad), self.actor_opt)
 
             for name in ("actor", "critic1", "critic2"):
                 soft_update(nets[f"{name}_target"].theta, nets[name].theta, cfg.tau)
         return diag
-
-    # -- snapshots ------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Copies of all learned parameters, for checkpoint selection."""
-        return snapshot_nets(self.nets)
-
-    def restore(self, snap: dict) -> None:
-        restore_nets(self.nets, snap)
-
-    def save(self, path) -> None:
-        save_nets(path, self.nets, self.config, self.episodes_trained)
-
-    def load(self, path) -> None:
-        self.episodes_trained = load_nets(path, self.nets, self.config, self.window)

@@ -1,8 +1,8 @@
-"""What both network agents share: the episodic loop, the temporal-difference
-target and the decay schedules.
+"""What both network agents share: the ``NetAgent`` base, the config rules,
+the episodic loop, the temporal-difference target and the decay schedules.
 
 Each ``train`` call fills its own replay buffer, built on the segment's
-observation table and dropped on return. Warmup episodes act uniformly at random
+observation table, and drops it and the agent's update tapes on return. Warmup episodes act uniformly at random
 and only fill the buffer. Every later episode is one chronological pass over the
 training segment with one gradient update per environment step (once the buffer
 can serve a batch). The schedules run on the post-warmup episode index.
@@ -11,12 +11,14 @@ can serve a batch). The schedules run on the post-warmup episode index.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..data import PriceSeries
 from ..env import EnvConfig, TradingEnv
+from ..neuralnet import Tape, load_nets, save_nets
 from .replay import ReplayBuffer
 
 
@@ -27,12 +29,69 @@ class DecaySchedule:
     decay: float
 
     def __post_init__(self):
-        if self.initial < 0 or self.final < 0:
+        if not (self.initial >= 0 and self.final >= 0):  # NaN fails too
             raise ValueError("schedule endpoints must be non-negative")
         if self.final > self.initial:
             raise ValueError(f"final {self.final} exceeds initial {self.initial}")
         if not self.decay > 0:
             raise ValueError(f"decay must be positive, got {self.decay}")
+
+
+def check_agent_config(cfg, rates: tuple[str, ...], sizes: tuple[str, ...]) -> None:
+    """The rules both agent configs share; ``rates`` name the fields that must be
+    > 0 (step sizes, a clip norm), ``sizes`` the hidden-size tuples."""
+    if not 0.0 <= cfg.gamma < 1.0:
+        raise ValueError(f"gamma must lie in [0, 1), got {cfg.gamma}")
+    if cfg.batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
+    if cfg.batch_size > cfg.buffer_capacity:
+        raise ValueError(f"batch_size {cfg.batch_size} exceeds buffer_capacity {cfg.buffer_capacity}")
+    if cfg.warmup_episodes < 0:
+        raise ValueError(f"warmup_episodes must be >= 0, got {cfg.warmup_episodes}")
+    for name in rates:
+        if not getattr(cfg, name) > 0:
+            raise ValueError(f"{name} must be > 0, got {getattr(cfg, name)}")
+    for name in sizes:
+        if any(size < 1 for size in getattr(cfg, name)):
+            raise ValueError(f"{name} sizes must be >= 1, got {getattr(cfg, name)}")
+
+
+class NetAgent:
+    """What TD3 and DQN share: ``window``, ``config``, the ``nets`` table of named
+    networks, the update and episode counts, the batch rule, snapshots, checkpoints,
+    the one-row policy and an update's tapes. A subclass builds its networks and
+    optimisers and defines ``policies``, ``explore_action``, ``random_actions`` and ``update``."""
+
+    def __init__(self, window: int, config, nets: dict):
+        self.window, self.config, self.nets = window, config, nets
+        self.updates = self.episodes_trained = 0
+        # an update's passes, one tape per network shape, which ``train`` drops on return
+        self.tapes: defaultdict[str, Tape] = defaultdict(Tape)
+
+    def policy(self, state) -> float:
+        """``policies`` of a one-row stack."""
+        return self.policies(np.asarray(state, dtype=np.float64)[None])[0]
+
+    def _batch(self, buffer, rng: np.random.Generator):
+        size = self.config.batch_size
+        if len(buffer) < size:
+            raise ValueError(f"buffer holds {len(buffer)} < batch size {size}")
+        return buffer.sample(size, rng)
+
+    def snapshot(self) -> dict:
+        """A copy of each network's ``theta``, by name, for checkpoint selection."""
+        return {name: net.theta.copy() for name, net in self.nets.items()}
+
+    def restore(self, snap: dict) -> None:
+        """Write a :meth:`snapshot` back into the networks, in place."""
+        for name, net in self.nets.items():
+            net.theta[...] = snap[name]
+
+    def save(self, path) -> None:
+        save_nets(path, self.nets, self.config, self.episodes_trained)
+
+    def load(self, path) -> None:
+        self.episodes_trained = load_nets(path, self.nets, self.config, self.window)
 
 
 def schedule_value(sched: DecaySchedule, episode: int) -> float:
@@ -101,4 +160,5 @@ def train(agent, segment: PriceSeries, env_config: EnvConfig, episodes: int, see
         })
         if on_episode_end is not None:
             on_episode_end(agent, episode)
+    agent.tapes.clear()
     return log

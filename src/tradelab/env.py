@@ -42,7 +42,7 @@ class EnvConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.transaction_cost < 0:
+        if not self.transaction_cost >= 0:  # NaN fails too
             raise ValueError(f"transaction cost must be >= 0, got {self.transaction_cost}")
         if not self.initial_cash > 0:
             raise ValueError(f"initial cash must be > 0, got {self.initial_cash}")

@@ -21,7 +21,7 @@ its only record: :func:`backward` reads the pass's input, dropout masks and
 activations there, and computes one gradient, ``wrt`` the params or the input.
 
 An agent keeps its networks in one name -> :class:`Mlp` table under their
-checkpoint names; snapshots, checkpoints and :func:`forward_rows` are
+checkpoint names; the checkpoint format and :func:`forward_rows` are
 written once here for every agent's table or network.
 
 The kernels check shapes, dims and tapes only. A rate, a step size or a
@@ -45,12 +45,6 @@ OUTPUT_ACTIVATIONS = ("identity", "tanh")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 _CHECKPOINT_VERSION = 1
-
-
-def _grad(name: str, a: np.ndarray) -> np.ndarray:
-    """The derivative of a relu or tanh from its output ``a``; relu's is a bool
-    mask, which multiplies as 1.0/0.0."""
-    return a > 0.0 if name == "relu" else 1.0 - a * a
 
 
 def _param_views(dims, flat: np.ndarray) -> list[np.ndarray]:
@@ -139,7 +133,9 @@ class Tape:
     Per layer: its input (after the previous layer's dropout) and its
     activation (before dropout). Each activation's derivative is a function
     of the activation itself, so no pre-activation is kept. A tape holds one
-    pass; recording another overwrites it.
+    pass; recording another overwrites it, in the arrays of the last when the
+    shapes hold. :func:`backward` returns one of the tape's arrays, which the
+    next backward of the same ``wrt`` on it overwrites.
     """
 
     def __init__(self):
@@ -147,6 +143,13 @@ class Tape:
         self.dropout_masks = None
         self.inputs: list[np.ndarray] = []
         self.posts: list[np.ndarray] = []
+        self._arrays: dict = {}
+
+    def array(self, key, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        a = self._arrays.get(key)  # uninitialised, and made anew on a new shape or dtype
+        if a is None or a.shape != shape or a.dtype != dtype:
+            a = self._arrays[key] = np.empty(shape, dtype)
+        return a
 
 
 def forward(net: Mlp, x, dropout_masks=None, tape: Tape | None = None) -> np.ndarray:
@@ -171,7 +174,7 @@ def forward(net: Mlp, x, dropout_masks=None, tape: Tape | None = None) -> np.nda
     a = batch
     last = len(net.weights) - 1
     for i, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
-        h = a @ w
+        h = np.matmul(a, w, out=None if tape is None else tape.array(("post", i), (len(a), w.shape[1])))
         h += b
         if act == "relu":
             np.maximum(h, 0.0, out=h)
@@ -180,7 +183,8 @@ def forward(net: Mlp, x, dropout_masks=None, tape: Tape | None = None) -> np.nda
         if tape is not None:
             tape.inputs.append(a)
             tape.posts.append(h)
-        a = h if dropout_masks is None or i == last else h * dropout_masks[i]
+        a = h if dropout_masks is None or i == last else np.multiply(
+            h, dropout_masks[i], out=None if tape is None else tape.array(("kept", i), h.shape))
     return a
 
 
@@ -197,9 +201,10 @@ def backward(net: Mlp, upstream_grad, *, tape: Tape, wrt: str):
 
     ``tape`` records ``forward(net, x, dropout_masks, tape=tape)`` with the current
     parameters, and ``x`` and the masks are read from it. ``wrt="params"`` returns a
-    fresh vector laid out like ``net.theta``, accumulated over the rows of ``x`` (the
+    vector laid out like ``net.theta``, accumulated over the rows of ``x`` (the
     caller folds any 1/N into ``upstream_grad``); ``wrt="input"`` returns the gradient
-    shaped like ``x``. Both gradients of one pass are two calls on its tape.
+    shaped like ``x``. Both gradients of one pass are two calls on its tape, and each
+    is an array of the tape (see :class:`Tape`).
     """
     if wrt not in ("params", "input"):
         raise ValueError(f"wrt must be 'params' or 'input', got {wrt!r}")
@@ -211,7 +216,7 @@ def backward(net: Mlp, upstream_grad, *, tape: Tape, wrt: str):
         raise ValueError(f"upstream grad shape {up.shape} != {want}")
     params = wrt == "params"
     if params:
-        grad = np.empty_like(net.theta)
+        grad = tape.array("grad", net.theta.shape)
         views = _param_views(net.layer_dims, grad)  # where each layer's gradient lands
     last = len(net.weights) - 1
     g = up
@@ -220,15 +225,21 @@ def backward(net: Mlp, upstream_grad, *, tape: Tape, wrt: str):
         if act == "identity":
             delta = g  # g * 1.0, exactly
         else:
-            local = _grad(act, tape.posts[i])
+            # the derivative from the activation: relu's is a bool mask, which multiplies as 1.0/0.0
+            post, local = tape.posts[i], tape.array((act, i), g.shape, bool if act == "relu" else float)
+            if act == "relu":
+                np.greater(post, 0.0, out=local)
+            else:
+                np.subtract(1.0, np.multiply(post, post, out=local), out=local)  # tanh's 1.0 - a * a
             if tape.dropout_masks is not None and i < last:
-                local = local * tape.dropout_masks[i]
-            delta = g * local
+                local = np.multiply(local, tape.dropout_masks[i], out=tape.array(("dropout'", i), g.shape))
+            # below the top layer g is the tape's own array, and delta takes its place
+            delta = np.multiply(g, local, out=tape.array("delta", g.shape) if i == last else g)
         if params:
             np.matmul(tape.inputs[i].T, delta, out=views[2 * i])
             np.add.reduce(delta, axis=0, out=views[2 * i + 1])
         if i > 0 or not params:
-            g = delta @ net.weights[i].T
+            g = np.matmul(delta, net.weights[i].T, out=tape.array(("g", i), (len(g), net.layer_dims[i])))
     return grad if params else g
 
 
@@ -257,15 +268,18 @@ def adam_step(param, grad, opt: AdamState) -> None:
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     m, v = opt.m, opt.v
-    # m <- beta1 * m + (1 - beta1) * g and v <- beta2 * v + (1 - beta2) * g^2
+    if not hasattr(opt, "_scratch"):  # two vectors made at the first step, so a step allocates nothing
+        opt._scratch = (np.empty_like(m), np.empty_like(m))
+    denom, step = opt._scratch
+    # m <- beta1 * m + (1 - beta1) * g and v <- beta2 * v + (1 - beta2) * g^2 (either order of a product)
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
+    m += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * (grad * grad)
+    v += np.multiply(np.multiply(grad, grad, out=step), 1.0 - ADAM_BETA2, out=step)
     # p - lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / bc1, v_hat = v / bc2
-    denom = np.sqrt(v / bc2)
+    np.sqrt(np.divide(v, bc2, out=denom), out=denom)
     denom += ADAM_EPS
-    step = m / bc1
+    np.divide(m, bc1, out=step)
     step *= opt.lr
     step /= denom
     param -= step
@@ -296,17 +310,6 @@ def config_hash(config) -> str:
     """A short digest of a config dataclass, stored in checkpoints to catch a mismatch."""
     blob = json.dumps(asdict(config), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def snapshot_nets(nets: dict) -> dict:
-    """A copy of each table network's ``theta``, by name."""
-    return {name: net.theta.copy() for name, net in nets.items()}
-
-
-def restore_nets(nets: dict, snap: dict) -> None:
-    """Write a :func:`snapshot_nets` copy back into the table's networks, in place."""
-    for name, net in nets.items():
-        net.theta[...] = snap[name]
 
 
 def _param_keys(name: str, net: Mlp) -> list[tuple[str, np.ndarray]]:

@@ -12,8 +12,9 @@ from tradelab.agents import (
     train,
 )
 from tradelab.env import EnvConfig
-from tradelab.neuralnet import forward
+from tradelab.neuralnet import config_hash, forward
 
+from agent_contract import CheckpointContract, UpdateContract
 from helpers import alternating_series, observation_rows, push_pairs
 from oracles import q_learning, q_learning_update, value_iteration
 
@@ -23,6 +24,10 @@ def small_config(**overrides):
                     epsilon=DecaySchedule(1.0, 0.1, 5.0), target_sync=10)
     defaults.update(overrides)
     return DqnConfig(**defaults)
+
+
+def make_agent(window, seed, **overrides):
+    return DqnAgent(window, small_config(**overrides), seed=seed)
 
 
 def onehot(s, n=3):
@@ -96,7 +101,9 @@ class TestExploration:
         assert gen.random() == reference.random()  # the streams stayed in step
 
 
-class TestUpdate:
+class TestUpdate(UpdateContract):
+    make = staticmethod(make_agent)
+
     def fill(self, agent, gen, n=32):
         return push_pairs([
             (gen.normal(size=agent.window), float(gen.choice(agent.config.actions)),
@@ -115,12 +122,6 @@ class TestUpdate:
         agent.update(buffer, 0, gen)  # fifth update syncs
         assert not np.array_equal(frozen, agent.nets["target"].theta)
         assert np.array_equal(agent.nets["net"].theta, agent.nets["target"].theta)
-
-    def test_underfilled_buffer_rejected(self, rng):
-        agent = DqnAgent(3, small_config(batch_size=64), seed=1)
-        buffer = self.fill(agent, rng, n=3)
-        with pytest.raises(ValueError, match="batch size"):
-            agent.update(buffer, 0, np.random.default_rng(0))
 
     def test_non_finite_reward_fails_by_name_before_the_weights_move(self, rng):
         agent = DqnAgent(3, small_config(target_sync=1), seed=1)
@@ -216,39 +217,12 @@ class TestTraining:
             params.append(agent.nets["net"].theta.copy())
         assert np.array_equal(*params)
 
-    def test_checkpoint_roundtrip(self, tmp_path, rng):
-        agent = DqnAgent(3, small_config(), seed=3)
-        buffer = push_pairs([(rng.normal(size=3), -1.0, 0.0, rng.normal(size=3), False)
-                             for _ in range(16)], agent.config.buffer_capacity)
-        agent.update(buffer, 0, np.random.default_rng(0))
-        path = tmp_path / "dqn.npz"
-        agent.save(path)
-        twin = DqnAgent(3, small_config(), seed=77)
-        twin.load(path)
-        assert np.array_equal(agent.nets["net"].theta, twin.nets["net"].theta)
 
-    def test_checkpoint_with_a_non_finite_weight_fails_at_load(self, tmp_path):
-        agent = DqnAgent(3, small_config(), seed=3)
-        agent.nets["target"].theta[-1] = np.nan
-        path = tmp_path / "dqn.npz"
-        agent.save(path)
-        twin = DqnAgent(3, small_config(), seed=4)
-        before = twin.snapshot()
-        with pytest.raises(ValueError) as err:
-            twin.load(path)
-        assert str(err.value) == f"{path}: checkpoint array target.b1 is not finite"
-        assert all(np.array_equal(before[k], x) for k, x in twin.snapshot().items())
-
-    def test_checkpoint_window_mismatch_names_path_and_window(self, tmp_path):
-        path = tmp_path / "dqn.npz"
-        DqnAgent(3, small_config(), seed=3).save(path)
-        other = DqnAgent(5, small_config(), seed=3)
-        dims = other.nets["net"].layer_dims
-        with pytest.raises(ValueError) as err:
-            other.load(path)
-        assert str(err.value) == (f"{path}: checkpoint net has layer dims {(3, *dims[1:])}, "
-                                  f"but env.window 5 builds {dims}")
-        assert other.nets["net"].layer_dims == other.nets["target"].layer_dims == dims
+class TestCheckpoint(CheckpointContract):
+    make = staticmethod(make_agent)
+    poison = ("target", -1, "target.b1")
+    window_mismatch = (5, "checkpoint net has layer dims (3, 8, 2), but env.window 5 builds (5, 8, 2)")
+    traced = ("snapshot", "save", "load", "update")
 
 
 class TestConfig:
@@ -267,6 +241,9 @@ class TestConfig:
         ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
         ({"learning_rate": 0.0}, "learning_rate must be > 0, got 0.0"),
         ({"learning_rate": -0.5}, "learning_rate must be > 0, got -0.5"),
+        # final <= initial, so either endpoint above 1 puts initial above 1
+        ({"epsilon": DecaySchedule(2.0, 1.5, 50.0)}, r"epsilon.initial must lie in \[0, 1\], got 2.0"),
+        ({"epsilon": DecaySchedule(1.5, 0.05, 50.0)}, r"epsilon.initial must lie in \[0, 1\], got 1.5"),
     ])
     def test_rejects_values_that_fail_in_training(self, overrides, message):
         with pytest.raises(ValueError, match=rf"^{message}$"):
@@ -285,6 +262,10 @@ class TestConfig:
 
     def test_batch_may_fill_the_buffer(self):
         assert DqnConfig(batch_size=32, buffer_capacity=32).batch_size == 32
+
+    def test_hash_is_stable_and_sensitive(self):
+        assert config_hash(DqnConfig()) == config_hash(DqnConfig()) == "670cae7e1748ec36"
+        assert config_hash(DqnConfig(target_sync=50)) == "37ac27d990722b74"
 
 
 class TestBatchedPolicies:

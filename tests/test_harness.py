@@ -22,7 +22,7 @@ import tradelab.cli as cli
 import tradelab.neuralnet as neuralnet
 import tradelab.agents.td3 as td3_module
 import tradelab.harness as harness
-from tradelab.agents import DecaySchedule, train
+from tradelab.agents import DecaySchedule, Td3Config, train
 from tradelab.baselines import d3_discretize, sign_discretize
 from tradelab.cli import main
 from tradelab.data import DEFAULT_COLUMNS, SplitSpec
@@ -199,6 +199,18 @@ class TestConfig:
     def test_rejects_values_that_would_fail_after_training(self, tmp_path, overrides, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             config_from_dict(base_config(tmp_path, **overrides))
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: EnvConfig(transaction_cost=math.nan), "transaction cost must be >= 0, got nan"),
+        (lambda: DecaySchedule(math.nan, 0.05, 50.0), "schedule endpoints must be non-negative"),
+        (lambda: DecaySchedule(1.0, math.nan, 50.0), "schedule endpoints must be non-negative"),
+        (lambda: Td3Config(action_low=math.nan), "action_low must be below action_high"),
+        (lambda: Td3Config(action_high=math.nan), "action_low must be below action_high"),
+    ], ids=["transaction_cost", "initial", "final", "action_low", "action_high"])
+    def test_nan_fails_each_range_check(self, build, message):
+        # a config built in Python skips the JSON reader's finite-number check
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            build()
 
     @pytest.mark.parametrize("overrides,key", [
         ({"env": {"window": 4, "transacton_cost": 5}}, "env.transacton_cost"),
@@ -1124,6 +1136,7 @@ class TestCli:
         ({"env": {"window": 4, "transaction_cost": float("nan")}},
          "config key env.transaction_cost: expected a finite number, got nan"),
         ({"td3": {"actor_hidden": [0]}}, "actor_hidden sizes must be >= 1, got (0,)"),
+        ({"dqn": {"epsilon": {"initial": 2}}}, "epsilon.initial must lie in [0, 1], got 2"),
     ])
     def test_invalid_config_reports_the_key(self, tmp_path, capsys, overrides, message):
         raw = base_config(tmp_path, **overrides)

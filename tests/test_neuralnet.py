@@ -567,6 +567,29 @@ class TestTape:
         assert np.array_equal(grad[16:24].reshape(4, 2), tape.posts[0].T @ up)
         assert np.array_equal(grad[24:], up.sum(axis=0))
 
+    def test_a_kept_tape_reuses_its_arrays(self, rng):
+        """A second pass of the same batch size writes into the first one's arrays and
+        gets the bits of a fresh tape; a new batch size gets new arrays."""
+        net = create_mlp((3, 4, 2), rng, hidden_activation="tanh", output_activation="tanh")
+        tape, up = Tape(), rng.normal(size=(5, 2))
+
+        def passes(x):
+            out = forward(net, x, tape=tape)
+            return out, backward(net, up[: len(x)], tape=tape, wrt="params"), \
+                backward(net, up[: len(x)], tape=tape, wrt="input")
+
+        first = passes(rng.normal(size=(5, 3)))
+        x = rng.normal(size=(5, 3))
+        second = passes(x)
+        assert all(a is b for a, b in zip(first, second))
+        want_grad, want_dx = taped_gradients(net, x, up)
+        assert np.array_equal(second[0], forward(net, x))
+        assert np.array_equal(second[1], want_grad) and np.array_equal(second[2], want_dx)
+        x = rng.normal(size=(4, 3))
+        third = passes(x)
+        assert third[0].shape == (4, 2) and third[2].shape == (4, 3)
+        assert np.array_equal(third[2], taped_gradients(net, x, up[:4])[1])
+
     def test_tape_of_another_pass_is_rejected(self, rng):
         net, other = create_mlp((3, 4, 2), rng), create_mlp((3, 4, 2), rng)
         x = rng.normal(size=(5, 3))

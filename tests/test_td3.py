@@ -16,6 +16,7 @@ from tradelab.agents.td3 import actor_gradient, td3_select_action, td3_target_ac
 from tradelab.env import EnvConfig
 from tradelab.neuralnet import config_hash, create_mlp, forward
 
+from agent_contract import CheckpointContract, UpdateContract
 from helpers import alternating_series, observation_rows, push_pairs
 from oracles import finite_difference_grads, rel_close
 
@@ -33,6 +34,10 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return Td3Config(**defaults)
+
+
+def make_agent(window, seed, **overrides):
+    return Td3Agent(window, small_config(**overrides), seed=seed)
 
 
 def zero_actor(window):
@@ -144,7 +149,9 @@ def fill_buffer(agent, rng, n=32, window=3):
     ], agent.config.buffer_capacity)
 
 
-class TestUpdate:
+class TestUpdate(UpdateContract):
+    make = staticmethod(make_agent)
+
     def test_delayed_actor_and_targets(self, rng):
         agent = Td3Agent(3, small_config(policy_delay=3), seed=1)
         buffer = fill_buffer(agent, rng)
@@ -166,12 +173,6 @@ class TestUpdate:
         before = agent.nets["critic1"].theta.copy()
         agent.update(buffer, 0, np.random.default_rng(0))
         assert not np.array_equal(before, agent.nets["critic1"].theta)
-
-    def test_underfilled_buffer_rejected(self, rng):
-        agent = Td3Agent(3, small_config(batch_size=16), seed=0)
-        buffer = fill_buffer(agent, rng, n=4)
-        with pytest.raises(ValueError, match="batch size"):
-            agent.update(buffer, 0, np.random.default_rng(0))
 
     def test_non_finite_reward_fails_by_name_before_any_weight_moves(self, rng):
         agent = Td3Agent(3, small_config(policy_delay=1), seed=1)
@@ -279,49 +280,18 @@ class TestTraining:
         assert down > 0
 
 
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path, rng):
-        agent = Td3Agent(3, small_config(), seed=7)
-        buffer = fill_buffer(agent, rng)
-        agent.update(buffer, 0, np.random.default_rng(0))
-        agent.episodes_trained = 9
-        path = tmp_path / "agent.npz"
-        agent.save(path)
-        twin = Td3Agent(3, small_config(), seed=99)
-        twin.load(path)
-        assert twin.episodes_trained == 9
-        assert np.array_equal(agent.nets["actor"].theta, twin.nets["actor"].theta)
-        assert np.array_equal(agent.nets["critic2_target"].theta, twin.nets["critic2_target"].theta)
+class TestCheckpoint(CheckpointContract):
+    make = staticmethod(make_agent)
+    poison = ("actor", 0, "actor.w0")
+    window_mismatch = (4, "checkpoint actor has layer dims (3, 8, 1), but env.window 4 builds (4, 8, 1)")
+    traced = ("snapshot", "save", "load", "update", "policy")
 
     def test_config_mismatch_rejected(self, tmp_path):
-        agent = Td3Agent(3, small_config(), seed=7)
         path = tmp_path / "agent.npz"
-        agent.save(path)
-        other = Td3Agent(3, small_config(gamma=0.5), seed=7)
+        make_agent(3, 7).save(path)
+        other = make_agent(3, 7, gamma=0.5)
         with pytest.raises(ValueError, match="different configuration"):
             other.load(path)
-
-    def test_non_finite_weight_fails_at_load(self, tmp_path):
-        agent = Td3Agent(3, small_config(), seed=7)
-        agent.nets["actor"].theta[0] = np.nan
-        path = tmp_path / "agent.npz"
-        agent.save(path)
-        twin = Td3Agent(3, small_config(), seed=8)
-        before = twin.snapshot()
-        with pytest.raises(ValueError) as err:
-            twin.load(path)
-        assert str(err.value) == f"{path}: checkpoint array actor.w0 is not finite"
-        assert all(np.array_equal(before[k], x) for k, x in twin.snapshot().items())
-
-    def test_window_mismatch_names_path_and_window(self, tmp_path):
-        path = tmp_path / "agent.npz"
-        Td3Agent(3, small_config(), seed=7).save(path)
-        other = Td3Agent(4, small_config(), seed=7)
-        with pytest.raises(ValueError) as err:
-            other.load(path)
-        assert str(err.value) == (f"{path}: checkpoint actor has layer dims (3, 8, 1), "
-                                  "but env.window 4 builds (4, 8, 1)")
-        assert other.nets["actor"].layer_dims == (4, 8, 1)  # nothing was replaced
 
 
 class TestConfig:
@@ -340,6 +310,8 @@ class TestConfig:
         ({"grad_clip_norm": 0.0}, "grad_clip_norm must be > 0, got 0.0"),
         ({"actor_lr": 0.0}, "actor_lr must be > 0, got 0.0"),
         ({"critic_lr": -1e-3}, "critic_lr must be > 0, got -0.001"),
+        ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ({"policy_delay": 0}, "policy_delay must be >= 1, got 0"),
     ])
     def test_rejects_values_that_fail_in_training(self, overrides, message):
         with pytest.raises(ValueError, match=rf"^{message}$"):
