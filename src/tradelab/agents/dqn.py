@@ -34,7 +34,7 @@ class DqnConfig:
         check_agent_config(self, ("learning_rate",), ("hidden",))
         if not self.epsilon.initial <= 1.0:  # final <= initial, so this bounds both endpoints
             raise ValueError(f"epsilon.initial must lie in [0, 1], got {self.epsilon.initial}")
-        if self.target_sync < 1:
+        if not self.target_sync >= 1:
             raise ValueError(f"target_sync must be >= 1, got {self.target_sync}")
         if len(self.actions) < 2:
             raise ValueError("need at least two discrete actions")

@@ -25,15 +25,19 @@ class ReplayBuffer:
         self._action = np.empty(capacity, np.float64)
         self._reward = np.empty(capacity, np.float64)
         self._terminal = np.empty(capacity, np.bool_)
+        # push stores through memoryviews, which skip numpy's scalar assignment
+        self._columns = tuple(map(memoryview, (self._row, self._action, self._reward, self._terminal)))
+        self._last_row = len(observations) - 1  # the last row a step can start at, exclusive
 
     def __len__(self) -> int:
         return min(self._pushed, self.capacity)
 
     def push(self, row: int, action: float, reward: float, terminal: bool) -> None:
-        if not 0 <= row < len(self.observations) - 1:
+        if not 0 <= row < self._last_row:
             raise ValueError(f"row {row} needs a next row inside the {len(self.observations)}-row table")
         i = self._pushed % self.capacity
-        self._row[i], self._action[i], self._reward[i], self._terminal[i] = row, action, reward, terminal
+        rows, actions, rewards, terminals = self._columns
+        rows[i], actions[i], rewards[i], terminals[i] = row, action, reward, terminal
         self._pushed += 1
 
     def sample(self, batch_size: int, rng: np.random.Generator):

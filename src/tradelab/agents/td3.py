@@ -44,7 +44,7 @@ class Td3Config:
             raise ValueError("action_low must be below action_high")
         if not (-1.0 <= self.action_low and self.action_high <= 1.0):
             raise ValueError("action bounds must stay within [-1, 1]")
-        if self.policy_delay < 1:
+        if not self.policy_delay >= 1:
             raise ValueError(f"policy_delay must be >= 1, got {self.policy_delay}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must lie in [0, 1], got {self.tau}")

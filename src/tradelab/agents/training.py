@@ -42,17 +42,17 @@ def check_agent_config(cfg, rates: tuple[str, ...], sizes: tuple[str, ...]) -> N
     > 0 (step sizes, a clip norm), ``sizes`` the hidden-size tuples."""
     if not 0.0 <= cfg.gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {cfg.gamma}")
-    if cfg.batch_size < 1:
+    if not cfg.batch_size >= 1:  # each comparison is written so that NaN fails it
         raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
-    if cfg.batch_size > cfg.buffer_capacity:
+    if not cfg.batch_size <= cfg.buffer_capacity:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds buffer_capacity {cfg.buffer_capacity}")
-    if cfg.warmup_episodes < 0:
+    if not cfg.warmup_episodes >= 0:
         raise ValueError(f"warmup_episodes must be >= 0, got {cfg.warmup_episodes}")
     for name in rates:
         if not getattr(cfg, name) > 0:
             raise ValueError(f"{name} must be > 0, got {getattr(cfg, name)}")
     for name in sizes:
-        if any(size < 1 for size in getattr(cfg, name)):
+        if not all(size >= 1 for size in getattr(cfg, name)):
             raise ValueError(f"{name} sizes must be >= 1, got {getattr(cfg, name)}")
 
 
@@ -128,28 +128,33 @@ def train(agent, segment: PriceSeries, env_config: EnvConfig, episodes: int, see
     log: list[dict] = []
     for episode in range(episodes):
         warming = episode < warmup
-        learn_episode = max(0, episode - warmup)
         env.reset()
+        total_reward = 0.0
+        losses: list[float] = []
         if warming:  # no warmup action reads the state, so one draw serves the episode
             drawn_from = rng.bit_generator.state
             actions = agent.random_actions(rng, env.last_t - env.first_t + 1)
-        total_reward = 0.0
-        losses: list[float] = []
-        while not env.terminal:
-            # a step moves t by one, so the next state is always the next table row
-            row = env.t - env.first_t
-            action = actions[row] if warming else agent.explore_action(table[row], learn_episode, rng)
-            reward, terminal = env.step(action)
-            buffer.push(row, action, reward, terminal)
-            if not warming and len(buffer) >= agent.config.batch_size:
-                diag = agent.update(buffer, learn_episode, rng)
-                losses.append(diag["loss"])
-            total_reward += reward
-        taken = env.t - env.first_t
-        if warming and taken < len(actions):
-            # a wipe ended the episode: leave rng where one draw per step taken would
-            rng.bit_generator.state = drawn_from
-            agent.random_actions(rng, taken)
+            step, push = env.step, buffer.push
+            for row, action in enumerate(actions):  # a step moves t, so its table row, by one
+                reward, terminal = step(action)
+                push(row, action, reward, terminal)
+                total_reward += reward
+                if terminal:
+                    break
+            if row + 1 < len(actions):
+                # a wipe ended the episode: leave rng where one draw per step taken would
+                rng.bit_generator.state = drawn_from
+                agent.random_actions(rng, row + 1)
+        else:
+            learn_episode = episode - warmup
+            while not env.terminal:
+                row = env.t - env.first_t
+                action = agent.explore_action(table[row], learn_episode, rng)
+                reward, terminal = env.step(action)
+                buffer.push(row, action, reward, terminal)
+                if len(buffer) >= agent.config.batch_size:
+                    losses.append(agent.update(buffer, learn_episode, rng)["loss"])
+                total_reward += reward
         agent.episodes_trained += 1
         log.append({
             "episode": episode,

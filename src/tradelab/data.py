@@ -12,6 +12,7 @@ import csv
 import datetime as dt
 import logging
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping
@@ -88,13 +89,6 @@ class SplitSpec:
             raise ValueError(f"fractions must sum to 1, got {total}")
 
 
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value {text!r}")
-    return value
-
-
 def _parse_date(text: str) -> dt.date:
     """``text`` read with DATE_FORMAT; an ISO ``YYYY-MM-DD`` date takes the fast parser."""
     if _ISO_DATE.fullmatch(text):
@@ -131,16 +125,23 @@ def load_csv(path, columns: Mapping[str, str] | None = None) -> PriceSeries:
         if missing:
             raise ValueError(f"{path}: missing column(s) {missing}")
         index = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
-        cols = [index[name] for name in colmap.values()]  # date, open, high, low, close, volume
+        # a row's date, open, high, low, close and volume cells; a short row is an IndexError
+        cells = operator.itemgetter(*(index[name] for name in colmap.values()))
+        isfinite = math.isfinite
         for row in reader:
             if not row:
                 continue  # a blank line is no row
             line = reader.line_num
-            raw = [row[i].strip() if i < len(row) else "" for i in cols]
             try:
-                date = _parse_date(raw[0])
-                open_, high, low, close, volume = map(_parse_float, raw[1:])
-            except ValueError:
+                date_text, open_, high, low, close, volume = cells(row)
+                date = _parse_date(date_text.strip())
+                open_, high, low, close, volume = (float(open_), float(high), float(low),
+                                                   float(close), float(volume))  # each strips
+                parsed = (isfinite(open_) and isfinite(high) and isfinite(low)
+                          and isfinite(close) and isfinite(volume))
+            except (IndexError, ValueError):
+                parsed = False
+            if not parsed:
                 dropped += 1
                 continue
             if not close > 0:

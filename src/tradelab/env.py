@@ -40,13 +40,13 @@ class EnvConfig:
     annualization_days: int = 252
 
     def __post_init__(self):
-        if self.window < 1:
+        if not self.window >= 1:  # NaN fails too
             raise ValueError(f"window must be >= 1, got {self.window}")
         if not self.transaction_cost >= 0:  # NaN fails too
             raise ValueError(f"transaction cost must be >= 0, got {self.transaction_cost}")
         if not self.initial_cash > 0:
             raise ValueError(f"initial cash must be > 0, got {self.initial_cash}")
-        if self.annualization_days < 1:
+        if not self.annualization_days >= 1:
             raise ValueError(f"annualization days must be >= 1, got {self.annualization_days}")
 
 
@@ -67,6 +67,7 @@ class TradingEnv:
                 f"segment too short: {len(segment)} prices, window {w} needs at least {w + 2}"
             )
         self.config = config
+        self._cost = config.transaction_cost  # the config is frozen
         self._closes = segment.closes().tolist()  # step on Python floats
         self._returns = pct_change(segment)
         self.first_t = w
@@ -98,17 +99,17 @@ class TradingEnv:
         if not -1.0 <= action <= 1.0:
             raise ValueError(f"action {action} outside [-1, 1]")
         t, cash = self.t, self.cash
-        wiped = False
+        new_cash, wiped = cash, False
         if action != 0:
-            p_t, p_next = self._closes[t], self._closes[t + 1]
+            closes = self._closes
+            p_t, p_next = closes[t], closes[t + 1]
             committed = abs(action) * cash
             shares = committed / p_t
-            cost = self.config.transaction_cost if tc is None else tc
-            fee = shares * cost * p_t / 100.0
+            fee = shares * (self._cost if tc is None else tc) * p_t / 100.0
             delta = p_next - p_t if action > 0 else p_t - p_next
             settlement = shares * delta + committed - fee
             wiped = settlement <= 0.0
-            self.cash = max(cash - committed, CASH_FLOOR) if wiped else cash - committed + settlement
-        self.t = t + 1
-        self.terminal = wiped or self.t > self.last_t
-        return math.log(self.cash / cash), self.terminal
+            new_cash = max(cash - committed, CASH_FLOOR) if wiped else cash - committed + settlement
+        self.cash, self.t = new_cash, t + 1
+        self.terminal = terminal = wiped or t >= self.last_t
+        return math.log(new_cash / cash), terminal

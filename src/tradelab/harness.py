@@ -304,13 +304,15 @@ def evaluate_policy(policy, segment, env_config: EnvConfig, strategy: str, seed:
     actions = policy(rows)
     if len(actions) != len(rows):
         raise ValueError(f"policy returned {len(actions)} actions for {len(rows)} rows")
+    # the cost of each step, None for the configured one; with hold_fees, 0.0 on all but the ends
+    fees = [None] + [0.0 if hold_fees else None] * (len(actions) - 2) + [None]
     env.reset()
     equity = [env.cash]
-    for action in actions:
-        tc = 0.0 if hold_fees and env.t not in (env.first_t, env.last_t) else None
-        env.step(float(action), tc=tc)
-        equity.append(env.cash)
-        if env.terminal:
+    step, append = env.step, equity.append
+    for action, tc in zip(actions, fees):
+        terminal = step(float(action), tc)[1]
+        append(env.cash)
+        if terminal:
             break
     equity = np.asarray(equity, dtype=np.float64)
     actions = np.asarray(actions[: env.t - env.first_t], dtype=np.float64)

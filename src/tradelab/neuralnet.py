@@ -288,7 +288,13 @@ def adam_step(param, grad, opt: AdamState) -> None:
 def global_norm(grad: np.ndarray, dims) -> float:
     """The L2 norm of a gradient laid out like ``theta`` for ``dims``, summed layer
     by layer: one whole-vector sum can round differently."""
-    return float(np.sqrt(sum(float(np.sum(g * g)) for g in _param_views(dims, grad))))
+    total, start = 0.0, 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        for stop in (start + fan_in * fan_out, start + (fan_in + 1) * fan_out):  # W, then b
+            part = grad[start:stop]
+            total += float(np.add.reduce(np.multiply(part, part)))
+            start = stop
+    return float(np.sqrt(total))
 
 
 def clip_gradients(grad: np.ndarray, dims, max_norm: float) -> np.ndarray:

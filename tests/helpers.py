@@ -46,6 +46,13 @@ def random_walk(n, rng, start_price=100.0, scale=0.02):
     return make_series(closes)
 
 
+def spiked_series(n=40, spike_at=20, seed=4):
+    """A random walk whose close triples once: a short held into it is wiped."""
+    closes = random_walk(n, np.random.default_rng(seed)).closes().tolist()
+    closes[spike_at + 1:] = [3.0 * c for c in closes[spike_at + 1:]]
+    return make_series(closes)
+
+
 def observation_rows(window, n, seed=0, scale=0.3):
     """The first ``n`` rows of a random walk's observation table: sliding-window
     views, as the harness passes them to the agents."""

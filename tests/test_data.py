@@ -200,6 +200,12 @@ def logged_warnings():
         logger.removeHandler(handler)
 
 
+# one row per numeric column and non-finite cell (nan, inf, -inf): 15 rows the loader drops
+NON_FINITE_ROWS = "".join(
+    f"2020-02-{day:02d}," + ",".join(cell if i == column else "2" for i in range(5)) + "\n"
+    for day, (column, cell) in enumerate(((c, v) for c in range(5) for v in ("nan", "inf", "-inf")), 1))
+
+
 class TestLoaderMatchesReference:
     """``load_csv`` accepts, drops and rejects exactly what the row-object loader did."""
 
@@ -226,6 +232,16 @@ class TestLoaderMatchesReference:
     @example(case=("v,c,d,h,l,o\n1,3,2020-01-01,3,3,3\n", {"date": "d", "open": "o", "high": "h",
                                                              "low": "l", "close": "c",
                                                              "volume": "v"}))  # remapped header
+    @example(case=(CSV_HEADER + " 2020-01-02 , 1 ,\t2, 1 ,1.5 , 10 \n2020-01-01, 1,1 ,1,1,0\n",
+                   None))  # whitespace-padded cells
+    @example(case=(CSV_HEADER + " 2020-01-01 ,1,1,1,1,1\n 2020-01-02\t, 2 ,1 ,1, 1 ,1\n",
+                   None))  # padded cells, then an error naming its line
+    @example(case=(CSV_HEADER + "2020-01-01,1,1,1,1,1\n2020-01-02\n2020-01-03,1,1,1,1\n"
+                   "2020-01-04,1,1,1,1,1\n2020-01-05,3\n", None))  # rows shorter than the header
+    @example(case=(CSV_HEADER + "2020-01-01,2,2,2,2,2\n" + NON_FINITE_ROWS + "2020-03-01,2,2,2,2,2\n",
+                   None))  # nan, inf and -inf in each numeric column
+    @example(case=(CSV_HEADER + NON_FINITE_ROWS + "2020-03-01,2,2,2,0,2\n",
+                   None))  # the line of an error after dropped rows
     def test_generated_csvs(self, tmp_path_factory, case):
         text, columns = case
         path = tmp_path_factory.mktemp("csv") / "prices.csv"

@@ -22,7 +22,7 @@ import tradelab.cli as cli
 import tradelab.neuralnet as neuralnet
 import tradelab.agents.td3 as td3_module
 import tradelab.harness as harness
-from tradelab.agents import DecaySchedule, Td3Config, train
+from tradelab.agents import DecaySchedule, DqnConfig, Td3Config, train
 from tradelab.baselines import d3_discretize, sign_discretize
 from tradelab.cli import main
 from tradelab.data import DEFAULT_COLUMNS, SplitSpec
@@ -206,7 +206,23 @@ class TestConfig:
         (lambda: DecaySchedule(1.0, math.nan, 50.0), "schedule endpoints must be non-negative"),
         (lambda: Td3Config(action_low=math.nan), "action_low must be below action_high"),
         (lambda: Td3Config(action_high=math.nan), "action_low must be below action_high"),
-    ], ids=["transaction_cost", "initial", "final", "action_low", "action_high"])
+        (lambda: EnvConfig(window=math.nan), "window must be >= 1, got nan"),
+        (lambda: EnvConfig(annualization_days=math.nan), "annualization days must be >= 1, got nan"),
+        (lambda: Td3Config(policy_delay=math.nan), "policy_delay must be >= 1, got nan"),
+        (lambda: DqnConfig(target_sync=math.nan), "target_sync must be >= 1, got nan"),
+        (lambda: Td3Config(batch_size=math.nan), "batch_size must be >= 1, got nan"),
+        (lambda: DqnConfig(batch_size=math.nan), "batch_size must be >= 1, got nan"),
+        (lambda: Td3Config(warmup_episodes=math.nan), "warmup_episodes must be >= 0, got nan"),
+        (lambda: DqnConfig(warmup_episodes=math.nan), "warmup_episodes must be >= 0, got nan"),
+        (lambda: Td3Config(buffer_capacity=math.nan), "batch_size 64 exceeds buffer_capacity nan"),
+        (lambda: DqnConfig(buffer_capacity=math.nan), "batch_size 64 exceeds buffer_capacity nan"),
+        (lambda: Td3Config(actor_hidden=(math.nan,)), "actor_hidden sizes must be >= 1, got (nan,)"),
+        (lambda: Td3Config(critic_hidden=(8, math.nan)), "critic_hidden sizes must be >= 1, got (8, nan)"),
+        (lambda: DqnConfig(hidden=(math.nan, 4)), "hidden sizes must be >= 1, got (nan, 4)"),
+    ], ids=["transaction_cost", "initial", "final", "action_low", "action_high", "window",
+            "annualization_days", "policy_delay", "target_sync", "td3_batch_size", "dqn_batch_size",
+            "td3_warmup_episodes", "dqn_warmup_episodes", "td3_buffer_capacity",
+            "dqn_buffer_capacity", "actor_hidden", "critic_hidden", "hidden"])
     def test_nan_fails_each_range_check(self, build, message):
         # a config built in Python skips the JSON reader's finite-number check
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):

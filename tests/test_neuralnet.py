@@ -267,6 +267,17 @@ class TestClip:
         assert np.array_equal(clipped, grad * (1.0 / norm))
         assert not np.array_equal(clipped, grad * (1.0 / one_sum))
 
+    @pytest.mark.parametrize("dims", [(30, 64, 32, 1), (31, 64, 32, 1), (30, 64, 32, 2), (2, 1)])
+    def test_norm_equals_the_per_view_sum(self, dims):
+        # the (fan_in, fan_out) weight views sum as numpy sums a 2-D array, at any gradient scale
+        rng = np.random.default_rng(11)
+        size = neuralnet._param_count(dims)
+        for scale in (1e-8, 1e-3, 1.0, 1e3):
+            for _ in range(25):
+                grad = rng.normal(size=size) * scale
+                views = neuralnet._param_views(dims, grad)
+                assert global_norm(grad, dims) == float(np.sqrt(sum(float(np.sum(g * g)) for g in views)))
+
 
 class TestSoftUpdate:
     def test_full_copy(self):

@@ -16,7 +16,7 @@ from tradelab.agents import (
 )
 from tradelab.env import EnvConfig, TradingEnv
 
-from helpers import held_rows, make_series, random_walk
+from helpers import HELD_ROW, held_rows, random_walk, spiked_series
 from oracles import per_step_train
 
 
@@ -112,16 +112,39 @@ class TestReplayBuffer:
         buf = ReplayBuffer(4, np.zeros((3, 2)))
         buf.push(1, 0.0, 0.0, False)  # its next state is the last row
         for row in (2, 3, -1):
-            with pytest.raises(ValueError, match="next row"):
+            with pytest.raises(ValueError, match=rf"^row {row} needs a next row inside the 3-row table$"):
                 buf.push(row, 0.0, 0.0, False)
         assert len(buf) == 1
 
-
-def spiked_series(n=40, spike_at=20, seed=4):
-    """A random walk whose close triples once: a short held into it is wiped."""
-    closes = random_walk(n, np.random.default_rng(seed)).closes().tolist()
-    closes[spike_at + 1:] = [3.0 * c for c in closes[spike_at + 1:]]
-    return make_series(closes)
+    def test_stores_what_each_caller_pushes(self):
+        """Python floats (TD3), an integer action set's ints (DQN from JSON), bools and
+        numpy scalars land as numpy's own column assignment stores them, and ``sample``
+        reads them back bit for bit after the ring wraps."""
+        table = np.random.default_rng(3).normal(size=(12, 2))
+        # DQN's greedy picks from an integer action set, TD3's warmup draws
+        ints = DqnAgent(2, small_dqn(actions=(-1, 1)), seed=0).policies(table[:5])
+        floats = Td3Agent(2, small_td3(), seed=0).random_actions(np.random.default_rng(2), 5)
+        assert {type(a) for a in ints} == {int} and {type(a) for a in floats} == {float}
+        numpy_actions = [np.float64(0.1), np.float32(-0.3), np.int64(1), np.float64(-1.0), True]
+        rewards = [0.25, np.float64(-1e-300), np.float32(0.1), 3, np.float64(np.pi)]
+        terminals = [False, True, np.bool_(True), np.bool_(False), 0]
+        capacity, buf = 6, ReplayBuffer(6, table)
+        reference = {name: np.zeros(capacity, HELD_ROW[name]) for name in HELD_ROW.names}
+        for i, action in enumerate(ints + floats + numpy_actions):  # 15 pushes wrap twice
+            row = [i % 11, np.int64(i % 11), np.int32(i % 11)][i % 3]
+            step = (row, action, rewards[i % 5], terminals[i % 5])
+            buf.push(*step)
+            for name, value in zip(HELD_ROW.names, step):  # the ring's columns as numpy stores them
+                reference[name][i % capacity] = value
+        for name in HELD_ROW.names:
+            assert getattr(buf, f"_{name}").tobytes() == reference[name].tobytes(), name
+        slots = np.random.default_rng(4).integers(0, capacity, size=50)
+        rows = reference["row"][slots]
+        expected = (table[rows], reference["action"][slots], reference["reward"][slots],
+                    table[rows + 1], reference["terminal"][slots].astype(np.float64))
+        for got, want in zip(buf.sample(50, np.random.default_rng(4)), expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def small_td3(**overrides):
