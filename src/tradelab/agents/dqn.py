@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..neuralnet import (AdamState, adam_step, backward, clone, create_mlp, forward,
-                         forward_rows, make_dropout_masks)
+from ..neuralnet import adam_step, backward, clone, create_mlp, forward, forward_rows, make_dropout_masks
 from .training import DecaySchedule, NetAgent, bootstrap_target, check_agent_config, schedule_value
 
 
@@ -31,11 +30,9 @@ class DqnConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
-        check_agent_config(self, ("learning_rate",), ("hidden",))
+        check_agent_config(self, ("learning_rate",), ("hidden", "target_sync"))
         if not self.epsilon.initial <= 1.0:  # final <= initial, so this bounds both endpoints
             raise ValueError(f"epsilon.initial must lie in [0, 1], got {self.epsilon.initial}")
-        if not self.target_sync >= 1:
-            raise ValueError(f"target_sync must be >= 1, got {self.target_sync}")
         if len(self.actions) < 2:
             raise ValueError("need at least two discrete actions")
         if any(not -1.0 <= a <= 1.0 for a in self.actions):
@@ -52,8 +49,7 @@ class DqnAgent(NetAgent):
         cfg = config or DqnConfig()
         rng = np.random.default_rng([seed, 0xD99])
         net = create_mlp((window, *cfg.hidden, len(cfg.actions)), rng)
-        super().__init__(window, cfg, {"net": net, "target": clone(net)})
-        self.opt = AdamState.create(net.theta, lr=cfg.learning_rate)
+        super().__init__(window, cfg, {"net": net, "target": clone(net)}, {"net": cfg.learning_rate})
         self._actions = np.asarray(cfg.actions, dtype=np.float64)
 
     def policies(self, rows) -> list[float]:
@@ -101,7 +97,7 @@ class DqnAgent(NetAgent):
         upstream = np.zeros_like(q)
         upstream[rows, idx] = 2.0 * resid / n
         grad = backward(net, upstream, tape=tape, wrt="params")
-        adam_step(net.theta, grad, self.opt)
+        adam_step(net.theta, grad, self.opts["net"])
 
         self.updates += 1
         if self.updates % cfg.target_sync == 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..neuralnet import (AdamState, Mlp, Tape, adam_step, backward, clip_gradients, clone,
+from ..neuralnet import (Mlp, Tape, adam_step, backward, clip_gradients, clone,
                          create_mlp, forward, forward_rows, soft_update)
 from .training import DecaySchedule, NetAgent, bootstrap_target, check_agent_config, schedule_value
 
@@ -39,13 +39,11 @@ class Td3Config:
 
     def __post_init__(self):
         check_agent_config(self, ("actor_lr", "critic_lr", "grad_clip_norm"),
-                           ("actor_hidden", "critic_hidden"))
+                           ("actor_hidden", "critic_hidden", "policy_delay"))
         if not self.action_low < self.action_high:  # written so that NaN fails each comparison
             raise ValueError("action_low must be below action_high")
         if not (-1.0 <= self.action_low and self.action_high <= 1.0):
             raise ValueError("action bounds must stay within [-1, 1]")
-        if not self.policy_delay >= 1:
-            raise ValueError(f"policy_delay must be >= 1, got {self.policy_delay}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
 
@@ -112,10 +110,8 @@ class Td3Agent(NetAgent):
         super().__init__(window, cfg, {
             "actor": actor, "critic1": critics[0], "critic2": critics[1],
             "actor_target": clone(actor), "critic1_target": clone(critics[0]),
-            "critic2_target": clone(critics[1])})
-        self.actor_opt = AdamState.create(actor.theta, lr=cfg.actor_lr)
-        self.critic1_opt = AdamState.create(critics[0].theta, lr=cfg.critic_lr)
-        self.critic2_opt = AdamState.create(critics[1].theta, lr=cfg.critic_lr)
+            "critic2_target": clone(critics[1])},
+            {"actor": cfg.actor_lr, "critic1": cfg.critic_lr, "critic2": cfg.critic_lr})
 
     def policies(self, rows) -> list[float]:
         """Deterministic actions for a (n, window) array of states, clamped to the
@@ -140,45 +136,41 @@ class Td3Agent(NetAgent):
         cfg = self.config
         s, a, r, s2, term = self._batch(buffer, rng)
         n = len(s)
-        nets, tapes = self.nets, self.tapes  # a shape's passes follow one another on its tape
-        critics = (nets["critic1"], nets["critic2"])
+        nets, tapes, opts = self.nets, self.tapes, self.opts  # a shape's passes follow one another on its tape
+        critics = ("critic1", "critic2")
 
         a2 = td3_target_action(nets["actor_target"], s2, schedule_value(cfg.policy_noise, episode),
                                schedule_value(cfg.noise_clip, episode), cfg.action_low,
                                cfg.action_high, rng, tapes["actor"])
         x2 = np.concatenate([s2, a2], axis=1, out=tapes["critic1"].array("x", (n, self.window + 1)))
-        q2 = [forward(nets[f"{name}_target"], x2, tape=tapes[name])[:, 0] for name in ("critic1", "critic2")]
+        q2 = [forward(nets[f"{name}_target"], x2, tape=tapes[name])[:, 0] for name in critics]
         y = bootstrap_target(r, term, cfg.gamma, np.minimum(*q2))
 
         x = np.concatenate([s, a[:, None]], axis=1, out=tapes["critic1"].array("x", (n, self.window + 1)))
         number = self.updates + 1
-        resids = [forward(critic, x, tape=tapes[name])[:, 0] - y
-                  for name, critic in zip(("critic1", "critic2"), critics)]
-        losses = [float(np.add.reduce(r * r)) / n for r in resids]  # np.mean's sum and divide
-        for name, loss in zip(("critic1", "critic2"), losses):  # both, before either critic moves
+        resids = {name: forward(nets[name], x, tape=tapes[name])[:, 0] - y for name in critics}
+        losses = {name: float(np.add.reduce(e * e)) / n  # np.mean's sum and divide
+                  for name, e in resids.items()}
+        for name, loss in losses.items():  # both, before either critic moves
             if not math.isfinite(loss):
                 raise ValueError(f"td3 update {number}: non-finite {name} loss {loss}")
-        for critic, opt, name, resid in zip(critics, (self.critic1_opt, self.critic2_opt),
-                                            ("critic1", "critic2"), resids):
-            grad = backward(critic, (2.0 * resid / n)[:, None], tape=tapes[name], wrt="params")
-            adam_step(critic.theta, grad, opt)
+        for name, resid in resids.items():
+            grad = backward(nets[name], (2.0 * resid / n)[:, None], tape=tapes[name], wrt="params")
+            adam_step(nets[name].theta, grad, opts[name])
 
-        diag = {
-            "loss": 0.5 * (losses[0] + losses[1]),
-            "critic1_loss": losses[0],
-            "critic2_loss": losses[1],
-            "actor_updated": False,
-        }
+        diag = {"loss": 0.5 * (losses["critic1"] + losses["critic2"]), "critic1_loss": losses["critic1"],
+                "critic2_loss": losses["critic2"], "actor_updated": False}
         self.updates += 1
         if self.updates % cfg.policy_delay == 0:
             diag["actor_updated"] = True
             # Ascend J = mean(Q1(s, pi(s))): chain dQ/da through the actor.
             actor = nets["actor"]
-            actor_grad, objective = actor_gradient(actor, critics[0], s, (tapes["actor"], tapes["critic1"]))
+            actor_grad, objective = actor_gradient(actor, nets["critic1"], s,
+                                                   (tapes["actor"], tapes["critic1"]))
             if not math.isfinite(objective):
                 raise ValueError(f"td3 update {number}: non-finite actor objective {objective}")
             actor_grad = clip_gradients(actor_grad, actor.layer_dims, cfg.grad_clip_norm)
-            adam_step(actor.theta, np.negative(actor_grad, out=actor_grad), self.actor_opt)
+            adam_step(actor.theta, np.negative(actor_grad, out=actor_grad), opts["actor"])
 
             for name in ("actor", "critic1", "critic2"):
                 soft_update(nets[f"{name}_target"].theta, nets[name].theta, cfg.tau)

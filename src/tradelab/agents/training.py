@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import PriceSeries
-from ..env import EnvConfig, TradingEnv
-from ..neuralnet import Tape, load_nets, save_nets
+from ..env import EnvConfig, TradingEnv, check_count
+from ..neuralnet import AdamState, Tape, load_nets, save_nets
 from .replay import ReplayBuffer
 
 
@@ -29,44 +29,46 @@ class DecaySchedule:
     decay: float
 
     def __post_init__(self):
-        if not (self.initial >= 0 and self.final >= 0):  # NaN fails too
+        if not (0 <= self.initial < math.inf and 0 <= self.final < math.inf):  # NaN and inf fail too
             raise ValueError("schedule endpoints must be non-negative")
         if self.final > self.initial:
             raise ValueError(f"final {self.final} exceeds initial {self.initial}")
-        if not self.decay > 0:
+        if not 0 < self.decay < math.inf:
             raise ValueError(f"decay must be positive, got {self.decay}")
 
 
-def check_agent_config(cfg, rates: tuple[str, ...], sizes: tuple[str, ...]) -> None:
+def check_agent_config(cfg, rates: tuple[str, ...], counts: tuple[str, ...]) -> None:
     """The rules both agent configs share; ``rates`` name the fields that must be
-    > 0 (step sizes, a clip norm), ``sizes`` the hidden-size tuples."""
+    finite and > 0 (step sizes, a clip norm), ``counts`` the config's own integer
+    fields and hidden-size tuples, which must be >= 1."""
     if not 0.0 <= cfg.gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {cfg.gamma}")
-    if not cfg.batch_size >= 1:  # each comparison is written so that NaN fails it
-        raise ValueError(f"batch_size must be >= 1, got {cfg.batch_size}")
-    if not cfg.batch_size <= cfg.buffer_capacity:
+    check_count(cfg.batch_size, 1, "batch_size")
+    if not cfg.batch_size <= cfg.buffer_capacity:  # written so that NaN fails it
         raise ValueError(f"batch_size {cfg.batch_size} exceeds buffer_capacity {cfg.buffer_capacity}")
-    if not cfg.warmup_episodes >= 0:
-        raise ValueError(f"warmup_episodes must be >= 0, got {cfg.warmup_episodes}")
+    check_count(cfg.warmup_episodes, 0, "warmup_episodes")
     for name in rates:
-        if not getattr(cfg, name) > 0:
+        if not 0 < getattr(cfg, name) < math.inf:
             raise ValueError(f"{name} must be > 0, got {getattr(cfg, name)}")
-    for name in sizes:
-        if not all(size >= 1 for size in getattr(cfg, name)):
-            raise ValueError(f"{name} sizes must be >= 1, got {getattr(cfg, name)}")
+    for name in ("buffer_capacity", *counts):
+        check_count(getattr(cfg, name), 1, name)
 
 
 class NetAgent:
     """What TD3 and DQN share: ``window``, ``config``, the ``nets`` table of named
-    networks, the update and episode counts, the batch rule, snapshots, checkpoints,
-    the one-row policy and an update's tapes. A subclass builds its networks and
-    optimisers and defines ``policies``, ``explore_action``, ``random_actions`` and ``update``."""
+    networks, the ``opts`` table of their Adam states, the update and episode counts,
+    the batch rule, snapshots, checkpoints, the one-row policy and an update's tapes.
+    A subclass builds its networks, gives each one it trains a step size in
+    ``step_sizes``, and defines ``policies``, ``explore_action``, ``random_actions``
+    and ``update``."""
 
-    def __init__(self, window: int, config, nets: dict):
+    def __init__(self, window: int, config, nets: dict, step_sizes: dict):
         self.window, self.config, self.nets = window, config, nets
         self.updates = self.episodes_trained = 0
         # an update's passes, one tape per network shape, which ``train`` drops on return
         self.tapes: defaultdict[str, Tape] = defaultdict(Tape)
+        self.opts = {name: AdamState(np.zeros_like(nets[name].theta), np.zeros_like(nets[name].theta), lr)
+                     for name, lr in step_sizes.items()}
 
     def policy(self, state) -> float:
         """``policies`` of a one-row stack."""

@@ -21,6 +21,7 @@ step (w + 1 to fill the first window, one more day to trade into).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,14 +41,24 @@ class EnvConfig:
     annualization_days: int = 252
 
     def __post_init__(self):
-        if not self.window >= 1:  # NaN fails too
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if not self.transaction_cost >= 0:  # NaN fails too
+        check_count(self.window, 1, "window")
+        if not 0 <= self.transaction_cost < math.inf:  # NaN and inf fail too
             raise ValueError(f"transaction cost must be >= 0, got {self.transaction_cost}")
-        if not self.initial_cash > 0:
+        if not 0 < self.initial_cash < math.inf:
             raise ValueError(f"initial cash must be > 0, got {self.initial_cash}")
-        if not self.annualization_days >= 1:
-            raise ValueError(f"annualization days must be >= 1, got {self.annualization_days}")
+        check_count(self.annualization_days, 1, "annualization days")
+
+
+def check_count(value, low: int, name: str) -> None:
+    """``value``, or each item of a tuple of sizes, must be an integer >= ``low``. NaN
+    fails the comparison, and a bool or a float such as 10.5 or inf fails as the JSON
+    reader fails it, so a config built in Python refuses them too; numpy integers pass."""
+    sizes = isinstance(value, tuple)
+    label, items = (f"{name} sizes", value) if sizes else (name, (value,))
+    if not all(x >= low for x in items):
+        raise ValueError(f"{label} must be >= {low}, got {value}")
+    if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in items):
+        raise ValueError(f"{label} must be {'integers' if sizes else 'an integer'}, got {value}")
 
 
 class TradingEnv:

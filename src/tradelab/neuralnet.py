@@ -252,11 +252,6 @@ class AdamState:
     lr: float
     step: int = 0
 
-    @classmethod
-    def create(cls, param, lr: float = 1e-3):
-        """Zeroed moments shaped like ``param``."""
-        return cls(np.zeros_like(param), np.zeros_like(param), lr)
-
 
 def adam_step(param, grad, opt: AdamState) -> None:
     """One Adam update of ``param``, ``opt``'s moments and its step, in place."""

@@ -6,6 +6,7 @@ file. A subclass sets ``make(window, seed, **config_overrides)`` and the
 class attributes each contract's docstring names.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,28 @@ def assert_unchanged(agent, snap):
     assert all(np.array_equal(snap[name], x) for name, x in agent.snapshot().items())
 
 
+def moments(agent):
+    """A copy of each ``opts`` state's moments and step, by network name."""
+    return {name: (opt.m.copy(), opt.v.copy(), opt.step) for name, opt in agent.opts.items()}
+
+
 class UpdateContract:
+    """``step_sizes`` maps each trained network to the config field of its Adam step
+    size; ``failed_update`` is (config overrides under which one update moves every
+    network, the message of a second update on a NaN-reward batch)."""
+
+    def test_opts_hold_a_zeroed_state_per_trained_network(self):
+        fields = dict.fromkeys(self.step_sizes.values())  # a distinct step size for each field
+        agent = self.make(3, 0, **{field: 1e-3 * (k + 2) for k, field in enumerate(fields)})
+        assert agent.opts.keys() == self.step_sizes.keys()
+        for name, field in self.step_sizes.items():
+            opt, theta = agent.opts[name], agent.nets[name].theta
+            assert opt.m.shape == opt.v.shape == theta.shape
+            assert not opt.m.any() and not opt.v.any()
+            assert (opt.lr, opt.step) == (getattr(agent.config, field), 0)
+        # no target network has a state
+        assert agent.nets.keys() - agent.opts.keys() == {name for name in agent.nets if "target" in name}
+
     def test_underfilled_buffer_rejected(self, rng):
         agent = self.make(3, 0, batch_size=16)
         buffer = fill(agent, rng, 4)
@@ -38,6 +60,26 @@ class UpdateContract:
             agent.update(buffer, 0, np.random.default_rng(0))
         assert agent.updates == 0
         assert_unchanged(agent, before)
+        assert all(opt.step == 0 and not opt.m.any() for opt in agent.opts.values())
+
+    def test_a_failed_update_changes_nothing(self, rng):
+        """A non-finite loss raises by name before any network, moment or count moves."""
+        overrides, message = self.failed_update
+        agent = self.make(3, 1, **overrides)
+        agent.update(fill(agent, rng, 32), 0, np.random.default_rng(0))
+        assert all(opt.step == 1 for opt in agent.opts.values())  # every moment off zero
+        before, stepped = agent.snapshot(), moments(agent)
+        nan_buffer = push_pairs([(rng.normal(size=3), action, math.nan, rng.normal(size=3), False)
+                                 for action in agent.random_actions(rng, agent.config.batch_size)],
+                                agent.config.buffer_capacity)
+        with pytest.raises(ValueError) as err:
+            agent.update(nan_buffer, 0, np.random.default_rng(0))
+        assert str(err.value) == message
+        assert_unchanged(agent, before)
+        for name, (m, v, step) in moments(agent).items():
+            want_m, want_v, want_step = stepped[name]
+            assert np.array_equal(m, want_m) and np.array_equal(v, want_v) and step == want_step
+        assert agent.updates == 1
 
     def test_updates_after_the_first_run_in_kept_arrays(self, rng):
         """An update's passes, gradients and Adam steps reuse the arrays the first one

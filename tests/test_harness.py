@@ -219,14 +219,44 @@ class TestConfig:
         (lambda: Td3Config(actor_hidden=(math.nan,)), "actor_hidden sizes must be >= 1, got (nan,)"),
         (lambda: Td3Config(critic_hidden=(8, math.nan)), "critic_hidden sizes must be >= 1, got (8, nan)"),
         (lambda: DqnConfig(hidden=(math.nan, 4)), "hidden sizes must be >= 1, got (nan, 4)"),
+        (lambda: EnvConfig(transaction_cost=math.inf), "transaction cost must be >= 0, got inf"),
+        (lambda: EnvConfig(initial_cash=math.inf), "initial cash must be > 0, got inf"),
+        (lambda: DecaySchedule(math.inf, 0.05, 50.0), "schedule endpoints must be non-negative"),
+        (lambda: DecaySchedule(math.inf, math.inf, 50.0), "schedule endpoints must be non-negative"),
+        (lambda: DecaySchedule(1.0, 0.05, math.inf), "decay must be positive, got inf"),
+        (lambda: Td3Config(actor_lr=math.inf), "actor_lr must be > 0, got inf"),
+        (lambda: Td3Config(critic_lr=math.inf), "critic_lr must be > 0, got inf"),
+        (lambda: Td3Config(grad_clip_norm=math.inf), "grad_clip_norm must be > 0, got inf"),
+        (lambda: DqnConfig(learning_rate=math.inf), "learning_rate must be > 0, got inf"),
+        (lambda: EnvConfig(window=10.5), "window must be an integer, got 10.5"),
+        (lambda: EnvConfig(annualization_days=math.inf), "annualization days must be an integer, got inf"),
+        (lambda: Td3Config(policy_delay=1.5), "policy_delay must be an integer, got 1.5"),
+        (lambda: DqnConfig(target_sync=True), "target_sync must be an integer, got True"),
+        (lambda: Td3Config(batch_size=8.0), "batch_size must be an integer, got 8.0"),
+        (lambda: DqnConfig(warmup_episodes=True), "warmup_episodes must be an integer, got True"),
+        (lambda: Td3Config(buffer_capacity=math.inf), "buffer_capacity must be an integer, got inf"),
+        (lambda: Td3Config(actor_hidden=(8.5,)), "actor_hidden sizes must be integers, got (8.5,)"),
+        (lambda: Td3Config(critic_hidden=(8, True)), "critic_hidden sizes must be integers, got (8, True)"),
+        (lambda: DqnConfig(hidden=(4.0,)), "hidden sizes must be integers, got (4.0,)"),
     ], ids=["transaction_cost", "initial", "final", "action_low", "action_high", "window",
             "annualization_days", "policy_delay", "target_sync", "td3_batch_size", "dqn_batch_size",
             "td3_warmup_episodes", "dqn_warmup_episodes", "td3_buffer_capacity",
-            "dqn_buffer_capacity", "actor_hidden", "critic_hidden", "hidden"])
+            "dqn_buffer_capacity", "actor_hidden", "critic_hidden", "hidden",
+            "inf_transaction_cost", "inf_initial_cash", "inf_initial", "inf_final", "inf_decay",
+            "inf_actor_lr", "inf_critic_lr", "inf_grad_clip_norm", "inf_learning_rate",
+            "int_window", "int_annualization_days", "int_policy_delay", "int_target_sync",
+            "int_batch_size", "int_warmup_episodes", "int_buffer_capacity", "int_actor_hidden",
+            "int_critic_hidden", "int_hidden"])
     def test_nan_fails_each_range_check(self, build, message):
-        # a config built in Python skips the JSON reader's finite-number check
+        # a config built in Python skips the JSON reader's type and finite-number checks
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             build()
+
+    def test_numpy_integers_pass_the_integer_fields(self):
+        env = EnvConfig(window=np.int64(5), annualization_days=np.int32(252))
+        assert (env.window, env.annualization_days) == (5, 252)
+        Td3Config(policy_delay=np.int64(3), batch_size=np.int64(8), actor_hidden=(np.int16(8),))
+        DqnConfig(target_sync=np.uint8(5), warmup_episodes=np.int64(0), buffer_capacity=np.int64(64))
 
     @pytest.mark.parametrize("overrides,key", [
         ({"env": {"window": 4, "transacton_cost": 5}}, "env.transacton_cost"),

@@ -151,6 +151,8 @@ def fill_buffer(agent, rng, n=32, window=3):
 
 class TestUpdate(UpdateContract):
     make = staticmethod(make_agent)
+    step_sizes = {"actor": "actor_lr", "critic1": "critic_lr", "critic2": "critic_lr"}
+    failed_update = ({"policy_delay": 1}, "td3 update 2: non-finite critic1 loss nan")
 
     def test_delayed_actor_and_targets(self, rng):
         agent = Td3Agent(3, small_config(policy_delay=3), seed=1)
@@ -174,22 +176,6 @@ class TestUpdate(UpdateContract):
         agent.update(buffer, 0, np.random.default_rng(0))
         assert not np.array_equal(before, agent.nets["critic1"].theta)
 
-    def test_non_finite_reward_fails_by_name_before_any_weight_moves(self, rng):
-        agent = Td3Agent(3, small_config(policy_delay=1), seed=1)
-        buffer = fill_buffer(agent, rng)
-        agent.update(buffer, 0, np.random.default_rng(0))  # moments off zero
-        before = agent.snapshot()
-        opts = (agent.actor_opt, agent.critic1_opt, agent.critic2_opt)
-        moments = [(opt.m.copy(), opt.v.copy(), opt.step) for opt in opts]
-        nan_buffer = push_pairs([(rng.normal(size=3), 0.5, float("nan"), rng.normal(size=3), False)]
-                                * agent.config.batch_size, agent.config.buffer_capacity)
-        with pytest.raises(ValueError, match=r"^td3 update 2: non-finite critic1 loss nan$"):
-            agent.update(nan_buffer, 0, np.random.default_rng(0))
-        assert all(np.array_equal(before[k], x) for k, x in agent.snapshot().items())
-        for opt, (m, v, step) in zip(opts, moments):
-            assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v) and opt.step == step
-        assert agent.updates == 1
-
     def test_non_finite_critic2_fails_before_critic1_moves(self, rng):
         agent = Td3Agent(3, small_config(), seed=1)
         buffer = fill_buffer(agent, rng)
@@ -197,7 +183,7 @@ class TestUpdate(UpdateContract):
         before = agent.nets["critic1"].theta.copy()
         with pytest.raises(ValueError, match=r"^td3 update 1: non-finite critic2 loss nan$"):
             agent.update(buffer, 0, np.random.default_rng(0))
-        assert np.array_equal(agent.nets["critic1"].theta, before) and agent.critic1_opt.step == 0
+        assert np.array_equal(agent.nets["critic1"].theta, before) and agent.opts["critic1"].step == 0
 
     def test_non_finite_actor_fails_by_name_before_its_adam_step(self, rng):
         agent = Td3Agent(3, small_config(policy_delay=1), seed=1)
@@ -206,8 +192,8 @@ class TestUpdate(UpdateContract):
         actor, targets = agent.nets["actor"].theta.copy(), agent.snapshot()
         with pytest.raises(ValueError, match=r"^td3 update 1: non-finite actor objective nan$"):
             agent.update(buffer, 0, np.random.default_rng(0))
-        assert agent.critic1_opt.step == agent.critic2_opt.step == 1  # the critics stepped
-        assert agent.actor_opt.step == 0 and not agent.actor_opt.m.any()
+        assert agent.opts["critic1"].step == agent.opts["critic2"].step == 1  # the critics stepped
+        assert agent.opts["actor"].step == 0 and not agent.opts["actor"].m.any()
         assert np.array_equal(agent.nets["actor"].theta, actor, equal_nan=True)
         for name in ("actor_target", "critic1_target", "critic2_target"):  # no Polyak mix
             assert np.array_equal(agent.nets[name].theta, targets[name])
